@@ -9,13 +9,19 @@
 //!    Markov availability (Markov cross-validation at exponential rates);
 //! 2. the two engines' intervals must overlap each other (CI overlap);
 //! 3. both engines stay bit-identical across thread counts, and workspace
-//!    reuse across missions must not leak state between iterations.
+//!    reuse across missions must not leak state between iterations;
+//! 4. the jump-chain RNG streams are pinned: a digest of every estimate
+//!    bit and counter of fixed runs must not move.
 
-use availsim_core::markov::{Raid5Conventional, Raid5FailOver};
-use availsim_core::mc::{ConventionalMc, FailOverMc, McConfig, McEngine, SimWorkspace};
+use availsim_core::markov::{Raid5Conventional, Raid5FailOver, WrongReplacementTiming};
+use availsim_core::mc::{
+    AvailabilityEstimate, ConventionalMc, FailOverMc, McConfig, McEngine, McVariance, SimWorkspace,
+};
 use availsim_core::ModelParams;
 use availsim_hra::Hep;
 use availsim_sim::rng::SimRng;
+use availsim_sim::telemetry::Counter;
+use availsim_storage::{RaidGeometry, ScrubbingModel};
 
 fn params(lambda: f64, hep: f64) -> ModelParams {
     ModelParams::raid5_3plus1(lambda, Hep::new(hep).unwrap()).unwrap()
@@ -211,4 +217,120 @@ fn shared_workspace_across_models_does_not_leak_state() {
         assert_eq!(shared_out.du_events, fresh_out.du_events, "iteration {i}");
         assert_eq!(shared_out.dl_events, fresh_out.dl_events, "iteration {i}");
     }
+}
+
+/// FNV-1a over the pinned fields of an estimate: the availability point
+/// estimate and half-width, the mean downtime, `p_data_loss`, the DU/DL
+/// event counts, and every counter of the snapshot except `skip`.
+fn digest(est: &AvailabilityEstimate, skip: &[Counter]) -> u64 {
+    let mut words = vec![
+        est.overall_availability.to_bits(),
+        est.availability.half_width.to_bits(),
+        est.mean_downtime_hours.to_bits(),
+        est.p_data_loss.mean.to_bits(),
+        est.p_data_loss.half_width.to_bits(),
+        est.du_events,
+        est.dl_events,
+    ];
+    words.extend(
+        est.counters
+            .iter()
+            .filter(|(c, _)| !skip.contains(c))
+            .map(|(_, v)| v),
+    );
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+fn pin_config(variance: McVariance) -> McConfig {
+    McConfig {
+        iterations: 1_500,
+        horizon_hours: 20_000.0,
+        seed: 2024,
+        confidence: 0.99,
+        threads: 1,
+        variance,
+        telemetry: true,
+    }
+}
+
+/// Checks each `(case, digest)` pair, reporting every mismatch at once.
+fn assert_pins(got: &[(String, u64)], pinned: &[(&str, u64)]) {
+    let mismatches: Vec<String> = got
+        .iter()
+        .zip(pinned)
+        .filter(|((_, g), (_, p))| g != p)
+        .map(|((case, g), (_, p))| format!("{case}: {g:#018x} (pinned {p:#018x})"))
+        .collect();
+    assert_eq!(got.len(), pinned.len());
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn fig2_jump_chain_streams_are_pinned() {
+    let base = params(2e-4, 0.01);
+    let lse = base.with_scrubbing(ScrubbingModel::new(1e-4, 336.0).unwrap());
+    let mut got = Vec::new();
+    for (variance, v) in [
+        (McVariance::Naive, "naive"),
+        (McVariance::failure_biasing(), "biased"),
+    ] {
+        for (p, l) in [(base, "no-lse"), (lse, "lse")] {
+            for (timing, t) in [
+                (WrongReplacementTiming::ChangeAction, "mu_ch"),
+                (WrongReplacementTiming::RepairCompletion, "mu_df"),
+            ] {
+                let mc = ConventionalMc::new(p).unwrap().with_timing(timing);
+                let est = mc.run(&pin_config(variance)).unwrap();
+                got.push((format!("r5-3 {v} {l} {t}"), digest(&est, &[])));
+            }
+        }
+    }
+    let raid1 =
+        ModelParams::paper_defaults(RaidGeometry::raid1_pair(), 2e-4, Hep::new(0.01).unwrap())
+            .unwrap();
+    for (p, case) in [(raid1, "r1 naive"), (params(2e-4, 0.0), "r5-3 hep=0 naive")] {
+        let est = ConventionalMc::new(p)
+            .unwrap()
+            .run(&pin_config(McVariance::Naive))
+            .unwrap();
+        got.push((case.to_string(), digest(&est, &[])));
+    }
+    assert_pins(
+        &got,
+        &[
+            ("r5-3 naive no-lse mu_ch", 0xb0bf_a641_d378_69a2),
+            ("r5-3 naive no-lse mu_df", 0xfdb6_f255_8e00_a36c),
+            ("r5-3 naive lse mu_ch", 0x900c_eca6_ef53_1855),
+            ("r5-3 naive lse mu_df", 0xafcf_069e_6181_07aa),
+            ("r5-3 biased no-lse mu_ch", 0xa9e5_41e1_a0ef_6694),
+            ("r5-3 biased no-lse mu_df", 0x097a_defa_d3fc_c944),
+            ("r5-3 biased lse mu_ch", 0xfdae_b050_b915_986b),
+            ("r5-3 biased lse mu_df", 0xf45d_5f7c_c88c_8f95),
+            ("r1 naive", 0x516c_3d2c_d987_ac66),
+            ("r5-3 hep=0 naive", 0x07f8_eaa2_10c8_8d8f),
+        ],
+    );
+}
+
+#[test]
+fn fig3_failure_biased_stream_is_pinned() {
+    // The data-loss counter is left out: Fig. 3 runs did not count it
+    // before the shared jump chain, and `telemetry_counts_every_data_loss`
+    // checks it against `dl_events` instead.
+    let est = FailOverMc::new(params(2e-4, 0.01))
+        .unwrap()
+        .run(&pin_config(McVariance::failure_biasing()))
+        .unwrap();
+    assert_pins(
+        &[(
+            "fail-over biased".to_string(),
+            digest(&est, &[Counter::DataLossEvents]),
+        )],
+        &[("fail-over biased", 0xea7f_5805_94c1_9883)],
+    );
 }
