@@ -1,9 +1,7 @@
 //! Sampler throughput for every lifetime distribution, plus the special
 //! functions on the statistics hot path.
 
-use availsim_sim::distributions::{
-    Deterministic, Exponential, Gamma, Lifetime, LogNormal, UniformDist, Weibull,
-};
+use availsim_sim::distributions::{Exponential, Lifetime, Weibull};
 use availsim_sim::rng::SimRng;
 use availsim_sim::stats::student_t::t_critical_two_sided;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -18,10 +16,6 @@ fn bench(c: &mut Criterion) {
             "weibull",
             Box::new(Weibull::from_rate_shape(1e-6, 1.21).unwrap()),
         ),
-        ("lognormal", Box::new(LogNormal::new(2.0, 0.5).unwrap())),
-        ("gamma", Box::new(Gamma::new(2.5, 0.1).unwrap())),
-        ("uniform", Box::new(UniformDist::new(1.0, 10.0).unwrap())),
-        ("deterministic", Box::new(Deterministic::new(10.0).unwrap())),
     ];
     for (name, dist) in &dists {
         group.bench_function(*name, |b| {

@@ -132,10 +132,10 @@ pub fn annual_cost_conventional(
         ));
     }
     use availsim_ctmc::RewardModel;
-    let chain = Raid5Conventional::new(params)?.build_chain()?;
+    let def = Raid5Conventional::new(params)?.chain();
+    let chain = def.build()?;
     let mut rewards = RewardModel::zero(&chain);
-    for label in ["DU", "DL"] {
-        let s = chain.find_state(label).expect("state exists");
+    for s in def.state_ids(&chain, |c| !c.is_up()) {
         rewards
             .rate_reward(s, cost_per_down_hour)
             .map_err(crate::error::CoreError::from)?;

@@ -20,19 +20,124 @@
 //! | `DL` | double disk failure, spare present (down) |
 //! | `DLns` | double disk failure, no spare (down) |
 //!
-//! The scanned figure in the paper is partially garbled; DESIGN.md §3.2
-//! documents the reconstruction. Every transition stated in the paper's
-//! prose is present; the two analogy-derived edges (`DU1 → OP` at `μ_DDF`
-//! and `DU1 → DU2` at `hep·μ_he`) are marked in DESIGN.md and carry
-//! negligible probability mass.
+//! The scanned figure in the paper is partially garbled; [`fig3_chain`]
+//! documents the reconstruction.
 
+use super::chain::{ChainDef, ChainEdge, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
-use availsim_ctmc::{Ctmc, CtmcBuilder};
+use availsim_ctmc::Ctmc;
 
-/// Down-state labels of the fail-over model.
-pub const DOWN_STATES: [&str; 6] = ["DU1", "DU2", "DUns1", "DUns2", "DL", "DLns"];
+const fn state(label: &'static str, class: StateClass) -> ChainState {
+    ChainState { label, class }
+}
+
+const FIG3_STATES: [ChainState; 12] = [
+    state("OP", StateClass::Up),
+    state("EXP1", StateClass::Up),
+    state("OPns", StateClass::Up),
+    state("EXPns1", StateClass::Up),
+    state("EXPns2", StateClass::Up),
+    state("EXP2", StateClass::Up),
+    state("DU1", StateClass::HumanErrorDown),
+    state("DU2", StateClass::HumanErrorDown),
+    state("DUns1", StateClass::HumanErrorDown),
+    state("DUns2", StateClass::HumanErrorDown),
+    state("DL", StateClass::DataLossDown),
+    state("DLns", StateClass::DataLossDown),
+];
+
+/// The Fig. 3 chain of `params`, without the geometry, `hep` and LSE checks
+/// of [`Raid5FailOver::new`]: the Monte-Carlo engines replay it for every
+/// configuration they accept.
+///
+/// Reconstruction notes: the scanned figure is partially garbled. Every
+/// transition the paper's prose states is present. Two edges are derived
+/// by analogy with the no-spare cluster (`DUns1`/`DUns2`/`EXPns2`) and
+/// carry negligible probability mass: `DU1 → OP` at `μ_DDF` (give up and
+/// restore, like `DUns1 → OPns`) and `DU1 → DU2` at `hep·μ_he` (a botched
+/// undo, like `EXPns2 → DUns2`). The figure's `hep·μ` self-loops are CTMC
+/// no-ops and appear only as the `(1 − hep)` thinning of the competing
+/// success rates.
+pub(crate) fn fig3_chain(params: &ModelParams) -> ChainDef {
+    const OP: usize = 0;
+    const EXP1: usize = 1;
+    const OPNS: usize = 2;
+    const EXPNS1: usize = 3;
+    const EXPNS2: usize = 4;
+    const EXP2: usize = 5;
+    const DU1: usize = 6;
+    const DU2: usize = 7;
+    const DUNS1: usize = 8;
+    const DUNS2: usize = 9;
+    const DL: usize = 10;
+    const DLNS: usize = 11;
+    let p = params;
+    let n = f64::from(p.disks());
+    let hep = p.hep.value();
+    let lam = p.disk_failure_rate;
+    let (mu_df, mu_ddf) = (p.disk_repair_rate, p.ddf_recovery_rate);
+    let (mu_he, mu_ch) = (p.human_recovery_rate, p.disk_change_rate);
+    let crash = p.removed_crash_rate;
+    use EdgeTag::{Crash, Failure, HumanError, Service};
+    let edge = |from, to, rate, tag| ChainEdge {
+        from,
+        to,
+        rate,
+        tag,
+    };
+    ChainDef::new(
+        &FIG3_STATES,
+        vec![
+            // OP: failure starts the automatic fail-over.
+            edge(OP, EXP1, n * lam, Failure),
+            // EXP1: second failure loses data; rebuild completes hands-free.
+            edge(EXP1, DL, (n - 1.0) * lam, Failure),
+            edge(EXP1, OPNS, mu_df, Service),
+            // OPns: replace the dead disk to restore the spare (human action).
+            edge(OPNS, EXPNS1, n * lam, Failure),
+            edge(OPNS, OP, (1.0 - hep) * mu_ch, Service),
+            edge(OPNS, EXPNS2, hep * mu_ch, HumanError),
+            // EXPns1: fail-over and replacement race; either can err.
+            edge(EXPNS1, OPNS, (1.0 - hep) * mu_df, Service),
+            edge(EXPNS1, EXP1, (1.0 - hep) * mu_ch, Service),
+            edge(EXPNS1, DUNS1, hep * (mu_df + mu_ch), HumanError),
+            edge(EXPNS1, DLNS, (n - 1.0) * lam, Failure),
+            // EXPns2: undo the wrong replacement (completes the swap on success).
+            edge(EXPNS2, OP, (1.0 - hep) * mu_he, Service),
+            edge(EXPNS2, DUNS2, hep * mu_he, HumanError),
+            edge(EXPNS2, EXPNS1, crash, Crash),
+            edge(EXPNS2, DUNS1, (n - 1.0) * lam, Failure),
+            // EXP2: like EXPns2 with a spare present.
+            edge(EXP2, OP, (1.0 - hep) * mu_he, Service),
+            edge(EXP2, DU2, hep * mu_he, HumanError),
+            edge(EXP2, EXP1, crash, Crash),
+            edge(EXP2, DU1, (n - 1.0) * lam, Failure),
+            // DU1 cluster (spare present), analogous to DUns1/DUns2.
+            edge(DU1, EXP1, (1.0 - hep) * mu_he, Service),
+            edge(DU1, DL, crash, Crash),
+            edge(DU1, OP, mu_ddf, Service),
+            edge(DU1, DU2, hep * mu_he, HumanError),
+            edge(DU2, EXP2, (1.0 - hep) * mu_he, Service),
+            edge(DU2, DU1, 2.0 * crash, Crash),
+            // DUns1: four competing recoveries (undo, crash, give-up
+            // restore, replacement of the failed disk).
+            edge(DUNS1, EXPNS1, (1.0 - hep) * mu_he, Service),
+            edge(DUNS1, DLNS, crash, Crash),
+            edge(DUNS1, OPNS, mu_ddf, Service),
+            edge(DUNS1, DU1, (1.0 - hep) * mu_ch, Service),
+            // DUns2: undo one of the two wrong removals, or one crashes.
+            edge(DUNS2, EXPNS2, (1.0 - hep) * mu_he, Service),
+            edge(DUNS2, DUNS1, 2.0 * crash, Crash),
+            // DL: restore from backup with the spare already present.
+            edge(DL, OP, mu_ddf, Service),
+            // DLns: restore, or replace a failed disk to regain a spare.
+            edge(DLNS, OPNS, mu_ddf, Service),
+            edge(DLNS, DL, (1.0 - hep) * mu_ch, Service),
+        ],
+    )
+}
 
 /// The Fig. 3 model.
 ///
@@ -93,82 +198,18 @@ impl Raid5FailOver {
         &self.params
     }
 
-    /// Builds the twelve-state chain (transition table in DESIGN.md §3.2).
+    /// The twelve-state chain definition.
+    pub fn chain(&self) -> ChainDef {
+        fig3_chain(&self.params)
+    }
+
+    /// Builds the twelve-state chain.
     ///
     /// # Errors
     /// Propagates chain-construction errors (none occur for validated
     /// parameters).
     pub fn build_chain(&self) -> Result<Ctmc> {
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let hep = p.hep.value();
-        let lam = p.disk_failure_rate;
-        let mu_df = p.disk_repair_rate;
-        let mu_ddf = p.ddf_recovery_rate;
-        let mu_he = p.human_recovery_rate;
-        let mu_ch = p.disk_change_rate;
-        let crash = p.removed_crash_rate;
-
-        let mut b = CtmcBuilder::new();
-        let op = b.state("OP")?;
-        let exp1 = b.state("EXP1")?;
-        let opns = b.state("OPns")?;
-        let expns1 = b.state("EXPns1")?;
-        let expns2 = b.state("EXPns2")?;
-        let exp2 = b.state("EXP2")?;
-        let du1 = b.state("DU1")?;
-        let du2 = b.state("DU2")?;
-        let duns1 = b.state("DUns1")?;
-        let duns2 = b.state("DUns2")?;
-        let dl = b.state("DL")?;
-        let dlns = b.state("DLns")?;
-
-        // OP: failure starts the automatic fail-over.
-        b.transition(op, exp1, n * lam)?;
-        // EXP1: second failure loses data; rebuild completes hands-free.
-        b.transition(exp1, dl, (n - 1.0) * lam)?;
-        b.transition(exp1, opns, mu_df)?;
-        // OPns: replace the dead disk to restore the spare (human action).
-        b.transition(opns, expns1, n * lam)?;
-        b.transition(opns, op, (1.0 - hep) * mu_ch)?;
-        b.transition(opns, expns2, hep * mu_ch)?;
-        // EXPns1: fail-over and replacement race; either can err.
-        b.transition(expns1, opns, (1.0 - hep) * mu_df)?;
-        b.transition(expns1, exp1, (1.0 - hep) * mu_ch)?;
-        b.transition(expns1, duns1, hep * (mu_df + mu_ch))?;
-        b.transition(expns1, dlns, (n - 1.0) * lam)?;
-        // EXPns2: undo the wrong replacement (completes the swap on success).
-        b.transition(expns2, op, (1.0 - hep) * mu_he)?;
-        b.transition(expns2, duns2, hep * mu_he)?;
-        b.transition(expns2, expns1, crash)?;
-        b.transition(expns2, duns1, (n - 1.0) * lam)?;
-        // DUns1: four competing recoveries (undo, crash, give-up restore,
-        // replacement of the failed disk).
-        b.transition(duns1, expns1, (1.0 - hep) * mu_he)?;
-        b.transition(duns1, dlns, crash)?;
-        b.transition(duns1, opns, mu_ddf)?;
-        b.transition(duns1, du1, (1.0 - hep) * mu_ch)?;
-        // DUns2: undo one of the two wrong removals, or one crashes.
-        b.transition(duns2, expns2, (1.0 - hep) * mu_he)?;
-        b.transition(duns2, duns1, 2.0 * crash)?;
-        // DLns: restore, or replace a failed disk to regain a spare.
-        b.transition(dlns, opns, mu_ddf)?;
-        b.transition(dlns, dl, (1.0 - hep) * mu_ch)?;
-        // DL: restore from backup with the spare already present.
-        b.transition(dl, op, mu_ddf)?;
-        // DU1 cluster (spare present) — analogous to DUns1/DUns2/EXPns2.
-        b.transition(du1, exp1, (1.0 - hep) * mu_he)?;
-        b.transition(du1, dl, crash)?;
-        b.transition(du1, op, mu_ddf)?;
-        b.transition(du1, du2, hep * mu_he)?;
-        b.transition(du2, exp2, (1.0 - hep) * mu_he)?;
-        b.transition(du2, du1, 2.0 * crash)?;
-        b.transition(exp2, op, (1.0 - hep) * mu_he)?;
-        b.transition(exp2, du2, hep * mu_he)?;
-        b.transition(exp2, exp1, crash)?;
-        b.transition(exp2, du1, (n - 1.0) * lam)?;
-
-        Ok(b.build()?)
+        self.chain().build()
     }
 
     /// Solves for the stationary distribution with the `DU*`/`DL*` states
@@ -177,7 +218,7 @@ impl Raid5FailOver {
     /// # Errors
     /// Propagates solver errors.
     pub fn solve(&self) -> Result<SolvedChain> {
-        SolvedChain::solve(self.build_chain()?, &DOWN_STATES)
+        self.chain().solve()
     }
 
     /// Mean time to data loss (hours): first passage from `OP` into either
@@ -186,12 +227,7 @@ impl Raid5FailOver {
     /// # Errors
     /// Propagates absorbing-analysis errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
-        let chain = self.build_chain()?;
-        let dl = chain.find_state("DL").expect("state exists");
-        let dlns = chain.find_state("DLns").expect("state exists");
-        let mut p0 = vec![0.0; chain.num_states()];
-        p0[chain.find_state("OP").expect("state exists").index()] = 1.0;
-        Ok(chain.absorption(&p0, &[dl, dlns])?.mean_time)
+        self.chain().mttdl_hours()
     }
 }
 
@@ -208,11 +244,16 @@ mod tests {
 
     #[test]
     fn chain_has_twelve_states() {
-        let chain = model(1e-6, 0.01).build_chain().unwrap();
+        let m = model(1e-6, 0.01);
+        let chain = m.build_chain().unwrap();
         assert_eq!(chain.num_states(), 12);
-        for label in DOWN_STATES {
-            assert!(chain.find_state(label).is_some(), "{label} missing");
-        }
+        let down = m
+            .chain()
+            .states()
+            .iter()
+            .filter(|s| !s.class.is_up())
+            .count();
+        assert_eq!(down, 6);
     }
 
     #[test]
@@ -277,9 +318,11 @@ mod tests {
         let conv = Raid5Conventional::new(params).unwrap().solve().unwrap();
         let fo = Raid5FailOver::new(params).unwrap().solve().unwrap();
         let conv_du = conv.probability("DU").unwrap();
-        let fo_du: f64 = ["DU1", "DU2", "DUns1", "DUns2"]
+        let fo_du: f64 = fig3_chain(&params)
+            .states()
             .iter()
-            .map(|l| fo.probability(l).unwrap())
+            .filter(|s| s.class == StateClass::HumanErrorDown)
+            .map(|s| fo.probability(s.label).unwrap())
             .sum();
         assert!(
             fo_du < conv_du / 10.0,

@@ -7,19 +7,22 @@
 //! * [`GenericKofN`] — a `(failed, wrongly-removed)` chain generator for any
 //!   `k+m` geometry, which reduces to Fig. 2 at `m = 1` and extends the
 //!   paper to RAID6.
+//!
+//! The two paper chains are declared once each, as a [`ChainDef`]: the
+//! exact solver builds its CTMC from the definition, and the Monte-Carlo
+//! jump chains compile the same definition into their exit tables.
 
+mod chain;
 mod failover;
 mod generic;
 mod raid5;
 
+pub use chain::{ChainDef, ChainEdge, ChainState, EdgeTag, StateClass};
+pub(crate) use failover::fig3_chain;
 pub use failover::Raid5FailOver;
 pub use generic::GenericKofN;
+pub(crate) use raid5::fig2_chain;
 pub use raid5::{Raid5Conventional, WrongReplacementTiming};
-
-/// Labels of the fail-over model's down states (DU and DL classes).
-pub fn failover_down_states() -> [&'static str; 6] {
-    failover::DOWN_STATES
-}
 
 use crate::error::Result;
 use crate::nines;

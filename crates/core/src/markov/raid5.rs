@@ -36,19 +36,11 @@
 //! mirror tolerates one missing disk, a second failure loses data, and a
 //! wrong replacement of the surviving mirror makes data unavailable.
 
+use super::chain::{ChainDef, ChainEdge, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
-use availsim_ctmc::{Ctmc, CtmcBuilder};
-
-/// Labels of the four states.
-pub const STATE_OP: &str = "OP";
-/// Exposed state label (one failed disk).
-pub const STATE_EXP: &str = "EXP";
-/// Data-unavailable state label (human error).
-pub const STATE_DU: &str = "DU";
-/// Data-loss state label (double disk failure).
-pub const STATE_DL: &str = "DL";
+use availsim_ctmc::Ctmc;
 
 /// Which service rate the wrong replacement scales with.
 ///
@@ -68,6 +60,96 @@ pub enum WrongReplacementTiming {
     ChangeAction,
     /// `EXP → DU` at `hep·μ_DF` (Fig. 2 exactly as labeled).
     RepairCompletion,
+}
+
+impl WrongReplacementTiming {
+    /// The rate at which a wrong replacement takes the exposed array down:
+    /// `hep` times the service rate this reading selects.
+    pub(crate) fn wrong_replacement_rate(self, params: &ModelParams) -> f64 {
+        let base = match self {
+            WrongReplacementTiming::ChangeAction => params.disk_change_rate,
+            WrongReplacementTiming::RepairCompletion => params.disk_repair_rate,
+        };
+        params.hep.value() * base
+    }
+}
+
+const FIG2_STATES: [ChainState; 4] = [
+    ChainState {
+        label: "OP",
+        class: StateClass::Up,
+    },
+    ChainState {
+        label: "EXP",
+        class: StateClass::Up,
+    },
+    ChainState {
+        label: "DU",
+        class: StateClass::HumanErrorDown,
+    },
+    ChainState {
+        label: "DL",
+        class: StateClass::DataLossDown,
+    },
+];
+
+/// The Fig. 2 chain of `params`, without the geometry and `hep` checks of
+/// [`Raid5Conventional::new`]: the Monte-Carlo engines replay it for every
+/// geometry they accept.
+pub(crate) fn fig2_chain(params: &ModelParams, timing: WrongReplacementTiming) -> ChainDef {
+    const OP: usize = 0;
+    const EXP: usize = 1;
+    const DU: usize = 2;
+    const DL: usize = 3;
+    let p = params;
+    let n = f64::from(p.disks());
+    let hep = p.hep.value();
+    // An attached scrubbing model splits the rebuild completion by the
+    // per-rebuild LSE-hit probability `ue`. At ue = 0 the repair rate is
+    // bit-exact with the unsplit one and the zero-rate loss edge is
+    // dropped by the builder and never picked by the samplers.
+    let ue = p.rebuild_lse_probability();
+    let edge = |from, to, rate, tag| ChainEdge {
+        from,
+        to,
+        rate,
+        tag,
+    };
+    ChainDef::new(
+        &FIG2_STATES,
+        vec![
+            edge(OP, EXP, n * p.disk_failure_rate, EdgeTag::Failure),
+            // The second failure precedes the rebuild loss, so the
+            // builder's merge computes (n−1)·λ + (1−hep)·ue·μ_DF.
+            edge(EXP, DL, (n - 1.0) * p.disk_failure_rate, EdgeTag::Failure),
+            edge(
+                EXP,
+                OP,
+                (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate,
+                EdgeTag::Service,
+            ),
+            edge(
+                EXP,
+                DU,
+                timing.wrong_replacement_rate(p),
+                EdgeTag::HumanError,
+            ),
+            edge(
+                EXP,
+                DL,
+                (1.0 - hep) * ue * p.disk_repair_rate,
+                EdgeTag::RebuildLoss,
+            ),
+            edge(
+                DU,
+                OP,
+                (1.0 - hep) * p.human_recovery_rate,
+                EdgeTag::Service,
+            ),
+            edge(DU, DL, p.removed_crash_rate, EdgeTag::Crash),
+            edge(DL, OP, p.ddf_recovery_rate, EdgeTag::Service),
+        ],
+    )
 }
 
 /// The Fig. 2 model for a single-fault-tolerant array (RAID5 `k+1` or a
@@ -136,11 +218,12 @@ impl Raid5Conventional {
     /// The rate at which a wrong replacement takes the exposed array down:
     /// `hep` times the selected service rate.
     pub fn wrong_replacement_rate(&self) -> f64 {
-        let base = match self.timing {
-            WrongReplacementTiming::ChangeAction => self.params.disk_change_rate,
-            WrongReplacementTiming::RepairCompletion => self.params.disk_repair_rate,
-        };
-        self.params.hep.value() * base
+        self.timing.wrong_replacement_rate(&self.params)
+    }
+
+    /// The four-state chain definition.
+    pub fn chain(&self) -> ChainDef {
+        fig2_chain(&self.params, self.timing)
     }
 
     /// Builds the four-state chain.
@@ -149,36 +232,7 @@ impl Raid5Conventional {
     /// Propagates chain-construction errors (none occur for validated
     /// parameters).
     pub fn build_chain(&self) -> Result<Ctmc> {
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let hep = p.hep.value();
-        // An attached scrubbing model splits the rebuild completion by the
-        // per-rebuild LSE-hit probability `ue`: the reads of the surviving
-        // disks hit a latent sector error with probability `ue`, losing
-        // data instead of returning to OP — the exact-chain twin of the
-        // Monte-Carlo engines' Bernoulli on rebuild completion. At ue = 0
-        // the arithmetic is bit-exact with the unsplit rates (`·1.0` and
-        // `+ 0.0` are identities on finite positive rates).
-        let ue = p.rebuild_lse_probability();
-
-        let mut b = CtmcBuilder::new();
-        let op = b.state(STATE_OP)?;
-        let exp = b.state(STATE_EXP)?;
-        let du = b.state(STATE_DU)?;
-        let dl = b.state(STATE_DL)?;
-
-        b.transition(op, exp, n * p.disk_failure_rate)?;
-        b.transition(
-            exp,
-            dl,
-            (n - 1.0) * p.disk_failure_rate + (1.0 - hep) * ue * p.disk_repair_rate,
-        )?;
-        b.transition(exp, op, (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate)?;
-        b.transition(exp, du, self.wrong_replacement_rate())?;
-        b.transition(du, op, (1.0 - hep) * p.human_recovery_rate)?;
-        b.transition(du, dl, p.removed_crash_rate)?;
-        b.transition(dl, op, p.ddf_recovery_rate)?;
-        Ok(b.build()?)
+        self.chain().build()
     }
 
     /// Solves for the stationary distribution; `DU` and `DL` are the down
@@ -187,7 +241,7 @@ impl Raid5Conventional {
     /// # Errors
     /// Propagates solver errors.
     pub fn solve(&self) -> Result<SolvedChain> {
-        SolvedChain::solve(self.build_chain()?, &[STATE_DU, STATE_DL])
+        self.chain().solve()
     }
 
     /// Mean time to data loss (hours): expected time to first hit `DL`
@@ -196,11 +250,7 @@ impl Raid5Conventional {
     /// # Errors
     /// Propagates absorbing-analysis errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
-        let chain = self.build_chain()?;
-        let dl = chain.find_state(STATE_DL).expect("state exists");
-        let mut p0 = vec![0.0; chain.num_states()];
-        p0[chain.find_state(STATE_OP).expect("state exists").index()] = 1.0;
-        Ok(chain.absorption(&p0, &[dl])?.mean_time)
+        self.chain().mttdl_hours()
     }
 }
 
@@ -219,8 +269,8 @@ mod tests {
         let chain = model(1e-6, 0.01).build_chain().unwrap();
         assert_eq!(chain.num_states(), 4);
         assert_eq!(chain.num_transitions(), 7);
-        let op = chain.find_state(STATE_OP).unwrap();
-        let exp = chain.find_state(STATE_EXP).unwrap();
+        let op = chain.find_state("OP").unwrap();
+        let exp = chain.find_state("EXP").unwrap();
         assert!((chain.rate(op, exp) - 4e-6).abs() < 1e-18);
     }
 
@@ -229,7 +279,7 @@ mod tests {
         // With hep = 0 the DU state is unreachable and the unavailability is
         // the classic nλ/μ_DF · (n−1)λ/μ_DDF expression (first order).
         let solved = model(1e-6, 0.0).solve().unwrap();
-        assert_eq!(solved.probability(STATE_DU).unwrap(), 0.0);
+        assert_eq!(solved.probability("DU").unwrap(), 0.0);
         let u = solved.unavailability();
         let expect = (4e-6 / 0.1) * (3e-6 / 0.03); // π_EXP·(n−1)λ/µDDF approx
         let rel = (u - expect).abs() / expect;
@@ -240,7 +290,7 @@ mod tests {
     fn du_probability_matches_first_order_analysis() {
         // π_DU ≈ π_OP · nλ/exit(EXP) · hep·μ_s / ((1−hep)·μ_he + λ_crash).
         let solved = model(1e-6, 0.01).solve().unwrap();
-        let du = solved.probability(STATE_DU).unwrap();
+        let du = solved.probability("DU").unwrap();
         let exit_exp = 3e-6 + 0.99 * 0.1 + 0.01 * 1.0;
         let expect = (4e-6 / exit_exp) * (0.01 * 1.0) / (0.99 * 1.0 + 0.01);
         let rel = (du - expect).abs() / expect;
@@ -259,7 +309,7 @@ mod tests {
             .with_timing(WrongReplacementTiming::RepairCompletion)
             .solve()
             .unwrap();
-        let ratio = fast.probability(STATE_DU).unwrap() / labeled.probability(STATE_DU).unwrap();
+        let ratio = fast.probability("DU").unwrap() / labeled.probability("DU").unwrap();
         assert!((ratio - 10.0).abs() < 1.0, "ratio {ratio}");
     }
 
@@ -302,8 +352,8 @@ mod tests {
                 .unwrap();
         let m = Raid5Conventional::new(params).unwrap();
         let chain = m.build_chain().unwrap();
-        let op = chain.find_state(STATE_OP).unwrap();
-        let exp = chain.find_state(STATE_EXP).unwrap();
+        let op = chain.find_state("OP").unwrap();
+        let exp = chain.find_state("EXP").unwrap();
         // n = 2: OP -> EXP at 2λ.
         assert!((chain.rate(op, exp) - 2e-5).abs() < 1e-18);
         assert!(m.solve().unwrap().availability() > 0.99);

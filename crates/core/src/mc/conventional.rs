@@ -10,21 +10,19 @@
 //!
 //! With exponential failures the simulator is distribution-equivalent to the
 //! Fig. 2 CTMC, which the Fig. 4 validation exercises — and in that regime
-//! the model collapses to a four-state jump chain that
-//! [`McEngine::Auto`](super::McEngine) replays directly (Gillespie-style),
-//! with no event queue and no per-disk clocks.
+//! [`McEngine::Auto`](super::McEngine) replays the chain definition the
+//! exact solver builds from ([`fig2_chain`]) on the shared jump chain, with
+//! no event queue and no per-disk clocks.
 
-use super::{
-    biased_pick, AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance,
-    SimWorkspace,
-};
+use super::jump::ExitTable;
+use super::{AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace};
 use crate::error::{CoreError, Result};
-use crate::markov::WrongReplacementTiming;
+use crate::markov::{fig2_chain, WrongReplacementTiming};
 use crate::params::ModelParams;
 use availsim_sim::indexed_queue::{IndexedEventQueue, QueueStats};
 use availsim_sim::rng::SimRng;
-use availsim_sim::telemetry::{Counter, Telemetry};
-use availsim_storage::{DowntimeLog, EventTrace, FailureModel, OutageCause, TraceKind};
+use availsim_sim::telemetry::Counter;
+use availsim_storage::{EventTrace, FailureModel, OutageCause, TraceKind};
 
 /// Operating mode of the simulated array (mirrors the Fig. 2 states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,35 +148,32 @@ impl ConvScratch {
     }
 }
 
-/// Flushes a mission's locally accumulated jump-chain tallies into the
-/// registry — one batched store per mission keeps the hot loop at plain
-/// register increments, and the whole flush sits behind a single
-/// well-predicted branch when telemetry is disabled.
-#[inline]
-fn flush_jump_counters(
-    tele: &mut Telemetry,
-    edges: &[u64; 7],
-    lse_hits: u64,
-    exp_draws: u64,
-    uniform_draws: u64,
-) {
-    if !tele.enabled() {
-        return;
+/// The per-edge telemetry counters of the Fig. 2 jump chain.
+fn fig2_edge_counter(from: &str, to: &str) -> Option<Counter> {
+    Some(match (from, to) {
+        ("OP", "EXP") => Counter::JumpOpToExp,
+        ("EXP", "OP") => Counter::JumpExpToOp,
+        ("EXP", "DU") => Counter::JumpExpToDu,
+        ("EXP", "DL") => Counter::JumpExpToDl,
+        ("DU", "OP") => Counter::JumpDuToOp,
+        ("DU", "DL") => Counter::JumpDuToDl,
+        ("DL", "OP") => Counter::JumpDlToOp,
+        _ => return None,
+    })
+}
+
+/// Compiles the Fig. 2 chain the jump chain replays, at the exponential
+/// failure model's rate (the table goes unused for other lifetimes).
+fn jump_table(
+    params: &ModelParams,
+    failures: &FailureModel,
+    timing: WrongReplacementTiming,
+) -> ExitTable {
+    let mut p = *params;
+    if let FailureModel::Exponential(d) = failures {
+        p.disk_failure_rate = d.rate();
     }
-    tele.add(Counter::RngExpDraws, exp_draws);
-    tele.add(Counter::RngUniformDraws, uniform_draws);
-    tele.add(Counter::JumpOpToExp, edges[0]);
-    tele.add(Counter::JumpExpToOp, edges[1]);
-    tele.add(Counter::JumpExpToDu, edges[2]);
-    tele.add(Counter::JumpExpToDl, edges[3]);
-    tele.add(Counter::JumpDuToOp, edges[4]);
-    tele.add(Counter::JumpDuToDl, edges[5]);
-    tele.add(Counter::JumpDlToOp, edges[6]);
-    tele.add(Counter::JumpTransitions, edges.iter().sum());
-    // LSE-failed rebuilds are EXP → DL edges too (tagged separately);
-    // every DL entry of the chain is an exp→dl or du→dl edge.
-    tele.add(Counter::RebuildLseHits, lse_hits);
-    tele.add(Counter::DataLossEvents, edges[3] + edges[5]);
+    ExitTable::compile(&fig2_chain(&p, timing), fig2_edge_counter)
 }
 
 /// The conventional-replacement Monte-Carlo model.
@@ -188,6 +183,7 @@ pub struct ConventionalMc {
     failures: FailureModel,
     timing: WrongReplacementTiming,
     engine: McEngine,
+    table: ExitTable,
 }
 
 impl ConventionalMc {
@@ -221,10 +217,12 @@ impl ConventionalMc {
                 params.geometry.total_disks()
             )));
         }
+        let timing = WrongReplacementTiming::default();
         Ok(ConventionalMc {
+            table: jump_table(&params, &failures, timing),
             params,
             failures,
-            timing: WrongReplacementTiming::default(),
+            timing,
             engine: McEngine::Auto,
         })
     }
@@ -233,6 +231,7 @@ impl ConventionalMc {
     /// model being validated against).
     pub fn with_timing(mut self, timing: WrongReplacementTiming) -> Self {
         self.timing = timing;
+        self.table = jump_table(&self.params, &self.failures, timing);
         self
     }
 
@@ -276,14 +275,6 @@ impl ConventionalMc {
                 }
             }
         }
-    }
-
-    fn wrong_pull_rate(&self) -> f64 {
-        let base = match self.timing {
-            WrongReplacementTiming::ChangeAction => self.params.disk_change_rate,
-            WrongReplacementTiming::RepairCompletion => self.params.disk_repair_rate,
-        };
-        self.params.hep.value() * base
     }
 
     /// Resolves the configured engine and variance scheme to a concrete
@@ -429,13 +420,9 @@ impl ConventionalMc {
         mode: RunMode,
     ) -> IterationOutcome {
         match mode {
-            RunMode::Naive { fast: true } => {
-                self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
-            }
+            RunMode::Naive { fast: true } => self.table.mission(horizon, None, rng, ws),
             RunMode::Naive { fast: false } => self.simulate_event_queue(horizon, rng, ws, None),
-            RunMode::Biased { bias } => {
-                self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.log, &mut ws.telemetry)
-            }
+            RunMode::Biased { bias } => self.table.mission(horizon, Some(bias), rng, ws),
             RunMode::Split { effort } => self.simulate_split_replication(horizon, effort, rng, ws),
         }
     }
@@ -456,7 +443,7 @@ impl ConventionalMc {
     ) -> IterationOutcome {
         let mut ws = SimWorkspace::new();
         if trace.is_none() && self.resolve_fast_path().unwrap_or(false) {
-            self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
+            self.table.mission(horizon, None, rng, &mut ws)
         } else {
             self.simulate_event_queue(horizon, rng, &mut ws, trace)
         }
@@ -478,160 +465,9 @@ impl ConventionalMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if self.resolve_fast_path().unwrap_or(false) {
-            self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
+            self.table.mission(horizon, None, rng, ws)
         } else {
             self.simulate_event_queue(horizon, rng, ws, None)
-        }
-    }
-
-    /// The jump-chain fast path: with exponential failures the mission is a
-    /// replay of the four-state Fig. 2 CTMC, so each transition costs one
-    /// exponential sojourn draw plus (in states with competing exits) one
-    /// uniform to pick the winner — no event queue, no per-disk clocks.
-    fn simulate_jump_chain(
-        &self,
-        horizon: f64,
-        rng: &mut SimRng,
-        log: &mut DowntimeLog,
-        tele: &mut Telemetry,
-    ) -> IterationOutcome {
-        log.clear();
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let lam = match &self.failures {
-            FailureModel::Exponential(d) => d.rate(),
-            FailureModel::Weibull(_) => unreachable!("fast path requires exponential failures"),
-        };
-        let hep = p.hep.value();
-
-        // Exit rates of the four states. In OP the next failure is the
-        // minimum of n memoryless clocks: Exp(n·λ). In EXP the n−1
-        // survivors race the two service outcomes; disk renewal on every
-        // return to OP matches the general engine's regenerative resampling
-        // because the exponential is memoryless.
-        //
-        // With an LSE model attached, a rebuild completion splits by the
-        // per-rebuild LSE-hit probability `ue`: rate (1−hep)·(1−ue)·μ_DF
-        // returns to OP, rate (1−hep)·ue·μ_DF lost data during the rebuild
-        // reads (exactly the split the generic exact chain applies through
-        // `with_rebuild_failure_probability`). At ue = 0 the arithmetic is
-        // bit-exact with the unsplit rates — `(1−hep)·1.0` and `x + 0.0`
-        // are identities — and the zero-rate LSE exit is fenced off below,
-        // so an LSE-free run consumes the identical RNG stream and returns
-        // identical bits.
-        let ue = p.rebuild_lse_probability();
-        let op_fail = n * lam;
-        let exp_fail = (n - 1.0) * lam;
-        let exp_repair = (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate;
-        let exp_lse = (1.0 - hep) * ue * p.disk_repair_rate;
-        let exp_wrong = self.wrong_pull_rate();
-        let du_recover = (1.0 - hep) * p.human_recovery_rate;
-        let du_crash = p.removed_crash_rate;
-        let dl_restore = p.ddf_recovery_rate;
-
-        let mut mode = Mode::Op;
-        let mut t = 0.0;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let mut first_loss = f64::INFINITY;
-        // Edge tallies (op→exp, exp→op, exp→du, exp→dl, du→op, du→dl,
-        // dl→op) and draw counts, kept in registers and flushed once per
-        // mission so telemetry never touches the transition loop.
-        let mut edges = [0u64; 7];
-        let mut lse_hits = 0u64;
-        let (mut exp_draws, mut uniform_draws) = (0u64, 0u64);
-
-        loop {
-            let total = match mode {
-                Mode::Op => op_fail,
-                Mode::Exp => exp_fail + exp_repair + exp_wrong + exp_lse,
-                Mode::Du => du_recover + du_crash,
-                Mode::Dl => dl_restore,
-            };
-            let Some(dt) = rng.sample_exp(total) else {
-                break; // absorbing state: no enabled exits
-            };
-            exp_draws += 1;
-            t += dt;
-            if t > horizon {
-                break;
-            }
-            // Winner ∝ rate. `u < total` holds in exact arithmetic (the
-            // uniform is < 1), but fl(u·total) can round up to exactly
-            // `total`, so each selection explicitly fences off disabled
-            // (zero-rate) final exits — a rate-0 transition must never win
-            // (e.g. no DU event may ever fire when hep = 0).
-            match mode {
-                Mode::Op => {
-                    mode = Mode::Exp;
-                    edges[0] += 1;
-                }
-                Mode::Exp => {
-                    let u = rng.next_f64() * total;
-                    uniform_draws += 1;
-                    if u < exp_fail {
-                        // Second failure during service: data loss.
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[3] += 1;
-                        first_loss = first_loss.min(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    } else if (exp_wrong <= 0.0 && exp_lse <= 0.0) || u < exp_fail + exp_repair {
-                        mode = Mode::Op;
-                        edges[1] += 1;
-                    } else if exp_lse <= 0.0
-                        || (exp_wrong > 0.0 && u < exp_fail + exp_repair + exp_wrong)
-                    {
-                        mode = Mode::Du;
-                        du_events += 1;
-                        edges[2] += 1;
-                        log.begin(t, OutageCause::HumanError);
-                    } else {
-                        // Rebuild completed but a read of a surviving disk
-                        // hit a latent sector error: data loss.
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[3] += 1;
-                        lse_hits += 1;
-                        first_loss = first_loss.min(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    }
-                }
-                Mode::Du => {
-                    let u = rng.next_f64() * total;
-                    uniform_draws += 1;
-                    if du_crash <= 0.0 || u < du_recover {
-                        mode = Mode::Op;
-                        edges[4] += 1;
-                        log.end(t);
-                    } else {
-                        // The wrongly removed disk crashed: the outage
-                        // continues, re-attributed to data loss.
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[5] += 1;
-                        first_loss = first_loss.min(t);
-                        log.end(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    }
-                }
-                Mode::Dl => {
-                    mode = Mode::Op;
-                    edges[6] += 1;
-                    log.end(t);
-                }
-            }
-        }
-
-        log.finalize(horizon);
-        flush_jump_counters(tele, &edges, lse_hits, exp_draws, uniform_draws);
-        IterationOutcome {
-            downtime_hours: log.total_downtime(),
-            du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-            dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-            du_events,
-            dl_events,
-            first_loss_hours: first_loss,
-            weight: 1.0,
         }
     }
 
@@ -654,181 +490,9 @@ impl ConventionalMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if bias > 0.0 && self.jump_chain_applicable() {
-            self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.log, &mut ws.telemetry)
+            self.table.mission(horizon, Some(bias), rng, ws)
         } else {
             self.simulate_once_with(horizon, rng, ws)
-        }
-    }
-
-    /// The importance-sampled jump chain: identical state machine to
-    /// [`Self::simulate_jump_chain`], but
-    ///
-    /// * the **first** OP sojourn is *forced* into the mission window (a
-    ///   truncated-exponential draw), multiplying `P(T ≤ horizon)` into the
-    ///   weight — a mission with zero failures contributes zero downtime,
-    ///   so restricting the proposal to failing missions loses nothing and
-    ///   removes the `1/P(any failure)` waste of naive sampling; later OP
-    ///   sojourns stay nominal (their paths carry accrued downtime, so the
-    ///   proposal must keep them reachable);
-    /// * in states with competing exits the winner is drawn with
-    ///   [`biased_pick`] — the failure / human-error exits share proposal
-    ///   mass `bias` — and the likelihood-ratio factor multiplies into the
-    ///   weight.
-    ///
-    /// Two RNG draws per transition, exactly like the naive fast path.
-    fn simulate_jump_chain_biased(
-        &self,
-        horizon: f64,
-        bias: f64,
-        rng: &mut SimRng,
-        log: &mut DowntimeLog,
-        tele: &mut Telemetry,
-    ) -> IterationOutcome {
-        log.clear();
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let lam = match &self.failures {
-            FailureModel::Exponential(d) => d.rate(),
-            FailureModel::Weibull(_) => unreachable!("fast path requires exponential failures"),
-        };
-        let hep = p.hep.value();
-
-        // Same LSE rebuild split (and ue = 0 bit-identity argument) as the
-        // naive jump chain.
-        let ue = p.rebuild_lse_probability();
-        let op_fail = n * lam;
-        let exp_fail = (n - 1.0) * lam;
-        let exp_repair = (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate;
-        let exp_lse = (1.0 - hep) * ue * p.disk_repair_rate;
-        let exp_wrong = self.wrong_pull_rate();
-        let du_recover = (1.0 - hep) * p.human_recovery_rate;
-        let du_crash = p.removed_crash_rate;
-        let dl_restore = p.ddf_recovery_rate;
-
-        let mut mode = Mode::Op;
-        let mut t = 0.0;
-        let mut weight = 1.0f64;
-        let mut force_next_failure = true;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let mut first_loss = f64::INFINITY;
-        let mut edges = [0u64; 7];
-        let mut lse_hits = 0u64;
-        let (mut exp_draws, mut uniform_draws) = (0u64, 0u64);
-
-        loop {
-            let total = match mode {
-                Mode::Op => op_fail,
-                Mode::Exp => exp_fail + exp_repair + exp_wrong + exp_lse,
-                Mode::Du => du_recover + du_crash,
-                Mode::Dl => dl_restore,
-            };
-            let dt = if mode == Mode::Op && force_next_failure {
-                force_next_failure = false;
-                match rng.sample_exp_within(total, horizon - t) {
-                    Some((dt, p_hit)) => {
-                        exp_draws += 1;
-                        weight *= p_hit;
-                        dt
-                    }
-                    None => break,
-                }
-            } else {
-                match rng.sample_exp(total) {
-                    Some(dt) => {
-                        exp_draws += 1;
-                        dt
-                    }
-                    None => break, // absorbing state: no enabled exits
-                }
-            };
-            t += dt;
-            if t > horizon {
-                break;
-            }
-            match mode {
-                Mode::Op => {
-                    mode = Mode::Exp;
-                    edges[0] += 1;
-                }
-                Mode::Exp => {
-                    // Biased set: the second failure, the wrong pull, and
-                    // the LSE-failed rebuild — the exits toward the down
-                    // states. `biased_pick` ignores zero-rate members, so
-                    // the appended LSE exit changes nothing at ue = 0.
-                    let exits = [
-                        (exp_fail, true),
-                        (exp_wrong, true),
-                        (exp_repair, false),
-                        (exp_lse, true),
-                    ];
-                    let (idx, ratio) = biased_pick(rng, &exits, total, bias);
-                    uniform_draws += 1;
-                    weight *= ratio;
-                    match idx {
-                        0 => {
-                            mode = Mode::Dl;
-                            dl_events += 1;
-                            edges[3] += 1;
-                            first_loss = first_loss.min(t);
-                            log.begin(t, OutageCause::DataLoss);
-                        }
-                        1 => {
-                            mode = Mode::Du;
-                            du_events += 1;
-                            edges[2] += 1;
-                            log.begin(t, OutageCause::HumanError);
-                        }
-                        3 => {
-                            mode = Mode::Dl;
-                            dl_events += 1;
-                            edges[3] += 1;
-                            lse_hits += 1;
-                            first_loss = first_loss.min(t);
-                            log.begin(t, OutageCause::DataLoss);
-                        }
-                        _ => {
-                            mode = Mode::Op;
-                            edges[1] += 1;
-                        }
-                    }
-                }
-                Mode::Du => {
-                    // Biased set: the removed-disk crash (DU → DL).
-                    let exits = [(du_crash, true), (du_recover, false)];
-                    let (idx, ratio) = biased_pick(rng, &exits, total, bias);
-                    uniform_draws += 1;
-                    weight *= ratio;
-                    if idx == 0 {
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[5] += 1;
-                        first_loss = first_loss.min(t);
-                        log.end(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    } else {
-                        mode = Mode::Op;
-                        edges[4] += 1;
-                        log.end(t);
-                    }
-                }
-                Mode::Dl => {
-                    mode = Mode::Op;
-                    edges[6] += 1;
-                    log.end(t);
-                }
-            }
-        }
-
-        log.finalize(horizon);
-        flush_jump_counters(tele, &edges, lse_hits, exp_draws, uniform_draws);
-        IterationOutcome {
-            downtime_hours: log.total_downtime(),
-            du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-            dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-            du_events,
-            dl_events,
-            first_loss_hours: first_loss,
-            weight,
         }
     }
 
@@ -893,7 +557,7 @@ impl ConventionalMc {
         // which `sample_exp_inv` treats as "draw nothing", exactly like
         // `sample_exp(0)`).
         let repair_inv = ((1.0 - hep) * p.disk_repair_rate).recip();
-        let wrong_inv = self.wrong_pull_rate().recip();
+        let wrong_inv = self.timing.wrong_replacement_rate(p).recip();
         let recover_inv = ((1.0 - hep) * p.human_recovery_rate).recip();
         let crash_inv = p.removed_crash_rate.recip();
         let restore_inv = p.ddf_recovery_rate.recip();

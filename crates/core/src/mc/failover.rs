@@ -1,79 +1,18 @@
-//! Monte-Carlo model of the automatic fail-over policy — a replay of the
-//! Fig. 3 chain, used to cross-validate the analytical model.
+//! Monte-Carlo model of the automatic fail-over policy: a replay of the
+//! Fig. 3 chain.
 //!
-//! All transitions (failures included) are exponential races, so this
-//! simulator is distribution-equivalent to the twelve-state CTMC; its value
-//! is methodological: agreement between two independently coded artifacts —
-//! a generator-matrix solve and an event-driven simulation — catches
-//! transcription mistakes in either.
-//!
-//! Two engines replay the chain (see [`McEngine`]): the general
-//! event-queue engine samples one exponential per enabled exit and lets
-//! the queue race them; the jump-chain fast path samples the sojourn from
-//! the state's total exit rate and picks the winner with one uniform —
-//! two RNG draws per transition, no heap.
+//! Every transition is an exponential race, so both engines replay the
+//! chain definition the exact solver builds from ([`fig3_chain`]): the
+//! shared jump chain, and the general event-queue engine, which arms one
+//! exponential clock per enabled exit and lets the queue race them.
 
-use self::states::Mode;
-use super::{
-    biased_pick, AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance,
-    SimWorkspace,
-};
+use super::jump::{ExitTable, Tally};
+use super::{AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace};
 use crate::error::{CoreError, Result};
+use crate::markov::fig3_chain;
 use crate::params::ModelParams;
 use availsim_sim::indexed_queue::{IndexedEventQueue, QueueStats};
 use availsim_sim::rng::SimRng;
-use availsim_sim::telemetry::{Counter, Telemetry};
-use availsim_storage::{DowntimeLog, OutageCause};
-
-mod states {
-    /// The twelve Fig. 3 states.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Mode {
-        Op,
-        Exp1,
-        OpNs,
-        ExpNs1,
-        ExpNs2,
-        Exp2,
-        Du1,
-        Du2,
-        DuNs1,
-        DuNs2,
-        Dl,
-        DlNs,
-    }
-
-    impl Mode {
-        /// All states, indexed by `mode as usize`.
-        pub const ALL: [Mode; 12] = [
-            Mode::Op,
-            Mode::Exp1,
-            Mode::OpNs,
-            Mode::ExpNs1,
-            Mode::ExpNs2,
-            Mode::Exp2,
-            Mode::Du1,
-            Mode::Du2,
-            Mode::DuNs1,
-            Mode::DuNs2,
-            Mode::Dl,
-            Mode::DlNs,
-        ];
-
-        /// Whether the array serves I/O in this state.
-        pub fn is_up(self) -> bool {
-            matches!(
-                self,
-                Mode::Op | Mode::Exp1 | Mode::OpNs | Mode::ExpNs1 | Mode::ExpNs2 | Mode::Exp2
-            )
-        }
-
-        /// Whether the state is a data-loss state (vs. human-error DU).
-        pub fn is_data_loss(self) -> bool {
-            matches!(self, Mode::Dl | Mode::DlNs)
-        }
-    }
-}
 
 /// The Fig. 3 switch-back race out of the network-storage serving states,
 /// shared with the fleet engine's DR coupling ([`super::FleetMc`]): a
@@ -88,44 +27,13 @@ pub(crate) fn failback_race_inv(hep: f64, failback_rate: f64) -> (f64, f64) {
     )
 }
 
-/// Event payload of the general engine, 8 bytes so a queue entry stays 24
-/// (the per-mission `epoch` guard never approaches `u32::MAX`).
+/// Event payload of the general engine: the exit that fired, 8 bytes so a
+/// queue entry stays 24 (the per-mission `epoch` guard never approaches
+/// `u32::MAX`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Jump {
-    to: Mode,
+    exit: u8,
     epoch: u32,
-}
-
-/// Most exits any Fig. 3 state has (the table rows are fixed-size so the
-/// whole model stays `Copy` and allocation-free).
-const MAX_EXITS: usize = 4;
-
-/// Precomputed outgoing transitions of all twelve states: per state the
-/// `(rate, target, in-biased-set)` triples (in the DESIGN.md §3.2 table
-/// order), the number of entries, and the total exit rate. The biased flag
-/// marks the failure / human-error / crash exits that balanced failure
-/// biasing inflates. Built once per model in [`FailOverMc::new`], shared by
-/// both engines so neither allocates in the mission loop.
-#[derive(Debug, Clone, Copy)]
-struct JumpTable {
-    exits: [[(f64, Mode, bool); MAX_EXITS]; 12],
-    /// Reciprocal exit rates (`∞` for disabled exits), so the event-queue
-    /// engine's per-exit draws multiply instead of divide.
-    inv_rates: [[f64; MAX_EXITS]; 12],
-    len: [usize; 12],
-    totals: [f64; 12],
-}
-
-impl JumpTable {
-    fn exits_of(&self, mode: Mode) -> &[(f64, Mode, bool)] {
-        let i = mode as usize;
-        &self.exits[i][..self.len[i]]
-    }
-
-    fn inv_rates_of(&self, mode: Mode) -> &[f64] {
-        let i = mode as usize;
-        &self.inv_rates[i][..self.len[i]]
-    }
 }
 
 /// Reusable scratch of the general event-queue engine. Cleared (capacity
@@ -147,30 +55,12 @@ impl FoScratch {
     }
 }
 
-/// Flushes a mission's locally accumulated chain tallies into the registry
-/// — one batched store per mission behind a single well-predicted branch,
-/// keeping the transition loop at plain register increments.
-#[inline]
-fn flush_chain_counters(
-    tele: &mut Telemetry,
-    transitions: u64,
-    exp_draws: u64,
-    uniform_draws: u64,
-) {
-    if !tele.enabled() {
-        return;
-    }
-    tele.add(Counter::JumpTransitions, transitions);
-    tele.add(Counter::RngExpDraws, exp_draws);
-    tele.add(Counter::RngUniformDraws, uniform_draws);
-}
-
 /// The automatic fail-over Monte-Carlo model.
 #[derive(Debug, Clone, Copy)]
 pub struct FailOverMc {
     params: ModelParams,
     engine: McEngine,
-    table: JumpTable,
+    table: ExitTable,
 }
 
 impl FailOverMc {
@@ -192,34 +82,17 @@ impl FailOverMc {
                     .into(),
             ));
         }
-        let mut mc = FailOverMc {
+        Ok(FailOverMc {
             params,
             engine: McEngine::Auto,
-            table: JumpTable {
-                exits: [[(0.0, Mode::Op, false); MAX_EXITS]; 12],
-                inv_rates: [[f64::INFINITY; MAX_EXITS]; 12],
-                len: [0; 12],
-                totals: [0.0; 12],
-            },
-        };
-        for mode in Mode::ALL {
-            let i = mode as usize;
-            let exits = mc.exits(mode);
-            assert!(exits.len() <= MAX_EXITS, "exit table row overflow");
-            for (k, &(rate, to, biased)) in exits.iter().enumerate() {
-                mc.table.exits[i][k] = (rate, to, biased);
-                mc.table.inv_rates[i][k] = rate.recip();
-                mc.table.totals[i] += rate;
-            }
-            mc.table.len[i] = exits.len();
-        }
-        Ok(mc)
+            table: ExitTable::compile(&fig3_chain(&params), |_, _| None),
+        })
     }
 
     /// Selects the per-mission engine. Every Fig. 3 transition is
     /// exponential, so [`McEngine::Auto`] (and [`McEngine::JumpChain`])
     /// resolve to the jump-chain fast path; [`McEngine::EventQueue`] forces
-    /// the general engine, the cross-validation reference.
+    /// the general engine.
     pub fn with_engine(mut self, engine: McEngine) -> Self {
         self.engine = engine;
         self
@@ -233,69 +106,6 @@ impl FailOverMc {
     /// Whether the configured engine resolves to the fast path.
     fn fast_path(&self) -> bool {
         !matches!(self.engine, McEngine::EventQueue)
-    }
-
-    /// Outgoing transitions of a state as `(rate, target, biased)` triples —
-    /// the DESIGN.md §3.2 table, shared verbatim with the Markov model's
-    /// builder through the tests that compare both. The `biased` flag marks
-    /// the exits whose rate carries a failure (λ), a human-error slip
-    /// (`hep·μ`), or a removed-disk crash — the set balanced failure
-    /// biasing inflates; the service/recovery exits stay unbiased.
-    fn exits(&self, mode: Mode) -> Vec<(f64, Mode, bool)> {
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let hep = p.hep.value();
-        let lam = p.disk_failure_rate;
-        let (mu_df, mu_ddf) = (p.disk_repair_rate, p.ddf_recovery_rate);
-        let (mu_he, mu_ch) = (p.human_recovery_rate, p.disk_change_rate);
-        let crash = p.removed_crash_rate;
-        use Mode::*;
-        match mode {
-            Op => vec![(n * lam, Exp1, true)],
-            Exp1 => vec![((n - 1.0) * lam, Dl, true), (mu_df, OpNs, false)],
-            OpNs => vec![
-                (n * lam, ExpNs1, true),
-                ((1.0 - hep) * mu_ch, Op, false),
-                (hep * mu_ch, ExpNs2, true),
-            ],
-            ExpNs1 => vec![
-                ((1.0 - hep) * mu_df, OpNs, false),
-                ((1.0 - hep) * mu_ch, Exp1, false),
-                (hep * (mu_df + mu_ch), DuNs1, true),
-                ((n - 1.0) * lam, DlNs, true),
-            ],
-            ExpNs2 => vec![
-                ((1.0 - hep) * mu_he, Op, false),
-                (hep * mu_he, DuNs2, true),
-                (crash, ExpNs1, true),
-                ((n - 1.0) * lam, DuNs1, true),
-            ],
-            Exp2 => vec![
-                ((1.0 - hep) * mu_he, Op, false),
-                (hep * mu_he, Du2, true),
-                (crash, Exp1, true),
-                ((n - 1.0) * lam, Du1, true),
-            ],
-            Du1 => vec![
-                ((1.0 - hep) * mu_he, Exp1, false),
-                (crash, Dl, true),
-                (mu_ddf, Op, false),
-                (hep * mu_he, Du2, true),
-            ],
-            Du2 => vec![((1.0 - hep) * mu_he, Exp2, false), (2.0 * crash, Du1, true)],
-            DuNs1 => vec![
-                ((1.0 - hep) * mu_he, ExpNs1, false),
-                (crash, DlNs, true),
-                (mu_ddf, OpNs, false),
-                ((1.0 - hep) * mu_ch, Du1, false),
-            ],
-            DuNs2 => vec![
-                ((1.0 - hep) * mu_he, ExpNs2, false),
-                (2.0 * crash, DuNs1, true),
-            ],
-            Dl => vec![(mu_ddf, Op, false)],
-            DlNs => vec![(mu_ddf, OpNs, false), ((1.0 - hep) * mu_ch, Dl, false)],
-        }
     }
 
     /// Resolves the variance scheme against the configured engine: every
@@ -367,21 +177,10 @@ impl FailOverMc {
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
                 let mut rng = SimRng::substream(config.seed, i);
-                match bias {
-                    Some(bias) => self.simulate_jump_chain_biased(
-                        config.horizon_hours,
-                        bias,
-                        &mut rng,
-                        &mut ws.log,
-                        &mut ws.telemetry,
-                    ),
-                    None if fast => self.simulate_jump_chain(
-                        config.horizon_hours,
-                        &mut rng,
-                        &mut ws.log,
-                        &mut ws.telemetry,
-                    ),
-                    None => self.simulate_event_queue(config.horizon_hours, &mut rng, ws),
+                if fast || bias.is_some() {
+                    self.table.mission(config.horizon_hours, bias, &mut rng, ws)
+                } else {
+                    self.simulate_event_queue(config.horizon_hours, &mut rng, ws)
                 }
             },
         )
@@ -406,62 +205,10 @@ impl FailOverMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if self.fast_path() {
-            self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
+            self.table.mission(horizon, None, rng, ws)
         } else {
             self.simulate_event_queue(horizon, rng, ws)
         }
-    }
-
-    /// The jump-chain fast path: sample the sojourn from the state's total
-    /// exit rate, pick the winning transition with one uniform — two RNG
-    /// draws per transition, no event queue.
-    fn simulate_jump_chain(
-        &self,
-        horizon: f64,
-        rng: &mut SimRng,
-        log: &mut DowntimeLog,
-        tele: &mut Telemetry,
-    ) -> IterationOutcome {
-        log.clear();
-        let mut mode = Mode::Op;
-        let mut t = 0.0;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let (mut transitions, mut exp_draws, mut uniform_draws) = (0u64, 0u64, 0u64);
-
-        loop {
-            let total = self.table.totals[mode as usize];
-            let Some(dt) = rng.sample_exp(total) else {
-                break; // absorbing state: no enabled exits
-            };
-            exp_draws += 1;
-            t += dt;
-            if t > horizon {
-                break;
-            }
-            // Winner ∝ rate: walk the cumulative distribution. Rounding can
-            // leave `u` a hair past the last bucket; the final enabled exit
-            // then wins (its upper edge is the total by construction).
-            let mut u = rng.next_f64() * total;
-            uniform_draws += 1;
-            let mut next = mode;
-            for &(rate, to, _) in self.table.exits_of(mode) {
-                if rate <= 0.0 {
-                    continue;
-                }
-                next = to;
-                if u < rate {
-                    break;
-                }
-                u -= rate;
-            }
-            account_transition(mode, next, t, log, &mut du_events, &mut dl_events);
-            mode = next;
-            transitions += 1;
-        }
-
-        log.finalize(horizon);
-        flush_chain_counters(tele, transitions, exp_draws, uniform_draws);
-        outcome_from(log, du_events, dl_events, 1.0)
     }
 
     /// Simulates one importance-sampled mission on a reusable workspace
@@ -476,85 +223,15 @@ impl FailOverMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if bias > 0.0 {
-            self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.log, &mut ws.telemetry)
+            self.table.mission(horizon, Some(bias), rng, ws)
         } else {
             self.simulate_once_with(horizon, rng, ws)
         }
     }
 
-    /// The importance-sampled jump chain: the first OP sojourn is *forced*
-    /// into the mission window (its hit probability multiplies the weight),
-    /// and in every state the winning exit is drawn with [`biased_pick`] —
-    /// the failure / human-error / crash exits share proposal mass `bias`.
-    /// Same two RNG draws per transition as the naive fast path.
-    fn simulate_jump_chain_biased(
-        &self,
-        horizon: f64,
-        bias: f64,
-        rng: &mut SimRng,
-        log: &mut DowntimeLog,
-        tele: &mut Telemetry,
-    ) -> IterationOutcome {
-        log.clear();
-        let mut mode = Mode::Op;
-        let mut t = 0.0;
-        let mut weight = 1.0f64;
-        let mut force_next_failure = true;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let (mut transitions, mut exp_draws, mut uniform_draws) = (0u64, 0u64, 0u64);
-
-        loop {
-            let total = self.table.totals[mode as usize];
-            let dt = if mode == Mode::Op && force_next_failure {
-                force_next_failure = false;
-                match rng.sample_exp_within(total, horizon - t) {
-                    Some((dt, p_hit)) => {
-                        exp_draws += 1;
-                        weight *= p_hit;
-                        dt
-                    }
-                    None => break,
-                }
-            } else {
-                match rng.sample_exp(total) {
-                    Some(dt) => {
-                        exp_draws += 1;
-                        dt
-                    }
-                    None => break, // absorbing state: no enabled exits
-                }
-            };
-            t += dt;
-            if t > horizon {
-                break;
-            }
-            let exits = self.table.exits_of(mode);
-            let next = if exits.len() == 1 {
-                exits[0].1
-            } else {
-                let mut flags = [(0.0, false); MAX_EXITS];
-                for (k, &(rate, _, biased)) in exits.iter().enumerate() {
-                    flags[k] = (rate, biased);
-                }
-                let (idx, ratio) = biased_pick(rng, &flags[..exits.len()], total, bias);
-                uniform_draws += 1;
-                weight *= ratio;
-                exits[idx].1
-            };
-            account_transition(mode, next, t, log, &mut du_events, &mut dl_events);
-            mode = next;
-            transitions += 1;
-        }
-
-        log.finalize(horizon);
-        flush_chain_counters(tele, transitions, exp_draws, uniform_draws);
-        outcome_from(log, du_events, dl_events, weight)
-    }
-
     /// The general event-queue engine: arm one exponential clock per
     /// enabled exit and let the queue race them (epoch-guarded against
-    /// stale events). Distribution-identical to the jump chain; kept as
-    /// the cross-validation reference.
+    /// stale events).
     fn simulate_event_queue(
         &self,
         horizon: f64,
@@ -565,28 +242,30 @@ impl FailOverMc {
         ws.log.clear();
         let queue = &mut ws.failover.queue;
         let log = &mut ws.log;
-        let tele = &mut ws.telemetry;
-        let mut mode = Mode::Op;
-        let mut epoch = 0u32;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let (mut transitions, mut exp_draws) = (0u64, 0u64);
+        let table = &self.table;
+        let mut tally = Tally::new();
+        let (mut s, mut epoch) = (0, 0u32);
 
-        let arm = |mode: Mode,
+        let arm = |s: usize,
                    epoch: u32,
                    queue: &mut IndexedEventQueue<Jump>,
                    rng: &mut SimRng,
-                   exp_draws: &mut u64| {
-            let exits = self.table.exits_of(mode);
-            let invs = self.table.inv_rates_of(mode);
-            for (&(_, to, _), &inv) in exits.iter().zip(invs) {
+                   tally: &mut Tally| {
+            for k in 0..table.exits(s) {
                 // The armed draw multiplies by the precomputed 1/rate;
                 // a delay landing past the horizon can never fire —
                 // the draw still happens (the stream is the contract),
                 // but the queue never holds the event.
-                if let Some(dt) = rng.sample_exp_inv(inv) {
-                    *exp_draws += 1;
+                if let Some(dt) = rng.sample_exp_inv(table.inv_rate(s, k)) {
+                    tally.exp_draws += 1;
                     if queue.now() + dt <= horizon {
-                        let _ = queue.schedule(dt, Jump { to, epoch });
+                        let _ = queue.schedule(
+                            dt,
+                            Jump {
+                                exit: k as u8,
+                                epoch,
+                            },
+                        );
                     } else {
                         queue.note_expired();
                     }
@@ -594,7 +273,7 @@ impl FailOverMc {
             }
         };
 
-        arm(mode, epoch, queue, rng, &mut exp_draws);
+        arm(s, epoch, queue, rng, &mut tally);
         while let Some((t, jump)) = queue.pop_due(horizon) {
             if jump.epoch != epoch {
                 continue;
@@ -605,87 +284,23 @@ impl FailOverMc {
             // of surfacing later as stale pops. The epoch guard above
             // stays as a defensive invariant.
             queue.cancel_all();
-            account_transition(mode, jump.to, t, log, &mut du_events, &mut dl_events);
-            mode = jump.to;
+            s = tally.step_from(table, s, usize::from(jump.exit), t, log);
             epoch += 1;
-            transitions += 1;
-            arm(mode, epoch, queue, rng, &mut exp_draws);
+            arm(s, epoch, queue, rng, &mut tally);
         }
 
         log.finalize(horizon);
-        flush_chain_counters(tele, transitions, exp_draws, 0);
-        outcome_from(log, du_events, dl_events, 1.0)
-    }
-}
-
-/// Downtime/event accounting for one `was → now` transition at time `t` —
-/// the single source of truth shared by both engines, including the
-/// down-to-down re-attribution rule (e.g. `DUns1 → DLns` closes the
-/// human-error outage and opens a data-loss one at the same instant).
-fn account_transition(
-    was: Mode,
-    now: Mode,
-    t: f64,
-    log: &mut DowntimeLog,
-    du_events: &mut u64,
-    dl_events: &mut u64,
-) {
-    match (was.is_up(), now.is_up()) {
-        (true, false) => {
-            if now.is_data_loss() {
-                *dl_events += 1;
-                log.begin(t, OutageCause::DataLoss);
-            } else {
-                *du_events += 1;
-                log.begin(t, OutageCause::HumanError);
-            }
-        }
-        (false, true) => log.end(t),
-        (false, false) => {
-            if !was.is_data_loss() && now.is_data_loss() {
-                *dl_events += 1;
-                log.end(t);
-                log.begin(t, OutageCause::DataLoss);
-            } else if was.is_data_loss() && !now.is_data_loss() {
-                *du_events += 1;
-                log.end(t);
-                log.begin(t, OutageCause::HumanError);
-            }
-        }
-        (true, true) => {}
-    }
-}
-
-fn outcome_from(
-    log: &DowntimeLog,
-    du_events: u64,
-    dl_events: u64,
-    weight: f64,
-) -> IterationOutcome {
-    IterationOutcome {
-        downtime_hours: log.total_downtime(),
-        du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-        dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-        du_events,
-        dl_events,
-        // First entry into a data-loss state (the chain logs every DL
-        // entry as a DataLoss outage, including down-to-down
-        // re-attributions at the same instant).
-        first_loss_hours: log
-            .outages()
-            .iter()
-            .filter(|o| o.cause == OutageCause::DataLoss)
-            .map(|o| o.start)
-            .fold(f64::INFINITY, f64::min),
-        weight,
+        tally.flush(&mut ws.telemetry);
+        tally.outcome(log, 1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::markov::Raid5FailOver;
+    use crate::markov::{EdgeTag, Raid5FailOver};
     use availsim_hra::Hep;
+    use availsim_storage::OutageCause;
 
     fn params(lambda: f64, hep: f64) -> ModelParams {
         ModelParams::raid5_3plus1(lambda, Hep::new(hep).unwrap()).unwrap()
@@ -704,63 +319,58 @@ mod tests {
 
     #[test]
     fn exit_rates_match_the_markov_chain() {
-        // Every (rate, target) pair of the simulator must equal the chain's
-        // generator entry — the two artifacts encode one table.
+        // Every compiled exit must equal the generator entry of the chain
+        // the exact solver builds from the same definition.
         let p = params(1e-4, 0.01);
         let mc = FailOverMc::new(p).unwrap();
         let chain = Raid5FailOver::new(p).unwrap().build_chain().unwrap();
-        use super::states::Mode::*;
-        let label = |m| match m {
-            Op => "OP",
-            Exp1 => "EXP1",
-            OpNs => "OPns",
-            ExpNs1 => "EXPns1",
-            ExpNs2 => "EXPns2",
-            Exp2 => "EXP2",
-            Du1 => "DU1",
-            Du2 => "DU2",
-            DuNs1 => "DUns1",
-            DuNs2 => "DUns2",
-            Dl => "DL",
-            DlNs => "DLns",
-        };
-        for mode in Mode::ALL {
-            let from = chain.find_state(label(mode)).expect("state exists");
+        let id = |i| chain.states().nth(i).unwrap();
+        for s in 0..chain.num_states() {
             let mut total = 0.0;
-            for (rate, to, _) in mc.exits(mode) {
-                let to_id = chain.find_state(label(to)).expect("state exists");
-                let chain_rate = chain.rate(from, to_id);
-                assert!(
-                    (rate - chain_rate).abs() < 1e-15,
-                    "{} -> {}: mc {rate} vs chain {chain_rate}",
-                    label(mode),
-                    label(to)
-                );
+            for k in 0..mc.table.exits(s) {
+                let (rate, to, _) = mc.table.exit(s, k);
+                assert_eq!(rate.to_bits(), chain.rate(id(s), id(to)).to_bits());
                 total += rate;
             }
-            assert!(
-                (total - chain.exit_rate(from)).abs() < 1e-15,
-                "{}",
-                label(mode)
-            );
+            assert!((total - chain.exit_rate(id(s))).abs() < 1e-15, "state {s}");
         }
     }
 
     #[test]
     fn precomputed_table_matches_exits() {
-        let mc = FailOverMc::new(params(1e-4, 0.01)).unwrap();
-        for mode in Mode::ALL {
-            let fresh = mc.exits(mode);
-            let cached = mc.table.exits_of(mode);
-            assert_eq!(fresh.len(), cached.len());
-            let mut total = 0.0;
-            for ((r1, t1, b1), (r2, t2, b2)) in fresh.iter().zip(cached) {
-                assert_eq!(r1.to_bits(), r2.to_bits());
-                assert_eq!(t1, t2);
-                assert_eq!(b1, b2);
-                total += r1;
+        // The table keeps the declared exit order, rates, reciprocals and
+        // tags of every state.
+        let p = params(1e-4, 0.01);
+        let mc = FailOverMc::new(p).unwrap();
+        let def = fig3_chain(&p);
+        for s in 0..def.states().len() {
+            let declared: Vec<_> = def.edges().iter().filter(|e| e.from == s).collect();
+            assert_eq!(declared.len(), mc.table.exits(s));
+            for (k, e) in declared.into_iter().enumerate() {
+                let (rate, to, tag) = mc.table.exit(s, k);
+                assert_eq!(rate.to_bits(), e.rate.to_bits());
+                assert_eq!(mc.table.inv_rate(s, k).to_bits(), e.rate.recip().to_bits());
+                assert_eq!((to, tag), (e.to, e.tag));
             }
-            assert!((total - mc.table.totals[mode as usize]).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn biased_exit_set_marks_failure_error_and_crash_rates() {
+        // Every edge failure biasing inflates must be built from λ, hep, or
+        // the crash rate: turning all three off must zero exactly those
+        // edges, up to the λ-driven ones.
+        let mut p = params(1e-4, 0.0);
+        p.removed_crash_rate = 0.0;
+        for e in fig3_chain(&p).edges() {
+            if e.tag == EdgeTag::Service {
+                assert!(e.rate > 0.0, "{e:?}: service exit disabled");
+            } else {
+                assert!(
+                    e.rate <= 4.0 * p.disk_failure_rate + 1e-18,
+                    "{e:?}: biased rate is not λ-scale"
+                );
+            }
         }
     }
 
@@ -823,6 +433,7 @@ mod tests {
             let p = params(1e-3, 0.01);
             let mc = FailOverMc::new(p).unwrap().with_engine(engine);
             let mut cfg = quick_config(64);
+            cfg.telemetry = true;
             cfg.threads = 1;
             let a = mc.run(&cfg).unwrap();
             cfg.threads = 8;
@@ -830,6 +441,15 @@ mod tests {
             assert_eq!(
                 a.overall_availability.to_bits(),
                 b.overall_availability.to_bits(),
+                "{engine:?}"
+            );
+            assert_eq!(a.counters, b.counters, "{engine:?}");
+            // Every DL entry is counted, on both engines.
+            use availsim_sim::telemetry::Counter;
+            assert!(a.dl_events > 0, "{engine:?}");
+            assert_eq!(
+                a.counters.get(Counter::DataLossEvents),
+                a.dl_events,
                 "{engine:?}"
             );
         }
@@ -843,31 +463,6 @@ mod tests {
                 .with_engine(engine);
             let est = mc.run(&quick_config(300)).unwrap();
             assert_eq!(est.du_events, 0, "{engine:?}");
-        }
-    }
-
-    #[test]
-    fn biased_exit_set_marks_failure_error_and_crash_rates() {
-        // Every biased-flagged rate must be built from λ, hep, or the crash
-        // rate: turning all three off must zero exactly the biased exits.
-        let mut p = params(1e-4, 0.0);
-        p.removed_crash_rate = 0.0;
-        let mc = FailOverMc::new(p).unwrap();
-        for mode in Mode::ALL {
-            for (rate, to, biased) in mc.exits(mode) {
-                if biased {
-                    // hep = 0, crash = 0 ⇒ only λ-driven exits keep a rate.
-                    let failure_driven = rate > 0.0;
-                    if failure_driven {
-                        assert!(
-                            rate <= 4.0 * p.disk_failure_rate + 1e-18,
-                            "{mode:?} -> {to:?}: biased rate {rate} is not λ-scale"
-                        );
-                    }
-                } else {
-                    assert!(rate > 0.0, "{mode:?} -> {to:?}: service exit disabled");
-                }
-            }
         }
     }
 

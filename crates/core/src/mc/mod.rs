@@ -1,13 +1,17 @@
 //! Monte-Carlo availability models (the paper's reference models).
 //!
-//! Both simulators replay the semantics of the Markov chains as
-//! discrete-event simulations:
+//! The simulators replay the semantics of the Markov chains:
 //!
 //! * [`ConventionalMc`] — conventional replacement with *per-disk* failure
 //!   clocks, so non-exponential (Weibull) lifetimes are supported; this is
 //!   the model behind the paper's Fig. 1, Fig. 4, and Fig. 5.
-//! * [`FailOverMc`] — automatic fail-over; an event-driven replay of the
-//!   Fig. 3 chain used to cross-validate it.
+//! * [`FailOverMc`] — automatic fail-over; a replay of the Fig. 3 chain.
+//!
+//! With exponential lifetimes both replay the chain definition the exact
+//! solver builds from ([`crate::markov::ChainDef`]) on one shared jump
+//! chain, so Monte-Carlo and Markov read the same object; the Fig. 2
+//! per-disk event-queue engine and [`FleetMc`] keep their own state
+//! machines as the independent cross-check.
 //! * [`FleetMc`] — a whole fleet of conventional arrays per mission on
 //!   one shared event queue, reporting fleet-level availability and the
 //!   distribution of simultaneously degraded arrays (the paper's
@@ -25,6 +29,7 @@
 mod conventional;
 mod failover;
 mod fleet;
+mod jump;
 
 pub use conventional::ConventionalMc;
 pub use failover::FailOverMc;
@@ -743,82 +748,6 @@ where
             ((total as f64) * ratio * 1.2).ceil() as u64
         };
         total = next.clamp(total + 1, max_iterations);
-    }
-}
-
-/// Balanced-failure-biased selection of one exit among a jump-chain state's
-/// competing transitions.
-///
-/// `exits` lists `(nominal rate, in-biased-set)` pairs; the biased set (the
-/// failure / human-error transitions) receives total proposal probability
-/// `bias`, split **equally** among its positive-rate members ("balanced"),
-/// while the remaining `1 − bias` is distributed over the other exits
-/// proportionally to their nominal rates. Returns the chosen exit's index
-/// and the likelihood-ratio factor `p_nominal / p_proposal` for the weight.
-///
-/// Draws exactly one uniform. Falls back to plain rate-proportional
-/// selection (factor 1) when the biased set is empty, the unbiased set has
-/// no positive rate to carry the remaining mass, or `bias <= 0` — the same
-/// zero-rate fencing as the naive jump chains (a disabled exit never wins).
-pub(crate) fn biased_pick(
-    rng: &mut availsim_sim::rng::SimRng,
-    exits: &[(f64, bool)],
-    total_rate: f64,
-    bias: f64,
-) -> (usize, f64) {
-    let biased_count = exits.iter().filter(|&&(r, b)| b && r > 0.0).count();
-    let unbiased_rate: f64 = exits
-        .iter()
-        .filter(|&&(r, b)| !b && r > 0.0)
-        .map(|&(r, _)| r)
-        .sum();
-    if bias <= 0.0 || biased_count == 0 || unbiased_rate <= 0.0 {
-        // Nominal proportional selection; the final positive-rate exit wins
-        // when fl(u·total) rounds up past the last bucket edge.
-        let mut u = rng.next_f64() * total_rate;
-        let mut idx = 0;
-        for (k, &(rate, _)) in exits.iter().enumerate() {
-            if rate <= 0.0 {
-                continue;
-            }
-            idx = k;
-            if u < rate {
-                break;
-            }
-            u -= rate;
-        }
-        return (idx, 1.0);
-    }
-    let u = rng.next_f64();
-    if u < bias {
-        // Equal split among the biased positive-rate exits; `u / bias` is
-        // uniform in [0, 1), so the sub-index reuses the same draw.
-        let pick = (((u / bias) * biased_count as f64) as usize).min(biased_count - 1);
-        let (idx, rate) = exits
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(r, b))| b && r > 0.0)
-            .map(|(k, &(r, _))| (k, r))
-            .nth(pick)
-            .expect("pick < biased_count");
-        (idx, rate * biased_count as f64 / (total_rate * bias))
-    } else {
-        // Proportional among the unbiased exits with the remaining mass.
-        // p_nom/p_prop = unbiased_rate / ((1 − bias)·total) for every
-        // member, so the factor needs no per-exit bookkeeping.
-        let mut target = (u - bias) / (1.0 - bias) * unbiased_rate;
-        let mut idx = 0;
-        for (k, &(rate, b)) in exits.iter().enumerate() {
-            if b || rate <= 0.0 {
-                continue;
-            }
-            idx = k;
-            if target < rate {
-                break;
-            }
-            target -= rate;
-        }
-        (idx, unbiased_rate / ((1.0 - bias) * total_rate))
     }
 }
 

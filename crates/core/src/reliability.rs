@@ -11,7 +11,7 @@
 //! data-loss states absorbing.
 
 use crate::error::Result;
-use crate::markov::{Raid5Conventional, Raid5FailOver};
+use crate::markov::StateClass;
 use crate::params::ModelParams;
 use crate::sensitivity::PolicyModel;
 use availsim_ctmc::{Ctmc, StateId};
@@ -30,25 +30,12 @@ impl MissionReliability {
     /// # Errors
     /// Propagates model construction errors.
     pub fn new(model: PolicyModel, params: ModelParams) -> Result<Self> {
-        let (chain, dl_labels): (Ctmc, Vec<&str>) = match model {
-            PolicyModel::Conventional => {
-                (Raid5Conventional::new(params)?.build_chain()?, vec!["DL"])
-            }
-            PolicyModel::FailOver => (
-                Raid5FailOver::new(params)?.build_chain()?,
-                vec!["DL", "DLns"],
-            ),
-        };
-        let data_loss: Vec<StateId> = dl_labels
-            .iter()
-            .filter_map(|l| chain.find_state(l))
-            .collect();
-        let mut initial = vec![0.0; chain.num_states()];
-        initial[chain.find_state("OP").expect("OP exists").index()] = 1.0;
+        let def = model.chain(params)?;
+        let chain = def.build()?;
         Ok(MissionReliability {
+            data_loss: def.state_ids(&chain, StateClass::is_data_loss),
+            initial: def.start_distribution(),
             chain,
-            data_loss,
-            initial,
         })
     }
 

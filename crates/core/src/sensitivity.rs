@@ -5,7 +5,7 @@
 //! Positive elasticity means increasing the parameter hurts availability.
 
 use crate::error::Result;
-use crate::markov::{Raid5Conventional, Raid5FailOver};
+use crate::markov::{ChainDef, Raid5Conventional, Raid5FailOver};
 use crate::params::ModelParams;
 use availsim_hra::Hep;
 
@@ -29,11 +29,21 @@ pub enum PolicyModel {
     FailOver,
 }
 
+impl PolicyModel {
+    /// The model's chain definition at `params`.
+    ///
+    /// # Errors
+    /// Propagates the model's parameter validation.
+    pub fn chain(self, params: ModelParams) -> Result<ChainDef> {
+        Ok(match self {
+            PolicyModel::Conventional => Raid5Conventional::new(params)?.chain(),
+            PolicyModel::FailOver => Raid5FailOver::new(params)?.chain(),
+        })
+    }
+}
+
 fn unavailability(model: PolicyModel, params: ModelParams) -> Result<f64> {
-    Ok(match model {
-        PolicyModel::Conventional => Raid5Conventional::new(params)?.solve()?.unavailability(),
-        PolicyModel::FailOver => Raid5FailOver::new(params)?.solve()?.unavailability(),
-    })
+    Ok(model.chain(params)?.solve()?.unavailability())
 }
 
 /// Computes elasticities for every continuous parameter of the model using

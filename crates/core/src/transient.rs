@@ -8,7 +8,6 @@
 //! from uniformization on the same chains the paper solves.
 
 use crate::error::Result;
-use crate::markov::{Raid5Conventional, Raid5FailOver};
 use crate::params::ModelParams;
 use crate::sensitivity::PolicyModel;
 use availsim_ctmc::{Ctmc, StateId};
@@ -28,27 +27,12 @@ impl TransientAvailability {
     /// # Errors
     /// Propagates model construction errors.
     pub fn new(model: PolicyModel, params: ModelParams) -> Result<Self> {
-        let (chain, down_labels): (Ctmc, &[&str]) = match model {
-            PolicyModel::Conventional => (
-                Raid5Conventional::new(params)?.build_chain()?,
-                &["DU", "DL"],
-            ),
-            PolicyModel::FailOver => (
-                Raid5FailOver::new(params)?.build_chain()?,
-                &crate::markov::failover_down_states(),
-            ),
-        };
-        let down: Vec<StateId> = down_labels
-            .iter()
-            .filter_map(|l| chain.find_state(l))
-            .collect();
-        let mut initial = vec![0.0; chain.num_states()];
-        let op = chain.find_state("OP").expect("OP exists in both models");
-        initial[op.index()] = 1.0;
+        let def = model.chain(params)?;
+        let chain = def.build()?;
         Ok(TransientAvailability {
+            down: def.state_ids(&chain, |c| !c.is_up()),
+            initial: def.start_distribution(),
             chain,
-            down,
-            initial,
         })
     }
 

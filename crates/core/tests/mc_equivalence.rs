@@ -334,3 +334,19 @@ fn fig3_failure_biased_stream_is_pinned() {
         &[("fail-over biased", 0xea7f_5805_94c1_9883)],
     );
 }
+
+#[test]
+fn fig3_naive_stream_is_pinned() {
+    // Pinned on the shared jump chain. The fail-over chain's own loop drew
+    // a pick uniform when leaving OP and DL, states with a single exit;
+    // the shared loop draws none there, so these bits differ from that
+    // loop's while the distribution is the same.
+    let est = FailOverMc::new(params(2e-4, 0.01))
+        .unwrap()
+        .run(&pin_config(McVariance::Naive))
+        .unwrap();
+    assert_pins(
+        &[("fail-over naive".to_string(), digest(&est, &[]))],
+        &[("fail-over naive", 0x30ae_e9af_976b_b79b)],
+    );
+}

@@ -2,25 +2,14 @@
 //!
 //! Every distribution implements [`Lifetime`], which exposes exact
 //! inverse-CDF sampling (where available), the CDF, the quantile function,
-//! and moments. The set covers what the paper needs — exponential for the
+//! and moments. The set is what the paper needs: exponential for the
 //! Markov-comparable runs and Weibull for the field-data runs (Schroeder &
-//! Gibson, FAST'07) — plus lognormal, gamma, uniform, deterministic, and
-//! empirical distributions commonly used for repair times.
+//! Gibson, FAST'07).
 
-mod deterministic;
-mod empirical;
 mod exponential;
-mod gamma;
-mod lognormal;
-mod uniform;
 mod weibull;
 
-pub use deterministic::Deterministic;
-pub use empirical::Empirical;
 pub use exponential::Exponential;
-pub use gamma::Gamma;
-pub use lognormal::LogNormal;
-pub use uniform::UniformDist;
 pub use weibull::Weibull;
 
 use crate::error::Result;
@@ -100,7 +89,6 @@ mod tests {
         let dists: Vec<Box<dyn Lifetime>> = vec![
             Box::new(Exponential::new(0.5).unwrap()),
             Box::new(Weibull::new(2.0, 1.5).unwrap()),
-            Box::new(Deterministic::new(3.0).unwrap()),
         ];
         let mut rng = SimRng::seed_from(1);
         for d in &dists {

@@ -4,19 +4,15 @@
 //!
 //! * [`rng`] — deterministic xoshiro256++ PRNG with substream derivation for
 //!   parallel, bit-reproducible experiments.
-//! * [`distributions`] — exponential, Weibull, lognormal, gamma, uniform,
-//!   deterministic, and empirical lifetime models, all with exact CDFs and
-//!   quantiles.
+//! * [`distributions`] — the exponential and Weibull lifetime models the
+//!   engines sample, with exact CDFs and quantiles.
 //! * [`engine`] — a time-ordered event queue with FIFO tie-breaking and
 //!   lazy (tombstone) cancellation, kept as the reference implementation.
 //! * [`indexed_queue`] — the hot-path event queue: a flat 4-ary indexed
 //!   min-heap with O(log n) in-place cancellation and no per-operation
 //!   hashing, pop-order-identical to [`engine::EventQueue`].
 //! * [`stats`] — Welford accumulators, Student-t confidence intervals (the
-//!   paper's "t-student coefficient" machinery), batch means, histograms,
-//!   and goodness-of-fit tests.
-//! * [`rare_event`] — importance sampling with likelihood-ratio weights and
-//!   effective-sample-size diagnostics for the 1e-10 unavailability regime.
+//!   paper's "t-student coefficient" machinery), and goodness-of-fit tests.
 //! * [`telemetry`] — deterministic engine counters (mask-gated, block-merged
 //!   in worker-count-independent order), phase spans, and Prometheus text
 //!   exposition.
@@ -51,7 +47,6 @@ pub mod engine;
 mod error;
 pub mod indexed_queue;
 pub mod parallel;
-pub mod rare_event;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;

@@ -4,23 +4,17 @@
 //!   parallel reductions.
 //! * [`ci`] — Student-t and Wilson confidence intervals, plus the
 //!   iteration-count planner implied by the paper's error formula.
-//! * [`BatchMeans`] — steady-state output analysis for autocorrelated runs.
-//! * [`Histogram`] — fixed-width binning for diagnostics.
 //! * [`gof`] — Kolmogorov–Smirnov and chi-square goodness-of-fit tests used
 //!   to validate the samplers.
 //! * [`special`] / [`student_t`] — the underlying special functions
 //!   (`ln Γ`, incomplete gamma/beta, normal and t quantiles).
 
-pub mod batch_means;
 pub mod ci;
 pub mod gof;
-pub mod histogram;
 pub mod special;
 pub mod student_t;
 pub mod welford;
 
-pub use batch_means::BatchMeans;
 pub use ci::{required_iterations, t_interval, wilson_interval, ConfidenceInterval};
 pub use gof::{chi_square_test, ks_test, ks_test_cdf, ChiSquareResult, KsResult};
-pub use histogram::Histogram;
 pub use welford::RunningStats;

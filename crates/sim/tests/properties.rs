@@ -1,8 +1,6 @@
 //! Property-based tests for the simulation kernel.
 
-use availsim_sim::distributions::{
-    Deterministic, Empirical, Exponential, Gamma, Lifetime, LogNormal, UniformDist, Weibull,
-};
+use availsim_sim::distributions::{Exponential, Lifetime, Weibull};
 use availsim_sim::engine::EventQueue;
 use availsim_sim::indexed_queue::IndexedEventQueue;
 use availsim_sim::rng::SimRng;
@@ -31,17 +29,6 @@ proptest! {
     }
 
     #[test]
-    fn lognormal_cdf_quantile_roundtrip(
-        mu in -3.0f64..5.0,
-        sigma in 0.05f64..2.0,
-        p in 1e-5f64..0.999_99,
-    ) {
-        let d = LogNormal::new(mu, sigma).unwrap();
-        let x = d.quantile(p).unwrap();
-        prop_assert!((d.cdf(x) - p).abs() < 1e-8);
-    }
-
-    #[test]
     fn cdf_is_monotone_for_all_families(
         rate in 1e-3f64..10.0,
         shape in 0.5f64..4.0,
@@ -50,8 +37,6 @@ proptest! {
         let dists: Vec<Box<dyn Lifetime>> = vec![
             Box::new(Exponential::new(rate).unwrap()),
             Box::new(Weibull::new(1.0 / rate, shape).unwrap()),
-            Box::new(Gamma::new(shape, rate).unwrap()),
-            Box::new(UniformDist::new(0.0, 50.0).unwrap()),
         ];
         let mut sorted = xs.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -72,9 +57,6 @@ proptest! {
         let dists: Vec<Box<dyn Lifetime>> = vec![
             Box::new(Exponential::new(rate).unwrap()),
             Box::new(Weibull::new(1.0 / rate, 1.2).unwrap()),
-            Box::new(Gamma::new(0.8, rate).unwrap()),
-            Box::new(LogNormal::new(0.0, 1.0).unwrap()),
-            Box::new(Deterministic::new(1.0 / rate).unwrap()),
         ];
         for d in &dists {
             for _ in 0..50 {
@@ -323,18 +305,6 @@ proptest! {
         }
         prop_assert_eq!(reference.len(), indexed.len());
     }
-
-    #[test]
-    fn empirical_quantiles_stay_in_sample_range(
-        samples in proptest::collection::vec(0.0f64..1e4, 1..50),
-        p in 0.01f64..0.99,
-    ) {
-        let d = Empirical::from_samples(&samples).unwrap();
-        let q = d.quantile(p).unwrap();
-        let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(q >= lo - 1e-12 && q <= hi + 1e-12);
-    }
 }
 
 /// Non-proptest statistical smoke test: KS on each closed-form sampler.
@@ -343,9 +313,6 @@ fn ks_validates_every_sampler() {
     let dists: Vec<Box<dyn Lifetime>> = vec![
         Box::new(Exponential::new(0.37).unwrap()),
         Box::new(Weibull::new(4.0, 1.48).unwrap()),
-        Box::new(LogNormal::new(1.0, 0.7).unwrap()),
-        Box::new(Gamma::new(2.2, 0.9).unwrap()),
-        Box::new(UniformDist::new(1.0, 9.0).unwrap()),
     ];
     let mut rng = SimRng::seed_from(20_240_601);
     for d in &dists {

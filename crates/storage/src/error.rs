@@ -3,19 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors from constructing or mutating disk-subsystem models.
+/// Errors from constructing disk-subsystem models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// A RAID geometry was invalid (e.g. zero data disks).
     InvalidGeometry(String),
-    /// An array operation was illegal in the current state
-    /// (e.g. rebuilding a disk when none has failed).
-    IllegalTransition {
-        /// The operation attempted.
-        operation: &'static str,
-        /// Why it is not allowed.
-        reason: String,
-    },
     /// A capacity request cannot be satisfied by the geometry.
     CapacityMismatch {
         /// Usable units requested.
@@ -31,9 +23,6 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::InvalidGeometry(msg) => write!(f, "invalid raid geometry: {msg}"),
-            StorageError::IllegalTransition { operation, reason } => {
-                write!(f, "illegal array transition `{operation}`: {reason}")
-            }
             StorageError::CapacityMismatch {
                 requested,
                 per_array,
@@ -59,11 +48,8 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = StorageError::IllegalTransition {
-            operation: "complete_rebuild",
-            reason: "no failed disk".into(),
-        };
-        assert!(e.to_string().contains("complete_rebuild"));
+        let e = StorageError::InvalidGeometry("k must be at least 2".into());
+        assert!(e.to_string().contains("k must be at least 2"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # availsim-storage
 //!
-//! Disk-subsystem substrate for availability modeling: RAID geometries, the
-//! array state machine with wrong-disk-replacement semantics, maintenance
-//! policies, field-calibrated failure models, event traces with downtime
-//! accounting, equivalent-capacity volumes, and fleet-scale arithmetic.
+//! Disk-subsystem substrate for availability modeling: RAID geometries,
+//! maintenance policies, field-calibrated failure models, latent-sector-error
+//! exposure, event traces with downtime accounting, equivalent-capacity
+//! volumes, and fleet-scale arithmetic.
 //!
 //! The semantics follow the DATE'17 paper "Evaluating Impact of Human Errors
 //! on the Availability of Data Storage Systems": a *failed* disk loses its
@@ -14,15 +14,22 @@
 //! # Examples
 //!
 //! ```
-//! use availsim_storage::{ArrayStatus, DiskArray, RaidGeometry};
+//! use availsim_storage::{DowntimeLog, OutageCause, RaidGeometry};
 //!
 //! # fn main() -> Result<(), availsim_storage::StorageError> {
-//! let mut array = DiskArray::new(RaidGeometry::raid5(3)?);
-//! array.fail_disk()?;            // first failure: degraded but serving
-//! array.wrong_removal()?;        // technician pulls the wrong disk
-//! assert_eq!(array.status(), ArrayStatus::Unavailable);
-//! array.reinsert_wrongly_removed()?;
-//! assert!(array.is_up());
+//! let geometry = RaidGeometry::raid5(3)?;
+//! assert_eq!(geometry.total_disks(), 4);
+//! assert_eq!(geometry.fault_tolerance(), 1);
+//!
+//! // A wrong disk pull during a rebuild takes the array down at 100 h; a
+//! // crash of the pulled disk turns the outage into data loss at 101 h.
+//! let mut log = DowntimeLog::new();
+//! log.begin(100.0, OutageCause::HumanError);
+//! log.end(101.0);
+//! log.begin(101.0, OutageCause::DataLoss);
+//! log.finalize(131.0);
+//! assert_eq!(log.downtime_by_cause(OutageCause::HumanError), 1.0);
+//! assert_eq!(log.total_downtime(), 31.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -30,11 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod array;
 mod datacenter;
-mod disk;
 mod error;
-mod events;
 mod failure_model;
 mod lse;
 mod maintenance;
@@ -42,11 +46,8 @@ mod raid;
 mod trace;
 mod volume;
 
-pub use array::{ArrayStatus, DiskArray};
 pub use datacenter::{DatacenterModel, FailoverPolicy, FleetFailover, FleetSpec, HOURS_PER_YEAR};
-pub use disk::{Disk, DiskState};
 pub use error::{Result, StorageError};
-pub use events::StorageEvent;
 pub use failure_model::{FailureModel, SCHROEDER_GIBSON_FITS};
 pub use lse::ScrubbingModel;
 pub use maintenance::{ReplacementPolicy, ServiceRates};

@@ -1,127 +1,10 @@
-//! Property-based tests for the disk-array state machine.
+//! Property-based tests for volume and downtime bookkeeping.
 
-use availsim_storage::{ArrayStatus, DiskArray, DowntimeLog, OutageCause, RaidGeometry};
+use availsim_storage::{DowntimeLog, OutageCause, RaidGeometry};
 use proptest::prelude::*;
-
-/// Operations the fuzzer may attempt on an array.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Fail,
-    WrongRemoval,
-    Reinsert,
-    CrashRemoved,
-    Rebuild,
-    Restore,
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        Just(Op::Fail),
-        Just(Op::WrongRemoval),
-        Just(Op::Reinsert),
-        Just(Op::CrashRemoved),
-        Just(Op::Rebuild),
-        Just(Op::Restore),
-    ]
-}
-
-fn arb_geometry() -> impl Strategy<Value = RaidGeometry> {
-    prop_oneof![
-        Just(RaidGeometry::raid1_pair()),
-        (2u32..10).prop_map(|k| RaidGeometry::raid5(k).unwrap()),
-        (2u32..10).prop_map(|k| RaidGeometry::raid6(k).unwrap()),
-        (1u32..8).prop_map(|k| RaidGeometry::raid0(k).unwrap()),
-        (2u32..5).prop_map(|c| RaidGeometry::raid1_mirror(c).unwrap()),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// No operation sequence can corrupt the counters: disks never go
-    /// negative, never exceed the geometry, and status stays consistent.
-    #[test]
-    fn array_invariants_under_random_ops(
-        geometry in arb_geometry(),
-        ops in proptest::collection::vec(arb_op(), 0..60),
-    ) {
-        let mut a = DiskArray::new(geometry);
-        let total = geometry.total_disks();
-        for op in ops {
-            // Apply; errors are fine (illegal in current state), panics are not.
-            let _ = match op {
-                Op::Fail => a.fail_disk(),
-                Op::WrongRemoval => a.wrong_removal(),
-                Op::Reinsert => a.reinsert_wrongly_removed(),
-                Op::CrashRemoved => a.crash_wrongly_removed(),
-                Op::Rebuild => a.complete_rebuild(),
-                Op::Restore => {
-                    a.restore_from_backup();
-                    Ok(())
-                }
-            };
-            prop_assert!(a.failed() + a.wrongly_removed() <= total);
-            prop_assert_eq!(a.active_disks(), total - a.failed() - a.wrongly_removed());
-            // Status must agree with the counter rules.
-            let tol = geometry.fault_tolerance();
-            let expected = if a.failed() > tol {
-                ArrayStatus::DataLoss
-            } else if a.missing_disks() > tol {
-                ArrayStatus::Unavailable
-            } else if a.missing_disks() > 0 {
-                ArrayStatus::Degraded
-            } else {
-                ArrayStatus::Optimal
-            };
-            prop_assert_eq!(a.status(), expected);
-        }
-    }
-
-    /// Reinserting a wrongly removed disk never loses data: status can only
-    /// improve (in the partial order DataLoss < Unavailable < Degraded <=
-    /// Optimal) when the reinsert succeeds.
-    #[test]
-    fn reinsert_never_worsens_status(
-        geometry in arb_geometry(),
-        fails in 0u32..3,
-        removals in 1u32..3,
-    ) {
-        fn rank(s: ArrayStatus) -> u8 {
-            match s {
-                ArrayStatus::DataLoss => 0,
-                ArrayStatus::Unavailable => 1,
-                ArrayStatus::Degraded => 2,
-                ArrayStatus::Optimal => 3,
-            }
-        }
-        let mut a = DiskArray::new(geometry);
-        for _ in 0..fails {
-            let _ = a.fail_disk();
-        }
-        for _ in 0..removals {
-            let _ = a.wrong_removal();
-        }
-        let before = a.status();
-        if a.reinsert_wrongly_removed().is_ok() {
-            prop_assert!(rank(a.status()) >= rank(before));
-        }
-    }
-
-    /// Crash of a removed disk converts DU candidates toward DL, never the
-    /// other way: `failed` increases by exactly one.
-    #[test]
-    fn crash_conserves_missing_disks(geometry in arb_geometry(), removals in 1u32..3) {
-        let mut a = DiskArray::new(geometry);
-        for _ in 0..removals {
-            let _ = a.wrong_removal();
-        }
-        let missing_before = a.missing_disks();
-        let failed_before = a.failed();
-        if a.crash_wrongly_removed().is_ok() {
-            prop_assert_eq!(a.missing_disks(), missing_before);
-            prop_assert_eq!(a.failed(), failed_before + 1);
-        }
-    }
 
     /// Volume capacity bookkeeping: arrays × per-array capacity == usable.
     #[test]

@@ -8,10 +8,7 @@
 //! 2. validate it with MC at a *scaled* operating point (paper's Fig. 4
 //!    methodology),
 //! 3. validate it **at the target point itself** with the rare-event mode
-//!    (`McVariance::FailureBiasing`), reading the ESS diagnostic,
-//! 4. for tail probabilities of single distributions, use importance
-//!    sampling (`availsim_sim::rare_event`) and check the effective sample
-//!    size.
+//!    (`McVariance::FailureBiasing`), reading the ESS diagnostic.
 //!
 //! ```text
 //! cargo run --release --example rare_event_mc
@@ -21,9 +18,6 @@ use availsim::core::markov::Raid5Conventional;
 use availsim::core::mc::{ConventionalMc, McConfig, McVariance};
 use availsim::core::ModelParams;
 use availsim::hra::Hep;
-use availsim::sim::distributions::{Exponential, Lifetime};
-use availsim::sim::rare_event::ImportanceSampler;
-use availsim::sim::rng::SimRng;
 use std::error::Error;
 use std::time::Instant;
 
@@ -86,32 +80,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         "  diagnostics: ESS {:.0} of {} missions, max weight {:.3e}",
         biased.effective_sample_size, biased.iterations, biased.max_weight
     );
-
-    // 4. Importance sampling for a rare tail: P(disk survives 20 MTTFs).
-    let nominal = Exponential::new(1.0)?;
-    let proposal = Exponential::new(1.0 / 20.0)?;
-    let truth = 1.0 - nominal.cdf(20.0);
-    let sampler = ImportanceSampler::new(nominal, proposal);
-    let mut rng = SimRng::seed_from(42);
-    let stats = sampler.estimate_tail(&mut rng, 20.0, 100_000)?;
-    println!("\nimportance sampling, P(X > 20·MTTF):");
-    println!("  truth     = {truth:.4e}");
-    println!(
-        "  estimate  = {:.4e} ± {:.1e}",
-        stats.estimate(),
-        stats.standard_error()
-    );
-    println!(
-        "  effective sample size: {:.0} of {}",
-        stats.effective_sample_size(),
-        stats.count()
-    );
-
-    let naive_hits = {
-        let mut rng = SimRng::seed_from(43);
-        let d = Exponential::new(1.0)?;
-        (0..100_000).filter(|_| d.sample(&mut rng) > 20.0).count()
-    };
-    println!("  naive MC with the same budget: {naive_hits} hits (useless at this scale)");
     Ok(())
 }

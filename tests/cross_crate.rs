@@ -2,7 +2,7 @@
 //! compose it — HRA quantification feeding storage models feeding the
 //! availability analyses, with the CTMC and simulation kernels underneath.
 
-use availsim::core::markov::{GenericKofN, Raid5Conventional};
+use availsim::core::markov::{EdgeTag, GenericKofN, Raid5Conventional, StateClass};
 use availsim::core::{nines, ModelParams};
 use availsim::ctmc::{CtmcBuilder, SteadyStateMethod};
 use availsim::hra::heart::disk_replacement_example;
@@ -11,9 +11,7 @@ use availsim::hra::{Hep, RecoveryModel};
 use availsim::sim::distributions::{Exponential, Lifetime, Weibull};
 use availsim::sim::rng::SimRng;
 use availsim::sim::stats::{ks_test, t_interval, RunningStats};
-use availsim::storage::{
-    ArrayStatus, DatacenterModel, DiskArray, FailureModel, RaidGeometry, ServiceRates, Volume,
-};
+use availsim::storage::{DatacenterModel, FailureModel, RaidGeometry, ServiceRates, Volume};
 
 /// End-to-end: HEART → hep → Markov model → nines, all through public API.
 #[test]
@@ -81,19 +79,35 @@ fn custom_ctmc_through_facade() {
     assert!((nines::nines_from_unavailability(gth[1]) - 3.0).abs() < 0.01);
 }
 
-/// Storage state machine drives the same verdicts the Markov states encode.
+/// The Fig. 2 definition classifies the Markov states with the storage
+/// semantics: a failed disk leaves the array serving, a wrong pull during
+/// the rebuild is a human-error outage, and a crash of the pulled disk is
+/// data loss.
 #[test]
-fn array_state_machine_mirrors_markov_states() {
-    let mut array = DiskArray::new(RaidGeometry::raid5(3).unwrap());
-    assert_eq!(array.status(), ArrayStatus::Optimal); // OP
-    array.fail_disk().unwrap();
-    assert_eq!(array.status(), ArrayStatus::Degraded); // EXP
-    array.wrong_removal().unwrap();
-    assert_eq!(array.status(), ArrayStatus::Unavailable); // DU
-    array.crash_wrongly_removed().unwrap();
-    assert_eq!(array.status(), ArrayStatus::DataLoss); // DL
-    array.restore_from_backup();
-    assert_eq!(array.status(), ArrayStatus::Optimal); // back to OP
+fn fig2_chain_classifies_the_markov_states() {
+    let params = ModelParams::raid5_3plus1(1e-6, Hep::new(0.01).unwrap()).unwrap();
+    let def = Raid5Conventional::new(params).unwrap().chain();
+    let classes: Vec<(&str, StateClass)> =
+        def.states().iter().map(|s| (s.label, s.class)).collect();
+    assert_eq!(
+        classes,
+        [
+            ("OP", StateClass::Up),
+            ("EXP", StateClass::Up),
+            ("DU", StateClass::HumanErrorDown),
+            ("DL", StateClass::DataLossDown),
+        ]
+    );
+    let tag = |from, to| {
+        def.edges()
+            .iter()
+            .find(|e| e.from == from && e.to == to)
+            .map(|e| e.tag)
+    };
+    assert_eq!(tag(0, 1), Some(EdgeTag::Failure));
+    assert_eq!(tag(1, 2), Some(EdgeTag::HumanError));
+    assert_eq!(tag(2, 3), Some(EdgeTag::Crash));
+    assert_eq!(tag(3, 0), Some(EdgeTag::Service));
 }
 
 /// Sampling through the facade: distributions, KS validation, CI machinery.
