@@ -61,13 +61,14 @@ pub struct ChainState {
 }
 
 /// One edge of a chain definition; `from` and `to` index
-/// [`ChainDef::states`].
+/// [`ChainDef::states`]. The indices are 16-bit so an edge packs into 16
+/// bytes: every exact solve rebuilds its definition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChainEdge {
     /// Source state.
-    pub from: usize,
+    pub from: u16,
     /// Target state.
-    pub to: usize,
+    pub to: u16,
     /// Rate per hour (zero disables the edge).
     pub rate: f64,
     /// What drives the transition.
@@ -111,7 +112,7 @@ impl ChainDef {
             .map(|s| b.state(s.label))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         for e in &self.edges {
-            b.transition(ids[e.from], ids[e.to], e.rate)?;
+            b.transition(ids[usize::from(e.from)], ids[usize::from(e.to)], e.rate)?;
         }
         Ok(b.build()?)
     }

@@ -61,18 +61,18 @@ const FIG3_STATES: [ChainState; 12] = [
 /// no-ops and appear only as the `(1 − hep)` thinning of the competing
 /// success rates.
 pub(crate) fn fig3_chain(params: &ModelParams) -> ChainDef {
-    const OP: usize = 0;
-    const EXP1: usize = 1;
-    const OPNS: usize = 2;
-    const EXPNS1: usize = 3;
-    const EXPNS2: usize = 4;
-    const EXP2: usize = 5;
-    const DU1: usize = 6;
-    const DU2: usize = 7;
-    const DUNS1: usize = 8;
-    const DUNS2: usize = 9;
-    const DL: usize = 10;
-    const DLNS: usize = 11;
+    const OP: u16 = 0;
+    const EXP1: u16 = 1;
+    const OPNS: u16 = 2;
+    const EXPNS1: u16 = 3;
+    const EXPNS2: u16 = 4;
+    const EXP2: u16 = 5;
+    const DU1: u16 = 6;
+    const DU2: u16 = 7;
+    const DUNS1: u16 = 8;
+    const DUNS2: u16 = 9;
+    const DL: u16 = 10;
+    const DLNS: u16 = 11;
     let p = params;
     let n = f64::from(p.disks());
     let hep = p.hep.value();

@@ -97,10 +97,10 @@ const FIG2_STATES: [ChainState; 4] = [
 /// [`Raid5Conventional::new`]: the Monte-Carlo engines replay it for every
 /// geometry they accept.
 pub(crate) fn fig2_chain(params: &ModelParams, timing: WrongReplacementTiming) -> ChainDef {
-    const OP: usize = 0;
-    const EXP: usize = 1;
-    const DU: usize = 2;
-    const DL: usize = 3;
+    const OP: u16 = 0;
+    const EXP: u16 = 1;
+    const DU: u16 = 2;
+    const DL: u16 = 3;
     let p = params;
     let n = f64::from(p.disks());
     let hep = p.hep.value();

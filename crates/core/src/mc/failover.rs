@@ -344,13 +344,17 @@ mod tests {
         let mc = FailOverMc::new(p).unwrap();
         let def = fig3_chain(&p);
         for s in 0..def.states().len() {
-            let declared: Vec<_> = def.edges().iter().filter(|e| e.from == s).collect();
+            let declared: Vec<_> = def
+                .edges()
+                .iter()
+                .filter(|e| usize::from(e.from) == s)
+                .collect();
             assert_eq!(declared.len(), mc.table.exits(s));
             for (k, e) in declared.into_iter().enumerate() {
                 let (rate, to, tag) = mc.table.exit(s, k);
                 assert_eq!(rate.to_bits(), e.rate.to_bits());
                 assert_eq!(mc.table.inv_rate(s, k).to_bits(), e.rate.recip().to_bits());
-                assert_eq!((to, tag), (e.to, e.tag));
+                assert_eq!((to, tag), (usize::from(e.to), e.tag));
             }
         }
     }

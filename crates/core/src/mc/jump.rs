@@ -90,15 +90,16 @@ impl ExitTable {
             inv: [[f64::INFINITY; MAX_EXITS]; MAX_STATES],
         };
         for e in def.edges() {
-            let row = &mut t.rows[e.from];
+            let (from, to) = (usize::from(e.from), usize::from(e.to));
+            let row = &mut t.rows[from];
             let k = row.len;
             assert!(k < MAX_EXITS, "state has too many exits");
             row.rate[k] = e.rate;
             row.total += e.rate;
             row.prefix[k] = row.total;
             row.tag[k] = e.tag;
-            row.to[k] = e.to as u8;
-            let (was, now) = (states[e.from].class, states[e.to].class);
+            row.to[k] = to as u8;
+            let (was, now) = (states[from].class, states[to].class);
             if was != now {
                 row.effect[k] = Effect {
                     end: !was.is_up(),
@@ -106,11 +107,11 @@ impl ExitTable {
                 };
             }
             row.counters[k] = [
-                edge_counter(states[e.from].label, states[e.to].label),
+                edge_counter(states[from].label, states[to].label),
                 (e.tag == EdgeTag::RebuildLoss).then_some(Counter::RebuildLseHits),
             ];
             row.len += 1;
-            t.inv[e.from][k] = e.rate.recip();
+            t.inv[from][k] = e.rate.recip();
         }
         t
     }

@@ -337,10 +337,9 @@ fn fig3_failure_biased_stream_is_pinned() {
 
 #[test]
 fn fig3_naive_stream_is_pinned() {
-    // Pinned on the shared jump chain. The fail-over chain's own loop drew
-    // a pick uniform when leaving OP and DL, states with a single exit;
-    // the shared loop draws none there, so these bits differ from that
-    // loop's while the distribution is the same.
+    // Pinned on the shared jump chain, which draws no pick uniform in the
+    // single-exit states OP and DL. A loop that draws one there consumes
+    // the stream differently: same distribution, different bits.
     let est = FailOverMc::new(params(2e-4, 0.01))
         .unwrap()
         .run(&pin_config(McVariance::Naive))
