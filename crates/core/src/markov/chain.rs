@@ -60,6 +60,12 @@ pub struct ChainState {
     pub class: StateClass,
 }
 
+impl ChainState {
+    pub(crate) const fn new(label: &'static str, class: StateClass) -> Self {
+        ChainState { label, class }
+    }
+}
+
 /// One edge of a chain definition; `from` and `to` index
 /// [`ChainDef::states`]. The indices are 16-bit so an edge packs into 16
 /// bytes: every exact solve rebuilds its definition.
@@ -73,6 +79,15 @@ pub struct ChainEdge {
     pub rate: f64,
     /// What drives the transition.
     pub tag: EdgeTag,
+}
+
+pub(crate) fn edge(from: u16, to: u16, rate: f64, tag: EdgeTag) -> ChainEdge {
+    ChainEdge {
+        from,
+        to,
+        rate,
+        tag,
+    }
 }
 
 /// A declared chain. The first state is the fresh, fully working start

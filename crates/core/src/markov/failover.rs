@@ -23,29 +23,25 @@
 //! The scanned figure in the paper is partially garbled; [`fig3_chain`]
 //! documents the reconstruction.
 
-use super::chain::{ChainDef, ChainEdge, ChainState, EdgeTag, StateClass};
+use super::chain::{edge, ChainDef, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
 use availsim_ctmc::Ctmc;
 
-const fn state(label: &'static str, class: StateClass) -> ChainState {
-    ChainState { label, class }
-}
-
 const FIG3_STATES: [ChainState; 12] = [
-    state("OP", StateClass::Up),
-    state("EXP1", StateClass::Up),
-    state("OPns", StateClass::Up),
-    state("EXPns1", StateClass::Up),
-    state("EXPns2", StateClass::Up),
-    state("EXP2", StateClass::Up),
-    state("DU1", StateClass::HumanErrorDown),
-    state("DU2", StateClass::HumanErrorDown),
-    state("DUns1", StateClass::HumanErrorDown),
-    state("DUns2", StateClass::HumanErrorDown),
-    state("DL", StateClass::DataLossDown),
-    state("DLns", StateClass::DataLossDown),
+    ChainState::new("OP", StateClass::Up),
+    ChainState::new("EXP1", StateClass::Up),
+    ChainState::new("OPns", StateClass::Up),
+    ChainState::new("EXPns1", StateClass::Up),
+    ChainState::new("EXPns2", StateClass::Up),
+    ChainState::new("EXP2", StateClass::Up),
+    ChainState::new("DU1", StateClass::HumanErrorDown),
+    ChainState::new("DU2", StateClass::HumanErrorDown),
+    ChainState::new("DUns1", StateClass::HumanErrorDown),
+    ChainState::new("DUns2", StateClass::HumanErrorDown),
+    ChainState::new("DL", StateClass::DataLossDown),
+    ChainState::new("DLns", StateClass::DataLossDown),
 ];
 
 /// The Fig. 3 chain of `params`, without the geometry, `hep` and LSE checks
@@ -81,12 +77,6 @@ pub(crate) fn fig3_chain(params: &ModelParams) -> ChainDef {
     let (mu_he, mu_ch) = (p.human_recovery_rate, p.disk_change_rate);
     let crash = p.removed_crash_rate;
     use EdgeTag::{Crash, Failure, HumanError, Service};
-    let edge = |from, to, rate, tag| ChainEdge {
-        from,
-        to,
-        rate,
-        tag,
-    };
     ChainDef::new(
         &FIG3_STATES,
         vec![

@@ -36,7 +36,7 @@
 //! mirror tolerates one missing disk, a second failure loses data, and a
 //! wrong replacement of the surviving mirror makes data unavailable.
 
-use super::chain::{ChainDef, ChainEdge, ChainState, EdgeTag, StateClass};
+use super::chain::{edge, ChainDef, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
@@ -75,22 +75,10 @@ impl WrongReplacementTiming {
 }
 
 const FIG2_STATES: [ChainState; 4] = [
-    ChainState {
-        label: "OP",
-        class: StateClass::Up,
-    },
-    ChainState {
-        label: "EXP",
-        class: StateClass::Up,
-    },
-    ChainState {
-        label: "DU",
-        class: StateClass::HumanErrorDown,
-    },
-    ChainState {
-        label: "DL",
-        class: StateClass::DataLossDown,
-    },
+    ChainState::new("OP", StateClass::Up),
+    ChainState::new("EXP", StateClass::Up),
+    ChainState::new("DU", StateClass::HumanErrorDown),
+    ChainState::new("DL", StateClass::DataLossDown),
 ];
 
 /// The Fig. 2 chain of `params`, without the geometry and `hep` checks of
@@ -109,12 +97,6 @@ pub(crate) fn fig2_chain(params: &ModelParams, timing: WrongReplacementTiming) -
     // bit-exact with the unsplit one and the zero-rate loss edge is
     // dropped by the builder and never picked by the samplers.
     let ue = p.rebuild_lse_probability();
-    let edge = |from, to, rate, tag| ChainEdge {
-        from,
-        to,
-        rate,
-        tag,
-    };
     ChainDef::new(
         &FIG2_STATES,
         vec![
