@@ -6,27 +6,7 @@
 //! `format!` chain per bench. Key order is insertion order, so diffs of
 //! checked-in snapshots stay meaningful.
 
-use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal (quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use availsim_sim::json::escape_into;
 
 /// Shortest round-trip decimal form of a finite float — the default
 /// number format of the snapshots (`1.0`, `2255081.6`, `9.8005e-8`), all
@@ -106,13 +86,17 @@ impl JsonSnapshot {
 
     fn key(&mut self, key: &str) {
         self.item();
-        let _ = write!(self.out, "\"{}\": ", json_escape(key));
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\": ");
     }
 
     /// Writes `"key": "value"` with the value escaped.
     pub fn str_field(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
-        let _ = write!(self.out, "\"{}\"", json_escape(value));
+        self.out.push('"');
+        escape_into(&mut self.out, value);
+        self.out.push('"');
         self
     }
 
@@ -197,18 +181,35 @@ impl JsonSnapshot {
 mod tests {
     use super::*;
 
+    /// The document a one-field root object renders to.
+    fn one_field(key: &str, value: &str) -> String {
+        let mut w = JsonSnapshot::root();
+        w.str_field(key, value);
+        w.finish()
+    }
+
     #[test]
     fn escaping_covers_quotes_backslashes_and_control_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a \"quoted\" value"), "a \\\"quoted\\\" value");
-        assert_eq!(json_escape("back\\slash"), "back\\\\slash");
-        assert_eq!(
-            json_escape("line\nbreak\ttab\rret"),
-            "line\\nbreak\\ttab\\rret"
-        );
-        assert_eq!(json_escape("bell\u{7}"), "bell\\u0007");
-        // Unicode passes through untouched.
-        assert_eq!(json_escape("λ=3e-6 → U"), "λ=3e-6 → U");
+        for (raw, escaped) in [
+            ("plain", "plain"),
+            ("a \"quoted\" value", "a \\\"quoted\\\" value"),
+            ("back\\slash", "back\\\\slash"),
+            ("line\nbreak\ttab\rret", "line\\nbreak\\ttab\\rret"),
+            ("bell\u{7}", "bell\\u0007"),
+            // Unicode passes through untouched.
+            ("λ=3e-6 → U", "λ=3e-6 → U"),
+        ] {
+            assert_eq!(
+                one_field("k", raw),
+                format!("{{\n  \"k\": \"{escaped}\"\n}}\n"),
+                "value {raw:?}"
+            );
+            assert_eq!(
+                one_field(raw, "v"),
+                format!("{{\n  \"{escaped}\": \"v\"\n}}\n"),
+                "key {raw:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Unified error type for the experiment subsystem.
 
+use crate::spec::Origin;
 use availsim_core::CoreError;
 use availsim_hra::HraError;
 use availsim_storage::StorageError;
@@ -9,11 +10,11 @@ use std::fmt;
 /// Errors from spec parsing, planning, running, and reporting.
 #[derive(Debug)]
 pub enum ExpError {
-    /// The spec file could not be parsed; `line` is 1-based.
+    /// A scenario value broke a rule; `origin` says where the value came
+    /// from (spec line, CLI flag, or JSON path).
     Parse {
-        /// 1-based line number of the offending line (0 for file-level
-        /// problems such as a missing section).
-        line: usize,
+        /// Where the offending value came from.
+        origin: Origin,
         /// What went wrong.
         message: String,
     },
@@ -37,10 +38,7 @@ pub enum ExpError {
 impl fmt::Display for ExpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExpError::Parse { line, message } if *line > 0 => {
-                write!(f, "spec line {line}: {message}")
-            }
-            ExpError::Parse { message, .. } => write!(f, "spec: {message}"),
+            ExpError::Parse { origin, message } => write!(f, "{origin}: {message}"),
             ExpError::InvalidSpec(msg) => write!(f, "invalid campaign: {msg}"),
             ExpError::Model { cell, source } => write!(f, "cell {cell}: {source}"),
             ExpError::Io(e) => write!(f, "io: {e}"),
@@ -92,12 +90,12 @@ mod tests {
     #[test]
     fn display_includes_line_numbers() {
         let e = ExpError::Parse {
-            line: 7,
+            origin: Origin::Line(7),
             message: "bad key".into(),
         };
         assert!(e.to_string().contains("line 7"));
         let e = ExpError::Parse {
-            line: 0,
+            origin: Origin::Line(0),
             message: "no [campaign] section".into(),
         };
         assert!(!e.to_string().contains("line"));

@@ -8,7 +8,7 @@
 //!
 //! | layer | module | contents |
 //! |-------|--------|----------|
-//! | spec | [`spec`] | [`spec::Scenario`] + a std-only line-oriented spec-file parser |
+//! | spec | [`spec`] | [`spec::Scenario`], the [`spec::ScenarioBuilder`] every front door feeds, and a std-only line-oriented spec-file parser |
 //! | plan | [`plan`] | cartesian grid expansion into [`plan::Cell`]s with per-cell substream seeds |
 //! | run | [`run`] | a scoped-thread worker pool, bit-reproducible at any worker count |
 //! | report | [`report`] | deterministic CSV/JSON writers + a summary table with per-cell timing |

@@ -31,6 +31,22 @@ pub struct Cell {
     pub hep: f64,
 }
 
+impl Cell {
+    /// The one cell of a single-point scenario — a CLI run or a serve
+    /// query — seeded with the scenario's seed itself rather than a
+    /// substream of it.
+    pub fn point(scenario: &Scenario) -> Cell {
+        Cell {
+            index: 0,
+            seed: scenario.seed,
+            raid: scenario.raid[0],
+            policy: scenario.effective_policies()[0],
+            lambda: scenario.lambda[0],
+            hep: scenario.hep[0],
+        }
+    }
+}
+
 /// The expanded campaign: every cell, in canonical order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {

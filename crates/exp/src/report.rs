@@ -152,24 +152,11 @@ pub fn to_csv(result: &CampaignResult) -> String {
     out
 }
 
-/// Minimal JSON string escaping (the only strings we emit are labels and
-/// campaign names, but escape control characters anyway).
+/// A JSON string literal, quotes included.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    availsim_sim::json::escape_into(&mut out, s);
     out.push('"');
     out
 }

@@ -13,9 +13,11 @@
 
 use crate::error::{ExpError, Result};
 use crate::plan::{Cell, Plan};
-use crate::spec::{FleetSettings, McSettings, ModelKind, Policy, Scenario};
-use availsim_core::markov::{GenericKofN, Raid5Conventional, Raid5FailOver};
-use availsim_core::mc::{ConventionalMc, FailOverMc, FleetMc, McConfig};
+use crate::spec::{ModelKind, Policy, Scenario};
+use availsim_core::markov::{GenericKofN, Raid5Conventional, Raid5FailOver, SolvedChain};
+use availsim_core::mc::{
+    AvailabilityEstimate, ConventionalMc, FailOverMc, FleetEstimate, FleetMc, McConfig,
+};
 use availsim_core::{nines, CoreError, ModelParams};
 use availsim_hra::Hep;
 use availsim_sim::parallel::{ordered_parallel_map_cancellable, CancelToken};
@@ -323,82 +325,39 @@ pub fn run_cell_cancellable(
         cell: cell.index,
         source: e,
     };
-    let hep = Hep::new(cell.hep).map_err(|e| model(CoreError::Hra(e)))?;
-    let mut params = ModelParams::paper_defaults(cell.raid, cell.lambda, hep).map_err(model)?;
-    if let Some(lse) = scenario.lse {
-        // Scenario validation already restricts live rates to the MC
-        // engines and the generic chain; a zero rate is a bit-identical
-        // no-op everywhere.
-        params = params.with_scrubbing(lse.model());
-    }
-
     let (unavailability, mttdl_hours, ci_half_width, credited_unavailability, loss, counters) =
-        match (scenario.model, cell.policy) {
-            (ModelKind::Mc, policy) => {
-                let est = mc_estimate(
-                    scenario.mc,
-                    scenario.fleet,
-                    policy,
-                    params,
-                    cell.seed,
-                    scenario.telemetry.enabled(),
-                    cancel,
-                )
-                .map_err(model)?;
-                // The loss columns report only under an [lse] section so
-                // plain campaigns keep their byte-stable layout.
-                let loss = scenario.lse.map(|_| est.3);
-                (est.0, None, Some(est.1), est.2, loss, est.4)
-            }
-            (_, Policy::Failover) => {
-                let m = Raid5FailOver::new(params).map_err(model)?;
-                let solved = m.solve().map_err(model)?;
-                (
-                    solved.unavailability(),
-                    Some(m.mttdl_hours().map_err(model)?),
-                    None,
-                    None,
-                    None,
-                    CounterSnapshot::default(),
-                )
-            }
-            (ModelKind::GenericKofN, Policy::Conventional) => {
-                let m = GenericKofN::new(params).map_err(model)?;
-                let solved = m.solve().map_err(model)?;
-                (
-                    solved.unavailability(),
-                    Some(m.mttdl_hours().map_err(model)?),
-                    None,
-                    None,
-                    None,
-                    CounterSnapshot::default(),
-                )
-            }
-            (_, Policy::Conventional) if cell.raid.fault_tolerance() == 1 => {
-                let m = Raid5Conventional::new(params).map_err(model)?;
-                let solved = m.solve().map_err(model)?;
-                (
-                    solved.unavailability(),
-                    Some(m.mttdl_hours().map_err(model)?),
-                    None,
-                    None,
-                    None,
-                    CounterSnapshot::default(),
-                )
-            }
-            (_, Policy::Conventional) => {
-                let m = GenericKofN::new(params).map_err(model)?;
-                let solved = m.solve().map_err(model)?;
-                (
-                    solved.unavailability(),
-                    Some(m.mttdl_hours().map_err(model)?),
-                    None,
-                    None,
-                    None,
-                    CounterSnapshot::default(),
-                )
-            }
+        match estimate(scenario, cell, cancel).map_err(model)? {
+            Estimate::Exact {
+                unavailability,
+                mttdl_hours,
+            } => (
+                unavailability,
+                Some(mttdl_hours),
+                None,
+                None,
+                None,
+                CounterSnapshot::default(),
+            ),
+            Estimate::Array(est) => (
+                est.unavailability(),
+                None,
+                Some(est.availability.half_width),
+                None,
+                Some((est.p_data_loss.mean, est.nomdl_per_tb)),
+                est.counters,
+            ),
+            Estimate::Fleet(est, spec) => (
+                est.array_unavailability(),
+                None,
+                Some(est.availability.half_width),
+                spec.failover().map(|_| est.credited_array_unavailability()),
+                Some((est.p_data_loss.mean, est.nomdl_per_tb)),
+                est.counters,
+            ),
         };
+    // The loss columns report only under an [lse] section so plain
+    // campaigns keep their byte-stable layout.
+    let loss = loss.filter(|_| scenario.lse.is_some());
 
     let volume = match scenario.capacity {
         Some(cap) => {
@@ -432,77 +391,107 @@ pub fn run_cell_cancellable(
     })
 }
 
-/// Runs the Monte-Carlo backend for one cell; single-threaded internally
-/// by default (campaign parallelism is across cells; `[mc] threads`
-/// overrides, bit-identically). With a `[fleet]` section the
-/// cell runs the fleet engine and reports its per-array unavailability;
-/// the third slot carries the DR-credited unavailability when the fleet
-/// has a `failover_capacity` coupling; the fourth slot is the
-/// `(p_data_loss, nomdl_per_tb)` pair, which [`run_cell`] surfaces only
-/// under an `[lse]` section (the fail-back rate defaults to the
-/// disk-change rate: switching back is an operator-driven swap action).
-type McCellEstimate = (f64, f64, Option<f64>, (f64, f64), CounterSnapshot);
+/// The full answer of one cell's engine, before it is flattened into a
+/// report row. The CLI prints from it directly (ESS, the degraded
+/// histogram, the DR books), so the model dispatch lives only here.
+#[derive(Debug, Clone)]
+pub enum Estimate {
+    /// An exact chain's steady state.
+    Exact {
+        /// Steady-state unavailability (sum of down-state probabilities).
+        unavailability: f64,
+        /// Mean time to data loss, hours.
+        mttdl_hours: f64,
+    },
+    /// A single-array Monte-Carlo engine's estimate.
+    Array(Box<AvailabilityEstimate>),
+    /// The fleet engine's estimate, with the fleet it simulated.
+    Fleet(Box<FleetEstimate>, FleetSpec),
+}
 
-fn mc_estimate(
-    mc: McSettings,
-    fleet: Option<FleetSettings>,
-    policy: Policy,
-    params: ModelParams,
-    seed: u64,
-    telemetry: bool,
+/// Runs one cell with the scenario's solver backend and returns the
+/// engine's full estimate. Monte-Carlo cells run single-threaded unless
+/// `[mc] threads` says otherwise (a speed knob only: bit-identical at any
+/// count). With a `[fleet]` section the cell runs the fleet engine; an
+/// omitted `failback_rate` defaults to the disk-change rate (switching
+/// back is an operator-driven swap action).
+///
+/// # Errors
+/// The model's error (including [`CoreError::DeadlineExpired`] when
+/// `cancel` trips).
+pub fn estimate(
+    scenario: &Scenario,
+    cell: &Cell,
     cancel: Option<&CancelToken>,
-) -> availsim_core::Result<McCellEstimate> {
-    let config = McConfig {
-        iterations: mc.iterations,
-        horizon_hours: mc.horizon_hours,
-        seed,
-        confidence: mc.confidence,
-        // `[mc] threads` (default 1: campaign parallelism is across
-        // cells). Thread count never changes a result bit, so this is a
-        // speed knob only; 0 means the machine's available parallelism.
-        threads: mc.threads,
-        variance: mc.variance,
-        telemetry,
-    };
-    if let Some(fleet) = fleet {
-        // Scenario validation already restricts fleets to the
-        // conventional policy and naive sampling.
-        let arrays = u32::try_from(fleet.arrays).map_err(|_| {
-            CoreError::InvalidParameter(format!("fleet arrays {} is too large", fleet.arrays))
-        })?;
-        let mut spec = FleetSpec::new(arrays, params.geometry).map_err(CoreError::Storage)?;
-        if let Some(crews) = fleet.repairmen {
-            let crews = u32::try_from(crews).map_err(|_| {
-                CoreError::InvalidParameter(format!("fleet repairmen {crews} is too large"))
-            })?;
-            spec = spec.with_repairmen(crews).map_err(CoreError::Storage)?;
-        }
-        let failover = fleet.failover(params.disk_change_rate);
-        if let Some(f) = failover {
-            spec = spec.with_failover(f).map_err(CoreError::Storage)?;
-        }
-        let est = FleetMc::new(spec, params)?
-            .with_coupling(fleet.coupling())?
-            .run_with_cancel(&config, cancel)?;
-        return Ok((
-            est.array_unavailability(),
-            est.availability.half_width,
-            failover.map(|_| est.credited_array_unavailability()),
-            (est.p_data_loss.mean, est.nomdl_per_tb),
-            est.counters,
-        ));
+) -> availsim_core::Result<Estimate> {
+    let hep = Hep::new(cell.hep).map_err(CoreError::Hra)?;
+    let mut params = ModelParams::paper_defaults(cell.raid, cell.lambda, hep)?;
+    if let Some(lse) = scenario.lse {
+        // Scenario validation already restricts live rates to the MC
+        // engines and the generic chain; a zero rate is a bit-identical
+        // no-op everywhere.
+        params = params.with_scrubbing(lse.model());
     }
-    let est = match policy {
-        Policy::Conventional => ConventionalMc::new(params)?.run_with_cancel(&config, cancel)?,
-        Policy::Failover => FailOverMc::new(params)?.run_with_cancel(&config, cancel)?,
+    let exact = |solved: availsim_core::Result<SolvedChain>, mttdl| {
+        Ok(Estimate::Exact {
+            unavailability: solved?.unavailability(),
+            mttdl_hours: mttdl?,
+        })
     };
-    Ok((
-        est.unavailability(),
-        est.availability.half_width,
-        None,
-        (est.p_data_loss.mean, est.nomdl_per_tb),
-        est.counters,
-    ))
+    match (scenario.model, cell.policy) {
+        (ModelKind::Mc, policy) => {
+            let config = McConfig {
+                iterations: scenario.mc.iterations,
+                horizon_hours: scenario.mc.horizon_hours,
+                seed: cell.seed,
+                confidence: scenario.mc.confidence,
+                threads: scenario.mc.threads,
+                variance: scenario.mc.variance,
+                telemetry: scenario.telemetry.enabled(),
+            };
+            let Some(fleet) = scenario.fleet else {
+                return Ok(Estimate::Array(Box::new(match policy {
+                    Policy::Conventional => {
+                        ConventionalMc::new(params)?.run_with_cancel(&config, cancel)?
+                    }
+                    Policy::Failover => {
+                        FailOverMc::new(params)?.run_with_cancel(&config, cancel)?
+                    }
+                })));
+            };
+            // Scenario validation already bounds the counts to u32 and
+            // restricts fleets to the conventional policy and naive
+            // sampling.
+            let count = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+            let mut spec = FleetSpec::new(count(fleet.arrays), params.geometry)?;
+            if let Some(crews) = fleet.repairmen {
+                spec = spec.with_repairmen(count(crews))?;
+            }
+            if let Some(failover) = fleet.failover(params.disk_change_rate) {
+                spec = spec.with_failover(failover)?;
+            }
+            let est = FleetMc::new(spec, params)?
+                .with_coupling(fleet.coupling())?
+                .run_with_cancel(&config, cancel)?;
+            Ok(Estimate::Fleet(Box::new(est), spec))
+        }
+        (_, Policy::Failover) => {
+            let m = Raid5FailOver::new(params)?;
+            exact(m.solve(), m.mttdl_hours())
+        }
+        // The Fig. 2 chain models single-fault-tolerant arrays; the
+        // generic k-of-n chain takes every other conventional cell.
+        (model, Policy::Conventional)
+            if model != ModelKind::GenericKofN && cell.raid.fault_tolerance() == 1 =>
+        {
+            let m = Raid5Conventional::new(params)?;
+            exact(m.solve(), m.mttdl_hours())
+        }
+        (_, Policy::Conventional) => {
+            let m = GenericKofN::new(params)?;
+            exact(m.solve(), m.mttdl_hours())
+        }
+    }
 }
 
 #[cfg(test)]

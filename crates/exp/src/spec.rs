@@ -1,4 +1,5 @@
-//! Campaign specifications and the spec-file parser.
+//! Campaign specifications, the spec-file parser, and the scenario builder
+//! behind every front door.
 //!
 //! A campaign spec is a small, line-oriented text format (no external
 //! parser dependencies — the build environment is offline):
@@ -55,8 +56,14 @@
 //!
 //! Recognised axes are `lambda` (disk failure rate per hour), `hep`
 //! (human error probability), `raid` (geometry labels `r1`, `r5-K`,
-//! `r6-K`), and `policy` (`conventional` | `failover`, overriding the
-//! model's default replacement discipline per cell).
+//! `r6-K`; `model = mc` takes single-fault-tolerant ones only), and
+//! `policy` (`conventional` | `failover`, overriding the model's default
+//! replacement discipline per cell).
+//!
+//! The spec, the CLI flags and the serve JSON all feed `(section.key,
+//! value, origin)` pairs to one [`ScenarioBuilder`], which owns every
+//! rule; its errors read `<origin>: <message>`, the origin being a spec
+//! line, a flag, or a JSON path.
 
 use crate::error::{ExpError, Result};
 use availsim_core::mc::{DomainFailures, FleetCoupling, McVariance};
@@ -307,9 +314,9 @@ pub struct LseSettings {
 }
 
 impl LseSettings {
-    /// The exposure model these settings describe. Infallible: the parser
-    /// and [`Scenario::validate`] enforce [`ScrubbingModel::new`]'s
-    /// invariants before a campaign runs.
+    /// The exposure model these settings describe. Infallible: the
+    /// [`ScenarioBuilder`] and [`Scenario::validate`] enforce
+    /// [`ScrubbingModel::new`]'s invariants before a campaign runs.
     pub fn model(&self) -> ScrubbingModel {
         ScrubbingModel {
             lse_rate: self.lse_rate,
@@ -468,756 +475,670 @@ pub fn parse_geometry(name: &str) -> Result<RaidGeometry> {
     parse_geometry_label(name).map_err(ExpError::InvalidSpec)
 }
 
-/// One parsed `key = value` line, with the raw value split into list items.
-struct Entry {
-    line: usize,
-    key: String,
-    items: Vec<String>,
-    is_list: bool,
+/// Where one scenario value came from. Every [`ScenarioBuilder`] error is
+/// prefixed with it: `spec line 7: …`, `--bias: …`, `fleet.arrays: …`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Origin {
+    /// A campaign-spec line (1-based; 0 for file-level problems).
+    Line(usize),
+    /// A command-line flag, named without its leading dashes.
+    Flag(&'static str),
+    /// A path into a JSON query, such as `fleet.arrays`.
+    Json(&'static str),
 }
 
-fn parse_err(line: usize, message: impl Into<String>) -> ExpError {
+impl fmt::Display for Origin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Origin::Line(0) => f.write_str("spec"),
+            Origin::Line(line) => write!(f, "spec line {line}"),
+            Origin::Flag(flag) => write!(f, "--{flag}"),
+            Origin::Json(path) => f.write_str(path),
+        }
+    }
+}
+
+fn parse_err(origin: Origin, message: impl Into<String>) -> ExpError {
     ExpError::Parse {
-        line,
+        origin,
         message: message.into(),
     }
 }
 
-/// Splits a raw value into items: `[a, b, c]` becomes three items, a bare
-/// scalar becomes one.
-fn split_value(line: usize, raw: &str) -> Result<(Vec<String>, bool)> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Err(parse_err(line, "empty value"));
+/// The keys given to a builder, with their origins, in arrival order. A
+/// rule's error blames the first given key of the ones it names (a name
+/// ending in `.` matches a whole section); a hand-built scenario has none,
+/// so its errors read `invalid campaign: …`.
+struct Given<'a>(&'a [(String, Origin)]);
+
+impl Given<'_> {
+    fn origin(&self, key: &str) -> Option<&Origin> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key || (key.ends_with('.') && k.starts_with(key)))
+            .map(|(_, origin)| origin)
     }
-    if let Some(inner) = raw.strip_prefix('[') {
-        let inner = inner
-            .strip_suffix(']')
-            .ok_or_else(|| parse_err(line, "unterminated list (missing `]`)"))?;
-        let mut items: Vec<&str> = inner.split(',').map(str::trim).collect();
-        // Tolerate exactly one trailing comma: `[a, b,]`.
-        if items.len() > 1 && items.last().is_some_and(|s| s.is_empty()) {
-            items.pop();
+
+    fn has(&self, key: &str) -> bool {
+        self.origin(key).is_some()
+    }
+
+    fn err(&self, keys: &[&str], message: impl Into<String>) -> ExpError {
+        match keys.iter().find_map(|k| self.origin(k)) {
+            Some(origin) => parse_err(origin.clone(), message),
+            None => ExpError::InvalidSpec(message.into()),
         }
-        if items.len() == 1 && items[0].is_empty() {
-            return Err(parse_err(line, "empty list"));
-        }
-        // An interior empty item is a typo (a value deleted mid-edit), not
-        // something to silently shrink the grid over.
-        if items.iter().any(|s| s.is_empty()) {
-            return Err(parse_err(
-                line,
-                "empty list item (doubled, leading, or repeated trailing comma)",
-            ));
-        }
-        Ok((items.into_iter().map(String::from).collect(), true))
-    } else if raw.contains(']') {
-        Err(parse_err(line, "unexpected `]` outside a list"))
-    } else {
-        Ok((vec![raw.to_string()], false))
     }
 }
 
-fn parse_f64(line: usize, key: &str, s: &str) -> Result<f64> {
+fn number(key: &str, s: &str) -> std::result::Result<f64, String> {
     s.parse::<f64>()
         .ok()
         .filter(|v| v.is_finite())
-        .ok_or_else(|| parse_err(line, format!("`{key}` expects a finite number, got `{s}`")))
+        .ok_or_else(|| format!("`{key}` expects a finite number, got `{s}`"))
 }
 
-fn parse_u64(line: usize, key: &str, s: &str) -> Result<u64> {
-    s.parse::<u64>().map_err(|_| {
-        parse_err(
-            line,
-            format!("`{key}` expects an unsigned integer, got `{s}`"),
-        )
-    })
+fn count(key: &str, s: &str) -> std::result::Result<u64, String> {
+    s.parse::<u64>()
+        .map_err(|_| format!("`{key}` expects an unsigned integer, got `{s}`"))
 }
 
-fn scalar(e: &Entry) -> Result<&str> {
-    if e.is_list || e.items.len() != 1 {
-        return Err(parse_err(
-            e.line,
-            format!("`{}` expects a single value, not a list", e.key),
-        ));
+/// The scheme name `mc.variance` spells for a variance.
+fn scheme(variance: McVariance) -> &'static str {
+    match variance {
+        McVariance::Naive => "naive",
+        McVariance::FailureBiasing { .. } => "failure-biasing",
+        McVariance::Splitting { .. } => "splitting",
     }
-    Ok(&e.items[0])
 }
 
-/// Combines the `[mc]` variance keys into a [`McVariance`], rejecting
-/// tuning keys that do not belong to the selected scheme (a `bias` under
-/// `splitting` is a spec mistake, not something to ignore).
-fn combine_variance(
-    name: Option<(usize, String)>,
-    bias: Option<(usize, f64)>,
-    levels: Option<(usize, u64)>,
-    effort: Option<(usize, u64)>,
-) -> Result<McVariance> {
-    let (line, name) = match name {
-        Some((line, name)) => (line, name),
-        None => {
-            let orphan = [
-                bias.map(|(l, _)| (l, "bias")),
-                levels.map(|(l, _)| (l, "levels")),
-                effort.map(|(l, _)| (l, "effort")),
-            ]
-            .into_iter()
-            .flatten()
-            .next();
-            if let Some((l, key)) = orphan {
-                return Err(parse_err(
-                    l,
-                    format!("`{key}` requires a `variance` key in [mc]"),
-                ));
+/// Builds the one validated [`Scenario`] from `(key, value, origin)` pairs.
+///
+/// Keys are the spec's `section.key` names (`axes.lambda`, `mc.bias`,
+/// `fleet.failover_policy`, `lse.scrub_interval`); values are text in the
+/// spec's spelling. Each front door only turns its syntax into pairs — the
+/// spec tokenizer ([`Scenario::parse`]), the CLI flag table, the serve JSON
+/// walker — and every parse, range and cross-key rule lives here, each with
+/// one message, prefixed by the [`Origin`] of the value it blames.
+#[derive(Debug, Clone)]
+pub struct ScenarioBuilder {
+    scenario: Scenario,
+    given: Vec<(String, Origin)>,
+    // Keys that combine only once every pair is in.
+    bias: Option<f64>,
+    levels: Option<u32>,
+    effort: Option<u64>,
+    lse_rate: Option<f64>,
+    scrub_interval: Option<f64>,
+}
+
+impl ScenarioBuilder {
+    /// A builder whose unset keys keep `base`'s values (each front door
+    /// has its own defaults).
+    pub fn new(base: Scenario) -> Self {
+        ScenarioBuilder {
+            scenario: base,
+            given: Vec::with_capacity(16),
+            bias: None,
+            levels: None,
+            effort: None,
+            lse_rate: None,
+            scrub_interval: None,
+        }
+    }
+
+    /// Sets one scalar key.
+    ///
+    /// # Errors
+    /// [`ExpError::Parse`] for an unknown key or a value that does not
+    /// parse.
+    pub fn set(&mut self, key: &str, value: &str, origin: Origin) -> Result<()> {
+        self.apply(key, &[value], false, origin)
+    }
+
+    /// Sets one key from a list value (`[a, b]`); only the axes and
+    /// `campaign.metrics` take lists.
+    ///
+    /// # Errors
+    /// As [`Self::set`], plus a list given to a scalar key.
+    pub fn set_list(&mut self, key: &str, items: &[&str], origin: Origin) -> Result<()> {
+        self.apply(key, items, true, origin)
+    }
+
+    fn apply(&mut self, key: &str, items: &[&str], list: bool, origin: Origin) -> Result<()> {
+        let fail = |message: String| parse_err(origin.clone(), message);
+        let one = || match items {
+            [value] if !list => Ok(*value),
+            _ => Err(fail(format!("`{key}` expects a single value, not a list"))),
+        };
+        let s = &mut self.scenario;
+        match key {
+            "campaign.name" => {
+                let name = one()?;
+                if !name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+                {
+                    return Err(fail("campaign name may only contain [A-Za-z0-9._-]".into()));
+                }
+                s.name = name.to_string();
             }
-            return Ok(McVariance::Naive);
-        }
-    };
-    let reject = |opt: Option<(usize, u64)>, key: &str, scheme: &str| -> Result<()> {
-        match opt {
-            Some((l, _)) => Err(parse_err(
-                l,
-                format!("`{key}` does not apply to `variance = {scheme}`"),
-            )),
-            None => Ok(()),
-        }
-    };
-    // Out-of-range values are reported against the offending tuning key's
-    // own line (falling back to the `variance` line for defaults).
-    let (variance, err_line) = match name.as_str() {
-        "naive" => {
-            if let Some((l, _)) = bias {
-                return Err(parse_err(l, "`bias` does not apply to `variance = naive`"));
+            "campaign.seed" => s.seed = count(key, one()?).map_err(fail)?,
+            "campaign.model" => {
+                let v = one()?;
+                s.model = ModelKind::parse(v).ok_or_else(|| {
+                    fail(format!(
+                        "unknown model `{v}` (use markov-conventional, markov-failover, \
+                         generic-k-of-n, mc)"
+                    ))
+                })?;
             }
-            reject(levels, "levels", "naive")?;
-            reject(effort, "effort", "naive")?;
-            (McVariance::Naive, line)
-        }
-        "failure-biasing" => {
-            reject(levels, "levels", "failure-biasing")?;
-            reject(effort, "effort", "failure-biasing")?;
-            (
-                McVariance::FailureBiasing {
-                    bias: bias.map_or(McVariance::DEFAULT_BIAS, |(_, b)| b),
-                },
-                bias.map_or(line, |(l, _)| l),
-            )
-        }
-        "splitting" => {
-            if let Some((l, _)) = bias {
-                return Err(parse_err(
-                    l,
-                    "`bias` does not apply to `variance = splitting`",
-                ));
+            "campaign.capacity" => s.capacity = Some(count(key, one()?).map_err(fail)?),
+            "campaign.metrics" => {
+                s.metrics = items
+                    .iter()
+                    .map(|m| Metric::parse(m).ok_or_else(|| fail(format!("unknown metric `{m}`"))))
+                    .collect::<Result<_>>()?;
             }
-            let lv = levels.map_or(u64::from(McVariance::DEFAULT_LEVELS), |(_, v)| v);
-            let variance = McVariance::Splitting {
-                levels: lv.min(u64::from(u32::MAX)) as u32,
-                effort: effort.map_or(McVariance::DEFAULT_EFFORT, |(_, v)| v),
-            };
-            // Blame the least-valid key: a bad levels value wins, then a
-            // bad effort value, then the `variance` line itself.
-            let err_line = if lv < 1 {
-                levels.map_or(line, |(l, _)| l)
-            } else {
-                effort.map_or(line, |(l, _)| l)
-            };
-            (variance, err_line)
+            "axes.lambda" | "axes.hep" => {
+                let axis = if key == "axes.lambda" {
+                    &mut s.lambda
+                } else {
+                    &mut s.hep
+                };
+                axis.clear();
+                for v in items {
+                    axis.push(number(key, v).map_err(fail)?);
+                }
+            }
+            "axes.raid" => {
+                s.raid.clear();
+                for g in items {
+                    s.raid.push(parse_geometry_label(g).map_err(fail)?);
+                }
+            }
+            "axes.policy" => {
+                s.policy = items
+                    .iter()
+                    .map(|p| {
+                        Policy::parse(p).ok_or_else(|| {
+                            fail(format!("unknown policy `{p}` (use conventional, failover)"))
+                        })
+                    })
+                    .collect::<Result<_>>()?;
+            }
+            "mc.iterations" => s.mc.iterations = count(key, one()?).map_err(fail)?,
+            "mc.horizon_hours" => s.mc.horizon_hours = number(key, one()?).map_err(fail)?,
+            "mc.confidence" => s.mc.confidence = number(key, one()?).map_err(fail)?,
+            "mc.variance" => {
+                s.mc.variance = match one()? {
+                    "naive" => McVariance::Naive,
+                    "failure-biasing" => McVariance::failure_biasing(),
+                    "splitting" => McVariance::splitting(),
+                    other => {
+                        return Err(fail(format!(
+                            "unknown variance `{other}` (use naive, failure-biasing, splitting)"
+                        )))
+                    }
+                };
+            }
+            "mc.bias" => self.bias = Some(number(key, one()?).map_err(fail)?),
+            "mc.levels" => {
+                let levels = count(key, one()?).map_err(fail)?;
+                self.levels = Some(
+                    u32::try_from(levels)
+                        .map_err(|_| fail(format!("mc levels {levels} is too large")))?,
+                );
+            }
+            "mc.effort" => self.effort = Some(count(key, one()?).map_err(fail)?),
+            "mc.threads" => {
+                // 0 is the documented "auto" spelling (machine parallelism).
+                let threads = count(key, one()?).map_err(fail)?;
+                s.mc.threads = usize::try_from(threads)
+                    .map_err(|_| fail(format!("mc threads {threads} is too large")))?;
+            }
+            "lse.lse_rate" => self.lse_rate = Some(number(key, one()?).map_err(fail)?),
+            "lse.scrub_interval" => self.scrub_interval = Some(number(key, one()?).map_err(fail)?),
+            "telemetry.metrics" => s.telemetry.metrics = Some(one()?.to_string()),
+            "telemetry.format" => {
+                let v = one()?;
+                s.telemetry.format = MetricsFormat::parse(v)
+                    .ok_or_else(|| fail(format!("unknown format `{v}` (use json, prom)")))?;
+            }
+            "telemetry.progress" => {
+                s.telemetry.progress = match one()? {
+                    "true" => true,
+                    "false" => false,
+                    other => {
+                        return Err(fail(format!(
+                            "`{key}` expects true or false, got `{other}`"
+                        )))
+                    }
+                };
+            }
+            _ if key.starts_with("fleet.") => {
+                let fleet = s.fleet.get_or_insert_with(FleetSettings::default);
+                match key {
+                    "fleet.arrays" => fleet.arrays = count(key, one()?).map_err(fail)?,
+                    "fleet.repairmen" => {
+                        fleet.repairmen = Some(count(key, one()?).map_err(fail)?);
+                    }
+                    "fleet.dependence" => {
+                        let v = one()?;
+                        fleet.dependence = DependenceLevel::parse(v).ok_or_else(|| {
+                            fail(format!(
+                                "unknown dependence `{v}` (use zero, low, moderate, high, complete)"
+                            ))
+                        })?;
+                    }
+                    "fleet.domain_arrays" => {
+                        fleet.domain_arrays = Some(count(key, one()?).map_err(fail)?);
+                    }
+                    "fleet.domain_rate" => {
+                        fleet.domain_rate = Some(number(key, one()?).map_err(fail)?);
+                    }
+                    "fleet.failover_capacity" => {
+                        let v = one()?;
+                        fleet.failover_capacity = Some(match v {
+                            "inf" => None,
+                            _ => Some(v.parse::<u64>().map_err(|_| {
+                                fail(format!(
+                                    "`{key}` expects an unsigned integer or `inf`, got `{v}`"
+                                ))
+                            })?),
+                        });
+                    }
+                    "fleet.failover_policy" => {
+                        let v = one()?;
+                        fleet.failover_policy = FailoverPolicy::parse(v).ok_or_else(|| {
+                            fail(format!("unknown failover policy `{v}` (use queue, loss)"))
+                        })?;
+                    }
+                    "fleet.failback_rate" => {
+                        fleet.failback_rate = Some(number(key, one()?).map_err(fail)?);
+                    }
+                    _ => return Err(unknown_key(key, origin)),
+                }
+            }
+            _ => return Err(unknown_key(key, origin)),
         }
-        other => {
-            return Err(parse_err(
-                line,
-                format!("unknown variance `{other}` (use naive, failure-biasing, splitting)"),
-            ))
+        self.given.push((key.to_string(), origin));
+        Ok(())
+    }
+
+    /// Combines the pairs into a scenario and applies every rule.
+    ///
+    /// # Errors
+    /// The first broken rule, prefixed with the origin of the value it
+    /// blames.
+    pub fn build(mut self) -> Result<Scenario> {
+        let s = &mut self.scenario;
+        match &mut s.mc.variance {
+            McVariance::Naive => {}
+            McVariance::FailureBiasing { bias } => *bias = self.bias.unwrap_or(*bias),
+            McVariance::Splitting { levels, effort } => {
+                *levels = self.levels.unwrap_or(*levels);
+                *effort = self.effort.unwrap_or(*effort);
+            }
         }
-    };
-    variance
-        .validate()
-        .map_err(|e| parse_err(err_line, e.to_string()))?;
-    Ok(variance)
+        if let (Some(lse_rate), Some(scrub_interval_hours)) = (self.lse_rate, self.scrub_interval) {
+            s.lse = Some(LseSettings {
+                lse_rate,
+                scrub_interval_hours,
+            });
+        }
+        let given = Given(&self.given);
+        s.check(&given)?;
+
+        // Rules about which keys were given together.
+        let variance = scheme(s.mc.variance);
+        for (key, needs) in [
+            ("mc.bias", "failure-biasing"),
+            ("mc.levels", "splitting"),
+            ("mc.effort", "splitting"),
+        ] {
+            if given.has(key) && variance != needs {
+                return Err(given.err(&[key], format!("`{key}` requires `mc.variance = {needs}`")));
+            }
+        }
+        if self.lse_rate.is_some() != self.scrub_interval.is_some() {
+            return Err(given.err(
+                &["lse."],
+                "`lse.lse_rate` and `lse.scrub_interval` must be set together",
+            ));
+        }
+        if s.fleet.is_some_and(|f| f.failover_capacity.is_none()) {
+            for key in ["fleet.failover_policy", "fleet.failback_rate"] {
+                if given.has(key) {
+                    return Err(given.err(
+                        &[key],
+                        format!("`{key}` requires `fleet.failover_capacity`"),
+                    ));
+                }
+            }
+        }
+        if given.has("telemetry.format") && s.telemetry.metrics.is_none() {
+            return Err(given.err(
+                &["telemetry.format"],
+                "`telemetry.format` requires a `telemetry.metrics` destination",
+            ));
+        }
+        Ok(self.scenario)
+    }
+}
+
+fn unknown_key(key: &str, origin: Origin) -> ExpError {
+    let (section, key) = key.split_once('.').unwrap_or(("", key));
+    parse_err(origin, format!("unknown key `{key}` in [{section}]"))
 }
 
 impl Scenario {
-    /// Parses a spec file's contents.
+    /// Parses a spec file's contents: the tokenizer (sections, lists,
+    /// comments, duplicate keys) feeds each `key = value` line to a
+    /// [`ScenarioBuilder`] as a `section.key` pair.
     ///
     /// # Errors
-    /// Returns [`ExpError::Parse`] with a 1-based line number for syntax
-    /// errors, unknown sections/keys, or out-of-range values, and
-    /// [`ExpError::InvalidSpec`] for semantic problems (e.g. a `capacity`
-    /// that no geometry tiles).
+    /// Returns [`ExpError::Parse`] with the offending 1-based line for
+    /// syntax errors and broken rules (line 0 for file-level problems),
+    /// and [`ExpError::InvalidSpec`] for rules that blame a key the file
+    /// never set.
     pub fn parse(text: &str) -> Result<Self> {
+        let mut builder = ScenarioBuilder::new(Scenario::default());
         let mut section: Option<String> = None;
-        let mut entries: Vec<(String, Entry)> = Vec::new();
+        let mut seen: Vec<String> = Vec::new();
         let mut saw_campaign = false;
-
         for (idx, raw_line) in text.lines().enumerate() {
-            let line = idx + 1;
-            let content = match raw_line.split_once('#') {
-                Some((before, _)) => before,
-                None => raw_line,
-            }
-            .trim();
+            let line = Origin::Line(idx + 1);
+            let content = raw_line
+                .split_once('#')
+                .map_or(raw_line, |(before, _)| before);
+            let content = content.trim();
             if content.is_empty() {
                 continue;
             }
             if let Some(name) = content.strip_prefix('[') {
                 let name = name
                     .strip_suffix(']')
-                    .ok_or_else(|| parse_err(line, "unterminated section header"))?
+                    .ok_or_else(|| parse_err(line.clone(), "unterminated section header"))?
                     .trim()
                     .to_ascii_lowercase();
-                match name.as_str() {
-                    "campaign" | "axes" | "mc" | "fleet" | "lse" | "telemetry" => {
-                        saw_campaign |= name == "campaign";
-                        section = Some(name);
-                    }
-                    other => {
-                        return Err(parse_err(
-                            line,
-                            format!(
-                                "unknown section `[{other}]` \
-                                 (use [campaign], [axes], [mc], [fleet], [lse], [telemetry])"
-                            ),
-                        ))
-                    }
+                if !["campaign", "axes", "mc", "fleet", "lse", "telemetry"].contains(&name.as_str())
+                {
+                    return Err(parse_err(
+                        line,
+                        format!(
+                            "unknown section `[{name}]` \
+                             (use [campaign], [axes], [mc], [fleet], [lse], [telemetry])"
+                        ),
+                    ));
                 }
+                saw_campaign |= name == "campaign";
+                section = Some(name);
                 continue;
             }
             let (key, value) = content.split_once('=').ok_or_else(|| {
-                parse_err(line, format!("expected `key = value`, got `{content}`"))
+                parse_err(
+                    line.clone(),
+                    format!("expected `key = value`, got `{content}`"),
+                )
             })?;
             let key = key.trim().to_ascii_lowercase();
             if key.is_empty() {
                 return Err(parse_err(line, "missing key before `=`"));
             }
-            let sec = section
-                .clone()
-                .ok_or_else(|| parse_err(line, "`key = value` before any [section] header"))?;
-            let (items, is_list) = split_value(line, value)?;
-            if entries.iter().any(|(s, e)| *s == sec && e.key == key) {
+            let sec = section.as_deref().ok_or_else(|| {
+                parse_err(line.clone(), "`key = value` before any [section] header")
+            })?;
+            let full = format!("{sec}.{key}");
+            if seen.contains(&full) {
                 return Err(parse_err(line, format!("duplicate key `{key}` in [{sec}]")));
             }
-            entries.push((
-                sec,
-                Entry {
-                    line,
-                    key,
-                    items,
-                    is_list,
-                },
-            ));
+            match split_value(&line, value)? {
+                Some(items) => builder.set_list(&full, &items, line)?,
+                None => builder.set(&full, value.trim(), line)?,
+            }
+            seen.push(full);
         }
-
         if !saw_campaign {
-            return Err(parse_err(0, "missing [campaign] section"));
+            return Err(parse_err(Origin::Line(0), "missing [campaign] section"));
         }
-
-        let mut scenario = Scenario::default();
-        // The variance keys combine after the scan (the tuning keys may
-        // appear before or after `variance` in the file).
-        let mut variance_name: Option<(usize, String)> = None;
-        let mut bias: Option<(usize, f64)> = None;
-        let mut levels: Option<(usize, u64)> = None;
-        let mut effort: Option<(usize, u64)> = None;
-        // `format` is checked after the scan: it is an error without a
-        // `metrics` destination, which may appear later in the section.
-        let mut metrics_format: Option<(usize, String)> = None;
-        // The failover keys are cross-checked after the scan (they need
-        // `arrays`, and the tuning keys need `failover_capacity`, either
-        // of which may appear later in the section).
-        let mut failover_capacity: Option<(usize, Option<u64>)> = None;
-        let mut failover_policy: Option<(usize, FailoverPolicy)> = None;
-        let mut failback_rate: Option<(usize, f64)> = None;
-        // The [lse] keys are cross-checked after the scan: they must come
-        // as a pair, and a live rate needs a model with LSE-aware rebuilds
-        // (which may be declared after the section).
-        let mut lse_rate: Option<(usize, f64)> = None;
-        let mut scrub_interval: Option<(usize, f64)> = None;
-
-        for (sec, e) in &entries {
-            match (sec.as_str(), e.key.as_str()) {
-                ("campaign", "name") => {
-                    scenario.name = scalar(e)?.to_string();
-                    if !scenario
-                        .name
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-                    {
-                        return Err(parse_err(
-                            e.line,
-                            "campaign name may only contain [A-Za-z0-9._-]",
-                        ));
-                    }
-                }
-                ("campaign", "seed") => scenario.seed = parse_u64(e.line, "seed", scalar(e)?)?,
-                ("campaign", "model") => {
-                    let s = scalar(e)?;
-                    scenario.model = ModelKind::parse(s).ok_or_else(|| {
-                        parse_err(
-                            e.line,
-                            format!(
-                                "unknown model `{s}` (use markov-conventional, markov-failover, \
-                                 generic-k-of-n, mc)"
-                            ),
-                        )
-                    })?;
-                }
-                ("campaign", "capacity") => {
-                    scenario.capacity = Some(parse_u64(e.line, "capacity", scalar(e)?)?);
-                }
-                ("campaign", "metrics") => {
-                    scenario.metrics = e
-                        .items
-                        .iter()
-                        .map(|s| {
-                            Metric::parse(s)
-                                .ok_or_else(|| parse_err(e.line, format!("unknown metric `{s}`")))
-                        })
-                        .collect::<Result<_>>()?;
-                }
-                ("axes", "lambda") => {
-                    scenario.lambda = e
-                        .items
-                        .iter()
-                        .map(|s| parse_f64(e.line, "lambda", s))
-                        .collect::<Result<_>>()?;
-                }
-                ("axes", "hep") => {
-                    scenario.hep = e
-                        .items
-                        .iter()
-                        .map(|s| parse_f64(e.line, "hep", s))
-                        .collect::<Result<_>>()?;
-                }
-                ("axes", "raid") => {
-                    scenario.raid = e
-                        .items
-                        .iter()
-                        .map(|s| parse_geometry(s))
-                        .collect::<Result<_>>()?;
-                }
-                ("axes", "policy") => {
-                    scenario.policy = e
-                        .items
-                        .iter()
-                        .map(|s| {
-                            Policy::parse(s).ok_or_else(|| {
-                                parse_err(
-                                    e.line,
-                                    format!("unknown policy `{s}` (use conventional, failover)"),
-                                )
-                            })
-                        })
-                        .collect::<Result<_>>()?;
-                }
-                ("mc", "iterations") => {
-                    scenario.mc.iterations = parse_u64(e.line, "iterations", scalar(e)?)?;
-                }
-                ("mc", "horizon_hours") => {
-                    scenario.mc.horizon_hours = parse_f64(e.line, "horizon_hours", scalar(e)?)?;
-                }
-                ("mc", "confidence") => {
-                    scenario.mc.confidence = parse_f64(e.line, "confidence", scalar(e)?)?;
-                }
-                ("mc", "variance") => {
-                    variance_name = Some((e.line, scalar(e)?.to_string()));
-                }
-                ("mc", "bias") => {
-                    bias = Some((e.line, parse_f64(e.line, "bias", scalar(e)?)?));
-                }
-                ("mc", "levels") => {
-                    levels = Some((e.line, parse_u64(e.line, "levels", scalar(e)?)?));
-                }
-                ("mc", "effort") => {
-                    effort = Some((e.line, parse_u64(e.line, "effort", scalar(e)?)?));
-                }
-                ("mc", "threads") => {
-                    // 0 is the documented "auto" spelling (machine
-                    // parallelism) — the same contract as `--threads 0`.
-                    let threads = parse_u64(e.line, "threads", scalar(e)?)?;
-                    scenario.mc.threads = usize::try_from(threads).map_err(|_| {
-                        parse_err(e.line, format!("mc threads {threads} is too large"))
-                    })?;
-                }
-                ("fleet", "arrays") => {
-                    let arrays = parse_u64(e.line, "arrays", scalar(e)?)?;
-                    if arrays == 0 {
-                        return Err(parse_err(e.line, "fleet needs at least one array"));
-                    }
-                    scenario.fleet.get_or_insert_with(Default::default).arrays = arrays;
-                }
-                ("fleet", "repairmen") => {
-                    let crews = parse_u64(e.line, "repairmen", scalar(e)?)?;
-                    if crews == 0 {
-                        return Err(parse_err(
-                            e.line,
-                            "fleet needs at least one repair crew \
-                             (omit `repairmen` for an unlimited pool)",
-                        ));
-                    }
-                    scenario
-                        .fleet
-                        .get_or_insert_with(Default::default)
-                        .repairmen = Some(crews);
-                }
-                ("fleet", "dependence") => {
-                    let raw = scalar(e)?;
-                    let level = DependenceLevel::parse(raw).ok_or_else(|| {
-                        parse_err(
-                            e.line,
-                            format!(
-                                "unknown dependence `{raw}` \
-                                 (use zero, low, moderate, high, complete)"
-                            ),
-                        )
-                    })?;
-                    scenario
-                        .fleet
-                        .get_or_insert_with(Default::default)
-                        .dependence = level;
-                }
-                ("fleet", "domain_arrays") => {
-                    let arrays = parse_u64(e.line, "domain_arrays", scalar(e)?)?;
-                    if arrays == 0 {
-                        return Err(parse_err(
-                            e.line,
-                            "failure domain needs at least one array per shelf",
-                        ));
-                    }
-                    scenario
-                        .fleet
-                        .get_or_insert_with(Default::default)
-                        .domain_arrays = Some(arrays);
-                }
-                ("fleet", "domain_rate") => {
-                    let rate = parse_f64(e.line, "domain_rate", scalar(e)?)?;
-                    if !(rate.is_finite() && rate > 0.0) {
-                        return Err(parse_err(
-                            e.line,
-                            format!("domain failure rate must be positive and finite, got {rate}"),
-                        ));
-                    }
-                    scenario
-                        .fleet
-                        .get_or_insert_with(Default::default)
-                        .domain_rate = Some(rate);
-                }
-                ("fleet", "failover_capacity") => {
-                    let raw = scalar(e)?;
-                    let cap = if raw == "inf" {
-                        None
-                    } else {
-                        let v = parse_u64(e.line, "failover_capacity", raw)?;
-                        if v == 0 {
-                            return Err(parse_err(
-                                e.line,
-                                "DR site needs at least one failover slot \
-                                 (use `inf` for an ideal site, or omit the key for none)",
-                            ));
-                        }
-                        if u32::try_from(v).is_err() {
-                            return Err(parse_err(
-                                e.line,
-                                format!("failover_capacity {v} is too large"),
-                            ));
-                        }
-                        Some(v)
-                    };
-                    failover_capacity = Some((e.line, cap));
-                }
-                ("fleet", "failover_policy") => {
-                    let raw = scalar(e)?;
-                    let policy = FailoverPolicy::parse(raw).ok_or_else(|| {
-                        parse_err(
-                            e.line,
-                            format!("unknown failover policy `{raw}` (use queue, loss)"),
-                        )
-                    })?;
-                    failover_policy = Some((e.line, policy));
-                }
-                ("fleet", "failback_rate") => {
-                    let rate = parse_f64(e.line, "failback_rate", scalar(e)?)?;
-                    if !(rate.is_finite() && rate > 0.0) {
-                        return Err(parse_err(
-                            e.line,
-                            format!("fail-back rate must be positive and finite, got {rate}"),
-                        ));
-                    }
-                    failback_rate = Some((e.line, rate));
-                }
-                ("lse", "lse_rate") => {
-                    let rate = parse_f64(e.line, "lse_rate", scalar(e)?)?;
-                    if rate < 0.0 {
-                        return Err(parse_err(
-                            e.line,
-                            format!("LSE rate must be nonnegative, got {rate}"),
-                        ));
-                    }
-                    lse_rate = Some((e.line, rate));
-                }
-                ("lse", "scrub_interval") => {
-                    let hours = parse_f64(e.line, "scrub_interval", scalar(e)?)?;
-                    if hours <= 0.0 {
-                        return Err(parse_err(
-                            e.line,
-                            format!("scrub interval must be positive, got {hours}"),
-                        ));
-                    }
-                    scrub_interval = Some((e.line, hours));
-                }
-                ("telemetry", "metrics") => {
-                    scenario.telemetry.metrics = Some(scalar(e)?.to_string());
-                }
-                ("telemetry", "format") => {
-                    metrics_format = Some((e.line, scalar(e)?.to_string()));
-                }
-                ("telemetry", "progress") => {
-                    let raw = scalar(e)?;
-                    scenario.telemetry.progress = match raw {
-                        "true" => true,
-                        "false" => false,
-                        _ => {
-                            return Err(parse_err(
-                                e.line,
-                                format!("`progress` expects true or false, got `{raw}`"),
-                            ))
-                        }
-                    };
-                }
-                (sec, key) => {
-                    return Err(parse_err(e.line, format!("unknown key `{key}` in [{sec}]")));
-                }
-            }
-        }
-
-        scenario.mc.variance = combine_variance(variance_name, bias, levels, effort)?;
-        if let Some((line, raw)) = metrics_format {
-            if scenario.telemetry.metrics.is_none() {
-                return Err(parse_err(
-                    line,
-                    "`format` requires a `metrics` destination in [telemetry]",
-                ));
-            }
-            scenario.telemetry.format = MetricsFormat::parse(&raw).ok_or_else(|| {
-                parse_err(line, format!("unknown format `{raw}` (use json, prom)"))
-            })?;
-        }
-        if let Some((line, cap)) = failover_capacity {
-            let fleet = scenario.fleet.get_or_insert_with(Default::default);
-            if fleet.arrays == 0 {
-                return Err(parse_err(
-                    line,
-                    "`failover_capacity` requires `arrays` in [fleet]",
-                ));
-            }
-            fleet.failover_capacity = Some(cap);
-            if let Some((_, policy)) = failover_policy {
-                fleet.failover_policy = policy;
-            }
-            if let Some((_, rate)) = failback_rate {
-                fleet.failback_rate = Some(rate);
-            }
-        } else {
-            let orphan = [
-                failover_policy.map(|(l, _)| (l, "failover_policy")),
-                failback_rate.map(|(l, _)| (l, "failback_rate")),
-            ]
-            .into_iter()
-            .flatten()
-            .next();
-            if let Some((l, key)) = orphan {
-                return Err(parse_err(
-                    l,
-                    format!("`{key}` requires a `failover_capacity` key in [fleet]"),
-                ));
-            }
-        }
-        match (lse_rate, scrub_interval) {
-            (None, None) => {}
-            (Some((rate_line, rate)), Some((_, hours))) => {
-                scenario.lse = Some(LseSettings {
-                    lse_rate: rate,
-                    scrub_interval_hours: hours,
-                });
-                // A live rate needs an engine with LSE-aware rebuilds; the
-                // Fig. 3 chain and the fail-over engine reject latent
-                // sector errors rather than silently ignore them.
-                if rate > 0.0 {
-                    if let Some(problem) = scenario.lse_support_problem() {
-                        return Err(parse_err(rate_line, problem));
-                    }
-                }
-            }
-            (Some((line, _)), None) | (None, Some((line, _))) => {
-                return Err(parse_err(
-                    line,
-                    "`lse_rate` and `scrub_interval` must be set together in [lse]",
-                ));
-            }
-        }
-        scenario.validate()?;
-        Ok(scenario)
+        builder.build()
     }
 
-    /// Semantic validation of a (parsed or hand-built) scenario.
+    /// Semantic validation of a (parsed or hand-built) scenario: every
+    /// rule of [`ScenarioBuilder::build`] that reads values rather than
+    /// which keys were given.
     ///
     /// # Errors
     /// Returns [`ExpError::InvalidSpec`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
+        self.check(&Given(&[]))
+    }
+
+    fn check(&self, given: &Given<'_>) -> Result<()> {
+        // Ranges of single values.
         if self.name.is_empty() {
-            return Err(ExpError::InvalidSpec("campaign name is empty".into()));
+            return Err(given.err(&["campaign.name"], "campaign name is empty"));
         }
         if self.lambda.is_empty() || self.hep.is_empty() || self.raid.is_empty() {
             return Err(ExpError::InvalidSpec(
                 "every axis needs at least one value".into(),
             ));
         }
-        for &l in &self.lambda {
-            if !(l.is_finite() && l > 0.0) {
-                return Err(ExpError::InvalidSpec(format!(
-                    "lambda values must be positive, got {l}"
-                )));
-            }
+        if let Some(&l) = self.lambda.iter().find(|l| !(l.is_finite() && **l > 0.0)) {
+            return Err(given.err(
+                &["axes.lambda"],
+                format!("lambda values must be positive, got {l}"),
+            ));
         }
         for &h in &self.hep {
             // Hep::new enforces [0, 1]; the repairable chains additionally
             // need hep < 1, which the models report at run time.
-            Hep::new(h)?;
+            Hep::new(h).map_err(|e| given.err(&["axes.hep"], e.to_string()))?;
         }
+        if self.model == ModelKind::Mc {
+            let mc = &self.mc;
+            if mc.iterations < 2 {
+                return Err(given.err(&["mc.iterations"], "mc iterations must be at least 2"));
+            }
+            if !(mc.horizon_hours.is_finite() && mc.horizon_hours > 0.0) {
+                return Err(given.err(
+                    &["mc.horizon_hours"],
+                    format!(
+                        "mc horizon_hours must be positive, got {}",
+                        mc.horizon_hours
+                    ),
+                ));
+            }
+            if !(mc.confidence > 0.0 && mc.confidence < 1.0) {
+                return Err(given.err(
+                    &["mc.confidence"],
+                    format!("mc confidence must be in (0,1), got {}", mc.confidence),
+                ));
+            }
+        }
+        if let Err(e) = self.mc.variance.validate() {
+            // Blame the least-valid tuning key, then the `variance` key.
+            let key = match self.mc.variance {
+                McVariance::Splitting { levels: 0, .. } => "mc.levels",
+                McVariance::Splitting { .. } => "mc.effort",
+                _ => "mc.bias",
+            };
+            return Err(given.err(&[key, "mc.variance"], e.to_string()));
+        }
+        if let Some(fleet) = self.fleet {
+            if fleet.repairmen == Some(0) {
+                return Err(given.err(
+                    &["fleet.repairmen"],
+                    "fleet needs at least one repair crew \
+                     (omit `fleet.repairmen` for an unlimited pool)",
+                ));
+            }
+            if let Some(crews) = fleet.repairmen.filter(|&c| u32::try_from(c).is_err()) {
+                return Err(given.err(
+                    &["fleet.repairmen"],
+                    format!("fleet repairmen {crews} is too large"),
+                ));
+            }
+            if fleet.domain_arrays == Some(0) {
+                return Err(given.err(
+                    &["fleet.domain_arrays"],
+                    "failure domain needs at least one array per shelf",
+                ));
+            }
+            if let Some(rate) = fleet.domain_rate.filter(|r| !(r.is_finite() && *r > 0.0)) {
+                return Err(given.err(
+                    &["fleet.domain_rate"],
+                    format!("domain failure rate must be positive and finite, got {rate}"),
+                ));
+            }
+            match fleet.failover_capacity {
+                Some(Some(0)) => {
+                    return Err(given.err(
+                        &["fleet.failover_capacity"],
+                        "DR site needs at least one failover slot (use `inf` for an ideal \
+                         site, or omit `fleet.failover_capacity` for none)",
+                    ))
+                }
+                Some(Some(v)) if u32::try_from(v).is_err() => {
+                    return Err(given.err(
+                        &["fleet.failover_capacity"],
+                        format!("fleet failover_capacity {v} is too large"),
+                    ))
+                }
+                _ => {}
+            }
+            if let Some(rate) = fleet.failback_rate.filter(|r| !(r.is_finite() && *r > 0.0)) {
+                return Err(given.err(
+                    &["fleet.failback_rate"],
+                    format!("fail-back rate must be positive and finite, got {rate}"),
+                ));
+            }
+        }
+        if let Some(lse) = self.lse {
+            if !(lse.lse_rate.is_finite() && lse.lse_rate >= 0.0) {
+                return Err(given.err(
+                    &["lse.lse_rate"],
+                    format!("LSE rate must be nonnegative, got {}", lse.lse_rate),
+                ));
+            }
+            if !(lse.scrub_interval_hours.is_finite() && lse.scrub_interval_hours > 0.0) {
+                return Err(given.err(
+                    &["lse.scrub_interval"],
+                    format!(
+                        "scrub interval must be positive, got {}",
+                        lse.scrub_interval_hours
+                    ),
+                ));
+            }
+        }
+
+        // Rules across keys.
         if let Some(cap) = self.capacity {
             for g in &self.raid {
-                g.arrays_for_usable_capacity(cap)?;
+                g.arrays_for_usable_capacity(cap)
+                    .map_err(|e| given.err(&["campaign.capacity"], e.to_string()))?;
             }
         }
         // An explicitly requested metric the run can never fill would
         // produce an all-blank report column; reject it up front.
         for &m in &self.metrics {
-            match m {
+            let problem = match m {
                 Metric::Volume if self.capacity.is_none() => {
-                    return Err(ExpError::InvalidSpec(
-                        "metric `volume` requires `capacity` to be set".into(),
-                    ));
+                    "metric `volume` requires `capacity` to be set"
                 }
                 Metric::Mttdl if self.model == ModelKind::Mc => {
-                    return Err(ExpError::InvalidSpec(
-                        "metric `mttdl` is not produced by the mc model".into(),
-                    ));
+                    "metric `mttdl` is not produced by the mc model"
                 }
                 Metric::CiHalfWidth if self.model != ModelKind::Mc => {
-                    return Err(ExpError::InvalidSpec(
-                        "metric `ci-half-width` requires `model = mc`".into(),
-                    ));
+                    "metric `ci-half-width` requires `model = mc`"
                 }
-                _ => {}
+                _ => continue,
+            };
+            return Err(given.err(&["campaign.metrics"], problem));
+        }
+        let failover = self.runs_failover();
+        if self.model == ModelKind::Mc {
+            // The Monte-Carlo engines replay the single-fault Fig. 2 and
+            // Fig. 3 chains whatever the geometry.
+            if let Some(g) = self.raid.iter().find(|g| g.fault_tolerance() != 1) {
+                return Err(given.err(
+                    &["axes.raid"],
+                    format!(
+                        "model `mc` simulates single-fault-tolerant arrays only, got {} \
+                         (use markov-conventional or generic-k-of-n)",
+                        g.label()
+                    ),
+                ));
             }
-        }
-        if self.model == ModelKind::Mc && self.mc.iterations < 2 {
-            return Err(ExpError::InvalidSpec(
-                "mc iterations must be at least 2".into(),
-            ));
-        }
-        if self.model == ModelKind::Mc
-            && !(self.mc.horizon_hours.is_finite() && self.mc.horizon_hours > 0.0)
-        {
-            return Err(ExpError::InvalidSpec(format!(
-                "mc horizon_hours must be positive, got {}",
-                self.mc.horizon_hours
-            )));
-        }
-        if self.model == ModelKind::Mc && !(self.mc.confidence > 0.0 && self.mc.confidence < 1.0) {
-            return Err(ExpError::InvalidSpec(format!(
-                "mc confidence must be in (0,1), got {}",
-                self.mc.confidence
-            )));
-        }
-        if self.model == ModelKind::Mc
-            && matches!(self.mc.variance, McVariance::Splitting { .. })
-            && self.effective_policies().contains(&Policy::Failover)
-        {
-            return Err(ExpError::InvalidSpec(
-                "variance = splitting applies to the conventional policy only \
-                 (the fail-over chain is fully exponential; use failure-biasing)"
-                    .into(),
-            ));
+            if failover && matches!(self.mc.variance, McVariance::Splitting { .. }) {
+                return Err(given.err(
+                    &["mc.variance", "axes.policy"],
+                    "variance = splitting applies to the conventional policy only \
+                     (the fail-over chain is fully exponential; use failure-biasing)",
+                ));
+            }
         }
         if let Some(fleet) = self.fleet {
             if self.model != ModelKind::Mc {
-                return Err(ExpError::InvalidSpec(
+                return Err(given.err(
+                    &["fleet.", "campaign.model"],
                     "[fleet] requires `model = mc` (the fleet engine is a \
-                     Monte-Carlo simulation)"
-                        .into(),
+                     Monte-Carlo simulation)",
                 ));
             }
-            if self.effective_policies().contains(&Policy::Failover) {
-                return Err(ExpError::InvalidSpec(
-                    "[fleet] applies to the conventional policy only".into(),
+            if failover {
+                return Err(given.err(
+                    &["axes.policy", "fleet."],
+                    "[fleet] applies to the conventional policy only",
                 ));
             }
             if self.mc.variance != McVariance::Naive {
-                return Err(ExpError::InvalidSpec(format!(
-                    "[fleet] supports naive sampling only (fleet-level outages \
-                     are not rare events), got variance = {}",
-                    self.mc.variance
-                )));
+                return Err(given.err(
+                    &["mc.variance", "fleet."],
+                    format!(
+                        "[fleet] supports naive sampling only (fleet-level outages \
+                         are not rare events), got variance = {}",
+                        self.mc.variance
+                    ),
+                ));
             }
             let arrays = u32::try_from(fleet.arrays).map_err(|_| {
-                ExpError::InvalidSpec(format!("fleet arrays {} is too large", fleet.arrays))
+                given.err(
+                    &["fleet.arrays"],
+                    format!("fleet arrays {} is too large", fleet.arrays),
+                )
             })?;
             for &g in &self.raid {
-                let spec =
-                    FleetSpec::new(arrays, g).map_err(|e| ExpError::InvalidSpec(e.to_string()))?;
-                if let Some(crews) = fleet.repairmen {
-                    let crews = u32::try_from(crews).map_err(|_| {
-                        ExpError::InvalidSpec(format!("fleet repairmen {crews} is too large"))
-                    })?;
-                    spec.with_repairmen(crews)
-                        .map_err(|e| ExpError::InvalidSpec(e.to_string()))?;
-                }
-                if let Some(capacity) = fleet.failover_capacity {
-                    if let Some(v) = capacity {
-                        u32::try_from(v).map_err(|_| {
-                            ExpError::InvalidSpec(format!(
-                                "fleet failover_capacity {v} is too large"
-                            ))
-                        })?;
-                    }
-                    // An omitted failback_rate is filled per cell at run
-                    // time; a valid placeholder validates the rest.
-                    spec.with_failover(FleetFailover {
-                        capacity: capacity.map(|v| u32::try_from(v).unwrap_or(u32::MAX)),
-                        policy: fleet.failover_policy,
-                        failback_rate: fleet.failback_rate.unwrap_or(1.0),
-                    })
-                    .map_err(|e| ExpError::InvalidSpec(e.to_string()))?;
-                }
+                FleetSpec::new(arrays, g)
+                    .map_err(|e| given.err(&["fleet.arrays", "fleet."], e.to_string()))?;
             }
             match (fleet.domain_arrays, fleet.domain_rate) {
-                (None, None) | (Some(_), Some(_)) => {}
+                (None, None) => {}
+                (Some(domain), Some(_)) if domain > fleet.arrays => {
+                    return Err(given.err(
+                        &["fleet.domain_arrays"],
+                        format!(
+                            "failure domain of {domain} arrays exceeds the fleet of {}",
+                            fleet.arrays
+                        ),
+                    ));
+                }
+                (Some(_), Some(_)) => {}
                 _ => {
-                    return Err(ExpError::InvalidSpec(
-                        "`domain_arrays` and `domain_rate` must be set together".into(),
+                    return Err(given.err(
+                        &["fleet.domain_arrays", "fleet.domain_rate"],
+                        "`fleet.domain_arrays` and `fleet.domain_rate` must be set together",
                     ));
                 }
             }
-            if let Some(domain) = fleet.domain_arrays {
-                if domain > fleet.arrays {
-                    return Err(ExpError::InvalidSpec(format!(
-                        "failure domain of {domain} arrays exceeds the fleet of {}",
-                        fleet.arrays
-                    )));
-                }
-            }
         }
-        if let Some(lse) = self.lse {
-            // Re-check the invariants for hand-built scenarios (the parser
-            // reports the same problems with line numbers).
-            ScrubbingModel::new(lse.lse_rate, lse.scrub_interval_hours)
-                .map_err(|e| ExpError::InvalidSpec(e.to_string()))?;
-            if lse.is_live() {
-                if let Some(problem) = self.lse_support_problem() {
-                    return Err(ExpError::InvalidSpec(problem));
-                }
-            }
+        if let Some(problem) = self
+            .lse
+            .filter(LseSettings::is_live)
+            .and(self.lse_support_problem())
+        {
+            return Err(given.err(&["lse.lse_rate"], problem));
         }
         Ok(())
     }
@@ -1233,19 +1154,25 @@ impl Scenario {
             return Some(
                 "model `markov-failover` does not support LSE-aware rebuilds \
                  (the Fig. 3 chain has no rebuild completion to split; \
-                 pick another model, or set `lse_rate = 0`)"
+                 pick another model, or set `lse.lse_rate = 0`)"
                     .into(),
             );
         }
-        if self.effective_policies().contains(&Policy::Failover) {
+        if self.runs_failover() {
             return Some(
                 "the failover policy does not support LSE-aware rebuilds \
                  (restrict the `policy` axis to conventional, or set \
-                 `lse_rate = 0`)"
+                 `lse.lse_rate = 0`)"
                     .into(),
             );
         }
         None
+    }
+
+    /// Whether any cell runs the fail-over policy.
+    fn runs_failover(&self) -> bool {
+        self.policy.contains(&Policy::Failover)
+            || (self.policy.is_empty() && self.model.default_policy() == Policy::Failover)
     }
 
     /// The policies the grid will iterate over: the explicit `policy` axis,
@@ -1257,6 +1184,41 @@ impl Scenario {
             self.policy.clone()
         }
     }
+}
+
+/// Splits a raw spec value into list items: `[a, b, c]` becomes three
+/// items; a bare scalar is `None`.
+fn split_value<'a>(line: &Origin, raw: &'a str) -> Result<Option<Vec<&'a str>>> {
+    let raw = raw.trim();
+    let fail = |message: &str| parse_err(line.clone(), message);
+    if raw.is_empty() {
+        return Err(fail("empty value"));
+    }
+    let Some(inner) = raw.strip_prefix('[') else {
+        if raw.contains(']') {
+            return Err(fail("unexpected `]` outside a list"));
+        }
+        return Ok(None);
+    };
+    let inner = inner
+        .strip_suffix(']')
+        .ok_or_else(|| fail("unterminated list (missing `]`)"))?;
+    let mut items: Vec<&str> = inner.split(',').map(str::trim).collect();
+    // Tolerate exactly one trailing comma: `[a, b,]`.
+    if items.len() > 1 && items.last().is_some_and(|s| s.is_empty()) {
+        items.pop();
+    }
+    if items.len() == 1 && items[0].is_empty() {
+        return Err(fail("empty list"));
+    }
+    // An interior empty item is a typo (a value deleted mid-edit), not
+    // something to silently shrink the grid over.
+    if items.iter().any(|s| s.is_empty()) {
+        return Err(fail(
+            "empty list item (doubled, leading, or repeated trailing comma)",
+        ));
+    }
+    Ok(Some(items))
 }
 
 #[cfg(test)]
@@ -1471,13 +1433,27 @@ lambda = 1e-5
         let e = parse("variance = quantum\n").unwrap_err();
         assert!(e.to_string().contains("unknown variance"), "{e}");
         let e = parse("bias = 0.5\n").unwrap_err();
-        assert!(e.to_string().contains("requires a `variance`"), "{e}");
+        assert!(
+            e.to_string()
+                .contains("requires `mc.variance = failure-biasing`"),
+            "{e}"
+        );
         let e = parse("variance = splitting\nbias = 0.5\n").unwrap_err();
-        assert!(e.to_string().contains("does not apply"), "{e}");
+        assert!(
+            e.to_string()
+                .contains("requires `mc.variance = failure-biasing`"),
+            "{e}"
+        );
         let e = parse("variance = failure-biasing\nlevels = 2\n").unwrap_err();
-        assert!(e.to_string().contains("does not apply"), "{e}");
+        assert!(
+            e.to_string().contains("requires `mc.variance = splitting`"),
+            "{e}"
+        );
         let e = parse("variance = naive\neffort = 8\n").unwrap_err();
-        assert!(e.to_string().contains("does not apply"), "{e}");
+        assert!(
+            e.to_string().contains("requires `mc.variance = splitting`"),
+            "{e}"
+        );
         // Core-level parameter validation surfaces as a parse error naming
         // the offending tuning key's own line.
         let e = parse("variance = failure-biasing\nbias = 1.5\n").unwrap_err();
@@ -1536,7 +1512,7 @@ lambda = 1e-5
         // Array bounds come from FleetSpec.
         let e = Scenario::parse("[campaign]\nname = f\nmodel = mc\n[fleet]\narrays = 99999999\n")
             .unwrap_err();
-        assert!(e.to_string().contains("invalid campaign"), "{e}");
+        assert!(e.to_string().contains("at most 65536"), "{e}");
     }
 
     #[test]
@@ -1659,7 +1635,7 @@ lambda = 1e-5
                 .unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("line 5") && msg.contains("requires `arrays`"),
+            msg.contains("line 5") && msg.contains("at least one array"),
             "{msg}"
         );
 
@@ -1671,7 +1647,7 @@ lambda = 1e-5
         .unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("line 6") && msg.contains("requires a `failover_capacity`"),
+            msg.contains("line 6") && msg.contains("requires `fleet.failover_capacity`"),
             "{msg}"
         );
         let e = Scenario::parse(
@@ -1680,7 +1656,7 @@ lambda = 1e-5
         .unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("line 5") && msg.contains("requires a `failover_capacity`"),
+            msg.contains("line 5") && msg.contains("requires `fleet.failover_capacity`"),
             "{msg}"
         );
     }
@@ -1785,7 +1761,7 @@ lambda = 1e-5
         let e = Scenario::parse("[campaign]\nname = t\n[telemetry]\nformat = json\n").unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("line 4") && msg.contains("requires a `metrics`"),
+            msg.contains("line 4") && msg.contains("requires a `telemetry.metrics`"),
             "{msg}"
         );
 

@@ -26,12 +26,13 @@ pub enum ExecError {
     Engine(String),
 }
 
-/// Validates the query against the campaign layer's invariants (fleet
-/// requires the MC backend, live LSE rates need MC or the generic chain,
-/// variance parameters must be in range, …).
+/// Re-checks the query against the scenario rules that read values
+/// (fleet requires the MC backend, live LSE rates need MC or the generic
+/// chain, variance parameters must be in range, …). [`Query::from_json`]
+/// already applied every rule; this guards hand-built queries.
 ///
 /// # Errors
-/// The campaign layer's message, for a `400` response.
+/// The scenario layer's message, for a `400` response.
 pub fn validate(query: &Query) -> Result<(), String> {
     query.to_scenario().validate().map_err(|e| e.to_string())
 }
@@ -47,22 +48,15 @@ pub fn execute(
     cancel: Option<&CancelToken>,
 ) -> Result<(String, CounterSnapshot), ExecError> {
     let scenario = query.to_scenario();
-    let cell = Cell {
-        index: 0,
-        seed: query.seed,
-        raid: query.raid,
-        policy: query.policy,
-        lambda: query.lambda,
-        hep: query.hep,
-    };
-    let result = run_cell_cancellable(&scenario, &cell, cancel).map_err(|e| match e {
-        ExpError::Cancelled => ExecError::Deadline,
-        ExpError::Model {
-            source: CoreError::DeadlineExpired { .. },
-            ..
-        } => ExecError::Deadline,
-        other => ExecError::Engine(other.to_string()),
-    })?;
+    let result =
+        run_cell_cancellable(&scenario, &Cell::point(&scenario), cancel).map_err(|e| match e {
+            ExpError::Cancelled => ExecError::Deadline,
+            ExpError::Model {
+                source: CoreError::DeadlineExpired { .. },
+                ..
+            } => ExecError::Deadline,
+            other => ExecError::Engine(other.to_string()),
+        })?;
 
     // Field order is fixed and floats round-trip via `{:?}`, so the body
     // is byte-stable: same canonical key, same bytes, forever.
@@ -150,8 +144,15 @@ mod tests {
 
     #[test]
     fn invalid_combinations_fail_validation_with_a_message() {
-        // A fleet section demands the MC backend.
-        let q = query(r#"{"fleet": {"arrays": 4}, "raid": "r5-3"}"#);
+        // A fleet section demands the MC backend (built by hand: the JSON
+        // door already rejects this body).
+        let q = Query {
+            fleet: Some(availsim_exp::spec::FleetSettings {
+                arrays: 4,
+                ..Default::default()
+            }),
+            ..Query::default()
+        };
         let msg = validate(&q).unwrap_err();
         assert!(!msg.is_empty());
     }

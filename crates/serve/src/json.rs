@@ -1,12 +1,10 @@
-//! A minimal, std-only JSON value type: parser and string escaping.
+//! A minimal, std-only JSON value type and its parser.
 //!
 //! The build environment is offline, so the service hand-rolls the same
 //! subset of JSON the spec parser hand-rolls its line format: objects,
 //! arrays, strings (with the standard escapes incl. `\uXXXX`), numbers,
 //! booleans, and `null`. Parsing fails loudly with a byte offset —
 //! malformed input is a client error the server must name, never a panic.
-
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,25 +263,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
     }
 }
 
-/// Escapes a string for embedding in a JSON document (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,10 +318,5 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(8) + &"]".repeat(8);
         assert!(Json::parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn escape_covers_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd\u{0001}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

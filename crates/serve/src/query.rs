@@ -1,9 +1,10 @@
-//! Query parsing, validation, and the canonical cache key.
+//! Query parsing and the canonical cache key.
 //!
 //! A query is one availability question: geometry, rates, policy, and —
-//! for Monte-Carlo — the estimator settings and seed. The wire format is a
-//! flat JSON object with strict unknown-key rejection (a typo must be a
-//! `400`, not a silently different model).
+//! for Monte-Carlo — the estimator settings and seed. Its wire format is a
+//! JSON object whose keys [`Query::from_json`] type-checks and hands to the
+//! campaign layer's [`ScenarioBuilder`], which owns every rule; an unknown
+//! key is a `400`, not a silently different model.
 //!
 //! # The canonical key
 //!
@@ -19,11 +20,10 @@
 use crate::json::Json;
 use availsim_core::mc::McVariance;
 use availsim_exp::spec::{
-    parse_geometry_label, FleetSettings, LseSettings, McSettings, ModelKind, Policy, Scenario,
+    FleetSettings, LseSettings, McSettings, ModelKind, Origin, Policy, Scenario, ScenarioBuilder,
     TelemetrySettings,
 };
-use availsim_hra::DependenceLevel;
-use availsim_storage::{FailoverPolicy, RaidGeometry};
+use availsim_storage::RaidGeometry;
 
 /// One parsed availability query.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,8 +40,7 @@ pub struct Query {
     pub hep: f64,
     /// Monte-Carlo seed (`"seed"`; default 0, exact models ignore it).
     pub seed: u64,
-    /// Monte-Carlo settings (`"iterations"` / `"horizon_hours"` /
-    /// `"confidence"` / `"variance"` + tuning, `"threads"`).
+    /// Monte-Carlo settings (`"iterations"`, `"variance"`, `"threads"`, …).
     pub mc: McSettings,
     /// Latent-sector-error exposure (`"lse"` object), if any.
     pub lse: Option<LseSettings>,
@@ -52,130 +51,131 @@ pub struct Query {
     pub deadline_ms: Option<u64>,
 }
 
+/// The empty query `{}`.
 impl Default for Query {
     fn default() -> Self {
-        Query {
-            model: ModelKind::MarkovConventional,
-            policy: Policy::Conventional,
-            raid: parse_geometry_label("r5-3").expect("r5-3 is valid"),
-            lambda: 1e-6,
-            hep: 0.0,
-            seed: 0,
-            mc: McSettings::default(),
-            lse: None,
-            fleet: None,
-            deadline_ms: None,
-        }
+        Query::from_json(&Json::Obj(Vec::new())).expect("the empty query is valid")
     }
 }
 
-fn need_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.as_f64()
-        .ok_or_else(|| format!("`{key}` must be a number"))
+/// The JSON type a wire key carries (`IntOrInf`: an integer or `"inf"`).
+enum Wire {
+    Num,
+    Int,
+    Str,
+    IntOrInf,
 }
 
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
-}
+/// The wire vocabulary: JSON path → spec key and JSON type. Every value but
+/// the request's own `deadline_ms` goes through the same [`ScenarioBuilder`]
+/// as the campaign spec and the CLI flags.
+const WIRE: &[(&str, &str, Wire)] = &[
+    ("model", "campaign.model", Wire::Str),
+    ("policy", "axes.policy", Wire::Str),
+    ("raid", "axes.raid", Wire::Str),
+    ("lambda", "axes.lambda", Wire::Num),
+    ("hep", "axes.hep", Wire::Num),
+    ("seed", "campaign.seed", Wire::Int),
+    ("iterations", "mc.iterations", Wire::Int),
+    ("horizon_hours", "mc.horizon_hours", Wire::Num),
+    ("confidence", "mc.confidence", Wire::Num),
+    ("variance", "mc.variance", Wire::Str),
+    ("bias", "mc.bias", Wire::Num),
+    ("levels", "mc.levels", Wire::Int),
+    ("effort", "mc.effort", Wire::Int),
+    ("threads", "mc.threads", Wire::Int),
+    ("deadline_ms", "deadline_ms", Wire::Int),
+    ("lse.lse_rate", "lse.lse_rate", Wire::Num),
+    ("lse.scrub_interval_hours", "lse.scrub_interval", Wire::Num),
+    ("fleet.arrays", "fleet.arrays", Wire::Int),
+    ("fleet.repairmen", "fleet.repairmen", Wire::Int),
+    ("fleet.dependence", "fleet.dependence", Wire::Str),
+    ("fleet.domain_arrays", "fleet.domain_arrays", Wire::Int),
+    ("fleet.domain_rate", "fleet.domain_rate", Wire::Num),
+    (
+        "fleet.failover_capacity",
+        "fleet.failover_capacity",
+        Wire::IntOrInf,
+    ),
+    ("fleet.failover_policy", "fleet.failover_policy", Wire::Str),
+    ("fleet.failback_rate", "fleet.failback_rate", Wire::Num),
+];
 
-fn need_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.as_str()
-        .ok_or_else(|| format!("`{key}` must be a string"))
+/// A [`WIRE`] value's static JSON path and spec key, and its spec text.
+fn wire(path: &str, value: &Json) -> Result<(&'static str, &'static str, String), String> {
+    let &(path, spec_key, ref wire) = WIRE
+        .iter()
+        .find(|(p, ..)| *p == path)
+        .ok_or_else(|| format!("unknown key `{path}`"))?;
+    let key = path.rsplit('.').next().unwrap_or_default();
+    let text = match (wire, value, value.as_u64()) {
+        (Wire::Num, Json::Num(v), _) => format!("{v:?}"),
+        (Wire::Str, Json::Str(s), _) => s.clone(),
+        (Wire::IntOrInf, Json::Str(s), _) if s == "inf" => s.clone(),
+        (Wire::Int | Wire::IntOrInf, _, Some(n)) => n.to_string(),
+        (Wire::Num, ..) => return Err(format!("`{key}` must be a number")),
+        (Wire::Str, ..) => return Err(format!("`{key}` must be a string")),
+        _ => return Err(format!("`{key}` must be a non-negative integer")),
+    };
+    Ok((path, spec_key, text))
 }
 
 impl Query {
-    /// Parses a query from its JSON wire form.
+    /// Parses a query from its JSON wire form (the `lse` and `fleet`
+    /// objects nest one level) into a validated scenario.
     ///
     /// # Errors
-    /// A client-facing message naming the offending key: unknown keys,
-    /// wrong types, and out-of-vocabulary spellings are all rejected.
+    /// Unknown keys and wrong JSON types, then any rule as `<path>: <message>`.
     pub fn from_json(doc: &Json) -> Result<Query, String> {
-        let entries = doc
-            .entries()
-            .ok_or_else(|| "query body must be a JSON object".to_string())?;
-        let mut q = Query::default();
-        let mut explicit_policy = None;
-        let mut variance = "naive".to_string();
-        let mut bias = None;
-        let mut levels = None;
-        let mut effort = None;
+        let entries = doc.entries().ok_or("query body must be a JSON object")?;
+        let mut builder = ScenarioBuilder::new(Scenario::default());
+        let mut deadline_ms = None;
+        let mut feed = |path: &str, value: &Json| -> Result<(), String> {
+            match wire(path, value)? {
+                (_, "deadline_ms", text) => deadline_ms = text.parse().ok(),
+                (path, spec_key, text) => builder
+                    .set(spec_key, &text, Origin::Json(path))
+                    .map_err(|e| e.to_string())?,
+            }
+            Ok(())
+        };
         for (key, value) in entries {
-            match key.as_str() {
-                "model" => {
-                    let s = need_str(value, key)?;
-                    q.model = match s {
-                        "markov-conventional" => ModelKind::MarkovConventional,
-                        "markov-failover" => ModelKind::MarkovFailover,
-                        "generic-k-of-n" => ModelKind::GenericKofN,
-                        "mc" => ModelKind::Mc,
-                        other => return Err(format!("unknown model `{other}`")),
-                    };
+            match (key.as_str(), value.entries()) {
+                ("lse" | "fleet", Some(inner)) => {
+                    for (k, v) in inner {
+                        feed(&format!("{key}.{k}"), v)?;
+                    }
                 }
-                "policy" => {
-                    let s = need_str(value, key)?;
-                    explicit_policy = Some(match s {
-                        "conventional" => Policy::Conventional,
-                        "failover" => Policy::Failover,
-                        other => return Err(format!("unknown policy `{other}`")),
-                    });
-                }
-                "raid" => q.raid = parse_geometry_label(need_str(value, key)?)?,
-                "lambda" => q.lambda = need_f64(value, key)?,
-                "hep" => q.hep = need_f64(value, key)?,
-                "seed" => q.seed = need_u64(value, key)?,
-                "iterations" => q.mc.iterations = need_u64(value, key)?,
-                "horizon_hours" => q.mc.horizon_hours = need_f64(value, key)?,
-                "confidence" => q.mc.confidence = need_f64(value, key)?,
-                "variance" => variance = need_str(value, key)?.to_string(),
-                "bias" => bias = Some(need_f64(value, key)?),
-                "levels" => {
-                    let v = need_u64(value, key)?;
-                    levels =
-                        Some(u32::try_from(v).map_err(|_| format!("`levels` {v} is too large"))?);
-                }
-                "effort" => effort = Some(need_u64(value, key)?),
-                "threads" => {
-                    // 0 is the documented "auto" spelling — the same
-                    // contract as `--threads 0` and `[mc] threads = 0`.
-                    let v = need_u64(value, key)?;
-                    q.mc.threads =
-                        usize::try_from(v).map_err(|_| format!("`threads` {v} is too large"))?;
-                }
-                "deadline_ms" => q.deadline_ms = Some(need_u64(value, key)?),
-                "lse" => q.lse = Some(parse_lse(value)?),
-                "fleet" => q.fleet = Some(parse_fleet(value)?),
-                other => return Err(format!("unknown key `{other}`")),
+                ("lse" | "fleet", None) => return Err(format!("`{key}` must be an object")),
+                _ if key.contains('.') => return Err(format!("unknown key `{key}`")),
+                _ => feed(key, value)?,
             }
         }
-        q.mc.variance = match variance.as_str() {
-            "naive" => {
-                if bias.is_some() || levels.is_some() || effort.is_some() {
-                    return Err("`bias`/`levels`/`effort` require a non-naive variance".into());
-                }
-                McVariance::Naive
-            }
-            "failure-biasing" => McVariance::FailureBiasing {
-                bias: bias.unwrap_or(McVariance::DEFAULT_BIAS),
-            },
-            "splitting" => McVariance::Splitting {
-                levels: levels.unwrap_or(McVariance::DEFAULT_LEVELS),
-                effort: effort.unwrap_or(McVariance::DEFAULT_EFFORT),
-            },
-            other => return Err(format!("unknown variance `{other}`")),
-        };
-        q.policy = explicit_policy.unwrap_or_else(|| q.model.default_policy());
-        Ok(q)
+        let s = builder.build().map_err(|e| e.to_string())?;
+        Ok(Query {
+            model: s.model,
+            policy: s
+                .policy
+                .first()
+                .copied()
+                .unwrap_or(s.model.default_policy()),
+            raid: s.raid[0],
+            lambda: s.lambda[0],
+            hep: s.hep[0],
+            seed: s.seed,
+            mc: s.mc,
+            lse: s.lse,
+            fleet: s.fleet,
+            deadline_ms,
+        })
     }
 
-    /// Whether the query solves an exact CTMC (cheap, bypasses the MC
-    /// job queue entirely).
+    /// Whether the query solves an exact CTMC (answered inline, never queued).
     pub fn is_exact(&self) -> bool {
         self.model != ModelKind::Mc
     }
 
-    /// The single-cell scenario this query describes, with engine
-    /// telemetry enabled so every answer carries its counters.
+    /// The one-cell scenario of this query, with engine counters on.
     pub fn to_scenario(&self) -> Scenario {
         Scenario {
             name: "serve".into(),
@@ -206,32 +206,27 @@ impl Query {
             McVariance::FailureBiasing { bias } => format!("fb:{}", f(bias)),
             McVariance::Splitting { levels, effort } => format!("split:{levels}:{effort}"),
         };
-        let lse = match self.lse {
-            Some(l) => format!("{}:{}", f(l.lse_rate), f(l.scrub_interval_hours)),
-            None => "-".to_string(),
-        };
-        let fleet = match &self.fleet {
-            Some(fl) => {
-                let opt = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
-                let cap = match fl.failover_capacity {
-                    None => "-".to_string(),
-                    Some(None) => "inf".to_string(),
-                    Some(Some(k)) => k.to_string(),
-                };
-                format!(
-                    "{}:{}:{}:{}:{}:{}:{}:{}",
-                    fl.arrays,
-                    opt(fl.repairmen),
-                    fl.dependence.name(),
-                    opt(fl.domain_arrays),
-                    fl.domain_rate.map_or("-".to_string(), f),
-                    cap,
-                    fl.failover_policy.as_str(),
-                    fl.failback_rate.map_or("-".to_string(), f),
-                )
-            }
-            None => "-".to_string(),
-        };
+        let dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+        let lse = dash(
+            self.lse
+                .map(|l| format!("{}:{}", f(l.lse_rate), f(l.scrub_interval_hours))),
+        );
+        let fleet = dash(self.fleet.map(|fl| {
+            format!(
+                "{}:{}:{}:{}:{}:{}:{}:{}",
+                fl.arrays,
+                dash(fl.repairmen.map(|v| v.to_string())),
+                fl.dependence.name(),
+                dash(fl.domain_arrays.map(|v| v.to_string())),
+                dash(fl.domain_rate.map(f)),
+                dash(
+                    fl.failover_capacity
+                        .map(|k| k.map_or("inf".into(), |k| k.to_string()))
+                ),
+                fl.failover_policy.as_str(),
+                dash(fl.failback_rate.map(f)),
+            )
+        }));
         format!(
             "model={};policy={};raid={};lambda={};hep={};seed={};iter={};horizon={};conf={};var={};lse={};fleet={}",
             self.model.as_str(),
@@ -265,71 +260,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn parse_lse(value: &Json) -> Result<LseSettings, String> {
-    let entries = value
-        .entries()
-        .ok_or_else(|| "`lse` must be an object".to_string())?;
-    let mut lse = LseSettings {
-        lse_rate: 0.0,
-        scrub_interval_hours: 0.0,
-    };
-    let (mut saw_rate, mut saw_interval) = (false, false);
-    for (key, v) in entries {
-        match key.as_str() {
-            "lse_rate" => {
-                lse.lse_rate = need_f64(v, key)?;
-                saw_rate = true;
-            }
-            "scrub_interval_hours" => {
-                lse.scrub_interval_hours = need_f64(v, key)?;
-                saw_interval = true;
-            }
-            other => return Err(format!("unknown key `lse.{other}`")),
-        }
-    }
-    if !saw_rate || !saw_interval {
-        return Err("`lse` requires `lse_rate` and `scrub_interval_hours`".into());
-    }
-    Ok(lse)
-}
-
-fn parse_fleet(value: &Json) -> Result<FleetSettings, String> {
-    let entries = value
-        .entries()
-        .ok_or_else(|| "`fleet` must be an object".to_string())?;
-    let mut fleet = FleetSettings::default();
-    for (key, v) in entries {
-        match key.as_str() {
-            "arrays" => fleet.arrays = need_u64(v, key)?,
-            "repairmen" => fleet.repairmen = Some(need_u64(v, key)?),
-            "dependence" => {
-                let s = need_str(v, key)?;
-                fleet.dependence =
-                    DependenceLevel::parse(s).ok_or_else(|| format!("unknown dependence `{s}`"))?;
-            }
-            "domain_arrays" => fleet.domain_arrays = Some(need_u64(v, key)?),
-            "domain_rate" => fleet.domain_rate = Some(need_f64(v, key)?),
-            "failover_capacity" => {
-                fleet.failover_capacity = Some(match v {
-                    Json::Str(s) if s == "inf" => None,
-                    other => Some(need_u64(other, key)?),
-                });
-            }
-            "failover_policy" => {
-                let s = need_str(v, key)?;
-                fleet.failover_policy = FailoverPolicy::parse(s)
-                    .ok_or_else(|| format!("unknown failover_policy `{s}`"))?;
-            }
-            "failback_rate" => fleet.failback_rate = Some(need_f64(v, key)?),
-            other => return Err(format!("unknown key `fleet.{other}`")),
-        }
-    }
-    if fleet.arrays == 0 {
-        return Err("`fleet` requires `arrays` >= 1".into());
-    }
-    Ok(fleet)
 }
 
 #[cfg(test)]

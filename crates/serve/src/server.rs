@@ -29,8 +29,9 @@
 use crate::cache::ResultCache;
 use crate::exec::{self, ExecError};
 use crate::http::{read_request, ReadError, Request, Response};
-use crate::json::{escape, Json};
+use crate::json::Json;
 use crate::query::Query;
+use availsim_sim::json::escape_into;
 use availsim_sim::parallel::{resolve_workers, CancelToken};
 use availsim_sim::telemetry::{write_counters, Counter, CounterSnapshot, PrometheusWriter};
 use std::collections::VecDeque;
@@ -415,7 +416,10 @@ fn shed_response(reason: &str) -> Response {
 }
 
 fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":\"{}\"}}", escape(message)))
+    let mut body = String::from("{\"error\":\"");
+    escape_into(&mut body, message);
+    body.push_str("\"}");
+    Response::json(status, body)
 }
 
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {

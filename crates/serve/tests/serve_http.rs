@@ -123,6 +123,53 @@ fn exact_queries_answer_inline_with_every_error_mapped() {
         "fleet without model=mc is a spec error"
     );
 
+    // 400 naming the JSON path: keys the other front doors reject, input
+    // errors that used to reach the engine, and Monte-Carlo on a
+    // double-fault-tolerant geometry.
+    for (body, path) in [
+        (
+            r#"{"model":"mc","variance":"splitting","bias":0.5}"#,
+            "bias",
+        ),
+        (
+            r#"{"model":"mc","variance":"failure-biasing","levels":3}"#,
+            "levels",
+        ),
+        (
+            r#"{"model":"mc","fleet":{"arrays":4,"failover_policy":"loss"}}"#,
+            "fleet.failover_policy",
+        ),
+        (
+            r#"{"model":"mc","fleet":{"arrays":4,"failback_rate":0.5}}"#,
+            "fleet.failback_rate",
+        ),
+        (
+            r#"{"model":"mc","variance":"failure-biasing","bias":1.5}"#,
+            "bias",
+        ),
+        (
+            r#"{"model":"mc","variance":"splitting","effort":1}"#,
+            "effort",
+        ),
+        (
+            r#"{"model":"mc","variance":"splitting","levels":0}"#,
+            "levels",
+        ),
+        (
+            r#"{"model":"mc","fleet":{"arrays":4,"domain_arrays":2,"domain_rate":-1}}"#,
+            "fleet.domain_rate",
+        ),
+        (r#"{"model":"mc","raid":"r6-3"}"#, "raid"),
+    ] {
+        let reply = query(addr, body);
+        assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+        assert!(
+            reply.body.starts_with(&format!("{{\"error\":\"{path}: ")),
+            "{body}: {}",
+            reply.body
+        );
+    }
+
     // 413: body over the configured cap.
     let huge = format!("{{\"raid\": \"r5-3\", \"hep\": 0.0{}}}", " ".repeat(600));
     assert_eq!(query(addr, &huge).status, 413);

@@ -16,6 +16,7 @@
 //! * [`telemetry`] — deterministic engine counters (mask-gated, block-merged
 //!   in worker-count-independent order), phase spans, and Prometheus text
 //!   exposition.
+//! * [`json`] — the JSON string escaper every hand-rolled writer shares.
 //!
 //! # Examples
 //!
@@ -46,6 +47,7 @@ pub mod distributions;
 pub mod engine;
 mod error;
 pub mod indexed_queue;
+pub mod json;
 pub mod parallel;
 pub mod rng;
 pub mod stats;

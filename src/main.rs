@@ -13,19 +13,21 @@
 //! ```
 
 use availsim::bench::snapshot::JsonSnapshot;
-use availsim::core::markov::{GenericKofN, Raid5Conventional, Raid5FailOver};
-use availsim::core::mc::{
-    ConventionalMc, DomainFailures, FleetCoupling, FleetMc, McConfig, McVariance, DEGRADED_BINS,
-};
+use availsim::core::markov::Raid5Conventional;
+use availsim::core::mc::{McVariance, DEGRADED_BINS};
 use availsim::core::volume::compare_equal_capacity;
 use availsim::core::{nines, ModelParams};
-use availsim::exp::spec::{MetricsFormat, Scenario, TelemetrySettings};
+use availsim::exp::plan::Cell;
+use availsim::exp::run::{estimate, Estimate};
+use availsim::exp::spec::{
+    FleetSettings, McSettings, MetricsFormat, ModelKind, Origin, Scenario, ScenarioBuilder,
+    TelemetrySettings,
+};
 use availsim::exp::{plan, report, run};
 use availsim::hra::{DependenceLevel, Hep};
 use availsim::sim::telemetry::{
     percentile_u64, write_counters, CounterSnapshot, PhaseSpans, PrometheusWriter,
 };
-use availsim::storage::{FailoverPolicy, FleetFailover, FleetSpec, RaidGeometry, ScrubbingModel};
 use std::collections::HashMap;
 use std::error::Error;
 use std::path::Path;
@@ -116,52 +118,99 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
-/// A flag with no default: absent means `None`.
-fn opt_flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-) -> Result<Option<T>, String> {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value `{v}` for --{key}"))
-        })
-        .transpose()
+/// Every scenario flag: `(flag, spec key, the commands that take it)`.
+/// The table is each command's known-flag list, and present flags reach
+/// the [`ScenarioBuilder`] in table order, so the first error reported is
+/// deterministic.
+const SCENARIO_FLAGS: &[(&str, &str, &str)] = &[
+    ("arrays", "fleet.arrays", "fleet"),
+    ("raid", "axes.raid", "solve fleet"),
+    ("policy", "axes.policy", "solve"),
+    ("lambda", "axes.lambda", "solve validate fleet"),
+    ("hep", "axes.hep", "solve validate fleet"),
+    ("iterations", "mc.iterations", "validate fleet"),
+    ("horizon", "mc.horizon_hours", "fleet"),
+    ("seed", "campaign.seed", "validate fleet"),
+    ("threads", "mc.threads", "validate fleet"),
+    ("variance", "mc.variance", "validate"),
+    ("bias", "mc.bias", "validate"),
+    ("levels", "mc.levels", "validate"),
+    ("effort", "mc.effort", "validate"),
+    ("repairmen", "fleet.repairmen", "fleet"),
+    ("dependence", "fleet.dependence", "fleet"),
+    ("domain-arrays", "fleet.domain_arrays", "fleet"),
+    ("domain-rate", "fleet.domain_rate", "fleet"),
+    ("failover-capacity", "fleet.failover_capacity", "fleet"),
+    ("failover-policy", "fleet.failover_policy", "fleet"),
+    ("failback-rate", "fleet.failback_rate", "fleet"),
+    ("lse-rate", "lse.lse_rate", "validate fleet"),
+    ("scrub-interval", "lse.scrub_interval", "validate fleet"),
+    ("metrics", "telemetry.metrics", "validate fleet batch"),
+    ("metrics-format", "telemetry.format", "validate fleet batch"),
+    ("progress", "telemetry.progress", "batch"),
+];
+
+/// The `(flag, spec key)` rows of [`SCENARIO_FLAGS`] that `command` takes.
+fn scenario_flags(command: &str) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
+    SCENARIO_FLAGS
+        .iter()
+        .filter(move |(_, _, commands)| commands.split(' ').any(|c| c == command))
+        .map(|&(flag, key, _)| (flag, key))
 }
 
-/// The CLI's geometry grammar is the campaign spec's grammar (`r1`,
-/// `r5-K`, `r6-K`) — one parser, shared with the exp subsystem.
-fn geometry(name: &str) -> Result<RaidGeometry, String> {
-    availsim::exp::spec::parse_geometry_label(name)
+fn flag_names(command: &str) -> Vec<&'static str> {
+    scenario_flags(command).map(|(flag, _)| flag).collect()
+}
+
+/// Builds a command's scenario: `base` carries the command's defaults and
+/// every flag of the command that is present becomes one builder pair.
+fn scenario(
+    flags: &HashMap<String, String>,
+    command: &str,
+    base: Scenario,
+) -> Result<Scenario, Box<dyn Error>> {
+    let mut builder = ScenarioBuilder::new(base);
+    for (flag, key) in scenario_flags(command) {
+        if let Some(value) = flags.get(flag) {
+            builder.set(key, value, Origin::Flag(flag))?;
+        }
+    }
+    Ok(builder.build()?)
+}
+
+/// The base of the Monte-Carlo commands: hep = 0.01, seed 42, as many
+/// threads as the machine has, and the spec's 99% intervals over 10-year
+/// missions.
+fn mc_base(iterations: u64) -> Scenario {
+    Scenario {
+        model: ModelKind::Mc,
+        seed: 42,
+        hep: vec![0.01],
+        mc: McSettings {
+            iterations,
+            threads: 0,
+            ..McSettings::default()
+        },
+        ..Scenario::default()
+    }
 }
 
 fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let lambda: f64 = flag(flags, "lambda", 1e-6)?;
-    let hep = Hep::new(flag(flags, "hep", 0.0)?)?;
-    let geom = geometry(&flag(flags, "raid", "r5-3".to_string())?)?;
-    let policy: String = flag(flags, "policy", "conventional".to_string())?;
-    let params = ModelParams::paper_defaults(geom, lambda, hep)?;
-
-    let (u, mttdl) = match policy.as_str() {
-        "conventional" if geom.fault_tolerance() == 1 => {
-            let m = Raid5Conventional::new(params)?;
-            (m.solve()?.unavailability(), m.mttdl_hours()?)
-        }
-        "conventional" => {
-            let m = GenericKofN::new(params)?;
-            (m.solve()?.unavailability(), m.mttdl_hours()?)
-        }
-        "failover" => {
-            let m = Raid5FailOver::new(params)?;
-            (m.solve()?.unavailability(), m.mttdl_hours()?)
-        }
-        other => return Err(format!("unknown policy `{other}`").into()),
+    let s = scenario(flags, "solve", Scenario::default())?;
+    let cell = Cell::point(&s);
+    let Estimate::Exact {
+        unavailability: u,
+        mttdl_hours: mttdl,
+    } = estimate(&s, &cell, None)?
+    else {
+        unreachable!("solve runs an exact model");
     };
     println!(
-        "{} λ={lambda:.3e} hep={} policy={policy}",
-        geom.label(),
-        hep.value()
+        "{} λ={:.3e} hep={} policy={}",
+        cell.raid.label(),
+        cell.lambda,
+        cell.hep,
+        cell.policy
     );
     println!("  unavailability : {u:.6e}");
     println!(
@@ -233,50 +282,46 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let lambda: f64 = flag(flags, "lambda", 1e-3)?;
-    let hep = Hep::new(flag(flags, "hep", 0.01)?)?;
-    let iterations: u64 = flag(flags, "iterations", 4_000)?;
-    let threads: usize = flag(flags, "threads", 0)?;
-    let tele = parse_telemetry_flags(flags)?;
-    let lse = parse_lse_flags(flags)?;
-    let mut params = ModelParams::raid5_3plus1(lambda, hep)?;
-    if let Some(scrub) = lse {
-        // The Fig. 2 exact chain splits the rebuild completion by the same
-        // LSE probability the MC engines draw, so the cross-check below
-        // covers the data-loss tier too.
-        params = params.with_scrubbing(scrub);
-    }
-    let markov = Raid5Conventional::new(params)?.solve()?;
-    let variance = parse_variance_flags(flags)?;
+    let base = Scenario {
+        lambda: vec![1e-3],
+        ..mc_base(4_000)
+    };
+    let s = scenario(flags, "validate", base)?;
+    let cell = Cell::point(&s);
+    // The Fig. 2 exact chain splits the rebuild completion by the same
+    // LSE probability the MC engines draw, so the cross-check below
+    // covers the data-loss tier too.
+    let exact = Scenario {
+        model: ModelKind::MarkovConventional,
+        ..s.clone()
+    };
+    let Estimate::Exact { unavailability, .. } = estimate(&exact, &cell, None)? else {
+        unreachable!("markov-conventional is an exact model");
+    };
+    let markov_availability = 1.0 - unavailability;
     let mut phases = PhaseSpans::new();
     let started = Instant::now();
-    let est = ConventionalMc::new(params)?.run(&McConfig {
-        iterations,
-        horizon_hours: 87_600.0,
-        seed: flag(flags, "seed", 42u64)?,
-        confidence: 0.99,
-        threads,
-        variance,
-        telemetry: tele.enabled(),
-    })?;
+    let Estimate::Array(est) = estimate(&s, &cell, None)? else {
+        unreachable!("validate runs the single-array engine");
+    };
     phases.record("run", started.elapsed().as_micros() as u64);
-    println!("markov availability : {:.9}", markov.availability());
+    println!("markov availability : {markov_availability:.9}");
     println!("mc availability     : {}", est.availability);
-    if !matches!(variance, McVariance::Naive) {
+    if s.mc.variance != McVariance::Naive {
         println!(
-            "rare-event mode     : {variance} (ESS {:.0} of {}, max weight {:.3e})",
-            est.effective_sample_size, est.iterations, est.max_weight
+            "rare-event mode     : {} (ESS {:.0} of {}, max weight {:.3e})",
+            s.mc.variance, est.effective_sample_size, est.iterations, est.max_weight
         );
     }
     println!(
         "verdict             : {}",
-        if est.is_consistent_with(markov.availability()) {
+        if est.is_consistent_with(markov_availability) {
             "consistent (Markov inside the 99% CI)"
         } else {
             "INCONSISTENT — investigate"
         }
     );
-    if lse.is_some() {
+    if s.lse.is_some() {
         println!("p(data loss)        : {}", est.p_data_loss);
         println!(
             "nomdl               : {:.4e} events/TB-mission",
@@ -288,11 +333,11 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         }
     }
     write_metrics(
-        &tele,
+        &s.telemetry,
         &MetricsReport {
             command: "validate",
             counters: &est.counters,
-            threads: threads as u64,
+            threads: s.mc.threads as u64,
             phases: &phases,
             cell_micros: None,
             utilization: None,
@@ -302,101 +347,33 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let arrays: u32 = flag(flags, "arrays", 100u32)?;
-    let lambda: f64 = flag(flags, "lambda", 1e-6)?;
-    let hep = Hep::new(flag(flags, "hep", 0.01)?)?;
-    let geom = geometry(&flag(flags, "raid", "r5-3".to_string())?)?;
-    let iterations: u64 = flag(flags, "iterations", 500)?;
-    let horizon: f64 = flag(flags, "horizon", 87_600.0)?;
-    let seed: u64 = flag(flags, "seed", 42u64)?;
-    let threads: usize = flag(flags, "threads", 0)?;
-    let tele = parse_telemetry_flags(flags)?;
-    let lse = parse_lse_flags(flags)?;
-    let repairmen: Option<u32> = opt_flag(flags, "repairmen")?;
-    let dependence = match flags.get("dependence") {
-        None => DependenceLevel::Zero,
-        Some(v) => DependenceLevel::parse(v).ok_or_else(|| {
-            format!("unknown dependence `{v}` (use zero, low, moderate, high, complete)")
-        })?,
-    };
-    let domains = match (
-        opt_flag::<u32>(flags, "domain-arrays")?,
-        opt_flag::<f64>(flags, "domain-rate")?,
-    ) {
-        (None, None) => None,
-        (Some(domain_arrays), Some(rate)) => Some(DomainFailures {
-            domain_arrays,
-            rate,
+    let base = Scenario {
+        fleet: Some(FleetSettings {
+            arrays: 100,
+            ..FleetSettings::default()
         }),
-        _ => return Err("--domain-arrays and --domain-rate must be set together".into()),
+        ..mc_base(500)
     };
-    let failover = match flags.get("failover-capacity") {
-        None => {
-            for k in ["failover-policy", "failback-rate"] {
-                if flags.contains_key(k) {
-                    return Err(format!("--{k} requires --failover-capacity").into());
-                }
-            }
-            None
-        }
-        Some(v) => {
-            let capacity = if v == "inf" {
-                None
-            } else {
-                Some(v.parse::<u32>().map_err(|_| {
-                    format!("invalid value `{v}` for --failover-capacity (use a count or `inf`)")
-                })?)
-            };
-            let policy = match flags.get("failover-policy") {
-                None => FailoverPolicy::default(),
-                Some(p) => FailoverPolicy::parse(p)
-                    .ok_or_else(|| format!("unknown failover policy `{p}` (use queue, loss)"))?,
-            };
-            Some((capacity, policy, opt_flag::<f64>(flags, "failback-rate")?))
-        }
-    };
-
-    let mut spec = FleetSpec::new(arrays, geom)?;
-    if let Some(crews) = repairmen {
-        spec = spec.with_repairmen(crews)?;
-    }
-    let mut params = ModelParams::paper_defaults(geom, lambda, hep)?;
-    if let Some(scrub) = lse {
-        params = params.with_scrubbing(scrub);
-    }
-    if let Some((capacity, policy, rate)) = failover {
-        // The fail-back default is the disk-change rate: switching back to
-        // the primary is an operator-driven maintenance action.
-        spec = spec.with_failover(FleetFailover {
-            capacity,
-            policy,
-            failback_rate: rate.unwrap_or(params.disk_change_rate),
-        })?;
-    }
-    let dc = spec.datacenter(lambda, hep.value())?;
+    let s = scenario(flags, "fleet", base)?;
+    let cell = Cell::point(&s);
     let mut phases = PhaseSpans::new();
     let started = Instant::now();
-    let est = FleetMc::new(spec, params)?
-        .with_coupling(FleetCoupling {
-            dependence,
-            domains,
-        })?
-        .run(&McConfig {
-            iterations,
-            horizon_hours: horizon,
-            seed,
-            confidence: 0.99,
-            threads,
-            variance: McVariance::Naive,
-            telemetry: tele.enabled(),
-        })?;
+    let Estimate::Fleet(est, spec) = estimate(&s, &cell, None)? else {
+        unreachable!("fleet runs the fleet engine");
+    };
     phases.record("run", started.elapsed().as_micros() as u64);
+    let coupling = s.fleet.unwrap_or_default().coupling();
+    let dc = spec.datacenter(cell.lambda, cell.hep)?;
 
     println!(
-        "fleet {arrays} x {} ({} disks) λ={lambda:.3e} hep={} — {iterations} missions of {horizon} h",
-        geom.label(),
+        "fleet {} x {} ({} disks) λ={:.3e} hep={} — {} missions of {} h",
+        spec.arrays(),
+        cell.raid.label(),
         spec.total_disks(),
-        hep.value()
+        cell.lambda,
+        cell.hep,
+        s.mc.iterations,
+        s.mc.horizon_hours
     );
     println!(
         "  disk failures          : {:.3}/day (fleet MTBF {:.1} h)",
@@ -414,19 +391,19 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             None => "unlimited".to_string(),
         }
     );
-    if dependence != DependenceLevel::Zero {
-        println!("  operator dependence    : {dependence} (THERP)");
+    if coupling.dependence != DependenceLevel::Zero {
+        println!("  operator dependence    : {} (THERP)", coupling.dependence);
     }
-    if let Some(d) = domains {
+    if let Some(d) = coupling.domains {
         println!(
             "  failure domains        : shelves of {} struck at {:.3e}/h",
             d.domain_arrays, d.rate
         );
     }
-    if let Some(s) = lse {
+    if let Some(l) = s.lse {
         println!(
             "  lse scrubbing          : rate {:.3e}/disk-h, scrub every {} h",
-            s.lse_rate, s.scrub_interval_hours
+            l.lse_rate, l.scrub_interval_hours
         );
     }
     if let Some(f) = spec.failover() {
@@ -465,7 +442,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             est.failovers, est.failbacks, est.dr_queue_waits, est.dr_rejections
         );
     }
-    if lse.is_some() {
+    if s.lse.is_some() {
         println!("  p(data loss)           : {}", est.p_data_loss);
         println!(
             "  nomdl                  : {:.4e} events/TB-mission",
@@ -505,105 +482,17 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     }
     println!();
     write_metrics(
-        &tele,
+        &s.telemetry,
         &MetricsReport {
             command: "fleet",
             counters: &est.counters,
-            threads: threads as u64,
+            threads: s.mc.threads as u64,
             phases: &phases,
             cell_micros: None,
             utilization: None,
         },
     )?;
     Ok(())
-}
-
-/// Parses `--variance naive|failure-biasing|splitting` plus its optional
-/// tuning flags (`--bias`, `--levels`, `--effort`) into a [`McVariance`] —
-/// the same vocabulary as the campaign spec's `[mc] variance` key.
-fn parse_variance_flags(flags: &HashMap<String, String>) -> Result<McVariance, Box<dyn Error>> {
-    let name: String = flag(flags, "variance", "naive".to_string())?;
-    let variance = match name.as_str() {
-        "naive" => {
-            for (k, scheme) in [
-                ("bias", "failure-biasing"),
-                ("levels", "splitting"),
-                ("effort", "splitting"),
-            ] {
-                if flags.contains_key(k) {
-                    return Err(format!("--{k} requires --variance {scheme}").into());
-                }
-            }
-            McVariance::Naive
-        }
-        "failure-biasing" => {
-            for k in ["levels", "effort"] {
-                if flags.contains_key(k) {
-                    return Err(format!("--{k} requires --variance splitting").into());
-                }
-            }
-            McVariance::FailureBiasing {
-                bias: flag(flags, "bias", McVariance::DEFAULT_BIAS)?,
-            }
-        }
-        "splitting" => {
-            if flags.contains_key("bias") {
-                return Err("--bias requires --variance failure-biasing".into());
-            }
-            McVariance::Splitting {
-                levels: flag(flags, "levels", McVariance::DEFAULT_LEVELS)?,
-                effort: flag(flags, "effort", McVariance::DEFAULT_EFFORT)?,
-            }
-        }
-        other => {
-            return Err(format!(
-                "unknown variance `{other}` (use naive, failure-biasing, splitting)"
-            )
-            .into())
-        }
-    };
-    Ok(variance)
-}
-
-/// Parses the `--lse-rate F --scrub-interval H` pair into an optional
-/// scrubbing model — the same vocabulary (and pair-together rule) as the
-/// campaign spec's `[lse]` section.
-fn parse_lse_flags(
-    flags: &HashMap<String, String>,
-) -> Result<Option<ScrubbingModel>, Box<dyn Error>> {
-    match (
-        opt_flag::<f64>(flags, "lse-rate")?,
-        opt_flag::<f64>(flags, "scrub-interval")?,
-    ) {
-        (None, None) => Ok(None),
-        (Some(rate), Some(hours)) => Ok(Some(ScrubbingModel::new(rate, hours)?)),
-        _ => Err("--lse-rate and --scrub-interval must be set together".into()),
-    }
-}
-
-/// Parses `--metrics <path>`, `--metrics-format json|prom`, and
-/// `--progress` into the spec layer's [`TelemetrySettings`] — the same
-/// vocabulary as the campaign spec's `[telemetry]` section.
-fn parse_telemetry_flags(
-    flags: &HashMap<String, String>,
-) -> Result<TelemetrySettings, Box<dyn Error>> {
-    let metrics = flags.get("metrics").cloned();
-    let format = match flags.get("metrics-format") {
-        None => MetricsFormat::default(),
-        Some(v) => {
-            if metrics.is_none() {
-                return Err("--metrics-format requires --metrics <path>".into());
-            }
-            MetricsFormat::parse(v).ok_or_else(|| {
-                format!("unknown format `{v}` for --metrics-format (use json, prom)")
-            })?
-        }
-    };
-    Ok(TelemetrySettings {
-        metrics,
-        format,
-        progress: flag(flags, "progress", false)?,
-    })
 }
 
 /// Everything a `--metrics` snapshot reports. The counter snapshot is the
@@ -722,23 +611,14 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         return Err(format!("unexpected extra argument `{extra}`").into());
     }
     let flags = &parsed.flags;
-    check_known(
-        flags,
-        &[
-            "workers",
-            "out-dir",
-            "dry-run",
-            "keep-going",
-            "metrics",
-            "metrics-format",
-            "progress",
-        ],
-    )?;
+    let mut known = vec!["workers", "out-dir", "dry-run", "keep-going"];
+    known.extend(flag_names("batch"));
+    check_known(flags, &known)?;
     let workers: usize = flag(flags, "workers", 0)?;
     let keep_going: bool = flag(flags, "keep-going", false)?;
     let dry_run: bool = flag(flags, "dry-run", false)?;
     let out_dir: String = flag(flags, "out-dir", String::new())?;
-    let cli_tele = parse_telemetry_flags(flags)?;
+    let cli_tele = scenario(flags, "batch", Scenario::default())?.telemetry;
 
     let mut phases = PhaseSpans::new();
     let plan_started = Instant::now();
@@ -933,7 +813,7 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "solve" => flags_only(&parsed, &["lambda", "hep", "raid", "policy"])
+        "solve" => flags_only(&parsed, &flag_names("solve"))
             .map_err(Into::into)
             .and_then(cmd_solve),
         "sweep" => flags_only(&parsed, &["hep", "from", "to", "points"])
@@ -942,52 +822,12 @@ fn main() -> ExitCode {
         "compare" => flags_only(&parsed, &["lambda", "capacity"])
             .map_err(Into::into)
             .and_then(cmd_compare),
-        "validate" => flags_only(
-            &parsed,
-            &[
-                "lambda",
-                "hep",
-                "iterations",
-                "seed",
-                "threads",
-                "variance",
-                "bias",
-                "levels",
-                "effort",
-                "lse-rate",
-                "scrub-interval",
-                "metrics",
-                "metrics-format",
-            ],
-        )
-        .map_err(Into::into)
-        .and_then(cmd_validate),
-        "fleet" => flags_only(
-            &parsed,
-            &[
-                "arrays",
-                "raid",
-                "lambda",
-                "hep",
-                "iterations",
-                "horizon",
-                "seed",
-                "threads",
-                "repairmen",
-                "dependence",
-                "domain-arrays",
-                "domain-rate",
-                "failover-capacity",
-                "failover-policy",
-                "failback-rate",
-                "lse-rate",
-                "scrub-interval",
-                "metrics",
-                "metrics-format",
-            ],
-        )
-        .map_err(Into::into)
-        .and_then(cmd_fleet),
+        "validate" => flags_only(&parsed, &flag_names("validate"))
+            .map_err(Into::into)
+            .and_then(cmd_validate),
+        "fleet" => flags_only(&parsed, &flag_names("fleet"))
+            .map_err(Into::into)
+            .and_then(cmd_fleet),
         "batch" => cmd_batch(&parsed),
         "serve" => flags_only(
             &parsed,

@@ -114,11 +114,17 @@ fn validate_variance_flags_are_checked() {
 
     let (ok, _, stderr) = run(&["validate", "--bias", "0.5"]);
     assert!(!ok);
-    assert!(stderr.contains("requires --variance"), "{stderr}");
+    assert!(
+        stderr.contains("requires `mc.variance = failure-biasing`"),
+        "{stderr}"
+    );
 
     let (ok, _, stderr) = run(&["validate", "--variance", "failure-biasing", "--effort", "8"]);
     assert!(!ok);
-    assert!(stderr.contains("requires --variance splitting"), "{stderr}");
+    assert!(
+        stderr.contains("requires `mc.variance = splitting`"),
+        "{stderr}"
+    );
 
     let (ok, _, stderr) = run(&["validate", "--variance", "failure-biasing", "--bias", "1.5"]);
     assert!(!ok, "bias outside [0,1) must fail");
@@ -155,7 +161,7 @@ fn help_succeeds() {
 fn solve_rejects_bad_flag_values() {
     let (ok, _, stderr) = run(&["solve", "--lambda", "not-a-number"]);
     assert!(!ok);
-    assert!(stderr.contains("invalid value"), "{stderr}");
+    assert!(stderr.contains("expects a finite number"), "{stderr}");
 
     let (ok, _, stderr) = run(&["solve", "--hep", "1.5"]);
     assert!(!ok, "hep outside [0,1] must fail");
@@ -1010,7 +1016,10 @@ fn telemetry_flags_are_rejected_where_unsupported() {
 
     let (ok, _, stderr) = run(&["validate", "--metrics-format", "prom"]);
     assert!(!ok);
-    assert!(stderr.contains("requires --metrics"), "{stderr}");
+    assert!(
+        stderr.contains("requires a `telemetry.metrics` destination"),
+        "{stderr}"
+    );
 
     let (ok, _, stderr) = run(&[
         "validate",
@@ -1032,7 +1041,7 @@ fn telemetry_spec_errors_are_line_numbered() {
     let (ok, _, stderr) = run(&["batch", spec.to_str().unwrap(), "--dry-run"]);
     assert!(!ok);
     assert!(
-        stderr.contains("line 5") && stderr.contains("requires a `metrics` destination"),
+        stderr.contains("line 5") && stderr.contains("requires a `telemetry.metrics` destination"),
         "{stderr}"
     );
 
@@ -1161,20 +1170,23 @@ fn fleet_failover_flags_are_validated() {
     let (ok, _, stderr) = run(&["fleet", "--failover-policy", "loss"]);
     assert!(!ok);
     assert!(
-        stderr.contains("--failover-policy requires --failover-capacity"),
+        stderr.contains(
+            "--failover-policy: `fleet.failover_policy` requires `fleet.failover_capacity`"
+        ),
         "{stderr}"
     );
 
     let (ok, _, stderr) = run(&["fleet", "--failback-rate", "0.1"]);
     assert!(!ok);
     assert!(
-        stderr.contains("--failback-rate requires --failover-capacity"),
+        stderr
+            .contains("--failback-rate: `fleet.failback_rate` requires `fleet.failover_capacity`"),
         "{stderr}"
     );
 
     let (ok, _, stderr) = run(&["fleet", "--failover-capacity", "many"]);
     assert!(!ok);
-    assert!(stderr.contains("use a count or `inf`"), "{stderr}");
+    assert!(stderr.contains("an unsigned integer or `inf`"), "{stderr}");
 
     let (ok, _, stderr) = run(&["fleet", "--failover-capacity", "0"]);
     assert!(!ok);
@@ -1236,7 +1248,7 @@ fn batch_failover_spec_errors_name_their_line() {
     let (ok, _, stderr) = run(&["batch", spec.to_str().unwrap(), "--dry-run"]);
     assert!(!ok);
     assert!(
-        stderr.contains("line 5") && stderr.contains("requires `arrays`"),
+        stderr.contains("line 5") && stderr.contains("at least one array"),
         "{stderr}"
     );
 
@@ -1248,7 +1260,7 @@ fn batch_failover_spec_errors_name_their_line() {
     let (ok, _, stderr) = run(&["batch", spec.to_str().unwrap(), "--dry-run"]);
     assert!(!ok);
     assert!(
-        stderr.contains("line 6") && stderr.contains("requires a `failover_capacity` key"),
+        stderr.contains("line 6") && stderr.contains("requires `fleet.failover_capacity`"),
         "{stderr}"
     );
 
