@@ -1,11 +1,10 @@
-//! Performance of the steady-state solvers (GTH vs direct LU vs power
-//! iteration) as the chain grows — the generic `k+m` generator provides
-//! progressively larger availability chains, and a ring generator provides
-//! dense synthetic ones.
+//! Performance of the GTH steady-state solve as the chain grows — the
+//! generic `k+m` generator provides progressively larger availability
+//! chains, and a ring generator provides dense synthetic ones.
 
 use availsim_core::markov::GenericKofN;
 use availsim_core::ModelParams;
-use availsim_ctmc::{Ctmc, CtmcBuilder, SteadyStateMethod};
+use availsim_ctmc::{Ctmc, CtmcBuilder};
 use availsim_hra::Hep;
 use availsim_storage::RaidGeometry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -32,29 +31,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gth", n), &chain, |b, chain| {
             b.iter(|| black_box(chain.steady_state().unwrap()));
         });
-        group.bench_with_input(BenchmarkId::new("lu", n), &chain, |b, chain| {
-            b.iter(|| {
-                black_box(
-                    chain
-                        .steady_state_with(SteadyStateMethod::DirectLu)
-                        .unwrap(),
-                )
-            });
-        });
-        if n <= 64 {
-            group.bench_with_input(BenchmarkId::new("power", n), &chain, |b, chain| {
-                b.iter(|| {
-                    black_box(
-                        chain
-                            .steady_state_with(SteadyStateMethod::Power {
-                                max_iterations: 1_000_000,
-                                tolerance: 1e-12,
-                            })
-                            .unwrap(),
-                    )
-                });
-            });
-        }
     }
     group.finish();
 

@@ -113,53 +113,6 @@ pub fn fig7_policy_sweep(base: ModelParams) -> Result<Vec<PolicyComparison>> {
         .collect()
 }
 
-/// Expected yearly operating cost of one array under the conventional
-/// policy: outage penalties (per down hour) plus service-call costs (per
-/// technician dispatch, i.e. each time the array leaves `OP` or a recovery
-/// action fires) — a Markov-reward view of the paper's model.
-///
-/// # Errors
-/// Propagates model errors; costs must be nonnegative and finite.
-pub fn annual_cost_conventional(
-    params: ModelParams,
-    cost_per_down_hour: f64,
-    cost_per_service_action: f64,
-) -> Result<f64> {
-    let valid_cost = |c: f64| c.is_finite() && c >= 0.0;
-    if !valid_cost(cost_per_down_hour) || !valid_cost(cost_per_service_action) {
-        return Err(crate::error::CoreError::InvalidParameter(
-            "costs must be nonnegative and finite".into(),
-        ));
-    }
-    use availsim_ctmc::RewardModel;
-    let def = Raid5Conventional::new(params)?.chain();
-    let chain = def.build()?;
-    let mut rewards = RewardModel::zero(&chain);
-    for s in def.state_ids(&chain, |c| !c.is_up()) {
-        rewards
-            .rate_reward(s, cost_per_down_hour)
-            .map_err(crate::error::CoreError::from)?;
-    }
-    // Each completed service transition is one technician dispatch.
-    let op = chain.find_state("OP").expect("state exists");
-    let exp = chain.find_state("EXP").expect("state exists");
-    let du = chain.find_state("DU").expect("state exists");
-    let dl = chain.find_state("DL").expect("state exists");
-    for (from, to) in [(exp, op), (exp, du), (du, op), (dl, op)] {
-        // Edges vanish when their rate is zero (e.g. EXP→DU at hep = 0);
-        // a missing edge simply contributes no dispatches.
-        match rewards.impulse_reward(from, to, cost_per_service_action) {
-            Ok(_) => {}
-            Err(availsim_ctmc::CtmcError::UnknownState(_)) => {}
-            Err(e) => return Err(crate::error::CoreError::from(e)),
-        }
-    }
-    let hourly = chain
-        .long_run_reward_rate(&rewards)
-        .map_err(crate::error::CoreError::from)?;
-    Ok(hourly * availsim_storage::HOURS_PER_YEAR)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,50 +166,5 @@ mod tests {
     fn nines_accessors_are_consistent() {
         let c = compare_policies(base(0.01)).unwrap();
         assert!(c.failover_nines() > c.conventional_nines());
-    }
-
-    #[test]
-    fn annual_cost_combines_downtime_and_dispatches() {
-        // Pure outage pricing: cost ≈ U · hours/yr · rate.
-        let p = base(0.01);
-        let outage_only = annual_cost_conventional(p, 1_000.0, 0.0).unwrap();
-        let u = Raid5Conventional::new(p)
-            .unwrap()
-            .solve()
-            .unwrap()
-            .unavailability();
-        let expect = u * availsim_storage::HOURS_PER_YEAR * 1_000.0;
-        assert!((outage_only - expect).abs() / expect < 1e-9);
-
-        // Dispatch pricing: one dispatch per failure (n·λ per hour) plus the
-        // extra wrong-pull + recovery dispatches that hep = 0.01 adds (~9%).
-        let dispatch_only = annual_cost_conventional(p, 0.0, 500.0).unwrap();
-        let per_year = 4.0 * 1e-6 * availsim_storage::HOURS_PER_YEAR;
-        let ratio = dispatch_only / (per_year * 500.0);
-        assert!(ratio > 1.0 && ratio < 1.2, "dispatch ratio {ratio}");
-
-        // Combined is the sum.
-        let both = annual_cost_conventional(p, 1_000.0, 500.0).unwrap();
-        assert!((both - outage_only - dispatch_only).abs() < 1e-9);
-    }
-
-    #[test]
-    fn annual_cost_handles_hep_zero_chain() {
-        // At hep = 0 the EXP→DU edge does not exist; costing must not error.
-        let cost = annual_cost_conventional(base(0.0), 1_000.0, 500.0).unwrap();
-        assert!(cost > 0.0);
-    }
-
-    #[test]
-    fn annual_cost_validates_inputs() {
-        assert!(annual_cost_conventional(base(0.01), -1.0, 0.0).is_err());
-        assert!(annual_cost_conventional(base(0.01), 0.0, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn human_error_raises_the_bill() {
-        let clean = annual_cost_conventional(base(0.0), 10_000.0, 200.0).unwrap();
-        let dirty = annual_cost_conventional(base(0.01), 10_000.0, 200.0).unwrap();
-        assert!(dirty > clean, "{dirty} vs {clean}");
     }
 }

@@ -8,13 +8,16 @@
 //! ## Models
 //!
 //! * [`markov::Raid5Conventional`] — the paper's Fig. 2 CTMC (conventional
-//!   disk replacement; also RAID1 with `n = 2`), solved with
-//!   cancellation-free GTH elimination.
+//!   disk replacement; also RAID1 with `n = 2`).
 //! * [`markov::Raid5FailOver`] — the paper's Fig. 3 twelve-state CTMC
 //!   (automatic fail-over with hot spares).
 //! * [`markov::GenericKofN`] — a `(failed, wrongly-removed)` chain
 //!   generator that reduces exactly to Fig. 2 at `m = 1` and extends the
 //!   paper to RAID6.
+//!
+//! Every exact answer comes from cancellation-free GTH elimination on the
+//! model's chain definition: the steady-state unavailability directly, and
+//! the mean time to data loss by the renewal argument.
 //! * [`mc::ConventionalMc`] / [`mc::FailOverMc`] — the Monte-Carlo
 //!   reference models (per-disk Weibull clocks for the conventional policy).
 //!
@@ -23,8 +26,6 @@
 //! * [`analysis`] — downtime-underestimation factors (the paper's "up to
 //!   263X") and the conventional-vs-fail-over comparison (Fig. 7).
 //! * [`volume`] — equivalent-usable-capacity RAID comparison (Fig. 6).
-//! * [`validate`] — MC-vs-Markov cross validation (Fig. 4).
-//! * [`sensitivity`] — parameter elasticities of the unavailability.
 //! * [`nines`] — availability ↔ nines ↔ downtime conversions.
 //!
 //! # Examples
@@ -54,11 +55,7 @@ pub mod markov;
 pub mod mc;
 pub mod nines;
 mod params;
-pub mod reliability;
 pub mod report;
-pub mod sensitivity;
-pub mod transient;
-pub mod validate;
 pub mod volume;
 
 pub use error::{CoreError, Result};

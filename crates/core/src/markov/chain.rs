@@ -1,16 +1,17 @@
 //! Chain definitions: each paper model declared once, as an ordered list of
 //! classified states and an ordered list of tagged edges.
 //!
-//! The exact solver builds its [`Ctmc`] from a definition
-//! ([`ChainDef::build`]), and the Monte-Carlo jump chains compile the same
-//! definition into their exit tables, so both read one object. The
-//! declared order is part of the contract: the builder merges parallel
-//! edges in that order, and the samplers pick among a state's exits in that
+//! The exact solver reads a definition directly ([`ChainDef::solve`],
+//! [`ChainDef::mttdl_hours`]), and the Monte-Carlo jump chains compile the
+//! same definition into their exit tables, so both read one object. The
+//! declared order is part of the contract: the solver sums parallel edges
+//! in that order, and the samplers pick among a state's exits in that
 //! order, which fixes how they consume the RNG stream.
 
 use super::SolvedChain;
 use crate::error::Result;
-use availsim_ctmc::{Ctmc, CtmcBuilder, StateId};
+use availsim_ctmc::{mean_first_passage_gth, steady_state_gth_rates, Ctmc, CtmcBuilder};
+use std::borrow::Cow;
 
 /// Whether a state serves I/O, and if not, why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,18 +52,22 @@ pub enum EdgeTag {
     RebuildLoss,
 }
 
-/// One state of a chain definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One state of a chain definition. The paper's chains label their
+/// states with static names; generated chains own theirs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainState {
-    /// The state's label in the built chain.
-    pub label: &'static str,
+    /// The state's label.
+    pub label: Cow<'static, str>,
     /// The state's class.
     pub class: StateClass,
 }
 
 impl ChainState {
     pub(crate) const fn new(label: &'static str, class: StateClass) -> Self {
-        ChainState { label, class }
+        ChainState {
+            label: Cow::Borrowed(label),
+            class,
+        }
     }
 }
 
@@ -94,18 +99,24 @@ pub(crate) fn edge(from: u16, to: u16, rate: f64, tag: EdgeTag) -> ChainEdge {
 /// state of every analysis and mission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainDef {
-    states: &'static [ChainState],
+    states: Cow<'static, [ChainState]>,
     edges: Vec<ChainEdge>,
 }
 
 impl ChainDef {
-    pub(crate) fn new(states: &'static [ChainState], edges: Vec<ChainEdge>) -> Self {
-        ChainDef { states, edges }
+    pub(crate) fn new(
+        states: impl Into<Cow<'static, [ChainState]>>,
+        edges: Vec<ChainEdge>,
+    ) -> Self {
+        ChainDef {
+            states: states.into(),
+            edges,
+        }
     }
 
-    /// The states, in declared (and built) order.
+    /// The states, in declared order.
     pub fn states(&self) -> &[ChainState] {
-        self.states
+        &self.states
     }
 
     /// The edges, in declared order.
@@ -113,8 +124,10 @@ impl ChainDef {
         &self.edges
     }
 
-    /// Builds the CTMC. States keep their declared order; the builder
-    /// drops zero-rate edges and merges parallel ones in declared order.
+    /// Builds the chain as a [`Ctmc`]. States keep their declared order;
+    /// the builder drops zero-rate edges and merges parallel ones in
+    /// declared order, so its steady state is bit-identical to
+    /// [`Self::solve`]'s.
     ///
     /// # Errors
     /// Propagates chain-construction errors (none occur for validated
@@ -124,56 +137,42 @@ impl ChainDef {
         let ids = self
             .states
             .iter()
-            .map(|s| b.state(s.label))
+            .map(|s| b.state(s.label.as_ref()))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        for e in &self.edges {
+        for e in self.edges.iter() {
             b.transition(ids[usize::from(e.from)], ids[usize::from(e.to)], e.rate)?;
         }
         Ok(b.build()?)
     }
 
-    /// The ids, in `chain` (built by [`Self::build`]), of the states whose
-    /// class satisfies `keep`.
-    pub fn state_ids(&self, chain: &Ctmc, keep: impl Fn(StateClass) -> bool) -> Vec<StateId> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| keep(s.class))
-            .map(|(i, _)| chain.states().nth(i).expect("built from this definition"))
-            .collect()
+    /// The dense rate matrix: every edge added in declared order.
+    fn rates(&self) -> Vec<Vec<f64>> {
+        let n = self.states.len();
+        let mut a = vec![vec![0.0; n]; n];
+        for e in &self.edges {
+            a[usize::from(e.from)][usize::from(e.to)] += e.rate;
+        }
+        a
     }
 
-    /// The distribution concentrated on the start state.
-    pub fn start_distribution(&self) -> Vec<f64> {
-        let mut p0 = vec![0.0; self.states.len()];
-        p0[0] = 1.0;
-        p0
-    }
-
-    /// Solves the stationary distribution with every non-up state down.
+    /// Solves the stationary distribution (GTH) with every non-up state
+    /// down.
     ///
     /// # Errors
     /// Propagates solver errors.
     pub fn solve(&self) -> Result<SolvedChain> {
-        let down: Vec<&str> = self
-            .states
-            .iter()
-            .filter(|s| !s.class.is_up())
-            .map(|s| s.label)
-            .collect();
-        SolvedChain::solve(self.build()?, &down)
+        let pi = steady_state_gth_rates(&mut self.rates())?;
+        Ok(SolvedChain::new(pi, self.states.clone()))
     }
 
     /// Mean time to data loss (hours): expected first passage from the
-    /// start state into any data-loss state.
+    /// start state into any data-loss state, by the renewal argument on
+    /// GTH ([`mean_first_passage_gth`]).
     ///
     /// # Errors
-    /// Propagates absorbing-analysis errors.
+    /// Propagates solver errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
-        let chain = self.build()?;
-        let loss = self.state_ids(&chain, StateClass::is_data_loss);
-        Ok(chain
-            .absorption(&self.start_distribution(), &loss)?
-            .mean_time)
+        let loss: Vec<bool> = self.states.iter().map(|s| s.class.is_data_loss()).collect();
+        Ok(mean_first_passage_gth(&self.rates(), 0, &loss)?)
     }
 }

@@ -29,7 +29,7 @@ use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
 use availsim_ctmc::Ctmc;
 
-const FIG3_STATES: [ChainState; 12] = [
+static FIG3_STATES: [ChainState; 12] = [
     ChainState::new("OP", StateClass::Up),
     ChainState::new("EXP1", StateClass::Up),
     ChainState::new("OPns", StateClass::Up),
@@ -78,7 +78,7 @@ pub(crate) fn fig3_chain(params: &ModelParams) -> ChainDef {
     let crash = p.removed_crash_rate;
     use EdgeTag::{Crash, Failure, HumanError, Service};
     ChainDef::new(
-        &FIG3_STATES,
+        &FIG3_STATES[..],
         vec![
             // OP: failure starts the automatic fail-over.
             edge(OP, EXP1, n * lam, Failure),
@@ -312,7 +312,7 @@ mod tests {
             .states()
             .iter()
             .filter(|s| s.class == StateClass::HumanErrorDown)
-            .map(|s| fo.probability(s.label).unwrap())
+            .map(|s| fo.probability(&s.label).unwrap())
             .sum();
         assert!(
             fo_du < conv_du / 10.0,
@@ -343,8 +343,15 @@ mod tests {
         let m = model(2e-6, 0.005);
         let chain = m.build_chain().unwrap();
         let pi = chain.steady_state().unwrap();
-        let q = chain.generator();
-        let residual = q.vec_mul(&pi).unwrap();
+        // (πQ)_j: inflow into j minus outflow out of j.
+        let mut residual: Vec<f64> = chain
+            .states()
+            .iter()
+            .map(|(id, _)| -pi[id.index()] * chain.exit_rate(id))
+            .collect();
+        for (from, to, rate) in chain.transitions() {
+            residual[to.index()] += pi[from.index()] * rate;
+        }
         let max: f64 = residual.iter().fold(0.0f64, |a, b| a.max(b.abs()));
         assert!(max < 1e-12, "residual {max}");
     }

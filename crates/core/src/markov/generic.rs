@@ -1,10 +1,11 @@
-//! A generic `(failed, wrongly-removed)` chain generator for `k+m` arrays.
+//! A generic `(failed, wrongly-removed)` chain for `k+m` arrays.
 //!
 //! This extends the paper's Fig. 2 beyond single parity: states are pairs
 //! `(f, w)` — `f` failed disks (data on them lost until rebuilt), `w`
 //! wrongly removed disks (data intact) — plus a collapsed `DL` state for
-//! `f > m`. The array is *up* while `f + w <= m`, *unavailable* (DU class)
-//! while `f + w > m` with `f <= m`, and in data loss once `f > m`.
+//! `f > m`. The classes follow from the counts: the array is *up* while
+//! `f + w <= m`, *unavailable* (DU class) while `f + w > m` with `f <= m`,
+//! and in data loss once `f > m`.
 //!
 //! Transition rules (conventional replacement policy):
 //!
@@ -18,22 +19,20 @@
 //!   failure;
 //! * `DL`: full restore at `μ_DDF`.
 //!
-//! With `recovery_completes_repair = true` (default, matching Fig. 2's
-//! `DU → OP` edge), a successful recovery also finishes the pending
-//! replacement: `(f, w) → (f−1, w−1)` when `f ≥ 1`. For `m = 1` the
-//! generated chain is then *exactly* Fig. 2, which the tests verify.
+//! As in Fig. 2's `DU → OP` edge, a successful recovery also finishes the
+//! pending replacement: `(f, w) → (f−1, w−1)` when `f ≥ 1`. For `m = 1`
+//! the chain is then *exactly* Fig. 2 as labeled, which the tests verify.
 
+use super::chain::{edge, ChainDef, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
-use availsim_ctmc::{Ctmc, CtmcBuilder, StateId};
-use std::collections::HashMap;
+use availsim_ctmc::Ctmc;
 
 /// Generic `k+m` availability model with human errors.
 #[derive(Debug, Clone, Copy)]
 pub struct GenericKofN {
     params: ModelParams,
-    recovery_completes_repair: bool,
     rebuild_failure_probability: f64,
 }
 
@@ -62,17 +61,8 @@ impl GenericKofN {
         }
         Ok(GenericKofN {
             params,
-            recovery_completes_repair: true,
             rebuild_failure_probability: params.rebuild_lse_probability(),
         })
-    }
-
-    /// Chooses whether a successful human-error recovery also completes the
-    /// pending repair (the paper's Fig. 2 reading) or merely reinserts the
-    /// disk. Exposed for ablation studies.
-    pub fn with_recovery_completes_repair(mut self, yes: bool) -> Self {
-        self.recovery_completes_repair = yes;
-        self
     }
 
     /// Models latent sector errors (LSEs) discovered during reconstruction:
@@ -98,89 +88,106 @@ impl GenericKofN {
         &self.params
     }
 
-    fn label(f: u32, w: u32) -> String {
-        format!("F{f}W{w}")
-    }
-
-    /// Builds the chain.
-    ///
-    /// # Errors
-    /// Propagates chain-construction errors (none occur for validated
-    /// parameters).
-    pub fn build_chain(&self) -> Result<Ctmc> {
+    /// The chain definition. The states run `F0W0` … `F{m}W{m+1}`,
+    /// `f`-major, keeping every `(f, w)` with `f + w <= n`, then `DL`.
+    /// Each state's edges come in one fixed order, so parallel rates sum
+    /// the same way in every solve.
+    pub fn chain(&self) -> ChainDef {
+        use EdgeTag::{Crash, Failure, HumanError, RebuildLoss, Service};
         let p = &self.params;
         let n = p.disks();
         let m = p.geometry.fault_tolerance();
         let hep = p.hep.value();
         let lam = p.disk_failure_rate;
-
-        let mut b = CtmcBuilder::new();
-        let mut ids: HashMap<(u32, u32), StateId> = HashMap::new();
         // Reachable bounds: w grows only in up states (f + w <= m) plus one
         // final erroneous step, so w <= m + 1; f <= m within tracked states.
-        for f in 0..=m {
-            for w in 0..=(m + 1) {
-                if f + w <= n {
-                    ids.insert((f, w), b.state(Self::label(f, w))?);
-                }
-            }
-        }
-        let dl = b.state("DL")?;
-
+        let pairs: Vec<(u32, u32)> = (0..=m)
+            .flat_map(|f| (0..=m + 1).map(move |w| (f, w)))
+            .filter(|&(f, w)| f + w <= n)
+            .collect();
+        let index = |i: usize| u16::try_from(i).expect("state count fits 16 bits");
+        let find = |f: u32, w: u32| pairs.iter().position(|&s| s == (f, w)).map(index);
+        let id = |f: u32, w: u32| find(f, w).expect("state exists");
+        let dl = index(pairs.len());
         let is_up = |f: u32, w: u32| f + w <= m;
-        for (&(f, w), &from) in &ids {
+
+        let mut states: Vec<ChainState> = pairs
+            .iter()
+            .map(|&(f, w)| ChainState {
+                label: format!("F{f}W{w}").into(),
+                class: if is_up(f, w) {
+                    StateClass::Up
+                } else {
+                    StateClass::HumanErrorDown
+                },
+            })
+            .collect();
+        states.push(ChainState::new("DL", StateClass::DataLossDown));
+
+        let mut edges = Vec::new();
+        for (&(f, w), from) in pairs.iter().zip(0u16..) {
+            let up = is_up(f, w);
             let active = n - f - w;
             // Failures only while serving I/O.
-            if is_up(f, w) && active > 0 {
-                let rate = f64::from(active) * lam;
-                let to = if f + 1 > m { dl } else { ids[&(f + 1, w)] };
-                b.transition(from, to, rate)?;
+            if up && active > 0 {
+                let to = if f + 1 > m { dl } else { id(f + 1, w) };
+                edges.push(edge(from, to, f64::from(active) * lam, Failure));
             }
             // Repair progress only while serving I/O. A completing rebuild
             // may hit a latent sector error; the LSE only loses data when
             // the array has no redundancy slack left (f == m) — with f < m
             // the remaining parity reconstructs the unreadable sector, which
             // is exactly why double parity defuses the LSE threat.
-            if is_up(f, w) && f >= 1 {
+            if up && f >= 1 {
                 let ue = if f == m {
                     self.rebuild_failure_probability
                 } else {
                     0.0
                 };
-                b.transition(
+                let mu = p.disk_repair_rate;
+                edges.push(edge(
                     from,
-                    ids[&(f - 1, w)],
-                    (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate,
-                )?;
+                    id(f - 1, w),
+                    (1.0 - hep) * (1.0 - ue) * mu,
+                    Service,
+                ));
                 if ue > 0.0 {
-                    b.transition(from, dl, (1.0 - hep) * ue * p.disk_repair_rate)?;
+                    edges.push(edge(from, dl, (1.0 - hep) * ue * mu, RebuildLoss));
                 }
-                if active > 0 && ids.contains_key(&(f, w + 1)) {
-                    b.transition(from, ids[&(f, w + 1)], hep * p.disk_repair_rate)?;
+                if let Some(to) = find(f, w + 1).filter(|_| active > 0) {
+                    edges.push(edge(from, to, hep * mu, HumanError));
                 }
             }
             // Wrong-removal recovery.
             if w >= 1 {
-                let success_to = if self.recovery_completes_repair && f >= 1 {
-                    ids[&(f - 1, w - 1)]
+                let to = if f >= 1 {
+                    id(f - 1, w - 1)
                 } else {
-                    ids[&(f, w - 1)]
+                    id(f, w - 1)
                 };
-                b.transition(from, success_to, (1.0 - hep) * p.human_recovery_rate)?;
+                let mu = p.human_recovery_rate;
+                edges.push(edge(from, to, (1.0 - hep) * mu, Service));
                 // A failed recovery in an *up* state pulls yet another disk
                 // (Fig. 3's EXPns2 → DUns2); in a down state it is a retry.
-                if is_up(f, w) && active > 0 {
-                    if let Some(&worse) = ids.get(&(f, w + 1)) {
-                        b.transition(from, worse, hep * p.human_recovery_rate)?;
-                    }
+                if let Some(worse) = find(f, w + 1).filter(|_| up && active > 0) {
+                    edges.push(edge(from, worse, hep * mu, HumanError));
                 }
                 // Each removed disk can crash.
-                let crash_to = if f + 1 > m { dl } else { ids[&(f + 1, w - 1)] };
-                b.transition(from, crash_to, f64::from(w) * p.removed_crash_rate)?;
+                let to = if f + 1 > m { dl } else { id(f + 1, w - 1) };
+                edges.push(edge(from, to, f64::from(w) * p.removed_crash_rate, Crash));
             }
         }
-        b.transition(dl, ids[&(0, 0)], p.ddf_recovery_rate)?;
-        Ok(b.build()?)
+        edges.push(edge(dl, 0, p.ddf_recovery_rate, Service));
+        ChainDef::new(states, edges)
+    }
+
+    /// Builds the chain as a [`Ctmc`].
+    ///
+    /// # Errors
+    /// Propagates chain-construction errors (none occur for validated
+    /// parameters).
+    pub fn build_chain(&self) -> Result<Ctmc> {
+        self.chain().build()
     }
 
     /// Solves the chain; down states are `DL` and every `(f, w)` with
@@ -189,38 +196,16 @@ impl GenericKofN {
     /// # Errors
     /// Propagates solver errors.
     pub fn solve(&self) -> Result<SolvedChain> {
-        let m = self.params.geometry.fault_tolerance();
-        let chain = self.build_chain()?;
-        let mut down: Vec<String> = vec!["DL".to_string()];
-        for (_, label) in chain.states().iter() {
-            if let Some((f, w)) = parse_label(label) {
-                if f + w > m {
-                    down.push(label.to_string());
-                }
-            }
-        }
-        let down_refs: Vec<&str> = down.iter().map(String::as_str).collect();
-        SolvedChain::solve(chain, &down_refs)
+        self.chain().solve()
     }
 
     /// Mean time to data loss from the all-good state.
     ///
     /// # Errors
-    /// Propagates absorbing-analysis errors.
+    /// Propagates solver errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
-        let chain = self.build_chain()?;
-        let dl = chain.find_state("DL").expect("state exists");
-        let start = chain.find_state(&Self::label(0, 0)).expect("state exists");
-        let mut p0 = vec![0.0; chain.num_states()];
-        p0[start.index()] = 1.0;
-        Ok(chain.absorption(&p0, &[dl])?.mean_time)
+        self.chain().mttdl_hours()
     }
-}
-
-fn parse_label(label: &str) -> Option<(u32, u32)> {
-    let rest = label.strip_prefix('F')?;
-    let (f, w) = rest.split_once('W')?;
-    Some((f.parse().ok()?, w.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -336,38 +321,9 @@ mod tests {
     }
 
     #[test]
-    fn ablation_recovery_semantics() {
-        // Not completing the repair during recovery keeps the array exposed
-        // longer; unavailability cannot decrease.
-        let p = params(RaidGeometry::raid5(3).unwrap(), 1e-5, 0.01);
-        let complete = GenericKofN::new(p)
-            .unwrap()
-            .solve()
-            .unwrap()
-            .unavailability();
-        let reinsert_only = GenericKofN::new(p)
-            .unwrap()
-            .with_recovery_completes_repair(false)
-            .solve()
-            .unwrap()
-            .unavailability();
-        assert!(
-            reinsert_only >= complete,
-            "{reinsert_only:.3e} vs {complete:.3e}"
-        );
-    }
-
-    #[test]
     fn raid0_rejected() {
         let p = params(RaidGeometry::raid0(4).unwrap(), 1e-6, 0.0);
         assert!(GenericKofN::new(p).is_err());
-    }
-
-    #[test]
-    fn label_parser() {
-        assert_eq!(parse_label("F1W2"), Some((1, 2)));
-        assert_eq!(parse_label("F10W0"), Some((10, 0)));
-        assert_eq!(parse_label("DL"), None);
     }
 
     #[test]

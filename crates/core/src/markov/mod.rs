@@ -8,9 +8,11 @@
 //!   `k+m` geometry, which reduces to Fig. 2 at `m = 1` and extends the
 //!   paper to RAID6.
 //!
-//! The two paper chains are declared once each, as a [`ChainDef`]: the
-//! exact solver builds its CTMC from the definition, and the Monte-Carlo
-//! jump chains compile the same definition into their exit tables.
+//! Each model declares its chain once, as a [`ChainDef`]: the exact solver
+//! reads the definition directly — GTH for the steady state, and the
+//! renewal argument on GTH for the mean time to data loss — and the
+//! Monte-Carlo jump chains compile the same definition into their exit
+//! tables.
 
 mod chain;
 mod failover;
@@ -24,49 +26,31 @@ pub use generic::GenericKofN;
 pub(crate) use raid5::fig2_chain;
 pub use raid5::{Raid5Conventional, WrongReplacementTiming};
 
-use crate::error::Result;
 use crate::nines;
-use availsim_ctmc::{Ctmc, StateId};
+use std::borrow::Cow;
 
-/// A solved chain: stationary distribution plus an up/down classification.
+/// A solved chain: the stationary distribution over its definition's
+/// classified states.
 #[derive(Debug, Clone)]
 pub struct SolvedChain {
-    chain: Ctmc,
     pi: Vec<f64>,
-    down: Vec<bool>,
+    states: Cow<'static, [ChainState]>,
 }
 
 impl SolvedChain {
-    /// Solves the chain's steady state (GTH) and classifies the listed
-    /// labels as down states.
-    ///
-    /// # Errors
-    /// Propagates solver errors; unknown labels are ignored deliberately so
-    /// model variants can share down-label lists.
-    pub fn solve(chain: Ctmc, down_labels: &[&str]) -> Result<Self> {
-        let pi = chain.steady_state()?;
-        let mut down = vec![false; chain.num_states()];
-        for label in down_labels {
-            if let Some(id) = chain.find_state(label) {
-                down[id.index()] = true;
-            }
-        }
-        Ok(SolvedChain { chain, pi, down })
+    pub(crate) fn new(pi: Vec<f64>, states: Cow<'static, [ChainState]>) -> Self {
+        SolvedChain { pi, states }
     }
 
-    /// The underlying chain.
-    pub fn chain(&self) -> &Ctmc {
-        &self.chain
-    }
-
-    /// The stationary distribution.
+    /// The stationary distribution, in the definition's state order.
     pub fn probabilities(&self) -> &[f64] {
         &self.pi
     }
 
     /// Stationary probability of a labeled state.
     pub fn probability(&self, label: &str) -> Option<f64> {
-        self.chain.find_state(label).map(|id| self.pi[id.index()])
+        let i = self.states.iter().position(|s| s.label == label)?;
+        Some(self.pi[i])
     }
 
     /// Steady-state unavailability, computed as the *sum of down-state
@@ -76,8 +60,8 @@ impl SolvedChain {
     pub fn unavailability(&self) -> f64 {
         self.pi
             .iter()
-            .zip(&self.down)
-            .filter(|(_, &d)| d)
+            .zip(self.states.iter())
+            .filter(|(_, s)| !s.class.is_up())
             .map(|(p, _)| p)
             .sum()
     }
@@ -96,60 +80,36 @@ impl SolvedChain {
     pub fn downtime_minutes_per_year(&self) -> f64 {
         nines::downtime_minutes_per_year(self.unavailability())
     }
-
-    /// The down states of this model.
-    pub fn down_states(&self) -> Vec<StateId> {
-        (0..self.chain.num_states())
-            .filter(|&i| self.down[i])
-            .map(|i| self.chain.states().nth(i).expect("index in range"))
-            .collect()
-    }
-
-    /// A labeled view of the stationary distribution, sorted by state index.
-    pub fn labeled_probabilities(&self) -> Vec<(String, f64)> {
-        self.chain
-            .states()
-            .iter()
-            .map(|(id, label)| (label.to_string(), self.pi[id.index()]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::chain::edge;
     use super::*;
-    use availsim_ctmc::CtmcBuilder;
 
-    fn toy() -> Ctmc {
-        let mut b = CtmcBuilder::new();
-        let up = b.state("up").unwrap();
-        let down = b.state("down").unwrap();
-        b.transition(up, down, 0.1).unwrap();
-        b.transition(down, up, 0.9).unwrap();
-        b.build().unwrap()
+    fn toy() -> SolvedChain {
+        static STATES: [ChainState; 2] = [
+            ChainState::new("up", StateClass::Up),
+            ChainState::new("down", StateClass::HumanErrorDown),
+        ];
+        ChainDef::new(
+            &STATES[..],
+            vec![
+                edge(0, 1, 0.1, EdgeTag::HumanError),
+                edge(1, 0, 0.9, EdgeTag::Service),
+            ],
+        )
+        .solve()
+        .unwrap()
     }
 
     #[test]
     fn solved_chain_basics() {
-        let s = SolvedChain::solve(toy(), &["down"]).unwrap();
+        let s = toy();
         assert!((s.unavailability() - 0.1).abs() < 1e-12);
         assert!((s.availability() - 0.9).abs() < 1e-12);
         assert!((s.nines() - 1.0).abs() < 1e-9);
-        assert_eq!(s.down_states().len(), 1);
         assert!((s.probability("up").unwrap() - 0.9).abs() < 1e-12);
         assert!(s.probability("nope").is_none());
-    }
-
-    #[test]
-    fn unknown_down_labels_are_ignored() {
-        let s = SolvedChain::solve(toy(), &["down", "DUns1"]).unwrap();
-        assert!((s.unavailability() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn labeled_probabilities_sum_to_one() {
-        let s = SolvedChain::solve(toy(), &["down"]).unwrap();
-        let total: f64 = s.labeled_probabilities().iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 }

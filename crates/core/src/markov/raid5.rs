@@ -74,7 +74,7 @@ impl WrongReplacementTiming {
     }
 }
 
-const FIG2_STATES: [ChainState; 4] = [
+static FIG2_STATES: [ChainState; 4] = [
     ChainState::new("OP", StateClass::Up),
     ChainState::new("EXP", StateClass::Up),
     ChainState::new("DU", StateClass::HumanErrorDown),
@@ -98,7 +98,7 @@ pub(crate) fn fig2_chain(params: &ModelParams, timing: WrongReplacementTiming) -
     // dropped by the builder and never picked by the samplers.
     let ue = p.rebuild_lse_probability();
     ChainDef::new(
-        &FIG2_STATES,
+        &FIG2_STATES[..],
         vec![
             edge(OP, EXP, n * p.disk_failure_rate, EdgeTag::Failure),
             // The second failure precedes the rebuild loss, so the

@@ -107,7 +107,7 @@ impl ExitTable {
                 };
             }
             row.counters[k] = [
-                edge_counter(states[from].label, states[to].label),
+                edge_counter(&states[from].label, &states[to].label),
                 (e.tag == EdgeTag::RebuildLoss).then_some(Counter::RebuildLseHits),
             ];
             row.len += 1;

@@ -201,3 +201,48 @@ fn solved_distribution_is_the_built_chains_steady_state_bit_for_bit() {
         built.steady_state().unwrap().as_slice()
     );
 }
+
+/// RAID6 MTTDL hours over `LAMBDAS` × `HEPS` as the LU absorbing solve
+/// gave them; `None` where it failed as "singular to working precision".
+#[rustfmt::skip]
+const RAID6_MTTDL_HOURS: [(&str, [[Option<f64>; 3]; 5]); 3] = [
+    ("r6-3", [
+        [None, None, None],
+        [Some(166680026300130.16), None, None],
+        [None, None, None],
+        [None, Some(157335972937.79678), Some(91651913943.19667)],
+        [Some(168007833.3304693), Some(167036963.7130214), Some(158407695.10492486)],
+    ]),
+    ("r6-4", [
+        [None, Some(271484490562442.16), Some(9915369966798.098)],
+        [None, None, None],
+        [None, Some(609235841963.8416), None],
+        [Some(83416728294.3169), Some(79748165885.44632), Some(52411651453.75681)],
+        [Some(84172833.33411004), Some(83797267.66201611), Some(80443601.99283837)],
+    ]),
+    ("r6-6", [
+        [None, None, None],
+        [None, Some(21666836502272.63), Some(2730503789035.8823)],
+        [None, Some(223925289209.77423), Some(126102939644.35645)],
+        [Some(29803614900.757736), Some(28897794844.331493), Some(21650465575.34822)],
+        [Some(30182916.666460596), Some(30090160.581434555), Some(29258107.348437984)],
+    ]),
+];
+
+#[test]
+fn raid6_mttdl_answers_on_the_whole_grid() {
+    for (raid, rows) in RAID6_MTTDL_HOURS {
+        for (lambda, row) in LAMBDAS.into_iter().zip(rows) {
+            for (hep, pinned) in HEPS.into_iter().zip(row) {
+                let what = format!("generic {raid} λ={lambda} hep={hep}");
+                let got = exact("generic", params(raid, lambda, hep))
+                    .2
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(got.is_finite() && got > 0.0, "{what}: MTTDL {got}");
+                if let Some(want) = pinned {
+                    assert_mttdl(&what, got, want, 1e-6);
+                }
+            }
+        }
+    }
+}

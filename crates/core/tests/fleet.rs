@@ -8,6 +8,7 @@ use availsim_core::mc::{
     McVariance, SimWorkspace, DEGRADED_BINS,
 };
 use availsim_core::ModelParams;
+use availsim_ctmc::CtmcBuilder;
 use availsim_hra::{DependenceLevel, Hep};
 use availsim_sim::rng::SimRng;
 use availsim_storage::{FailoverPolicy, FailureModel, FleetFailover, FleetSpec, RaidGeometry};
@@ -728,51 +729,21 @@ impl DrChain {
         out
     }
 
-    /// Stationary distribution via dense Gaussian elimination on
-    /// `πQ = 0`, `Σπ = 1` (the state space stays well under 200 states
-    /// for the test grid).
+    /// Stationary distribution of the chain, built with `availsim_ctmc`
+    /// and solved by GTH.
     fn stationary(&self) -> (Vec<(u32, u32, u32)>, Vec<f64>) {
         let states = self.states();
-        let index: std::collections::HashMap<_, _> = states
+        let mut b = CtmcBuilder::new();
+        let ids: std::collections::HashMap<_, _> = states
             .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, st)| (st, i))
+            .map(|&st| (st, b.state(format!("{st:?}")).unwrap()))
             .collect();
-        let m = states.len();
-        // Row i of the linear system is balance for state i; the last
-        // row is replaced by normalisation.
-        let mut a = vec![vec![0.0f64; m + 1]; m];
-        for (j, &st) in states.iter().enumerate() {
+        for &st in &states {
             for (target, rate) in self.transitions(st) {
-                let i = index[&target];
-                a[i][j] += rate; // inflow to `target` from `st`
-                a[j][j] -= rate; // outflow from `st`
+                b.transition(ids[&st], ids[&target], rate).unwrap();
             }
         }
-        for col in a.last_mut().unwrap().iter_mut().take(m) {
-            *col = 1.0;
-        }
-        a[m - 1][m] = 1.0;
-        // Gaussian elimination with partial pivoting.
-        for col in 0..m {
-            let pivot = (col..m)
-                .max_by(|&r1, &r2| a[r1][col].abs().total_cmp(&a[r2][col].abs()))
-                .unwrap();
-            a.swap(col, pivot);
-            let diag = a[col][col];
-            assert!(diag.abs() > 1e-12, "singular balance matrix");
-            let pivot_row = a[col].clone();
-            for (row, vals) in a.iter_mut().enumerate() {
-                if row != col && vals[col] != 0.0 {
-                    let factor = vals[col] / diag;
-                    for (t, &p) in vals[col..=m].iter_mut().zip(&pivot_row[col..=m]) {
-                        *t -= factor * p;
-                    }
-                }
-            }
-        }
-        let pi: Vec<f64> = (0..m).map(|i| a[i][m] / a[i][i]).collect();
+        let pi = b.build().unwrap().steady_state().unwrap();
         (states, pi)
     }
 

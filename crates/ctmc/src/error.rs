@@ -17,8 +17,6 @@ pub enum CtmcError {
     },
     /// A state label was used twice when declaring states.
     DuplicateState(String),
-    /// A transition referenced a state that was never declared.
-    UnknownState(String),
     /// The chain has no states.
     EmptyChain,
     /// The chain is not irreducible (or the requested analysis needs a
@@ -31,19 +29,12 @@ pub enum CtmcError {
     },
     /// A linear system was singular to working precision.
     SingularSystem,
-    /// An iterative method failed to converge.
-    NoConvergence {
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// Residual at the last iteration.
-        residual: f64,
-    },
     /// An initial distribution was invalid (negative entries, wrong length,
     /// or it does not sum to one).
     InvalidDistribution(String),
-    /// The requested set of absorbing states is invalid (empty, out of
-    /// bounds, or covering the entire chain).
-    InvalidAbsorbingSet(String),
+    /// A first-passage query is invalid: its start lies in the target set
+    /// or outside the chain, or no target is reachable from the start.
+    InvalidTargetSet(String),
     /// A dimension mismatch between a vector/matrix and the chain.
     DimensionMismatch {
         /// What was expected.
@@ -62,9 +53,6 @@ impl fmt::Display for CtmcError {
             CtmcError::DuplicateState(label) => {
                 write!(f, "state `{label}` declared more than once")
             }
-            CtmcError::UnknownState(label) => {
-                write!(f, "transition references undeclared state `{label}`")
-            }
             CtmcError::EmptyChain => write!(f, "chain has no states"),
             CtmcError::NotIrreducible { state } => {
                 write!(
@@ -75,20 +63,11 @@ impl fmt::Display for CtmcError {
             CtmcError::SingularSystem => {
                 write!(f, "linear system is singular to working precision")
             }
-            CtmcError::NoConvergence {
-                iterations,
-                residual,
-            } => {
-                write!(
-                    f,
-                    "no convergence after {iterations} iterations (residual {residual:e})"
-                )
-            }
             CtmcError::InvalidDistribution(msg) => {
                 write!(f, "invalid probability distribution: {msg}")
             }
-            CtmcError::InvalidAbsorbingSet(msg) => {
-                write!(f, "invalid absorbing set: {msg}")
+            CtmcError::InvalidTargetSet(msg) => {
+                write!(f, "invalid target set: {msg}")
             }
             CtmcError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")

@@ -8,6 +8,10 @@
 //! π(OP) ≈ 1), GTH delivers componentwise relative accuracy where a direct LU
 //! solve of `πQ = 0` can lose the small components entirely.
 //!
+//! The same elimination answers mean first-passage times through the
+//! renewal argument ([`mean_first_passage_gth`]), so one subtraction-free
+//! method serves both the steady state and the mean time to data loss.
+//!
 //! Reference: W. Grassmann, M. Taksar, D. Heyman, "Regenerative analysis and
 //! steady state distributions for Markov chains", Operations Research 33(5),
 //! 1985.
@@ -90,6 +94,57 @@ pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
     Ok(pi)
 }
 
+/// Mean first-passage time from `start` into any `target` state, for the
+/// chain with off-diagonal rates `a` (`a[i][j]` = rate of `i -> j`; the
+/// diagonal is ignored).
+///
+/// Renewal argument: drop the target states and redirect every edge into
+/// one of them to `start`. Each entry into the target set then begins a
+/// new cycle, whose mean length is the first-passage time, so that time is
+/// the reciprocal of the stationary flux along the redirected edges:
+/// `1 / Σᵢ πᵢ · (rate from i into the targets)`, with π solved by GTH.
+/// Every term is nonnegative, so the answer keeps GTH's relative accuracy
+/// where a linear solve of the absorbing chain loses it.
+///
+/// # Errors
+/// Returns [`CtmcError::InvalidTargetSet`] for a malformed target set or
+/// when no target is reachable from `start`, and propagates GTH errors.
+pub fn mean_first_passage_gth(a: &[Vec<f64>], start: usize, target: &[bool]) -> Result<f64> {
+    let n = a.len();
+    if target.len() != n || start >= n || target[start] {
+        return Err(CtmcError::InvalidTargetSet(format!(
+            "the start must be one of the {n} states and outside the target set"
+        )));
+    }
+    // The start state goes first: GTH needs every kept state to reach the
+    // state eliminated last, and every state reaches the start once the
+    // target edges point there.
+    let kept: Vec<usize> = std::iter::once(start)
+        .chain((0..n).filter(|&i| i != start && !target[i]))
+        .collect();
+    let into_target: Vec<f64> = kept
+        .iter()
+        .map(|&i| (0..n).filter(|&j| target[j]).map(|j| a[i][j]).sum())
+        .collect();
+    let mut r: Vec<Vec<f64>> = kept
+        .iter()
+        .map(|&i| kept.iter().map(|&j| a[i][j]).collect())
+        .collect();
+    // The start's own target edges become self-loops, which leave π as it
+    // is but still count in the flux.
+    for (row, &rate) in r.iter_mut().zip(&into_target).skip(1) {
+        row[0] += rate;
+    }
+    let pi = steady_state_gth_rates(&mut r)?;
+    let flux: f64 = pi.iter().zip(&into_target).map(|(p, r)| p * r).sum();
+    if flux <= 0.0 {
+        return Err(CtmcError::InvalidTargetSet(
+            "no target state is reachable from the start state".into(),
+        ));
+    }
+    Ok(1.0 / flux)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +216,76 @@ mod tests {
         let expected = 1e-12 / (1.0 + 1e-12);
         let rel = (pi[1] - expected).abs() / expected;
         assert!(rel < 1e-12, "relative error {rel}");
+    }
+
+    /// Rates of `edges` over `n` states as a dense matrix.
+    fn rates(n: usize, edges: &[(usize, usize, f64)]) -> Vec<Vec<f64>> {
+        let mut a = vec![vec![0.0; n]; n];
+        for &(i, j, r) in edges {
+            a[i][j] += r;
+        }
+        a
+    }
+
+    #[test]
+    fn single_transient_state_mtta_is_inverse_rate() {
+        let a = rates(2, &[(0, 1, 0.2)]);
+        let t = mean_first_passage_gth(&a, 0, &[false, true]).unwrap();
+        assert!((t - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn series_of_stages_adds_means() {
+        // a -> b -> dead: MTTA = 1/ra + 1/rb.
+        let a = rates(3, &[(0, 1, 0.5), (1, 2, 0.25)]);
+        let t = mean_first_passage_gth(&a, 0, &[false, false, true]).unwrap();
+        assert!((t - 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repairable_system_mttdl() {
+        // OP -> EXP (nλ), EXP -> OP (μ), EXP -> DL ((n−1)λ), DL -> OP: the
+        // classic MTTDL = (μ + nλ + (n−1)λ) / (nλ·(n−1)λ). The restore edge
+        // out of DL plays no part in the first passage.
+        let (n, lam, mu) = (4.0, 1e-4, 0.1);
+        let a = rates(
+            3,
+            &[
+                (0, 1, n * lam),
+                (1, 0, mu),
+                (1, 2, (n - 1.0) * lam),
+                (2, 0, 0.03),
+            ],
+        );
+        let t = mean_first_passage_gth(&a, 0, &[false, false, true]).unwrap();
+        let expect = (mu + n * lam + (n - 1.0) * lam) / (n * lam * (n - 1.0) * lam);
+        let rel = (t - expect).abs() / expect;
+        assert!(rel < 1e-12, "mean {t} expected {expect}");
+    }
+
+    #[test]
+    fn start_need_not_be_the_first_state() {
+        // The same two-stage series with the states listed in reverse.
+        let a = rates(3, &[(2, 1, 0.5), (1, 0, 0.25)]);
+        let t = mean_first_passage_gth(&a, 2, &[true, false, false]).unwrap();
+        assert!((t - 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn invalid_sets_rejected() {
+        let a = rates(2, &[(0, 1, 1.0)]);
+        assert!(mean_first_passage_gth(&a, 0, &[false, false]).is_err());
+        assert!(mean_first_passage_gth(&a, 0, &[true, true]).is_err());
+        assert!(mean_first_passage_gth(&a, 0, &[false]).is_err());
+        assert!(mean_first_passage_gth(&a, 2, &[false, true]).is_err());
+    }
+
+    #[test]
+    fn unreachable_target_is_rejected() {
+        // Two states that only talk to each other, plus a target nothing
+        // enters.
+        let a = rates(3, &[(0, 1, 1.0), (1, 0, 1.0)]);
+        let err = mean_first_passage_gth(&a, 0, &[false, false, true]).unwrap_err();
+        assert!(matches!(err, CtmcError::InvalidTargetSet(_)), "{err}");
     }
 }

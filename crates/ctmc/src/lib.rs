@@ -3,20 +3,20 @@
 //! A small, self-contained continuous-time Markov chain (CTMC) engine built
 //! for dependability and availability models.
 //!
-//! Chains are built with [`CtmcBuilder`], then analyzed:
+//! One exact method answers both stationary questions: the
+//! cancellation-free GTH elimination.
 //!
-//! * **Steady state** — [`Ctmc::steady_state`] uses the cancellation-free
-//!   GTH elimination (see [`steady_state_gth`]), which keeps componentwise relative
-//!   accuracy even when stationary probabilities span many orders of
-//!   magnitude, as they do in availability chains. LU and power-iteration
-//!   solvers are available through [`Ctmc::steady_state_with`] for
-//!   cross-checking.
+//! * **Steady state** — [`steady_state_gth_rates`] solves a dense rate
+//!   matrix and [`Ctmc::steady_state`] a built chain. GTH keeps
+//!   componentwise relative accuracy even when stationary probabilities
+//!   span many orders of magnitude, as they do in availability chains.
+//! * **Mean first passage** — [`mean_first_passage_gth`] gives the mean
+//!   time to reach a target set (MTTF / MTTDL) by the renewal argument on
+//!   GTH, with the same accuracy.
 //! * **Transient analysis** — [`Ctmc::transient`] implements uniformization
 //!   (Jensen's method) with numerically stable Poisson weights, and
 //!   [`Ctmc::cumulative_occupancy`] integrates state probabilities over a
 //!   mission window (interval availability).
-//! * **Absorbing analysis** — [`Ctmc::absorption`] computes mean time to
-//!   absorption (MTTF / MTTDL) and absorption probabilities.
 //!
 //! # Examples
 //!
@@ -42,32 +42,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod absorbing;
-mod analysis;
 mod builder;
-mod dense;
-mod dtmc;
 mod error;
 mod gth;
-mod lu;
-mod rewards;
 mod sparse;
 mod state;
-mod steady_state;
 mod transient;
 
-pub use absorbing::AbsorptionAnalysis;
-pub use analysis::StructureReport;
 pub use builder::CtmcBuilder;
-pub use dense::DenseMatrix;
-pub use dtmc::Dtmc;
 pub use error::{CtmcError, Result};
-pub use gth::{steady_state_gth, steady_state_gth_rates};
-pub use lu::{solve as lu_solve, LuFactors};
-pub use rewards::RewardModel;
+pub use gth::{mean_first_passage_gth, steady_state_gth, steady_state_gth_rates};
 pub use sparse::CsrMatrix;
 pub use state::{StateId, StateSpace};
-pub use steady_state::SteadyStateMethod;
 
 /// A continuous-time Markov chain with labeled states.
 ///
@@ -138,33 +124,12 @@ impl Ctmc {
             .map_or(0.0, |&(_, r)| r)
     }
 
-    /// The infinitesimal generator `Q` as a dense matrix (rows sum to zero).
-    pub fn generator(&self) -> DenseMatrix {
-        let n = self.num_states();
-        let mut q = DenseMatrix::zeros(n, n);
-        for (i, row) in self.adjacency.iter().enumerate() {
-            for &(j, r) in row {
-                q[(i, j)] += r;
-            }
-            q[(i, i)] = -self.exit_rates[i];
-        }
-        q
-    }
-
-    /// The uniformization rate `Λ = 1.02 · max_i exit_rate(i)`,
-    /// with the margin ensuring the uniformized DTMC is aperiodic.
-    pub fn uniformization_rate(&self) -> f64 {
-        let max = self.exit_rates.iter().fold(0.0f64, |m, &r| m.max(r));
-        if max == 0.0 {
-            1.0
-        } else {
-            max * 1.02
-        }
-    }
-
-    /// The uniformized probability matrix `P = I + Q/Λ` (CSR) and `Λ`.
+    /// The uniformized probability matrix `P = I + Q/Λ` (CSR) and the
+    /// uniformization rate `Λ = 1.02 · max_i exit_rate(i)`, whose margin
+    /// makes the uniformized DTMC aperiodic.
     pub fn uniformized(&self) -> (CsrMatrix, f64) {
-        let lambda = self.uniformization_rate();
+        let max = self.exit_rates.iter().fold(0.0f64, |m, &r| m.max(r));
+        let lambda = if max == 0.0 { 1.0 } else { max * 1.02 };
         let n = self.num_states();
         let mut triplets = Vec::with_capacity(self.num_transitions() + n);
         for (i, row) in self.adjacency.iter().enumerate() {
@@ -193,14 +158,6 @@ impl Ctmc {
     /// Returns [`CtmcError::NotIrreducible`] for reducible chains.
     pub fn steady_state(&self) -> Result<Vec<f64>> {
         gth::steady_state_gth(self)
-    }
-
-    /// Stationary distribution using an explicitly chosen method.
-    ///
-    /// # Errors
-    /// Propagates the chosen solver's errors; see [`SteadyStateMethod`].
-    pub fn steady_state_with(&self, method: SteadyStateMethod) -> Result<Vec<f64>> {
-        steady_state::solve(self, method)
     }
 
     /// Expected steady-state reward `Σ_i π_i · reward_i`.
@@ -238,59 +195,6 @@ impl Ctmc {
     /// Returns [`CtmcError::InvalidDistribution`] if `p0` is invalid.
     pub fn cumulative_occupancy(&self, p0: &[f64], t: f64, tol: f64) -> Result<Vec<f64>> {
         transient::cumulative_occupancy(self, p0, t, tol)
-    }
-
-    /// Mean time to absorption and related quantities.
-    ///
-    /// # Errors
-    /// See the [`AbsorptionAnalysis`] documentation: invalid absorbing sets
-    /// and unreachable absorbing states produce errors.
-    pub fn absorption(&self, initial: &[f64], absorbing: &[StateId]) -> Result<AbsorptionAnalysis> {
-        absorbing::absorption(self, initial, absorbing)
-    }
-
-    /// The embedded (jump) DTMC of this chain.
-    ///
-    /// # Errors
-    /// Returns [`CtmcError::NotIrreducible`] if some state has no outgoing
-    /// transition (jump probabilities undefined).
-    pub fn embedded(&self) -> Result<Dtmc> {
-        dtmc::embedded(self)
-    }
-
-    /// A copy of this chain with the outgoing transitions of the given
-    /// states removed, making them absorbing — the transformation behind
-    /// reliability (first-passage) analyses on availability chains.
-    pub fn absorbing_variant(&self, absorbing: &[StateId]) -> Ctmc {
-        let mut adjacency = self.adjacency.clone();
-        for s in absorbing {
-            adjacency[s.0].clear();
-        }
-        Ctmc::from_parts(self.states.clone(), adjacency)
-    }
-
-    /// Probability that the chain has **not** entered any of the `absorbing`
-    /// states by time `t`, starting from `p0` — the mission reliability when
-    /// the absorbing set is "data loss".
-    ///
-    /// # Errors
-    /// Returns [`CtmcError::InvalidDistribution`] for an invalid `p0` and
-    /// propagates transient-solver errors.
-    pub fn survival_probability(
-        &self,
-        p0: &[f64],
-        absorbing: &[StateId],
-        t: f64,
-        tol: f64,
-    ) -> Result<f64> {
-        let trapped = self.absorbing_variant(absorbing);
-        let p = trapped.transient(p0, t, tol)?;
-        let dead: f64 = absorbing.iter().map(|s| p[s.0]).sum();
-        Ok((1.0 - dead).clamp(0.0, 1.0))
-    }
-
-    pub(crate) fn adjacency(&self) -> &[Vec<(usize, f64)>] {
-        &self.adjacency
     }
 }
 
@@ -334,11 +238,15 @@ mod tests {
 
     #[test]
     fn generator_rows_sum_to_zero() {
+        // Each exit rate is its row's diagonal: it cancels the row's
+        // off-diagonal rates.
         let chain = repairable_pair();
-        let q = chain.generator();
-        for i in 0..q.rows() {
-            let sum: f64 = (0..q.cols()).map(|j| q[(i, j)]).sum();
-            assert!(sum.abs() < 1e-15);
+        let mut rows = vec![0.0; chain.num_states()];
+        for (from, _, rate) in chain.transitions() {
+            rows[from.index()] += rate;
+        }
+        for (id, _) in chain.states().iter() {
+            assert!((rows[id.index()] - chain.exit_rate(id)).abs() < 1e-15);
         }
     }
 
@@ -376,49 +284,6 @@ mod tests {
     fn reward_vector_length_checked() {
         let chain = repairable_pair();
         assert!(chain.steady_state_reward(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn absorbing_variant_truly_absorbs() {
-        let chain = repairable_pair();
-        let down = chain.find_state("down").unwrap();
-        let trapped = chain.absorbing_variant(&[down]);
-        assert_eq!(trapped.exit_rate(down), 0.0);
-        assert_eq!(trapped.num_transitions(), 1);
-        // The original is untouched.
-        assert_eq!(chain.num_transitions(), 2);
-    }
-
-    #[test]
-    fn survival_matches_exponential_law() {
-        // up -> down at rate λ with no repair: survival = e^{-λt}.
-        let mut b = CtmcBuilder::new();
-        let up = b.state("up").unwrap();
-        let down = b.state("down").unwrap();
-        b.transition(up, down, 0.02).unwrap();
-        b.transition(down, up, 5.0).unwrap(); // removed by the variant
-        let chain = b.build().unwrap();
-        for &t in &[1.0, 10.0, 100.0] {
-            let s = chain
-                .survival_probability(&[1.0, 0.0], &[down], t, 1e-12)
-                .unwrap();
-            let expect = (-0.02 * t).exp();
-            assert!((s - expect).abs() < 1e-9, "t={t}: {s} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn survival_is_monotone_in_time() {
-        let chain = repairable_pair();
-        let down = chain.find_state("down").unwrap();
-        let mut prev = 1.0;
-        for &t in &[0.5, 1.0, 5.0, 20.0] {
-            let s = chain
-                .survival_probability(&[1.0, 0.0], &[down], t, 1e-12)
-                .unwrap();
-            assert!(s <= prev + 1e-12);
-            prev = s;
-        }
     }
 
     #[test]

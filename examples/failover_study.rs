@@ -1,6 +1,6 @@
 //! The paper's Fig. 7 extended into a policy study: conventional vs
 //! automatic fail-over across a grid of failure rates and human-error
-//! probabilities, with MTTDL and sensitivity analysis.
+//! probabilities, with the MTTDL of each.
 //!
 //! ```text
 //! cargo run --release --example failover_study
@@ -8,7 +8,6 @@
 
 use availsim::core::analysis::compare_policies;
 use availsim::core::markov::{Raid5Conventional, Raid5FailOver};
-use availsim::core::sensitivity::{sensitivities, PolicyModel};
 use availsim::core::ModelParams;
 use availsim::hra::Hep;
 use availsim::storage::HOURS_PER_YEAR;
@@ -45,24 +44,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("  hep={hep:<6} conventional {conv:>12.0}  fail-over {fo:>12.0}");
     }
 
-    // Where does each policy's downtime come from? Elasticities tell us
-    // which knob to turn.
-    println!(
-        "\nunavailability elasticities at λ=1e-6, hep=0.01 (1% change in θ -> x% change in U):"
-    );
-    let params = ModelParams::raid5_3plus1(1e-6, Hep::new(0.01)?)?;
-    for (name, model) in [
-        ("conventional", PolicyModel::Conventional),
-        ("fail-over", PolicyModel::FailOver),
-    ] {
-        println!("  {name}:");
-        for s in sensitivities(model, params, 1e-4)? {
-            println!("    {:<14} {:>8.3}", s.parameter, s.elasticity);
-        }
-    }
-
-    println!("\ntakeaway: under conventional replacement the hep elasticity is ~1 —");
-    println!("human error is the availability bottleneck; fail-over moves the");
-    println!("bottleneck back to the double-failure path.");
+    println!("\ntakeaway: under conventional replacement human error is the");
+    println!("availability bottleneck; fail-over moves the bottleneck back to the");
+    println!("double-failure path.");
     Ok(())
 }

@@ -58,6 +58,7 @@ const ROWS: &[Row] = &[
     ok("exact fig2", "sjc", "axes.raid=r5-7 axes.lambda=1e-5 axes.hep=0.01"),
     ok("exact fig3", "sjc", "axes.raid=r5-3 axes.policy=failover axes.lambda=1e-5 axes.hep=0.01"),
     ok("exact k-of-n fallback", "sjc", "axes.raid=r6-6 axes.lambda=1e-5 axes.hep=0.01"),
+    ok("exact raid6 mttdl", "sjc", "axes.raid=r6-3 axes.lambda=1e-6 axes.hep=0.01"),
     ok("exact raid1", "sjc", "axes.raid=r1 axes.lambda=2e-6 axes.hep=0.001"),
     ok("generic chain with lse", "sj", "campaign.model=generic-k-of-n axes.raid=r6-4 axes.lambda=1e-4 lse.lse_rate=1e-4 lse.scrub_interval=336"),
     ok("inert lse on fig3", "sj", "campaign.model=markov-failover lse.lse_rate=0 lse.scrub_interval=336"),
