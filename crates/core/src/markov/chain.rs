@@ -139,7 +139,7 @@ impl ChainDef {
             .iter()
             .map(|s| b.state(s.label.as_ref()))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        for e in self.edges.iter() {
+        for e in &self.edges {
             b.transition(ids[usize::from(e.from)], ids[usize::from(e.to)], e.rate)?;
         }
         Ok(b.build()?)

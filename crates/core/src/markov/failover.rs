@@ -215,7 +215,7 @@ impl Raid5FailOver {
     /// `DL` or `DLns`.
     ///
     /// # Errors
-    /// Propagates absorbing-analysis errors.
+    /// Propagates solver errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
         self.chain().mttdl_hours()
     }

@@ -94,15 +94,15 @@ pub(crate) fn fig2_chain(params: &ModelParams, timing: WrongReplacementTiming) -
     let hep = p.hep.value();
     // An attached scrubbing model splits the rebuild completion by the
     // per-rebuild LSE-hit probability `ue`. At ue = 0 the repair rate is
-    // bit-exact with the unsplit one and the zero-rate loss edge is
-    // dropped by the builder and never picked by the samplers.
+    // bit-exact with the unsplit one, and the zero-rate loss edge adds
+    // nothing to the solver's rates and is never picked by the samplers.
     let ue = p.rebuild_lse_probability();
     ChainDef::new(
         &FIG2_STATES[..],
         vec![
             edge(OP, EXP, n * p.disk_failure_rate, EdgeTag::Failure),
             // The second failure precedes the rebuild loss, so the
-            // builder's merge computes (n−1)·λ + (1−hep)·ue·μ_DF.
+            // solver sums (n−1)·λ + (1−hep)·ue·μ_DF.
             edge(EXP, DL, (n - 1.0) * p.disk_failure_rate, EdgeTag::Failure),
             edge(
                 EXP,
@@ -230,7 +230,7 @@ impl Raid5Conventional {
     /// starting from `OP`.
     ///
     /// # Errors
-    /// Propagates absorbing-analysis errors.
+    /// Propagates solver errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
         self.chain().mttdl_hours()
     }

@@ -115,7 +115,6 @@ mod reference {
         None
     }
 
-    #[cfg(test)]
     mod tests {
         use super::*;
         use availsim_ctmc::CtmcBuilder;
