@@ -1,27 +1,28 @@
 //! # availsim-hra
 //!
-//! Human Reliability Assessment (HRA) substrate: the human error
-//! probability (hep) that the availability models consume.
+//! Human Reliability Assessment (HRA) substrate: quantification of the human
+//! error probability (hep) that the availability models consume.
 //!
 //! * [`Hep`] — a validated probability newtype with the paper's literature
 //!   and enterprise bands.
-//! * [`DependenceLevel`] — THERP dependence between consecutive actions,
-//!   which escalates the hep of concurrent or repeated operator actions
-//!   ([`escalated`], [`all_attempts_fail`]).
+//! * [`sources`] — published hep ranges from the NASA / EUROCONTROL / NUREG
+//!   reports the paper surveys.
+//! * [`heart`] — HEART task-based quantification (generic tasks ×
+//!   error-producing conditions).
+//! * [`therp`] — THERP-style procedure event trees with per-step recovery.
+//! * [`RecoveryModel`] — the dynamics of undoing a wrong disk replacement
+//!   (`μ_he`, repeated attempts, crash escalation).
 //!
 //! # Examples
 //!
-//! A high-dependence second attempt is far likelier to fail than the
-//! first:
+//! Deriving the paper's hep band bottom-up from a HEART assessment:
 //!
 //! ```
-//! use availsim_hra::{DependenceLevel, Hep};
+//! use availsim_hra::heart::disk_replacement_example;
 //!
 //! # fn main() -> Result<(), availsim_hra::HraError> {
-//! let hep = Hep::new(0.01)?;
-//! assert!(hep.is_within_enterprise_band());
-//! let second = DependenceLevel::High.conditional_hep(hep);
-//! assert!(second.value() > 0.5);
+//! let hep = disk_replacement_example().hep()?;
+//! assert!(hep.is_within_enterprise_band()); // lands in [0.001, 0.01]
 //! # Ok(())
 //! # }
 //! ```
@@ -31,8 +32,16 @@
 
 mod dependence;
 mod error;
+pub mod heart;
 mod hep;
+mod recovery;
+pub mod sources;
+pub mod therp;
 
 pub use dependence::{all_attempts_fail, escalated, DependenceLevel};
 pub use error::{HraError, Result};
+pub use heart::{ErrorProducingCondition, GenericTask, HeartAssessment};
 pub use hep::Hep;
+pub use recovery::RecoveryModel;
+pub use sources::{HepBand, HepSource, ENTERPRISE_RANGE, LITERATURE_RANGE};
+pub use therp::{EventTree, ProcedureStep};

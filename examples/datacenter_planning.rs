@@ -8,7 +8,7 @@
 
 use availsim::core::markov::{Raid5Conventional, Raid5FailOver};
 use availsim::core::ModelParams;
-use availsim::hra::Hep;
+use availsim::hra::heart::disk_replacement_example;
 use availsim::storage::{DatacenterModel, RaidGeometry, Volume};
 use std::error::Error;
 
@@ -18,10 +18,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     let disk_tb: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1.0);
     let lambda = 1e-6;
 
-    // The top of the paper's enterprise hep band (0.001 to 0.01).
-    let hep = Hep::new(0.01)?;
+    // Bottom-up hep from the HEART worked example (lands in the paper's
+    // enterprise band).
+    let hep = disk_replacement_example().hep()?;
     println!("datacenter: {capacity_eb} EB on {disk_tb} TB disks, λ = {lambda:.0e}/h");
-    println!("hep (top of the enterprise band): {}\n", hep.value());
+    println!(
+        "hep from HEART disk-replacement assessment: {:.4}\n",
+        hep.value()
+    );
 
     let dc = DatacenterModel::exascale(disk_tb / capacity_eb, lambda, hep.value())?;
     println!("fleet size:                {:>12} disks", dc.num_disks());

@@ -11,7 +11,7 @@
 //! | [`ctmc`] | `availsim-ctmc` | CTMC engine: GTH steady state and mean first passage (MTTDL), uniformization |
 //! | [`sim`] | `availsim-sim` | Monte-Carlo kernel: PRNG, lifetime distributions, event queues, statistics, telemetry |
 //! | [`storage`] | `availsim-storage` | RAID geometry, failure models, LSE scrubbing, traces, volumes, fleet arithmetic |
-//! | [`hra`] | `availsim-hra` | Human reliability: the validated hep and its bands, THERP dependence |
+//! | [`hra`] | `availsim-hra` | Human reliability: hep, published bands, HEART, THERP, recovery dynamics |
 //! | [`core`] | `availsim-core` | The paper's models and analyses (Markov + MC, Figs. 4–7, headline tables) |
 //! | [`exp`] | `availsim-exp` | Experiment campaigns: spec files, grid planning, the parallel deterministic batch runner, reports |
 //! | [`serve`] | `availsim-serve` | The availability service: HTTP/1.1 daemon, result cache, admission control, deadlines, graceful drain |

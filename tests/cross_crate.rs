@@ -1,15 +1,54 @@
 //! Cross-crate integration: the public API as a downstream user would
-//! compose it — storage models feeding the availability analyses, with the
-//! CTMC and simulation kernels underneath.
+//! compose it — HRA quantification feeding storage models feeding the
+//! availability analyses, with the CTMC and simulation kernels underneath.
 
 use availsim::core::markov::{EdgeTag, GenericKofN, Raid5Conventional, StateClass};
 use availsim::core::{nines, ModelParams};
 use availsim::ctmc::CtmcBuilder;
-use availsim::hra::Hep;
+use availsim::hra::heart::disk_replacement_example;
+use availsim::hra::therp::disk_replacement_tree;
+use availsim::hra::{Hep, RecoveryModel};
 use availsim::sim::distributions::{Exponential, Lifetime, Weibull};
 use availsim::sim::rng::SimRng;
 use availsim::sim::stats::{ks_test, t_interval, RunningStats};
 use availsim::storage::{DatacenterModel, FailureModel, RaidGeometry, ServiceRates, Volume};
+
+/// End-to-end: HEART → hep → Markov model → nines, all through public API.
+#[test]
+fn heart_to_availability_pipeline() {
+    let hep = disk_replacement_example().hep().unwrap();
+    assert!(hep.is_within_enterprise_band());
+
+    let params = ModelParams::raid5_3plus1(1e-6, hep).unwrap();
+    let solved = Raid5Conventional::new(params).unwrap().solve().unwrap();
+    let n = solved.nines();
+    // hep ≈ 0.008 lands between the paper's 0.001 and 0.01 sweep points.
+    let n_low = Raid5Conventional::new(params.with_hep(Hep::new(0.001).unwrap()))
+        .unwrap()
+        .solve()
+        .unwrap()
+        .nines();
+    let n_high = Raid5Conventional::new(params.with_hep(Hep::new(0.01).unwrap()))
+        .unwrap()
+        .solve()
+        .unwrap()
+        .nines();
+    assert!(n_high < n && n < n_low, "{n_high} < {n} < {n_low}");
+}
+
+/// THERP tree hep ≈ HEART hep order of magnitude; recovery model exposes
+/// the paper's μ_he dynamics.
+#[test]
+fn therp_and_recovery_compose() {
+    let base = Hep::new(0.01).unwrap();
+    let tree = disk_replacement_tree(base).unwrap();
+    let overall = tree.overall_hep().unwrap();
+    assert!(overall.value() > 0.001 && overall.value() < 0.1);
+
+    let recovery = RecoveryModel::paper_defaults(overall).unwrap();
+    assert!(recovery.mean_outage_hours() > 0.9 && recovery.mean_outage_hours() < 1.5);
+    assert!(recovery.escalation_probability() < 0.05);
+}
 
 /// The service-rate table flows from storage into the core parameters.
 #[test]
