@@ -9,17 +9,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod snapshot;
-
 use availsim_core::analysis::{fig7_policy_sweep, underestimation_sweep, PolicyComparison};
 use availsim_core::markov::{Raid5Conventional, Raid5FailOver, WrongReplacementTiming};
 use availsim_core::mc::{ConventionalMc, McConfig};
 use availsim_core::report::{Series, Table};
 use availsim_core::volume::{compare_equal_capacity, FIG6_USABLE_CAPACITY};
-use availsim_core::{nines, ModelParams};
+use availsim_core::ModelParams;
 use availsim_hra::Hep;
 use availsim_storage::FailureModel;
-use snapshot::JsonSnapshot;
 
 /// Multiplier applied to Monte-Carlo iteration counts, from
 /// `AVAILSIM_BENCH_SCALE` (default 1.0, minimum 0.01).
@@ -222,533 +219,7 @@ pub fn underestimation_table() -> (Table, f64) {
     (table, max)
 }
 
-/// One measured engine configuration of the Monte-Carlo throughput bench.
-#[derive(Debug, Clone)]
-pub struct McThroughput {
-    /// `model/engine` label, e.g. `"conventional/jump_chain"`.
-    pub name: String,
-    /// Missions simulated.
-    pub missions: u64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole batch.
-    pub elapsed_secs: f64,
-}
-
-impl McThroughput {
-    /// Missions per second — the throughput currency of the whole system.
-    pub fn missions_per_sec(&self) -> f64 {
-        self.missions as f64 / self.elapsed_secs.max(1e-12)
-    }
-}
-
-/// Renders the `BENCH_3.json` throughput snapshot: machine-readable
-/// missions/sec plus the config that produced them, through the shared
-/// [`snapshot::JsonSnapshot`] writer (stable key order, so diffs of the
-/// checked-in file stay meaningful).
-pub fn render_mc_throughput_json(
-    workload: &str,
-    scale: f64,
-    engines: &[McThroughput],
-    speedups: &[(&str, f64)],
-) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_throughput", workload, scale);
-    w.begin_array("engines");
-    for e in engines {
-        push_engine_row(&mut w, e);
-    }
-    w.end_array();
-    w.begin_object("speedup");
-    for (name, factor) in speedups {
-        w.raw_field(name, &format!("{factor:.2}"));
-    }
-    w.end_object();
-    w.finish()
-}
-
-/// One `engines`/`fleet` row shared by the BENCH_3 and BENCH_5 emitters.
-fn push_engine_row(w: &mut JsonSnapshot, e: &McThroughput) {
-    w.begin_array_object();
-    w.str_field("name", &e.name)
-        .u64_field("missions", e.missions)
-        .u64_field("threads", e.threads as u64)
-        .raw_field("elapsed_secs", &format!("{:.6}", e.elapsed_secs))
-        .raw_field("missions_per_sec", &format!("{:.1}", e.missions_per_sec()));
-    w.end_object();
-}
-
-/// One scheme's missions-to-precision measurement in the rare-event bench.
-#[derive(Debug, Clone)]
-pub struct RareEventRun {
-    /// Scheme label (`naive` or the `McVariance` display form).
-    pub scheme: String,
-    /// Missions the precision loop spent to reach (or give up on) the
-    /// target — the budget a user would have to pay.
-    pub missions: u64,
-    /// Whether the ±10% relative target was actually met within the cap.
-    pub converged: bool,
-    /// The final unavailability estimate.
-    pub estimate: f64,
-    /// Wall-clock seconds for the whole precision loop.
-    pub elapsed_secs: f64,
-}
-
-/// One λ point of the naive-vs-biased missions-to-precision comparison.
-#[derive(Debug, Clone)]
-pub struct RareEventPoint {
-    /// Disk failure rate λ (per hour).
-    pub lambda: f64,
-    /// Exact Fig. 2 CTMC unavailability at this λ.
-    pub exact_unavailability: f64,
-    /// Absolute CI half-width target (±10% relative on the exact value).
-    pub target_half_width: f64,
-    /// The naive run.
-    pub naive: RareEventRun,
-    /// The failure-biasing run.
-    pub biased: RareEventRun,
-}
-
-impl RareEventPoint {
-    /// How many times more missions the naive run needed (or burnt without
-    /// converging) compared to the biased run.
-    pub fn mission_ratio(&self) -> f64 {
-        self.naive.missions as f64 / (self.biased.missions as f64).max(1.0)
-    }
-}
-
-/// Renders the `BENCH_4.json` rare-event snapshot: per λ, the missions
-/// both schemes needed for a ±10% relative CI on the unavailability, with
-/// convergence flags so a capped run cannot masquerade as a converged one.
-pub fn render_rare_event_json(workload: &str, scale: f64, points: &[RareEventPoint]) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_rare_event", workload, scale);
-    w.str_field("target", "ci half-width <= 10% of exact unavailability");
-    w.begin_array("points");
-    for p in points {
-        w.begin_array_object();
-        w.raw_field("lambda", &format!("{:e}", p.lambda))
-            .raw_field(
-                "exact_unavailability",
-                &format!("{:.6e}", p.exact_unavailability),
-            )
-            .raw_field("target_half_width", &format!("{:.6e}", p.target_half_width));
-        for (key, r) in [("naive", &p.naive), ("biased", &p.biased)] {
-            w.begin_object(key);
-            w.str_field("scheme", &r.scheme)
-                .u64_field("missions", r.missions)
-                .bool_field("converged", r.converged)
-                .raw_field("estimate", &format!("{:.6e}", r.estimate))
-                .raw_field("elapsed_secs", &format!("{:.6}", r.elapsed_secs));
-            w.end_object();
-        }
-        w.raw_field("mission_ratio", &format!("{:.1}", p.mission_ratio()));
-        w.end_object();
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// One fleet-scaling measurement of the BENCH_5 snapshot.
-#[derive(Debug, Clone)]
-pub struct FleetScalingRow {
-    /// Member arrays per mission.
-    pub arrays: u32,
-    /// Fleet missions simulated.
-    pub missions: u64,
-    /// Wall-clock seconds for the whole batch (threads = 1).
-    pub elapsed_secs: f64,
-    /// The run's per-array unavailability (sanity anchor for the row).
-    pub array_unavailability: f64,
-    /// Expected simultaneously-degraded arrays (time-weighted mean).
-    pub mean_degraded: f64,
-}
-
-impl FleetScalingRow {
-    /// Fleet missions per second.
-    pub fn missions_per_sec(&self) -> f64 {
-        self.missions as f64 / self.elapsed_secs.max(1e-12)
-    }
-
-    /// Array-missions per second (`missions × arrays / s`) — the
-    /// scale-invariant throughput currency of the fleet engine.
-    pub fn array_missions_per_sec(&self) -> f64 {
-        self.missions_per_sec() * f64::from(self.arrays)
-    }
-}
-
-/// Renders the `BENCH_5.json` snapshot: the indexed-queue engine
-/// throughputs against the checked-in BENCH_3 seed baseline, plus the
-/// fleet scaling curve over the array-count axis.
-pub fn render_fleet_json(
-    workload: &str,
-    scale: f64,
-    baseline_event_queue_missions_per_sec: f64,
-    engines: &[McThroughput],
-    fleet: &[FleetScalingRow],
-) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_fleet", workload, scale);
-    w.raw_field(
-        "baseline_event_queue_missions_per_sec",
-        &format!("{baseline_event_queue_missions_per_sec:.1}"),
-    );
-    w.begin_array("engines");
-    for e in engines {
-        push_engine_row(&mut w, e);
-    }
-    w.end_array();
-    w.begin_object("speedup_vs_bench3_baseline");
-    for e in engines {
-        w.raw_field(
-            &e.name,
-            &format!(
-                "{:.2}",
-                e.missions_per_sec() / baseline_event_queue_missions_per_sec
-            ),
-        );
-    }
-    w.end_object();
-    w.begin_array("fleet");
-    for row in fleet {
-        w.begin_array_object();
-        w.u64_field("arrays", u64::from(row.arrays))
-            .u64_field("missions", row.missions)
-            .raw_field("elapsed_secs", &format!("{:.6}", row.elapsed_secs))
-            .raw_field(
-                "missions_per_sec",
-                &format!("{:.1}", row.missions_per_sec()),
-            )
-            .raw_field(
-                "array_missions_per_sec",
-                &format!("{:.1}", row.array_missions_per_sec()),
-            )
-            .raw_field(
-                "array_unavailability",
-                &format!("{:.6e}", row.array_unavailability),
-            )
-            .raw_field("mean_degraded", &format!("{:.4}", row.mean_degraded));
-        w.end_object();
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// One repair-crew measurement of the BENCH_6 snapshot: a
-/// [`FleetScalingRow`] plus the crew-pool size it ran with.
-#[derive(Debug, Clone)]
-pub struct FleetRepairRow {
-    /// Repair crews (`None` = unlimited pool, the independent limit).
-    pub crews: Option<u32>,
-    /// The throughput measurement at this pool size.
-    pub row: FleetScalingRow,
-}
-
-/// Renders the `BENCH_6.json` snapshot: fleet throughput across the
-/// crews × arrays grid, with array-mission speedups against the BENCH_3
-/// seed baseline (single-array missions per second).
-pub fn render_fleet_repair_json(
-    workload: &str,
-    scale: f64,
-    baseline_event_queue_missions_per_sec: f64,
-    rows: &[FleetRepairRow],
-) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_fleet_repair", workload, scale);
-    w.raw_field(
-        "baseline_event_queue_missions_per_sec",
-        &format!("{baseline_event_queue_missions_per_sec:.1}"),
-    );
-    w.begin_array("fleet_repair");
-    for r in rows {
-        let crews = match r.crews {
-            Some(c) => c.to_string(),
-            None => "\"unlimited\"".to_string(),
-        };
-        w.begin_array_object();
-        w.raw_field("crews", &crews)
-            .u64_field("arrays", u64::from(r.row.arrays))
-            .u64_field("missions", r.row.missions)
-            .raw_field("elapsed_secs", &format!("{:.6}", r.row.elapsed_secs))
-            .raw_field(
-                "array_missions_per_sec",
-                &format!("{:.1}", r.row.array_missions_per_sec()),
-            )
-            .raw_field(
-                "speedup_vs_bench3_baseline",
-                &format!(
-                    "{:.2}",
-                    r.row.array_missions_per_sec() / baseline_event_queue_missions_per_sec
-                ),
-            )
-            .raw_field(
-                "array_unavailability",
-                &format!("{:.6e}", r.row.array_unavailability),
-            )
-            .raw_field("mean_degraded", &format!("{:.4}", r.row.mean_degraded));
-        w.end_object();
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// One DR-failover measurement of the BENCH_8 snapshot: a
-/// [`FleetScalingRow`] plus the DR capacity it ran with and the credited
-/// (post-failover) unavailability the run reported.
-#[derive(Debug, Clone)]
-pub struct FleetFailoverRow {
-    /// DR failover slots (`None` = unlimited, the ideal-site limit).
-    pub capacity: Option<u32>,
-    /// The throughput measurement at this capacity.
-    pub row: FleetScalingRow,
-    /// DR-credited per-array unavailability (downtime the site could not
-    /// absorb; exactly 0 in the ideal limit).
-    pub credited_unavailability: f64,
-    /// Fail-over admissions the run recorded (a live-ness anchor: a "fast"
-    /// run that never failed over measures nothing).
-    pub failovers: u64,
-}
-
-/// Renders the `BENCH_8.json` snapshot: fleet throughput across the
-/// DR-capacity × arrays grid, with array-mission speedups against the
-/// BENCH_3 seed baseline and each run's credited unavailability.
-pub fn render_fleet_failover_json(
-    workload: &str,
-    scale: f64,
-    baseline_event_queue_missions_per_sec: f64,
-    rows: &[FleetFailoverRow],
-) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_fleet_failover", workload, scale);
-    w.raw_field(
-        "baseline_event_queue_missions_per_sec",
-        &format!("{baseline_event_queue_missions_per_sec:.1}"),
-    );
-    w.begin_array("fleet_failover");
-    for r in rows {
-        let capacity = match r.capacity {
-            Some(k) => k.to_string(),
-            None => "\"unlimited\"".to_string(),
-        };
-        w.begin_array_object();
-        w.raw_field("capacity", &capacity)
-            .u64_field("arrays", u64::from(r.row.arrays))
-            .u64_field("missions", r.row.missions)
-            .raw_field("elapsed_secs", &format!("{:.6}", r.row.elapsed_secs))
-            .raw_field(
-                "array_missions_per_sec",
-                &format!("{:.1}", r.row.array_missions_per_sec()),
-            )
-            .raw_field(
-                "speedup_vs_bench3_baseline",
-                &format!(
-                    "{:.2}",
-                    r.row.array_missions_per_sec() / baseline_event_queue_missions_per_sec
-                ),
-            )
-            .raw_field(
-                "array_unavailability",
-                &format!("{:.6e}", r.row.array_unavailability),
-            )
-            .raw_field(
-                "credited_unavailability",
-                &format!("{:.6e}", r.credited_unavailability),
-            )
-            .u64_field("failovers", r.failovers);
-        w.end_object();
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// One telemetry-overhead measurement pair of the BENCH_7 snapshot: the
-/// same workload timed with the registry disabled and enabled.
-#[derive(Debug, Clone)]
-pub struct TelemetryOverheadRow {
-    /// Engine label, e.g. `"conventional/jump_chain"`.
-    pub name: String,
-    /// Missions simulated in each of the two runs.
-    pub missions: u64,
-    /// Wall-clock seconds with telemetry disabled.
-    pub off_secs: f64,
-    /// Wall-clock seconds with telemetry enabled.
-    pub on_secs: f64,
-    /// Total counter increments the enabled run recorded (a live-ness
-    /// anchor: an "overhead-free" run that counted nothing proves
-    /// nothing).
-    pub counted_events: u64,
-}
-
-impl TelemetryOverheadRow {
-    /// Missions per second with telemetry disabled.
-    pub fn off_missions_per_sec(&self) -> f64 {
-        self.missions as f64 / self.off_secs.max(1e-12)
-    }
-
-    /// Missions per second with telemetry enabled.
-    pub fn on_missions_per_sec(&self) -> f64 {
-        self.missions as f64 / self.on_secs.max(1e-12)
-    }
-
-    /// Enabled throughput over disabled throughput (1.0 = free, lower is
-    /// slower with telemetry on).
-    pub fn on_over_off(&self) -> f64 {
-        self.on_missions_per_sec() / self.off_missions_per_sec().max(1e-12)
-    }
-}
-
-/// Renders the `BENCH_7.json` snapshot: telemetry-off vs telemetry-on
-/// throughput per engine, against the checked-in BENCH_5 jump-chain
-/// baseline, with the ISSUE's <2% overhead budget spelled out.
-pub fn render_telemetry_overhead_json(
-    workload: &str,
-    scale: f64,
-    baseline_jump_chain_missions_per_sec: f64,
-    rows: &[TelemetryOverheadRow],
-) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_telemetry_overhead", workload, scale);
-    w.str_field(
-        "budget",
-        "disabled registry within 2% of the pre-telemetry build (interleaved A/B); \
-         in-run floors: jump-chain on/off >= 0.95, off >= 85% of the BENCH_5 baseline",
-    );
-    w.raw_field(
-        "baseline_jump_chain_missions_per_sec",
-        &format!("{baseline_jump_chain_missions_per_sec:.1}"),
-    );
-    w.begin_array("engines");
-    for r in rows {
-        w.begin_array_object();
-        w.str_field("name", &r.name)
-            .u64_field("missions", r.missions)
-            .raw_field("off_secs", &format!("{:.6}", r.off_secs))
-            .raw_field("on_secs", &format!("{:.6}", r.on_secs))
-            .raw_field(
-                "off_missions_per_sec",
-                &format!("{:.1}", r.off_missions_per_sec()),
-            )
-            .raw_field(
-                "on_missions_per_sec",
-                &format!("{:.1}", r.on_missions_per_sec()),
-            )
-            .raw_field("on_over_off", &format!("{:.4}", r.on_over_off()))
-            .u64_field("counted_events", r.counted_events);
-        w.end_object();
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// One data-loss-tier measurement pair of the BENCH_9 snapshot: the same
-/// workload timed without a scrubbing model and with a live one attached.
-#[derive(Debug, Clone)]
-pub struct DataLossOverheadRow {
-    /// Engine label, e.g. `"conventional/jump_chain"`.
-    pub name: String,
-    /// Missions simulated in each of the two runs.
-    pub missions: u64,
-    /// Wall-clock seconds with no scrubbing model (LSE off).
-    pub off_secs: f64,
-    /// Wall-clock seconds with the live scrubbing model (LSE on).
-    pub on_secs: f64,
-    /// Rebuilds of the LSE-on run that hit a latent sector error (a
-    /// live-ness anchor: an "overhead-free" run that never drew the
-    /// rebuild Bernoulli proves nothing).
-    pub rebuild_lse_hits: u64,
-    /// The LSE-on run's `p_data_loss` midpoint (physical anchor for the
-    /// row).
-    pub p_data_loss: f64,
-}
-
-impl DataLossOverheadRow {
-    /// Missions per second with LSE off.
-    pub fn off_missions_per_sec(&self) -> f64 {
-        self.missions as f64 / self.off_secs.max(1e-12)
-    }
-
-    /// Missions per second with LSE on.
-    pub fn on_missions_per_sec(&self) -> f64 {
-        self.missions as f64 / self.on_secs.max(1e-12)
-    }
-
-    /// LSE-on throughput over LSE-off throughput (1.0 = free, lower is
-    /// slower with the data-loss tier live).
-    pub fn on_over_off(&self) -> f64 {
-        self.on_missions_per_sec() / self.off_missions_per_sec().max(1e-12)
-    }
-}
-
-/// Renders the `BENCH_9.json` snapshot: LSE-off vs LSE-on throughput per
-/// engine, against the checked-in BENCH_5 jump-chain baseline, with the
-/// zero-rate bit-identity contract spelled out.
-pub fn render_data_loss_overhead_json(
-    workload: &str,
-    scale: f64,
-    baseline_jump_chain_missions_per_sec: f64,
-    rows: &[DataLossOverheadRow],
-) -> String {
-    let mut w = JsonSnapshot::bench("perf_mc_data_loss_overhead", workload, scale);
-    w.str_field(
-        "budget",
-        "zero-rate scrubbing is bit-identical to no scrubbing (asserted in-run); \
-         live-rate floors: jump-chain on/off >= 0.85 at full scale (0.75 reduced), \
-         off >= 85% of the BENCH_5 baseline",
-    );
-    w.raw_field(
-        "baseline_jump_chain_missions_per_sec",
-        &format!("{baseline_jump_chain_missions_per_sec:.1}"),
-    );
-    w.begin_array("engines");
-    for r in rows {
-        w.begin_array_object();
-        w.str_field("name", &r.name)
-            .u64_field("missions", r.missions)
-            .raw_field("off_secs", &format!("{:.6}", r.off_secs))
-            .raw_field("on_secs", &format!("{:.6}", r.on_secs))
-            .raw_field(
-                "off_missions_per_sec",
-                &format!("{:.1}", r.off_missions_per_sec()),
-            )
-            .raw_field(
-                "on_missions_per_sec",
-                &format!("{:.1}", r.on_missions_per_sec()),
-            )
-            .raw_field("on_over_off", &format!("{:.4}", r.on_over_off()))
-            .u64_field("rebuild_lse_hits", r.rebuild_lse_hits)
-            .raw_field("p_data_loss", &format!("{:.6e}", r.p_data_loss));
-        w.end_object();
-    }
-    w.end_array();
-    w.finish()
-}
-
-/// Where the machine-readable bench snapshots (`BENCH_*.json`) are written:
-/// the workspace root by default, or `$AVAILSIM_BENCH_OUT` when set.
-pub fn bench_snapshot_path(file_name: &str) -> std::path::PathBuf {
-    snapshot_path_from(
-        std::env::var("AVAILSIM_BENCH_OUT").ok().as_deref(),
-        file_name,
-    )
-}
-
-/// [`bench_snapshot_path`] with the `$AVAILSIM_BENCH_OUT` value injected —
-/// testable without mutating the process environment (tests run
-/// multi-threaded, and concurrent `setenv`/`getenv` is undefined behavior
-/// on glibc).
-fn snapshot_path_from(dir_override: Option<&str>, file_name: &str) -> std::path::PathBuf {
-    let dir = match dir_override {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join(".."),
-    };
-    dir.join(file_name)
-}
-
-/// One-line summary of an availability value for narrow bench output.
-pub fn nines_label(unavailability: f64) -> String {
-    format!(
-        "{:.3} nines",
-        nines::nines_from_unavailability(unavailability)
-    )
-}
-
-/// Builds the Fig. 3 chain once (used by perf benches).
+/// Builds and solves the Fig. 3 chain once (the kernel `fig7_failover` times).
 pub fn failover_chain_build_and_solve(lambda: f64, hep: f64) -> f64 {
     Raid5FailOver::new(raid5_params(lambda, hep))
         .expect("valid model")
@@ -800,273 +271,5 @@ mod tests {
     fn fig5_small_run_executes() {
         let t = fig5_table(200);
         assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn throughput_json_has_stable_machine_readable_shape() {
-        let engines = vec![
-            McThroughput {
-                name: "conventional/jump_chain".into(),
-                missions: 1000,
-                threads: 1,
-                elapsed_secs: 0.5,
-            },
-            McThroughput {
-                name: "conventional/event_queue".into(),
-                missions: 1000,
-                threads: 1,
-                elapsed_secs: 2.0,
-            },
-        ];
-        assert!((engines[0].missions_per_sec() - 2000.0).abs() < 1e-9);
-        let json =
-            render_mc_throughput_json("raid5_3plus1", 1.0, &engines, &[("conventional", 4.0)]);
-        for needle in [
-            "\"bench\": \"perf_mc_throughput\"",
-            "\"workload\": \"raid5_3plus1\"",
-            "\"scale\": 1.0",
-            "\"missions_per_sec\": 2000.0",
-            "\"speedup\"",
-            "\"conventional\": 4.00",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        // Balanced braces/brackets: cheap well-formedness check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn rare_event_json_has_stable_machine_readable_shape() {
-        let mk = |scheme: &str, missions, converged| RareEventRun {
-            scheme: scheme.into(),
-            missions,
-            converged,
-            estimate: 1.05e-7,
-            elapsed_secs: 0.25,
-        };
-        let points = vec![RareEventPoint {
-            lambda: 2e-7,
-            exact_unavailability: 1e-7,
-            target_half_width: 1e-8,
-            naive: mk("naive", 2_500_000, true),
-            biased: mk("failure-biasing(bias=0.5)", 20_000, true),
-        }];
-        assert!((points[0].mission_ratio() - 125.0).abs() < 1e-9);
-        let json = render_rare_event_json("raid5_3plus1 fig4", 1.0, &points);
-        for needle in [
-            "\"bench\": \"perf_mc_rare_event\"",
-            "\"target\": \"ci half-width <= 10% of exact unavailability\"",
-            "\"lambda\": 2e-7",
-            "\"mission_ratio\": 125.0",
-            "\"converged\": true",
-            "\"scheme\": \"failure-biasing(bias=0.5)\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn fleet_json_has_stable_machine_readable_shape() {
-        let engines = vec![McThroughput {
-            name: "conventional/event_queue".into(),
-            missions: 300_000,
-            threads: 1,
-            elapsed_secs: 0.06,
-        }];
-        let fleet = vec![
-            FleetScalingRow {
-                arrays: 1,
-                missions: 10_000,
-                elapsed_secs: 0.5,
-                array_unavailability: 1.5e-6,
-                mean_degraded: 0.001,
-            },
-            FleetScalingRow {
-                arrays: 1000,
-                missions: 100,
-                elapsed_secs: 2.0,
-                array_unavailability: 1.5e-6,
-                mean_degraded: 1.05,
-            },
-        ];
-        assert!((fleet[1].missions_per_sec() - 50.0).abs() < 1e-9);
-        assert!((fleet[1].array_missions_per_sec() - 50_000.0).abs() < 1e-9);
-        let json = render_fleet_json("raid5_3plus1 fig4", 1.0, 2_255_081.6, &engines, &fleet);
-        for needle in [
-            "\"bench\": \"perf_mc_fleet\"",
-            "\"baseline_event_queue_missions_per_sec\": 2255081.6",
-            "\"speedup_vs_bench3_baseline\"",
-            "\"conventional/event_queue\": 2.22",
-            "\"arrays\": 1000",
-            "\"array_missions_per_sec\": 50000.0",
-            "\"mean_degraded\": 1.0500",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn fleet_repair_json_has_stable_machine_readable_shape() {
-        let rows = vec![
-            FleetRepairRow {
-                crews: Some(1),
-                row: FleetScalingRow {
-                    arrays: 100,
-                    missions: 2_000,
-                    elapsed_secs: 1.0,
-                    array_unavailability: 2.5e-6,
-                    mean_degraded: 0.11,
-                },
-            },
-            FleetRepairRow {
-                crews: None,
-                row: FleetScalingRow {
-                    arrays: 1000,
-                    missions: 200,
-                    elapsed_secs: 2.0,
-                    array_unavailability: 1.5e-6,
-                    mean_degraded: 1.05,
-                },
-            },
-        ];
-        let json = render_fleet_repair_json("raid5_3plus1 fig4", 1.0, 1_000_000.0, &rows);
-        for needle in [
-            "\"bench\": \"perf_mc_fleet_repair\"",
-            "\"crews\": 1",
-            "\"crews\": \"unlimited\"",
-            "\"arrays\": 1000",
-            "\"array_missions_per_sec\": 200000.0",
-            "\"speedup_vs_bench3_baseline\": 0.20",
-            "\"mean_degraded\": 1.0500",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn fleet_failover_json_has_stable_machine_readable_shape() {
-        let rows = vec![
-            FleetFailoverRow {
-                capacity: Some(1),
-                row: FleetScalingRow {
-                    arrays: 100,
-                    missions: 2_000,
-                    elapsed_secs: 1.0,
-                    array_unavailability: 2.5e-6,
-                    mean_degraded: 0.11,
-                },
-                credited_unavailability: 1.2e-6,
-                failovers: 420,
-            },
-            FleetFailoverRow {
-                capacity: None,
-                row: FleetScalingRow {
-                    arrays: 1000,
-                    missions: 200,
-                    elapsed_secs: 2.0,
-                    array_unavailability: 1.5e-6,
-                    mean_degraded: 1.05,
-                },
-                credited_unavailability: 0.0,
-                failovers: 4_200,
-            },
-        ];
-        let json = render_fleet_failover_json("raid5_3plus1 fig4", 1.0, 1_000_000.0, &rows);
-        for needle in [
-            "\"bench\": \"perf_mc_fleet_failover\"",
-            "\"capacity\": 1",
-            "\"capacity\": \"unlimited\"",
-            "\"arrays\": 1000",
-            "\"array_missions_per_sec\": 200000.0",
-            "\"speedup_vs_bench3_baseline\": 0.20",
-            "\"credited_unavailability\": 0.000000e0",
-            "\"failovers\": 4200",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn telemetry_overhead_json_has_stable_machine_readable_shape() {
-        let rows = vec![TelemetryOverheadRow {
-            name: "conventional/jump_chain".into(),
-            missions: 1_000_000,
-            off_secs: 0.1,
-            on_secs: 0.101,
-            counted_events: 12_345_678,
-        }];
-        assert!((rows[0].off_missions_per_sec() - 1e7).abs() < 1e-3);
-        assert!(rows[0].on_over_off() < 1.0 && rows[0].on_over_off() > 0.98);
-        let json = render_telemetry_overhead_json("raid5_3plus1 fig4", 1.0, 11_725_215.8, &rows);
-        for needle in [
-            "\"bench\": \"perf_mc_telemetry_overhead\"",
-            "\"budget\": \"disabled registry within 2% of the pre-telemetry build",
-            "\"baseline_jump_chain_missions_per_sec\": 11725215.8",
-            "\"name\": \"conventional/jump_chain\"",
-            "\"off_missions_per_sec\": 10000000.0",
-            "\"on_over_off\": 0.9901",
-            "\"counted_events\": 12345678",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn data_loss_overhead_json_has_stable_machine_readable_shape() {
-        let rows = vec![DataLossOverheadRow {
-            name: "conventional/jump_chain".into(),
-            missions: 1_000_000,
-            off_secs: 0.1,
-            on_secs: 0.102,
-            rebuild_lse_hits: 420,
-            p_data_loss: 4.2e-4,
-        }];
-        assert!((rows[0].off_missions_per_sec() - 1e7).abs() < 1e-3);
-        assert!(rows[0].on_over_off() < 1.0 && rows[0].on_over_off() > 0.97);
-        let json = render_data_loss_overhead_json("raid5_3plus1 fig4", 1.0, 11_725_215.8, &rows);
-        for needle in [
-            "\"bench\": \"perf_mc_data_loss_overhead\"",
-            "\"budget\": \"zero-rate scrubbing is bit-identical to no scrubbing",
-            "\"baseline_jump_chain_missions_per_sec\": 11725215.8",
-            "\"name\": \"conventional/jump_chain\"",
-            "\"off_missions_per_sec\": 10000000.0",
-            "\"on_over_off\": 0.9804",
-            "\"rebuild_lse_hits\": 420",
-            "\"p_data_loss\": 4.200000e-4",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn snapshot_path_honours_env_override() {
-        // Default (no override): the workspace root, two levels above this
-        // crate's manifest.
-        let p = snapshot_path_from(None, "BENCH_3.json");
-        assert!(p.ends_with("../../BENCH_3.json"), "{}", p.display());
-        // An AVAILSIM_BENCH_OUT value redirects the directory.
-        let p = snapshot_path_from(Some("/tmp/bench-out"), "BENCH_3.json");
-        assert_eq!(p, std::path::PathBuf::from("/tmp/bench-out/BENCH_3.json"));
     }
 }

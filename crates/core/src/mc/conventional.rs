@@ -1516,6 +1516,10 @@ mod tests {
                 .run(&cfg)
                 .unwrap();
             assert!(est.dl_events > base.dl_events, "{engine:?}");
+            assert!(
+                est.p_data_loss.mean > base.p_data_loss.mean,
+                "{engine:?}: live LSE must raise the loss probability"
+            );
             assert_eq!(base.counters.get(Counter::RebuildLseHits), 0);
         }
     }

@@ -11,7 +11,8 @@
 //! 3. both engines stay bit-identical across thread counts, and workspace
 //!    reuse across missions must not leak state between iterations;
 //! 4. the jump-chain RNG streams are pinned: a digest of every estimate
-//!    bit and counter of fixed runs must not move.
+//!    bit and counter of fixed runs must not move;
+//! 5. telemetry only counts: on or off, every estimate bit is the same.
 
 use availsim_core::markov::{Raid5Conventional, Raid5FailOver, WrongReplacementTiming};
 use availsim_core::mc::{
@@ -162,6 +163,49 @@ fn both_engines_are_bit_identical_across_thread_counts() {
             );
             assert_eq!(a.du_events, b.du_events, "{engine:?}");
             assert_eq!(a.dl_events, b.dl_events, "{engine:?}");
+        }
+    }
+}
+
+#[test]
+fn telemetry_counts_without_perturbing_either_model_on_either_engine() {
+    // Telemetry only counts: switching it on never touches the RNG
+    // stream, so every estimate bit matches the off run. The off run
+    // records nothing; the on run is live, counting at least one event
+    // per mission.
+    let p = params(1e-3, 0.01);
+    let missions = 600;
+    let off = config(missions, 17);
+    let on = McConfig {
+        telemetry: true,
+        ..off
+    };
+    for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        let conv = ConventionalMc::new(p).unwrap().with_engine(engine);
+        let fo = FailOverMc::new(p).unwrap().with_engine(engine);
+        let runs = [
+            (
+                "conventional",
+                conv.run(&off).unwrap(),
+                conv.run(&on).unwrap(),
+            ),
+            ("failover", fo.run(&off).unwrap(), fo.run(&on).unwrap()),
+        ];
+        for (model, off_est, on_est) in runs {
+            assert_eq!(
+                digest(&off_est, &Counter::ALL),
+                digest(&on_est, &Counter::ALL),
+                "{model}/{engine:?}: telemetry moved the estimate"
+            );
+            assert!(
+                off_est.counters.is_empty(),
+                "{model}/{engine:?}: the disabled registry recorded counts"
+            );
+            let counted: u64 = on_est.counters.iter().map(|(_, v)| v).sum();
+            assert!(
+                counted >= missions,
+                "{model}/{engine:?}: {counted} events over {missions} missions"
+            );
         }
     }
 }

@@ -265,7 +265,8 @@ fn splitting_ci_covers_exact_ctmc_on_the_event_queue_engine() {
 fn biased_precision_run_reaches_a_relative_target_cheaply() {
     // run_to_precision with biasing: ±10% relative on an unavailability
     // around 1e-7 must converge within a budget naive MC could never meet
-    // (naive needs ~1/U-scale mission counts; see BENCH_4.json).
+    // (naive needs ~1/U-scale mission counts; perfbench's traced run
+    // records both counts as `count.precision_missions.{naive,biased}`).
     let p = params(2e-7, 0.01);
     let exact = Raid5Conventional::new(p)
         .unwrap()

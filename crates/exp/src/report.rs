@@ -11,6 +11,7 @@ use crate::plan::format_float;
 use crate::run::CampaignResult;
 use crate::spec::{Metric, ModelKind};
 use availsim_core::report::Table;
+use availsim_sim::json;
 use std::fmt::Write as _;
 
 /// The metric columns a campaign reports: the spec's `metrics` list, or
@@ -152,30 +153,10 @@ pub fn to_csv(result: &CampaignResult) -> String {
     out
 }
 
-/// A JSON string literal, quotes included.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    availsim_sim::json::escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
-/// A finite float as a JSON number (shortest round-trip form); non-finite
-/// values become `null` (JSON has no NaN/inf).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format_float(v)
-    } else {
-        "null".into()
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) => json_number(v),
-        None => "null".into(),
-    }
+/// An optional float as a JSON number; `None` prints `null`, as a
+/// non-finite value does.
+fn json_opt(v: Option<f64>) -> impl std::fmt::Display {
+    json::number(v.unwrap_or(f64::NAN))
 }
 
 /// Renders the campaign as JSON (deterministic; no timings). Hand-rolled —
@@ -184,11 +165,11 @@ pub fn to_json(result: &CampaignResult) -> String {
     let s = &result.scenario;
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"campaign\": {},", json_string(&s.name));
+    let _ = writeln!(out, "  \"campaign\": {},", json::string(&s.name));
     // Seeds are full-range u64 and would lose bits past 2^53 in any
     // IEEE-double JSON consumer — emit them as decimal strings.
     let _ = writeln!(out, "  \"seed\": \"{}\",", s.seed);
-    let _ = writeln!(out, "  \"model\": {},", json_string(s.model.as_str()));
+    let _ = writeln!(out, "  \"model\": {},", json::string(s.model.as_str()));
     let _ = writeln!(
         out,
         "  \"capacity\": {},",
@@ -203,17 +184,17 @@ pub fn to_json(result: &CampaignResult) -> String {
             "\"cell\": {}, \"seed\": \"{}\", \"raid\": {}, \"policy\": {}, \"lambda\": {}, \"hep\": {}, ",
             c.cell.index,
             c.cell.seed,
-            json_string(&c.cell.raid.label()),
-            json_string(c.cell.policy.as_str()),
-            json_number(c.cell.lambda),
-            json_number(c.cell.hep),
+            json::string(&c.cell.raid.label()),
+            json::string(c.cell.policy.as_str()),
+            json::number(c.cell.lambda),
+            json::number(c.cell.hep),
         );
         let _ = write!(
             out,
             "\"unavailability\": {}, \"nines\": {}, \"downtime_min_per_year\": {}, \"mttdl_hours\": {}, \"ci_half_width\": {}",
-            json_number(c.unavailability),
-            json_number(c.nines),
-            json_number(c.downtime_min_per_year),
+            json::number(c.unavailability),
+            json::number(c.nines),
+            json::number(c.downtime_min_per_year),
             json_opt(c.mttdl_hours),
             json_opt(c.ci_half_width),
         );
@@ -235,10 +216,13 @@ pub fn to_json(result: &CampaignResult) -> String {
         if result.keep_going {
             let _ = write!(
                 out,
-                ", \"status\": {}, \"error\": {}",
-                json_string(if c.is_failed() { "error" } else { "ok" }),
-                c.error.as_deref().map_or("null".into(), json_string)
+                ", \"status\": {}, \"error\": ",
+                json::string(if c.is_failed() { "error" } else { "ok" }),
             );
+            let _ = match &c.error {
+                Some(e) => write!(out, "{}", json::string(e)),
+                None => write!(out, "null"),
+            };
         }
         if let Some(v) = c.volume {
             let _ = write!(
@@ -246,8 +230,8 @@ pub fn to_json(result: &CampaignResult) -> String {
                 ", \"volume\": {{\"arrays\": {}, \"total_disks\": {}, \"unavailability\": {}, \"nines\": {}}}",
                 v.arrays,
                 v.total_disks,
-                json_number(v.unavailability),
-                json_number(v.nines),
+                json::number(v.unavailability),
+                json::number(v.nines),
             );
         }
         out.push('}');
@@ -265,9 +249,9 @@ pub fn to_json(result: &CampaignResult) -> String {
         out,
         "  \"unavailability_summary\": {{\"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
         u.count(),
-        json_number(u.mean()),
-        json_number(u.min()),
-        json_number(u.max()),
+        json::number(u.mean()),
+        json::number(u.min()),
+        json::number(u.max()),
     );
     out.push_str("}\n");
     out
@@ -437,11 +421,20 @@ mod tests {
 
     #[test]
     fn json_escaping_and_numbers() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_number(1e-5), "1e-5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_opt(None), "null");
+        assert_eq!(json_opt(Some(1e-5)).to_string(), "1e-5");
+        assert_eq!(json_opt(Some(f64::NAN)).to_string(), "null");
+        assert_eq!(json_opt(None).to_string(), "null");
+        // Names and cell values go through the shared writers: escaped
+        // strings, and null for a non-finite number.
+        let mut r = result();
+        r.scenario.name = "a\"b\\c\nd\u{1}".into();
+        r.cells[0].nines = f64::INFINITY;
+        let json = to_json(&r);
+        assert!(
+            json.contains("\"campaign\": \"a\\\"b\\\\c\\nd\\u0001\","),
+            "{json}"
+        );
+        assert!(json.contains("\"nines\": null,"), "{json}");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use availsim_core::CoreError;
 use availsim_exp::plan::Cell;
 use availsim_exp::run::run_cell_cancellable;
 use availsim_exp::ExpError;
+use availsim_sim::json;
 use availsim_sim::parallel::CancelToken;
 use availsim_sim::telemetry::CounterSnapshot;
 use std::fmt::Write as _;
@@ -58,31 +59,28 @@ pub fn execute(
             other => ExecError::Engine(other.to_string()),
         })?;
 
-    // Field order is fixed and floats round-trip via `{:?}`, so the body
-    // is byte-stable: same canonical key, same bytes, forever.
+    // Field order is fixed and every float goes through the shared number
+    // writer (shortest round-trip, `null` when non-finite), so the body is
+    // byte-stable: same canonical key, same bytes, forever.
     let mut body = String::with_capacity(256);
     let _ = write!(
         body,
-        "{{\"key\":\"{:016x}\",\"unavailability\":{:?},\"nines\":{:?},\"downtime_min_per_year\":{:?}",
+        "{{\"key\":\"{:016x}\",\"unavailability\":{},\"nines\":{},\"downtime_min_per_year\":{}",
         query.canonical_hash(),
-        result.unavailability,
-        result.nines,
-        result.downtime_min_per_year,
+        json::number(result.unavailability),
+        json::number(result.nines),
+        json::number(result.downtime_min_per_year),
     );
-    if let Some(v) = result.mttdl_hours {
-        let _ = write!(body, ",\"mttdl_hours\":{v:?}");
-    }
-    if let Some(v) = result.ci_half_width {
-        let _ = write!(body, ",\"ci_half_width\":{v:?}");
-    }
-    if let Some(v) = result.credited_unavailability {
-        let _ = write!(body, ",\"credited_unavailability\":{v:?}");
-    }
-    if let Some(v) = result.p_data_loss {
-        let _ = write!(body, ",\"p_data_loss\":{v:?}");
-    }
-    if let Some(v) = result.nomdl_per_tb {
-        let _ = write!(body, ",\"nomdl_per_tb\":{v:?}");
+    for (key, value) in [
+        ("mttdl_hours", result.mttdl_hours),
+        ("ci_half_width", result.ci_half_width),
+        ("credited_unavailability", result.credited_unavailability),
+        ("p_data_loss", result.p_data_loss),
+        ("nomdl_per_tb", result.nomdl_per_tb),
+    ] {
+        if let Some(v) = value {
+            let _ = write!(body, ",\"{key}\":{}", json::number(v));
+        }
     }
     body.push('}');
     Ok((body, result.counters))
@@ -111,6 +109,20 @@ mod tests {
         let u = parsed.get("unavailability").unwrap().as_f64().unwrap();
         assert!(u > 0.0 && u < 1.0);
         assert!(counters.is_empty(), "markov cells report no counters");
+    }
+
+    #[test]
+    fn zero_outage_mc_query_renders_null_nines_as_valid_json() {
+        // No outage in 100 short missions: U = 0, so nines is +inf, which
+        // JSON cannot spell. The body must still parse, with `null` there.
+        let q = query(
+            r#"{"model": "mc", "raid": "r1", "lambda": 1e-8, "hep": 0,
+                "iterations": 100, "horizon_hours": 1000, "seed": 1}"#,
+        );
+        let (body, _) = execute(&q, None).unwrap();
+        let parsed = Json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        assert_eq!(parsed.get("unavailability"), Some(&Json::Num(0.0)));
+        assert_eq!(parsed.get("nines"), Some(&Json::Null), "{body}");
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::exec::{self, ExecError};
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::json::Json;
 use crate::query::Query;
-use availsim_sim::json::escape_into;
 use availsim_sim::parallel::{resolve_workers, CancelToken};
 use availsim_sim::telemetry::{write_counters, Counter, CounterSnapshot, PrometheusWriter};
 use std::collections::VecDeque;
@@ -408,17 +407,13 @@ fn cancelled_outcome(cancel: &CancelToken) -> JobOutcome {
     }
 }
 
-/// The fixed `408` body: deterministic bytes, never a partial estimate.
-const DEADLINE_BODY: &str = "{\"error\":\"deadline expired\"}";
-
 fn shed_response(reason: &str) -> Response {
-    Response::json(503, format!("{{\"error\":\"{reason}\"}}")).with_header("Retry-After", "1")
+    error_response(503, reason).with_header("Retry-After", "1")
 }
 
+/// `{"error":"<message>"}`, the message through the shared string writer.
 fn error_response(status: u16, message: &str) -> Response {
-    let mut body = String::from("{\"error\":\"");
-    escape_into(&mut body, message);
-    body.push_str("\"}");
+    let body = format!("{{\"error\":{}}}", availsim_sim::json::string(message));
     Response::json(status, body)
 }
 
@@ -549,7 +544,8 @@ fn handle_query(state: &ServerState, body: &[u8]) -> Response {
     }
     match slot.wait() {
         JobOutcome::Ok(body) => Response::json(200, body).with_header("X-Availsim-Cache", "miss"),
-        JobOutcome::Deadline => Response::json(408, DEADLINE_BODY),
+        // A fixed body: deterministic bytes, never a partial estimate.
+        JobOutcome::Deadline => error_response(408, "deadline expired"),
         JobOutcome::Draining => shed_response("draining"),
         JobOutcome::Engine(msg) => error_response(500, &msg),
     }

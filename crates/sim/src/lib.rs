@@ -16,7 +16,9 @@
 //! * [`telemetry`] — deterministic engine counters (mask-gated, block-merged
 //!   in worker-count-independent order), phase spans, and Prometheus text
 //!   exposition.
-//! * [`json`] — the JSON string escaper every hand-rolled writer shares.
+//! * [`json`] — the one JSON writer: a string writer, a number writer
+//!   (non-finite values as `null`) and a streaming object writer, shared by
+//!   the campaign reports, the serve bodies and the CLI's `--metrics`.
 //!
 //! # Examples
 //!

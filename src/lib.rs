@@ -9,13 +9,12 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`ctmc`] | `availsim-ctmc` | CTMC engine: GTH steady state and mean first passage (MTTDL), uniformization |
-//! | [`sim`] | `availsim-sim` | Monte-Carlo kernel: PRNG, lifetime distributions, event queues, statistics, telemetry |
+//! | [`sim`] | `availsim-sim` | Monte-Carlo kernel: PRNG, lifetime distributions, event queues, statistics, telemetry, the JSON writer |
 //! | [`storage`] | `availsim-storage` | RAID geometry, failure models, LSE scrubbing, traces, volumes, fleet arithmetic |
 //! | [`hra`] | `availsim-hra` | Human reliability: hep, published bands, HEART, THERP, recovery dynamics |
 //! | [`core`] | `availsim-core` | The paper's models and analyses (Markov + MC, Figs. 4–7, headline tables) |
 //! | [`exp`] | `availsim-exp` | Experiment campaigns: spec files, grid planning, the parallel deterministic batch runner, reports |
 //! | [`serve`] | `availsim-serve` | The availability service: HTTP/1.1 daemon, result cache, admission control, deadlines, graceful drain |
-//! | [`bench`] | `availsim-bench` | Shared bench/metrics plumbing: workload scaling, the streaming JSON snapshot writer |
 //!
 //! # Quickstart
 //!
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use availsim_bench as bench;
 pub use availsim_core as core;
 pub use availsim_ctmc as ctmc;
 pub use availsim_exp as exp;

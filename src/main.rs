@@ -12,7 +12,6 @@
 //!                   [--default-deadline-ms N] [--drain-ms N] [--cache-capacity N]
 //! ```
 
-use availsim::bench::snapshot::JsonSnapshot;
 use availsim::core::markov::Raid5Conventional;
 use availsim::core::mc::{McVariance, DEGRADED_BINS};
 use availsim::core::volume::compare_equal_capacity;
@@ -25,6 +24,7 @@ use availsim::exp::spec::{
 };
 use availsim::exp::{plan, report, run};
 use availsim::hra::{DependenceLevel, Hep};
+use availsim::sim::json::JsonSnapshot;
 use availsim::sim::telemetry::{
     percentile_u64, write_counters, CounterSnapshot, PhaseSpans, PrometheusWriter,
 };
