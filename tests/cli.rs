@@ -65,6 +65,13 @@ fn sweep_reports_underestimation_column() {
     assert!(ok);
     assert!(stdout.contains("vs hep=0"));
     assert!(stdout.lines().count() >= 4);
+    assert_eq!(
+        stdout,
+        "      lambda       U(hep)      nines   vs hep=0\n\
+         \x20  5.0000e-7    2.4556e-7      6.610     245.6x\n\
+         \x20  3.0000e-6    1.5006e-6      5.824      41.7x\n\
+         \x20  5.5000e-6    2.8011e-6      5.553      23.2x\n"
+    );
 }
 
 #[test]
