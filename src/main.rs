@@ -12,7 +12,7 @@
 //!                   [--default-deadline-ms N] [--drain-ms N] [--cache-capacity N]
 //! ```
 
-use availsim::core::markov::Raid5Conventional;
+use availsim::core::analysis::underestimation;
 use availsim::core::mc::{McVariance, DEGRADED_BINS};
 use availsim::core::volume::compare_equal_capacity;
 use availsim::core::{nines, ModelParams};
@@ -244,17 +244,13 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let step = (to - from) / (points - 1) as f64;
     for i in 0..points {
         let lam = from + i as f64 * step;
-        let params = ModelParams::raid5_3plus1(lam, hep)?;
-        let u = Raid5Conventional::new(params)?.solve()?.unavailability();
-        let u0 = Raid5Conventional::new(params.with_hep(Hep::ZERO))?
-            .solve()?
-            .unavailability();
+        let row = underestimation(ModelParams::raid5_3plus1(lam, hep)?)?;
         println!(
             "{:>12.4e} {:>12.4e} {:>10.3} {:>9.1}x",
             lam,
-            u,
-            nines::nines_from_unavailability(u),
-            u / u0
+            row.with_hep,
+            nines::nines_from_unavailability(row.with_hep),
+            row.factor()
         );
     }
     Ok(())
