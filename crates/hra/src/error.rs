@@ -8,17 +8,8 @@ use std::fmt;
 pub enum HraError {
     /// A probability was outside `[0, 1]`.
     InvalidProbability(f64),
-    /// A HEART assessed proportion was outside `[0, 1]`.
-    InvalidProportion {
-        /// Name of the error-producing condition.
-        condition: String,
-        /// The offending proportion.
-        value: f64,
-    },
     /// A model was given no data to work with.
     EmptyModel(&'static str),
-    /// A THERP tree referenced an unknown node.
-    UnknownNode(String),
 }
 
 impl fmt::Display for HraError {
@@ -27,14 +18,7 @@ impl fmt::Display for HraError {
             HraError::InvalidProbability(p) => {
                 write!(f, "probability {p} outside the interval [0, 1]")
             }
-            HraError::InvalidProportion { condition, value } => {
-                write!(
-                    f,
-                    "assessed proportion {value} for `{condition}` outside [0, 1]"
-                )
-            }
             HraError::EmptyModel(what) => write!(f, "empty model: {what}"),
-            HraError::UnknownNode(name) => write!(f, "unknown node `{name}` in event tree"),
         }
     }
 }
@@ -51,10 +35,7 @@ mod tests {
     #[test]
     fn messages() {
         assert!(HraError::InvalidProbability(2.0).to_string().contains("2"));
-        let e = HraError::InvalidProportion {
-            condition: "stress".into(),
-            value: -1.0,
-        };
-        assert!(e.to_string().contains("stress"));
+        let e = HraError::EmptyModel("no opportunities observed");
+        assert!(e.to_string().contains("no opportunities"));
     }
 }

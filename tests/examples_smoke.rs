@@ -43,13 +43,3 @@ fn campaign_example_expands_runs_and_verifies_determinism() {
         "determinism check missing:\n{stdout}"
     );
 }
-
-#[test]
-fn hra_calculator_walks_heart_and_therp() {
-    let stdout = run_example("hra_calculator");
-    assert!(stdout.contains("published hep bands"), "{stdout}");
-    assert!(stdout.contains("HEART assessment"), "{stdout}");
-    assert!(stdout.contains("THERP event tree"), "{stdout}");
-    assert!(stdout.contains("procedure-level hep"), "{stdout}");
-    assert!(stdout.contains("recovery dynamics"), "{stdout}");
-}
