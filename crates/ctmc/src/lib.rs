@@ -14,9 +14,7 @@
 //!   time to reach a target set (MTTF / MTTDL) by the renewal argument on
 //!   GTH, with the same accuracy.
 //! * **Transient analysis** — [`Ctmc::transient`] implements uniformization
-//!   (Jensen's method) with numerically stable Poisson weights, and
-//!   [`Ctmc::cumulative_occupancy`] integrates state probabilities over a
-//!   mission window (interval availability).
+//!   (Jensen's method) with numerically stable Poisson weights.
 //!
 //! # Examples
 //!
@@ -33,8 +31,8 @@
 //! b.transition(up, down, 1e-4)?; // λ
 //! b.transition(down, up, 1e-1)?; // μ
 //! let chain = b.build()?;
-//! let a = chain.steady_state_reward(&chain.indicator(&[up]))?;
-//! assert!((a - 0.1 / (0.1 + 1e-4)).abs() < 1e-15);
+//! let pi = chain.steady_state()?;
+//! assert!((pi[up.index()] - 0.1 / (0.1 + 1e-4)).abs() < 1e-15);
 //! # Ok(())
 //! # }
 //! ```
@@ -143,37 +141,12 @@ impl Ctmc {
         (p, lambda)
     }
 
-    /// Builds a 0/1 reward (indicator) vector over the given states.
-    pub fn indicator(&self, states: &[StateId]) -> Vec<f64> {
-        let mut v = vec![0.0; self.num_states()];
-        for s in states {
-            v[s.0] = 1.0;
-        }
-        v
-    }
-
     /// Stationary distribution via GTH elimination (the recommended solver).
     ///
     /// # Errors
     /// Returns [`CtmcError::NotIrreducible`] for reducible chains.
     pub fn steady_state(&self) -> Result<Vec<f64>> {
         gth::steady_state_gth(self)
-    }
-
-    /// Expected steady-state reward `Σ_i π_i · reward_i`.
-    ///
-    /// # Errors
-    /// Returns [`CtmcError::DimensionMismatch`] if the reward vector has the
-    /// wrong length, and propagates steady-state errors.
-    pub fn steady_state_reward(&self, rewards: &[f64]) -> Result<f64> {
-        if rewards.len() != self.num_states() {
-            return Err(CtmcError::DimensionMismatch {
-                expected: self.num_states(),
-                actual: rewards.len(),
-            });
-        }
-        let pi = self.steady_state()?;
-        Ok(pi.iter().zip(rewards).map(|(p, r)| p * r).sum())
     }
 
     /// State distribution at time `t` starting from `p0`, via uniformization
@@ -184,17 +157,6 @@ impl Ctmc {
     /// vector over the chain's states.
     pub fn transient(&self, p0: &[f64], t: f64, tol: f64) -> Result<Vec<f64>> {
         transient::transient(self, p0, t, tol)
-    }
-
-    /// Expected time spent in each state during `[0, t]`, starting from `p0`.
-    ///
-    /// The entries sum to `t`. Dividing by `t` gives interval availability
-    /// when dotted with an up-state indicator.
-    ///
-    /// # Errors
-    /// Returns [`CtmcError::InvalidDistribution`] if `p0` is invalid.
-    pub fn cumulative_occupancy(&self, p0: &[f64], t: f64, tol: f64) -> Result<Vec<f64>> {
-        transient::cumulative_occupancy(self, p0, t, tol)
     }
 }
 
@@ -270,20 +232,6 @@ mod tests {
             let sum: f64 = p.row(r).map(|(_, v)| v).sum();
             assert!((sum - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn steady_state_reward_is_availability() {
-        let chain = repairable_pair();
-        let up = chain.find_state("up").unwrap();
-        let a = chain.steady_state_reward(&chain.indicator(&[up])).unwrap();
-        assert!((a - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reward_vector_length_checked() {
-        let chain = repairable_pair();
-        assert!(chain.steady_state_reward(&[1.0]).is_err());
     }
 
     #[test]

@@ -96,48 +96,6 @@ pub(crate) fn transient(chain: &Ctmc, p0: &[f64], t: f64, tol: f64) -> Result<Ve
     Ok(out)
 }
 
-pub(crate) fn cumulative_occupancy(chain: &Ctmc, p0: &[f64], t: f64, tol: f64) -> Result<Vec<f64>> {
-    let n = chain.num_states();
-    validate_distribution(p0, n)?;
-    let mut occ = vec![0.0; n];
-    if t <= 0.0 {
-        return Ok(occ);
-    }
-    let (p, lambda) = chain.uniformized();
-    let qt = lambda * t;
-    // ∫₀ᵗ π(s) ds = Σ_k (v_k / Λ) · P(N > k), with N ~ Poisson(Λt):
-    // the expected time the uniformized chain spends in its k-th step within
-    // [0, t] is survival(k)/Λ.
-    //
-    // Survival values are computed from an *extended* Poisson window so the
-    // cumulative sum is accurate: we build the window with a tolerance well
-    // below `tol`.
-    let window = poisson_window(qt, tol.max(1e-15) * 1e-2);
-    // survival[k] = P(N > k) for k >= 0. For k < window.left, survival ≈ 1.
-    let mut v = p0.to_vec();
-    let mut cum = 0.0f64;
-    let mut k = 0usize;
-    let right = window.left + window.weights.len();
-    while k < right {
-        let weight_k = if k >= window.left {
-            window.weights[k - window.left]
-        } else {
-            0.0
-        };
-        cum += weight_k;
-        let survival = (1.0 - cum).max(0.0);
-        if survival <= 0.0 && k >= window.left {
-            break;
-        }
-        for (o, &vi) in occ.iter_mut().zip(&v) {
-            *o += survival / lambda * vi;
-        }
-        v = p.vec_mul(&v)?;
-        k += 1;
-    }
-    Ok(occ)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,44 +174,5 @@ mod tests {
         let chain = two_state(1.0, 1.0);
         assert!(chain.transient(&[0.7, 0.7], 1.0, 1e-10).is_err());
         assert!(chain.transient(&[1.0], 1.0, 1e-10).is_err());
-    }
-
-    #[test]
-    fn occupancy_sums_to_elapsed_time() {
-        let chain = two_state(0.4, 1.1);
-        for &t in &[0.1, 1.0, 25.0] {
-            let occ = chain.cumulative_occupancy(&[1.0, 0.0], t, 1e-12).unwrap();
-            let total: f64 = occ.iter().sum();
-            assert!(
-                (total - t).abs() < 1e-6 * t.max(1.0),
-                "t={t}, total={total}"
-            );
-        }
-    }
-
-    #[test]
-    fn occupancy_matches_integral_of_closed_form() {
-        let (lambda, mu) = (0.5, 2.0);
-        let chain = two_state(lambda, mu);
-        let t = 4.0;
-        let occ = chain.cumulative_occupancy(&[1.0, 0.0], t, 1e-13).unwrap();
-        // ∫ p_up = μ/(λ+μ)·t + (1 − μ/(λ+μ))·(1 − e^{−(λ+μ)t})/(λ+μ)
-        let s = lambda + mu;
-        let expect = mu / s * t + (1.0 - mu / s) * (1.0 - (-s * t).exp()) / s;
-        assert!(
-            (occ[0] - expect).abs() < 1e-7,
-            "got {} expected {expect}",
-            occ[0]
-        );
-    }
-
-    #[test]
-    fn interval_availability_approaches_steady_state() {
-        let chain = two_state(0.01, 1.0);
-        let t = 1e5;
-        let occ = chain.cumulative_occupancy(&[1.0, 0.0], t, 1e-12).unwrap();
-        let ia = occ[0] / t;
-        let pi = chain.steady_state().unwrap();
-        assert!((ia - pi[0]).abs() < 1e-6);
     }
 }

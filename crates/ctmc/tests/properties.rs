@@ -295,17 +295,6 @@ proptest! {
     }
 
     #[test]
-    fn occupancy_sums_to_horizon(chain in arb_chain(8), t in 0.01f64..100.0) {
-        let n = chain.num_states();
-        let mut p0 = vec![0.0; n];
-        p0[0] = 1.0;
-        let occ = chain.cumulative_occupancy(&p0, t, 1e-12).unwrap();
-        prop_assert!(occ.iter().all(|&x| x >= -1e-12));
-        let total: f64 = occ.iter().sum();
-        prop_assert!((total - t).abs() < 1e-5 * t.max(1.0), "total {total} vs t {t}");
-    }
-
-    #[test]
     fn renewal_first_passage_matches_the_lu_absorbing_solve(
         chain in arb_chain(8),
         pick in 0usize..1000,
