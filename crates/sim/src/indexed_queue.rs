@@ -1,6 +1,7 @@
 //! Indexed discrete-event queue: a flat 4-ary indexed min-heap with an
 //! adaptive small-queue regime and O(log n) in-place cancellation — the
-//! hot-path replacement for [`crate::engine::EventQueue`].
+//! hot-path replacement for a lazy-tombstone binary heap (kept as the
+//! reference queue in `crates/sim/tests/properties.rs`).
 //!
 //! The lazy-tombstone queue pays a hash-set membership probe on **every**
 //! `peek`/`pop` (and keeps dead entries in the heap until they surface).
@@ -146,7 +147,7 @@ impl QueueStats {
 /// [`Self::pop`] returns events in ascending `(time, seq)` order, where
 /// `seq` is the per-queue schedule counter: **events scheduled for the same
 /// instant pop in the order they were scheduled** (FIFO). This is the exact
-/// tie-break of [`crate::engine::EventQueue`], bit for bit — a simulation
+/// tie-break of the reference queue, bit for bit — a simulation
 /// draws its random numbers in pop order, so swapping the queue
 /// implementation never changes an estimate. The equivalence (pop
 /// sequences, `len`, `peek_time`, and cancel results, under random

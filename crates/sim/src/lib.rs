@@ -6,11 +6,10 @@
 //!   parallel, bit-reproducible experiments.
 //! * [`distributions`] — the exponential and Weibull lifetime models the
 //!   engines sample, with exact CDFs and quantiles.
-//! * [`engine`] — a time-ordered event queue with FIFO tie-breaking and
-//!   lazy (tombstone) cancellation, kept as the reference implementation.
-//! * [`indexed_queue`] — the hot-path event queue: a flat 4-ary indexed
-//!   min-heap with O(log n) in-place cancellation and no per-operation
-//!   hashing, pop-order-identical to [`engine::EventQueue`].
+//! * [`indexed_queue`] — the event queue: a flat 4-ary indexed min-heap
+//!   with FIFO tie-breaking, O(log n) in-place cancellation and no
+//!   per-operation hashing, pop-order-identical to the lazy-tombstone
+//!   reference queue its property tests keep.
 //! * [`stats`] — Welford accumulators, Student-t confidence intervals (the
 //!   paper's "t-student coefficient" machinery), and goodness-of-fit tests.
 //! * [`telemetry`] — deterministic engine counters (mask-gated, block-merged
@@ -46,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod distributions;
-pub mod engine;
 mod error;
 pub mod indexed_queue;
 pub mod json;
@@ -56,7 +54,6 @@ pub mod stats;
 pub mod telemetry;
 
 pub use distributions::Lifetime;
-pub use engine::{EventHandle, EventQueue};
 pub use error::{Result, SimError};
 pub use indexed_queue::{IndexedEventHandle, IndexedEventQueue, QueueStats};
 pub use rng::SimRng;

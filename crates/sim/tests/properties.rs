@@ -1,11 +1,432 @@
-//! Property-based tests for the simulation kernel.
+//! Property-based tests for the simulation kernel. The indexed event queue
+//! is checked against the reference queue of [`reference`].
 
 use availsim_sim::distributions::{Exponential, Lifetime, Weibull};
-use availsim_sim::engine::EventQueue;
 use availsim_sim::indexed_queue::IndexedEventQueue;
 use availsim_sim::rng::SimRng;
 use availsim_sim::stats::{ks_test, t_interval, RunningStats};
 use proptest::prelude::*;
+use reference::EventQueue;
+
+/// The reference event queue the indexed queue is checked against: a
+/// binary heap with FIFO tie-breaking and lazy (tombstone) cancellation.
+/// No program path runs it, so it lives with the tests.
+mod reference {
+    use availsim_sim::{Result, SimError};
+    use std::cmp::Ordering;
+    use std::collections::{BinaryHeap, HashSet};
+
+    /// Handle returned by [`EventQueue::schedule`], usable to cancel the event.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct EventHandle(u64);
+
+    #[derive(Debug)]
+    struct Scheduled<E> {
+        time: f64,
+        seq: u64,
+        event: E,
+    }
+
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Scheduled<E> {}
+
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Min-heap semantics via reversed comparison; earlier time first,
+            // then FIFO by sequence number. Times are validated non-NaN on entry.
+            other
+                .time
+                .partial_cmp(&self.time)
+                .expect("event times are validated to be non-NaN")
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// A discrete-event queue parameterized over the event payload type.
+    #[derive(Debug)]
+    pub struct EventQueue<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        cancelled: HashSet<u64>,
+        /// Sequence numbers currently pending (scheduled, not yet popped or
+        /// cancelled) — the authority for [`Self::cancel`]'s return value, so
+        /// a handle whose event was already *popped* is correctly refused
+        /// instead of planting a tombstone for an absent entry (which would
+        /// corrupt [`Self::len`]).
+        pending: HashSet<u64>,
+        next_seq: u64,
+        /// First sequence number issued after the most recent [`Self::clear`];
+        /// handles below it are stale and rejected by [`Self::cancel`].
+        first_live_seq: u64,
+        now: f64,
+    }
+
+    impl<E> Default for EventQueue<E> {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    impl<E> EventQueue<E> {
+        /// Creates an empty queue at time zero.
+        pub fn new() -> Self {
+            EventQueue {
+                heap: BinaryHeap::new(),
+                cancelled: HashSet::new(),
+                pending: HashSet::new(),
+                next_seq: 0,
+                first_live_seq: 0,
+                now: 0.0,
+            }
+        }
+
+        /// Creates an empty queue at time zero with room for `n` pending events
+        /// before the heap reallocates.
+        pub fn with_capacity(n: usize) -> Self {
+            EventQueue {
+                heap: BinaryHeap::with_capacity(n),
+                cancelled: HashSet::with_capacity(n),
+                pending: HashSet::with_capacity(n),
+                next_seq: 0,
+                first_live_seq: 0,
+                now: 0.0,
+            }
+        }
+
+        /// Resets the queue to an empty state at time zero while **retaining**
+        /// the heap's and the cancellation set's allocated capacity. This is the
+        /// hot-loop reset used by simulators that replay many missions on one
+        /// queue without per-mission allocations.
+        ///
+        /// Handles issued before the reset are invalidated: the lazy
+        /// cancellation set is emptied, and sequence numbers keep growing across
+        /// resets, so a stale [`EventHandle`] is rejected by [`Self::cancel`]
+        /// (returns `false`) and can never cancel, or be mistaken for, an event
+        /// scheduled after `clear()`. [`Self::len`] and [`Self::peek_time`]
+        /// therefore stay exact under lazy cancellation after any number of
+        /// reuse cycles: `len()` counts only live post-reset events and
+        /// `peek_time()` never reports a pre-reset entry.
+        pub fn clear(&mut self) {
+            self.heap.clear();
+            self.cancelled.clear();
+            self.pending.clear();
+            self.first_live_seq = self.next_seq;
+            self.now = 0.0;
+        }
+
+        /// Current simulation time (the timestamp of the last popped event).
+        pub fn now(&self) -> f64 {
+            self.now
+        }
+
+        /// Number of pending (non-cancelled) events.
+        pub fn len(&self) -> usize {
+            self.heap.len() - self.cancelled.len()
+        }
+
+        /// Whether no events are pending.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// Schedules an event `delay` time units from now.
+        ///
+        /// # Errors
+        /// Returns [`SimError::InvalidConfig`] for negative or NaN delays.
+        pub fn schedule(&mut self, delay: f64, event: E) -> Result<EventHandle> {
+            if delay < 0.0 || !delay.is_finite() {
+                return Err(SimError::InvalidConfig(format!(
+                    "invalid event delay {delay}"
+                )));
+            }
+            self.schedule_at(self.now + delay, event)
+        }
+
+        /// Schedules an event at an absolute time, which must not lie in the
+        /// past.
+        ///
+        /// # Errors
+        /// Returns [`SimError::InvalidConfig`] for times before `now` or NaN.
+        pub fn schedule_at(&mut self, time: f64, event: E) -> Result<EventHandle> {
+            if time < self.now || !time.is_finite() {
+                return Err(SimError::InvalidConfig(format!(
+                    "event time {time} is before current time {}",
+                    self.now
+                )));
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.insert(seq);
+            self.heap.push(Scheduled { time, seq, event });
+            Ok(EventHandle(seq))
+        }
+
+        /// Cancels a scheduled event. Returns `true` if the event was still
+        /// pending; a handle whose event was already popped, already
+        /// cancelled, or scheduled before the last [`Self::clear`] returns
+        /// `false` and changes nothing.
+        pub fn cancel(&mut self, handle: EventHandle) -> bool {
+            if handle.0 < self.first_live_seq || !self.pending.remove(&handle.0) {
+                return false;
+            }
+            // Only mark: the heap entry is skipped lazily on pop.
+            self.cancelled.insert(handle.0)
+        }
+
+        /// Removes and returns the next event, advancing the clock to its time.
+        pub fn pop(&mut self) -> Option<(f64, E)> {
+            while let Some(s) = self.heap.pop() {
+                if self.cancelled.remove(&s.seq) {
+                    continue;
+                }
+                self.pending.remove(&s.seq);
+                self.now = s.time;
+                return Some((s.time, s.event));
+            }
+            None
+        }
+
+        /// Timestamp of the next pending event without removing it.
+        pub fn peek_time(&mut self) -> Option<f64> {
+            while let Some(s) = self.heap.peek() {
+                if self.cancelled.contains(&s.seq) {
+                    let seq = s.seq;
+                    self.heap.pop();
+                    self.cancelled.remove(&seq);
+                    continue;
+                }
+                return Some(s.time);
+            }
+            None
+        }
+
+        /// Drains events in order up to (and including) `horizon`, calling the
+        /// handler with `(time, event)`. Events scheduled by the handler are
+        /// processed too if they fall within the horizon. Returns the number of
+        /// events processed.
+        ///
+        /// # Errors
+        /// Propagates errors from the handler.
+        pub fn run_until<F>(&mut self, horizon: f64, mut handler: F) -> Result<usize>
+        where
+            F: FnMut(&mut Self, f64, E) -> Result<()>,
+        {
+            let mut processed = 0;
+            loop {
+                match self.peek_time() {
+                    Some(t) if t <= horizon => {
+                        let (time, event) = self.pop().expect("peeked event exists");
+                        handler(self, time, event)?;
+                        processed += 1;
+                    }
+                    _ => break,
+                }
+            }
+            self.now = self.now.max(horizon);
+            Ok(processed)
+        }
+    }
+
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn events_pop_in_time_order() {
+            let mut q = EventQueue::new();
+            q.schedule(3.0, "c").unwrap();
+            q.schedule(1.0, "a").unwrap();
+            q.schedule(2.0, "b").unwrap();
+            assert_eq!(q.pop().unwrap(), (1.0, "a"));
+            assert_eq!(q.pop().unwrap(), (2.0, "b"));
+            assert_eq!(q.pop().unwrap(), (3.0, "c"));
+            assert!(q.pop().is_none());
+        }
+
+        #[test]
+        fn ties_break_fifo() {
+            let mut q = EventQueue::new();
+            q.schedule(1.0, "first").unwrap();
+            q.schedule(1.0, "second").unwrap();
+            q.schedule(1.0, "third").unwrap();
+            assert_eq!(q.pop().unwrap().1, "first");
+            assert_eq!(q.pop().unwrap().1, "second");
+            assert_eq!(q.pop().unwrap().1, "third");
+        }
+
+        #[test]
+        fn clock_advances_with_pops() {
+            let mut q = EventQueue::new();
+            q.schedule(5.0, ()).unwrap();
+            assert_eq!(q.now(), 0.0);
+            q.pop();
+            assert_eq!(q.now(), 5.0);
+            // Relative scheduling now measures from 5.0.
+            q.schedule(1.0, ()).unwrap();
+            assert_eq!(q.pop().unwrap().0, 6.0);
+        }
+
+        #[test]
+        fn rejects_bad_times() {
+            let mut q: EventQueue<()> = EventQueue::new();
+            assert!(q.schedule(-1.0, ()).is_err());
+            assert!(q.schedule(f64::NAN, ()).is_err());
+            assert!(q.schedule(f64::INFINITY, ()).is_err());
+            q.schedule(10.0, ()).unwrap();
+            q.pop();
+            assert!(q.schedule_at(5.0, ()).is_err());
+        }
+
+        #[test]
+        fn cancellation_skips_events() {
+            let mut q = EventQueue::new();
+            let h1 = q.schedule(1.0, "a").unwrap();
+            q.schedule(2.0, "b").unwrap();
+            assert!(q.cancel(h1));
+            assert!(!q.cancel(h1), "double cancel is a no-op");
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop().unwrap().1, "b");
+        }
+
+        #[test]
+        fn cancel_of_a_popped_handle_is_refused_and_len_stays_exact() {
+            // Regression: cancelling a handle whose event already popped used
+            // to plant a tombstone for an absent heap entry, underflowing
+            // `len()` on the next schedule.
+            let mut q = EventQueue::new();
+            let h = q.schedule(1.0, "a").unwrap();
+            assert_eq!(q.pop().unwrap().1, "a");
+            assert!(!q.cancel(h), "popped handle must not cancel");
+            q.schedule(2.0, "b").unwrap();
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop().unwrap().1, "b");
+            assert!(q.pop().is_none());
+        }
+
+        #[test]
+        fn cancel_unknown_handle_is_false() {
+            let mut q: EventQueue<()> = EventQueue::new();
+            assert!(!q.cancel(EventHandle(99)));
+        }
+
+        #[test]
+        fn peek_skips_cancelled() {
+            let mut q = EventQueue::new();
+            let h = q.schedule(1.0, "a").unwrap();
+            q.schedule(2.0, "b").unwrap();
+            q.cancel(h);
+            assert_eq!(q.peek_time(), Some(2.0));
+        }
+
+        #[test]
+        fn run_until_processes_and_respects_horizon() {
+            let mut q = EventQueue::new();
+            q.schedule(1.0, 1u32).unwrap();
+            q.schedule(2.0, 2).unwrap();
+            q.schedule(10.0, 3).unwrap();
+            let mut seen = Vec::new();
+            let n = q
+                .run_until(5.0, |q, t, e| {
+                    seen.push((t, e));
+                    if e == 1 {
+                        // Handler-scheduled event inside horizon is processed.
+                        q.schedule(0.5, 4)?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(n, 3);
+            assert_eq!(seen, vec![(1.0, 1), (1.5, 4), (2.0, 2)]);
+            assert_eq!(q.now(), 5.0);
+            assert_eq!(q.len(), 1); // event at t=10 still pending
+        }
+
+        #[test]
+        fn run_until_propagates_handler_errors() {
+            let mut q = EventQueue::new();
+            q.schedule(1.0, ()).unwrap();
+            let err = q.run_until(2.0, |_, _, _| Err(SimError::InvalidConfig("boom".into())));
+            assert!(err.is_err());
+        }
+
+        #[test]
+        fn clear_resets_clock_events_and_capacity_survives() {
+            let mut q = EventQueue::with_capacity(8);
+            q.schedule(5.0, "a").unwrap();
+            q.schedule(7.0, "b").unwrap();
+            q.pop();
+            assert_eq!(q.now(), 5.0);
+            q.clear();
+            assert_eq!(q.now(), 0.0);
+            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
+            assert_eq!(q.peek_time(), None);
+            // Relative scheduling measures from the reset clock.
+            q.schedule(1.0, "c").unwrap();
+            assert_eq!(q.pop().unwrap(), (1.0, "c"));
+        }
+
+        #[test]
+        fn clear_purges_lazy_cancellations_and_rejects_stale_handles() {
+            let mut q = EventQueue::new();
+            let stale = q.schedule(1.0, "old").unwrap();
+            q.schedule(2.0, "old2").unwrap();
+            q.cancel(stale); // lazily marked, never popped
+            q.clear();
+            // len()/peek_time() are exact after reuse: the pending cancellation
+            // must not leak into the new mission.
+            let h = q.schedule(3.0, "new").unwrap();
+            q.schedule(4.0, "new2").unwrap();
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.peek_time(), Some(3.0));
+            // A handle from before the reset can neither cancel nor alias a
+            // post-reset event.
+            assert!(!q.cancel(stale));
+            assert_eq!(q.len(), 2);
+            // Post-reset handles still cancel normally.
+            assert!(q.cancel(h));
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.peek_time(), Some(4.0));
+            assert_eq!(q.pop().unwrap().1, "new2");
+            assert!(q.pop().is_none());
+        }
+
+        #[test]
+        fn reuse_cycles_keep_fifo_ties_and_counts() {
+            let mut q = EventQueue::new();
+            for _ in 0..3 {
+                q.schedule(1.0, "first").unwrap();
+                q.schedule(1.0, "second").unwrap();
+                assert_eq!(q.len(), 2);
+                assert_eq!(q.pop().unwrap().1, "first");
+                assert_eq!(q.pop().unwrap().1, "second");
+                q.clear();
+            }
+        }
+
+        #[test]
+        fn many_events_stay_sorted() {
+            let mut q = EventQueue::new();
+            // Insert times in a scrambled deterministic order.
+            for i in 0..1000u64 {
+                let t = ((i * 7919) % 1000) as f64;
+                q.schedule_at(t, i).unwrap();
+            }
+            let mut prev = -1.0;
+            while let Some((t, _)) = q.pop() {
+                assert!(t >= prev);
+                prev = t;
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
