@@ -1,40 +1,115 @@
-//! Shared harness for the figure-regeneration benchmarks.
+//! Reproduces the paper's Figs. 4–7 and its headline table as data: each
+//! section prints the series or table behind one figure, under a `===`
+//! heading.
 //!
-//! Every bench target first *prints the reproduced figure as data* (series
-//! or table), then runs a Criterion timing of the computational kernel
-//! behind it. Monte-Carlo volumes are scaled by the `AVAILSIM_BENCH_SCALE`
-//! environment variable (default 1.0; the paper's 10⁶-iteration setting is
-//! roughly `AVAILSIM_BENCH_SCALE=5`).
+//! ```text
+//! cargo run --release --example paper_figures
+//! ```
+//!
+//! Figs. 4 and 5 run 50 000 Monte-Carlo missions per point (a few seconds
+//! in release mode); Figs. 6, 7 and the headline table are exact. Fig. 1 is
+//! `examples/mc_trace.rs`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+use availsim::core::analysis::{fig7_policy_sweep, underestimation_sweep, PolicyComparison};
+use availsim::core::markov::{Raid5Conventional, WrongReplacementTiming};
+use availsim::core::mc::{ConventionalMc, McConfig};
+use availsim::core::nines::nines_from_unavailability;
+use availsim::core::report::{Series, Table};
+use availsim::core::volume::{compare_equal_capacity, FIG6_USABLE_CAPACITY};
+use availsim::core::ModelParams;
+use availsim::hra::Hep;
+use availsim::storage::{FailureModel, SCHROEDER_GIBSON_FITS};
 
-use availsim_core::analysis::{fig7_policy_sweep, underestimation_sweep, PolicyComparison};
-use availsim_core::markov::{Raid5Conventional, Raid5FailOver, WrongReplacementTiming};
-use availsim_core::mc::{ConventionalMc, McConfig};
-use availsim_core::report::{Series, Table};
-use availsim_core::volume::{compare_equal_capacity, FIG6_USABLE_CAPACITY};
-use availsim_core::ModelParams;
-use availsim_hra::Hep;
-use availsim_storage::FailureModel;
+/// Monte-Carlo missions per Fig. 4 point; 10⁶ is the paper's setting.
+const FIG4_MISSIONS: u64 = 50_000;
 
-/// Multiplier applied to Monte-Carlo iteration counts, from
-/// `AVAILSIM_BENCH_SCALE` (default 1.0, minimum 0.01).
-pub fn bench_scale() -> f64 {
-    std::env::var("AVAILSIM_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|v| v.max(0.01))
-        .unwrap_or(1.0)
+/// Monte-Carlo missions per Fig. 5 cell.
+const FIG5_MISSIONS: u64 = 50_000;
+
+fn main() {
+    print_fig4();
+    print_fig5();
+    print_fig6();
+    print_fig7();
+    print_underestimation();
 }
 
-/// Scales a base iteration count by [`bench_scale`].
-pub fn mc_iterations(base: u64) -> u64 {
-    ((base as f64) * bench_scale()).round().max(2.0) as u64
+/// Fig. 4 — validation of the Markov model against the Monte-Carlo
+/// reference: availability (nines) vs λ for hep ∈ {0.001, 0.01}.
+fn print_fig4() {
+    let iters = FIG4_MISSIONS;
+    println!("\n=== Fig. 4: MC vs Markov, RAID5(3+1), availability in nines ===");
+    println!("(MC: {iters} missions/point, 10-year missions, 99% CI)\n");
+    for series in fig4_series(iters) {
+        println!("{}", series.render());
+    }
+}
+
+/// Fig. 5 — availability of a RAID5(3+1) array vs human-error probability
+/// for the four Weibull field fits (Schroeder–Gibson FAST'07 parameters).
+/// Weibull lifetimes are outside the Markov model's reach, so this figure
+/// is Monte-Carlo only, as in the paper.
+fn print_fig5() {
+    let iters = FIG5_MISSIONS;
+    println!("\n=== Fig. 5: Weibull field fits, RAID5(3+1), availability in nines ===");
+    println!("(MC: {iters} missions/cell, 10-year missions)\n");
+    println!("{}", fig5_table(iters).render());
+}
+
+/// Fig. 6 — availability of RAID1(1+1), RAID5(3+1), RAID5(7+1) volumes of
+/// equivalent usable capacity (21 disk units), for λ ∈ {1e-5, 1e-6, 1e-7}
+/// and hep ∈ {0, 0.001, 0.01}.
+fn print_fig6() {
+    println!("\n=== Fig. 6: equal-usable-capacity comparison (volume availability, nines) ===\n");
+    for &lambda in &[1e-5, 1e-6, 1e-7] {
+        println!("{}", fig6_table(lambda).render());
+    }
+    println!(
+        "note: volume = series system over arrays; usable capacity {} disk units\n",
+        FIG6_USABLE_CAPACITY
+    );
+}
+
+/// Fig. 7 — automatic fail-over (delayed replacement) vs conventional
+/// replacement at λ = 1e-6, with the §V-D improvement factor at hep = 0.01.
+fn print_fig7() {
+    let (table, rows) = fig7_table();
+    println!("\n=== Fig. 7: replacement policy comparison ===\n");
+    println!("{}", table.render());
+    println!(
+        "headline: automatic fail-over improves availability {:.0}x at hep=0.01 (paper: ~2 orders of magnitude)\n",
+        rows[2].improvement()
+    );
+
+    // Ablation: the same sweep under the as-labeled (hep·μ_DF) reading.
+    println!("ablation — conventional model with the as-labeled EXP→DU rate (hep·μ_DF):");
+    for &hep in &[0.0, 0.001, 0.01] {
+        let u = Raid5Conventional::new(raid5_params(1e-6, hep))
+            .expect("valid model")
+            .with_timing(WrongReplacementTiming::RepairCompletion)
+            .solve()
+            .expect("solvable")
+            .unavailability();
+        println!(
+            "  hep={hep:<6} conventional (as-labeled) = {:.3} nines",
+            nines_from_unavailability(u)
+        );
+    }
+    println!();
+}
+
+/// Headline table (§I / §V-B) — how much the traditional hep = 0 model
+/// underestimates downtime: `U(hep = 0.01) / U(0)` over the Fig. 4 λ grid.
+/// The paper reports "up to 263X".
+fn print_underestimation() {
+    let (table, max) = underestimation_table();
+    println!("\n=== Headline: downtime underestimation when human error is ignored ===\n");
+    println!("{}", table.render());
+    println!("maximum underestimation over the sweep: {max:.0}x (paper: up to 263X)\n");
 }
 
 /// The λ grid of the paper's Fig. 4 x-axis (5e-7 … 5.5e-6).
-pub fn fig4_lambda_grid() -> Vec<f64> {
+fn fig4_lambda_grid() -> Vec<f64> {
     (1..=11).map(|i| i as f64 * 5e-7).collect()
 }
 
@@ -42,15 +117,15 @@ pub fn fig4_lambda_grid() -> Vec<f64> {
 ///
 /// # Panics
 /// Panics only on invalid inputs (not reachable from the fixed grids used
-/// by the benches).
-pub fn raid5_params(lambda: f64, hep: f64) -> ModelParams {
+/// here).
+fn raid5_params(lambda: f64, hep: f64) -> ModelParams {
     ModelParams::raid5_3plus1(lambda, Hep::new(hep).expect("valid hep")).expect("valid parameters")
 }
 
 /// Fig. 4 — MC vs Markov availability (nines) over the λ grid, for
 /// `hep ∈ {0.001, 0.01}`. Returns the four series in the paper's legend
 /// order.
-pub fn fig4_series(mc_iters: u64) -> Vec<Series> {
+fn fig4_series(mc_iters: u64) -> Vec<Series> {
     let mut out = Vec::new();
     for &hep in &[0.01, 0.001] {
         let mut mc_series = Series::new(format!("MC Simulation, hep={hep}"));
@@ -84,12 +159,12 @@ pub fn fig4_series(mc_iters: u64) -> Vec<Series> {
 
 /// Fig. 5 — availability of RAID5(3+1) vs hep for the four Weibull field
 /// fits (Monte-Carlo; the analytical model cannot handle Weibull).
-pub fn fig5_table(mc_iters: u64) -> Table {
+fn fig5_table(mc_iters: u64) -> Table {
     let mut table = Table::new(
         "Fig. 5 — RAID5(3+1) availability (nines) under Weibull field fits",
         &["rate", "beta", "hep=0", "hep=0.001", "hep=0.01"],
     );
-    for &(rate, beta) in &availsim_storage::SCHROEDER_GIBSON_FITS {
+    for &(rate, beta) in &SCHROEDER_GIBSON_FITS {
         let mut cells = vec![format!("{rate:.2e}"), format!("{beta}")];
         for &hep in &[0.0, 0.001, 0.01] {
             let params = raid5_params(rate, hep);
@@ -109,10 +184,7 @@ pub fn fig5_table(mc_iters: u64) -> Table {
                 // run (one mean-length restore over the simulated time)
                 // rather than a meaningless "infinite nines".
                 let resolution = (1.0 / 0.03) / (config.horizon_hours * config.iterations as f64);
-                cells.push(format!(
-                    ">{:.1}",
-                    availsim_core::nines::nines_from_unavailability(resolution)
-                ));
+                cells.push(format!(">{:.1}", nines_from_unavailability(resolution)));
             } else {
                 cells.push(format!("{:.3}", est.nines()));
             }
@@ -123,7 +195,7 @@ pub fn fig5_table(mc_iters: u64) -> Table {
 }
 
 /// Fig. 6 — equivalent-capacity RAID comparison for one λ sub-figure.
-pub fn fig6_table(lambda: f64) -> Table {
+fn fig6_table(lambda: f64) -> Table {
     let mut table = Table::new(
         format!("Fig. 6 — equal usable capacity, λ={lambda:.0e} (availability in nines)"),
         &[
@@ -161,7 +233,7 @@ pub fn fig6_table(lambda: f64) -> Table {
 }
 
 /// Fig. 7 — conventional vs automatic fail-over at λ = 1e-6.
-pub fn fig7_table() -> (Table, Vec<PolicyComparison>) {
+fn fig7_table() -> (Table, Vec<PolicyComparison>) {
     let base = raid5_params(1e-6, 0.0);
     let rows = fig7_policy_sweep(base).expect("valid sweep");
     let mut table = Table::new(
@@ -186,7 +258,7 @@ pub fn fig7_table() -> (Table, Vec<PolicyComparison>) {
 
 /// Headline table — downtime underestimation `U(hep=0.01)/U(0)` over the
 /// Fig. 4 λ grid, both wrong-replacement-timing readings.
-pub fn underestimation_table() -> (Table, f64) {
+fn underestimation_table() -> (Table, f64) {
     let grid = fig4_lambda_grid();
     let base = raid5_params(1e-6, 0.01);
     let (rows, max) = underestimation_sweep(base, &grid).expect("valid sweep");
@@ -217,59 +289,4 @@ pub fn underestimation_table() -> (Table, f64) {
         ]);
     }
     (table, max)
-}
-
-/// Builds and solves the Fig. 3 chain once (the kernel `fig7_failover` times).
-pub fn failover_chain_build_and_solve(lambda: f64, hep: f64) -> f64 {
-    Raid5FailOver::new(raid5_params(lambda, hep))
-        .expect("valid model")
-        .solve()
-        .expect("solvable")
-        .unavailability()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_parses_env_contract() {
-        // Default is >= 0.01 regardless of the environment.
-        assert!(bench_scale() >= 0.01);
-        assert!(mc_iterations(100) >= 2);
-    }
-
-    #[test]
-    fn fig4_grid_matches_paper_axis() {
-        let g = fig4_lambda_grid();
-        assert_eq!(g.len(), 11);
-        assert!((g[0] - 5e-7).abs() < 1e-18);
-        assert!((g[10] - 5.5e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn fig6_table_has_three_rows() {
-        let t = fig6_table(1e-5);
-        assert_eq!(t.len(), 3);
-        assert!(t.render().contains("RAID5(7+1)"));
-    }
-
-    #[test]
-    fn fig7_table_reports_improvement() {
-        let (t, rows) = fig7_table();
-        assert_eq!(t.len(), 3);
-        assert!(rows[2].improvement() > rows[0].improvement());
-    }
-
-    #[test]
-    fn underestimation_hits_the_headline_band() {
-        let (_, max) = underestimation_table();
-        assert!(max > 200.0 && max < 320.0, "max {max}");
-    }
-
-    #[test]
-    fn fig5_small_run_executes() {
-        let t = fig5_table(200);
-        assert_eq!(t.len(), 4);
-    }
 }
