@@ -6,9 +6,8 @@
 //! cargo run --release --example paper_figures
 //! ```
 //!
-//! Figs. 4 and 5 run 50 000 Monte-Carlo missions per point (a few seconds
-//! in release mode); Figs. 6, 7 and the headline table are exact. Fig. 1 is
-//! `examples/mc_trace.rs`.
+//! Figs. 4 and 5 run 50 000 Monte-Carlo missions per point; Figs. 6, 7 and
+//! the headline table are exact. Fig. 1 is `examples/mc_trace.rs`.
 
 use availsim::core::analysis::{fig7_policy_sweep, underestimation_sweep, PolicyComparison};
 use availsim::core::markov::{Raid5Conventional, WrongReplacementTiming};
@@ -20,11 +19,9 @@ use availsim::core::ModelParams;
 use availsim::hra::Hep;
 use availsim::storage::{FailureModel, SCHROEDER_GIBSON_FITS};
 
-/// Monte-Carlo missions per Fig. 4 point; 10⁶ is the paper's setting.
-const FIG4_MISSIONS: u64 = 50_000;
-
-/// Monte-Carlo missions per Fig. 5 cell.
-const FIG5_MISSIONS: u64 = 50_000;
+/// Monte-Carlo missions per Fig. 4 point and per Fig. 5 cell; 10⁶ is the
+/// paper's setting.
+const MC_MISSIONS: u64 = 50_000;
 
 fn main() {
     print_fig4();
@@ -37,10 +34,9 @@ fn main() {
 /// Fig. 4 — validation of the Markov model against the Monte-Carlo
 /// reference: availability (nines) vs λ for hep ∈ {0.001, 0.01}.
 fn print_fig4() {
-    let iters = FIG4_MISSIONS;
     println!("\n=== Fig. 4: MC vs Markov, RAID5(3+1), availability in nines ===");
-    println!("(MC: {iters} missions/point, 10-year missions, 99% CI)\n");
-    for series in fig4_series(iters) {
+    println!("(MC: {MC_MISSIONS} missions/point, 10-year missions, 99% CI)\n");
+    for series in fig4_series(MC_MISSIONS) {
         println!("{}", series.render());
     }
 }
@@ -50,10 +46,9 @@ fn print_fig4() {
 /// Weibull lifetimes are outside the Markov model's reach, so this figure
 /// is Monte-Carlo only, as in the paper.
 fn print_fig5() {
-    let iters = FIG5_MISSIONS;
     println!("\n=== Fig. 5: Weibull field fits, RAID5(3+1), availability in nines ===");
-    println!("(MC: {iters} missions/cell, 10-year missions)\n");
-    println!("{}", fig5_table(iters).render());
+    println!("(MC: {MC_MISSIONS} missions/cell, 10-year missions)\n");
+    println!("{}", fig5_table(MC_MISSIONS).render());
 }
 
 /// Fig. 6 — availability of RAID1(1+1), RAID5(3+1), RAID5(7+1) volumes of

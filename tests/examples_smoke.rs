@@ -33,6 +33,24 @@ fn quickstart_reproduces_the_headline_table() {
 }
 
 #[test]
+fn paper_figures_prints_every_section() {
+    let stdout = run_example("paper_figures");
+    for heading in [
+        "=== Fig. 4:",
+        "=== Fig. 5:",
+        "=== Fig. 6:",
+        "=== Fig. 7:",
+        "=== Headline:",
+    ] {
+        assert!(stdout.contains(heading), "{heading} missing:\n{stdout}");
+    }
+    assert!(
+        stdout.contains("maximum underestimation over the sweep: 246x"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn campaign_example_expands_runs_and_verifies_determinism() {
     let stdout = run_example("campaign");
     assert!(stdout.contains("campaign hep-lambda-surface"), "{stdout}");
