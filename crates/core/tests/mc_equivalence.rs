@@ -10,8 +10,8 @@
 //! 2. the two engines' intervals must overlap each other (CI overlap);
 //! 3. both engines stay bit-identical across thread counts, and workspace
 //!    reuse across missions must not leak state between iterations;
-//! 4. the jump-chain RNG streams are pinned: a digest of every estimate
-//!    bit and counter of fixed runs must not move;
+//! 4. the jump-chain and per-disk event-queue RNG streams are pinned: a
+//!    digest of every estimate bit and counter of fixed runs must not move;
 //! 5. telemetry only counts: on or off, every estimate bit is the same.
 
 use availsim_core::markov::{Raid5Conventional, Raid5FailOver, WrongReplacementTiming};
@@ -22,7 +22,7 @@ use availsim_core::ModelParams;
 use availsim_hra::Hep;
 use availsim_sim::rng::SimRng;
 use availsim_sim::telemetry::Counter;
-use availsim_storage::{RaidGeometry, ScrubbingModel};
+use availsim_storage::{FailureModel, RaidGeometry, ScrubbingModel};
 
 fn params(lambda: f64, hep: f64) -> ModelParams {
     ModelParams::raid5_3plus1(lambda, Hep::new(hep).unwrap()).unwrap()
@@ -357,6 +357,56 @@ fn fig2_jump_chain_streams_are_pinned() {
             ("r5-3 biased lse mu_df", 0xf45d_5f7c_c88c_8f95),
             ("r1 naive", 0x516c_3d2c_d987_ac66),
             ("r5-3 hep=0 naive", 0x07f8_eaa2_10c8_8d8f),
+        ],
+    );
+}
+
+#[test]
+fn fig2_event_queue_streams_are_pinned() {
+    // The per-disk engine and the splitting scheme built on it, with the
+    // same LSE model as the jump-chain pins, plus one non-exponential
+    // lifetime model (the regime only this engine covers).
+    let base = params(2e-4, 0.01);
+    let lse = base.with_scrubbing(ScrubbingModel::new(1e-4, 336.0).unwrap());
+    let mut got = Vec::new();
+    for (p, l) in [(base, "no-lse"), (lse, "lse")] {
+        for (timing, t) in [
+            (WrongReplacementTiming::ChangeAction, "mu_ch"),
+            (WrongReplacementTiming::RepairCompletion, "mu_df"),
+        ] {
+            let mc = ConventionalMc::new(p)
+                .unwrap()
+                .with_timing(timing)
+                .with_engine(McEngine::EventQueue);
+            let est = mc.run(&pin_config(McVariance::Naive)).unwrap();
+            got.push((format!("r5-3 event-queue {l} {t}"), digest(&est, &[])));
+        }
+        let split = McVariance::Splitting {
+            levels: 2,
+            effort: 8,
+        };
+        let est = ConventionalMc::new(p)
+            .unwrap()
+            .run(&pin_config(split))
+            .unwrap();
+        got.push((format!("r5-3 splitting {l}"), digest(&est, &[])));
+    }
+    let weibull = FailureModel::weibull(2e-4, 1.48).unwrap();
+    let est = ConventionalMc::with_failure_model(base, weibull)
+        .unwrap()
+        .run(&pin_config(McVariance::Naive))
+        .unwrap();
+    got.push(("r5-3 weibull naive".to_string(), digest(&est, &[])));
+    assert_pins(
+        &got,
+        &[
+            ("r5-3 event-queue no-lse mu_ch", 0x06f5_8a82_baef_bda7),
+            ("r5-3 event-queue no-lse mu_df", 0xbbad_43d5_5209_9f5d),
+            ("r5-3 splitting no-lse", 0x8c0e_6898_58b9_d559),
+            ("r5-3 event-queue lse mu_ch", 0xc902_2138_78be_ec56),
+            ("r5-3 event-queue lse mu_df", 0xd77a_cfea_e634_a8b1),
+            ("r5-3 splitting lse", 0x81ef_6e70_9745_7098),
+            ("r5-3 weibull naive", 0xd33d_10c1_a4a3_fef0),
         ],
     );
 }
