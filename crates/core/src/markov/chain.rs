@@ -2,11 +2,13 @@
 //! classified states and an ordered list of tagged edges.
 //!
 //! The exact solver reads a definition directly ([`ChainDef::solve`],
-//! [`ChainDef::mttdl_hours`]), and the Monte-Carlo jump chains compile the
-//! same definition into their exit tables, so both read one object. The
+//! [`ChainDef::mttdl_hours`]), and the single-array Monte-Carlo engines
+//! (the jump chain and both event-queue engines) compile the same
+//! definition into their exit tables, so all of them read one object. The
 //! declared order is part of the contract: the solver sums parallel edges
-//! in that order, and the samplers pick among a state's exits in that
-//! order, which fixes how they consume the RNG stream.
+//! in that order, the jump chain picks among a state's exits in that
+//! order, and the event-queue engines arm their exit clocks in it, which
+//! fixes how they consume the RNG stream.
 
 use super::SolvedChain;
 use crate::error::Result;

@@ -40,9 +40,9 @@ impl GenericKofN {
     /// Creates the model for any geometry with `m >= 1`.
     ///
     /// An attached [`ModelParams::with_scrubbing`] model seeds the
-    /// rebuild-LSE branch (the exact-chain counterpart of the Monte-Carlo
-    /// engines' Bernoulli on rebuild completion);
-    /// [`Self::with_rebuild_failure_probability`] overrides it.
+    /// rebuild-LSE branch, split off the rebuild completion as in the
+    /// Fig. 2 chain; [`Self::with_rebuild_failure_probability`] overrides
+    /// it.
     ///
     /// # Errors
     /// Returns [`CoreError::InvalidParameter`] for zero-redundancy

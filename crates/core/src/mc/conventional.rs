@@ -1,41 +1,28 @@
 //! Monte-Carlo model of a single-fault-tolerant array under conventional
 //! replacement — the simulation behind the paper's Fig. 1, Fig. 4, Fig. 5.
 //!
-//! Failures use **per-disk clocks** drawn from any [`FailureModel`]
-//! (exponential or the paper's Weibull field fits), so the simulator covers
-//! the non-Markovian regime the analytical model cannot. Service processes
-//! (replacement, human-error recovery, tape restore) are exponential with
-//! the paper's rates; disks are treated as renewed after every service
-//! action (regenerative assumption, standard for repair simulations).
+//! Both engines run on the Fig. 2 chain definition the exact solver builds
+//! from ([`fig2_chain`]), compiled once into an exit table. With
+//! exponential failures [`McEngine::Auto`](super::McEngine) replays it on
+//! the shared jump chain, with no event queue and no per-disk clocks.
 //!
-//! With exponential failures the simulator is distribution-equivalent to the
-//! Fig. 2 CTMC, which the Fig. 4 validation exercises — and in that regime
-//! [`McEngine::Auto`](super::McEngine) replays the chain definition the
-//! exact solver builds from ([`fig2_chain`]) on the shared jump chain, with
-//! no event queue and no per-disk clocks.
+//! The general engine keeps **per-disk clocks** drawn from any
+//! [`FailureModel`] (exponential or the paper's Weibull field fits), so it
+//! covers the non-Markovian regime the analytical model cannot. A disk
+//! clock takes the state's failure exit; every other exit races as an
+//! exponential clock at the definition's rate. Disks are renewed on every
+//! return to the start state (regenerative assumption, standard for repair
+//! simulations).
 
-use super::jump::ExitTable;
+use super::jump::{ExitTable, Tally, MAX_EXITS};
 use super::{AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace};
 use crate::error::{CoreError, Result};
-use crate::markov::{fig2_chain, WrongReplacementTiming};
+use crate::markov::{fig2_chain, EdgeTag, StateClass, WrongReplacementTiming};
 use crate::params::ModelParams;
-use availsim_sim::indexed_queue::{IndexedEventQueue, QueueStats};
+use availsim_sim::indexed_queue::{IndexedEventHandle, IndexedEventQueue, QueueStats};
 use availsim_sim::rng::SimRng;
 use availsim_sim::telemetry::Counter;
-use availsim_storage::{EventTrace, FailureModel, OutageCause, TraceKind};
-
-/// Operating mode of the simulated array (mirrors the Fig. 2 states).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// All disks operational.
-    Op,
-    /// One failed disk, service in progress.
-    Exp,
-    /// Down: wrong replacement pulled a live disk.
-    Du,
-    /// Down: data lost, restoring from backup.
-    Dl,
-}
+use availsim_storage::{DowntimeLog, EventTrace, FailureModel, OutageCause, TraceKind};
 
 /// Event payload, deliberately 8 bytes so a queue entry stays compact:
 /// `slot` fits a `u16` and the per-mission `gen`/`epoch` guards never
@@ -44,22 +31,8 @@ enum Mode {
 enum Ev {
     /// Failure of a disk slot; `gen` guards against stale clocks.
     Fail { slot: u16, gen: u32 },
-    /// A service transition; `epoch` guards against stale service events.
-    Service { kind: Service, epoch: u32 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Service {
-    /// EXP → OP at (1−hep)·μ_DF.
-    RepairOk,
-    /// EXP → DU at hep·μ_s (or hep·μ_DF under the as-labeled reading).
-    WrongPull,
-    /// DU → OP at (1−hep)·μ_he.
-    RecoveryOk,
-    /// DU → DL at λ_crash.
-    RemovedCrash,
-    /// DL → OP at μ_DDF.
-    Restore,
+    /// Exit `exit` of the state armed at `epoch`.
+    Exit { exit: u8, epoch: u32 },
 }
 
 /// Reusable scratch of the general event-queue engine: the event queue and
@@ -97,7 +70,7 @@ struct ExpEntry {
 #[derive(Debug, Clone, Copy)]
 struct DownEntry {
     t: f64,
-    data_loss: bool,
+    state: usize,
 }
 
 /// Where an event-queue mission starts (splitting restarts mid-mission).
@@ -111,11 +84,13 @@ enum EqStart<'a> {
 }
 
 /// Monomorphized trace sink of the event-queue engine: the hot path runs
-/// with [`NoTrace`] (every `record` compiles to nothing), while traced
+/// with [`NoTrace`] (every record compiles to nothing), while traced
 /// missions pass the real [`EventTrace`] — no per-event `Option` branches
 /// either way.
 trait Tracer {
-    fn record(&mut self, t: f64, kind: TraceKind);
+    /// Records taking an exit tagged `tag` from a state of class `from` to
+    /// one of class `to` at `t`; `disk` is the slot whose clock fired last.
+    fn exit(&mut self, t: f64, tag: EdgeTag, from: StateClass, to: StateClass, disk: usize);
 }
 
 /// The no-op sink of untraced missions.
@@ -123,13 +98,158 @@ struct NoTrace;
 
 impl Tracer for NoTrace {
     #[inline(always)]
-    fn record(&mut self, _t: f64, _kind: TraceKind) {}
+    fn exit(&mut self, _t: f64, _tag: EdgeTag, _from: StateClass, _to: StateClass, _disk: usize) {}
 }
 
+/// The Fig. 1 story: one record for what drove the exit, and one more for
+/// an outage it opens.
 impl Tracer for EventTrace {
-    #[inline]
-    fn record(&mut self, t: f64, kind: TraceKind) {
-        EventTrace::record(self, t, kind);
+    fn exit(&mut self, t: f64, tag: EdgeTag, from: StateClass, to: StateClass, disk: usize) {
+        let disk = disk as u32;
+        self.record(
+            t,
+            match (tag, from) {
+                (EdgeTag::Failure, _) => TraceKind::DiskFailure { disk },
+                (EdgeTag::HumanError, _) => TraceKind::WrongReplacement { removed_disk: 0 },
+                (EdgeTag::Crash, _) => TraceKind::RemovedDiskCrashed,
+                (EdgeTag::RebuildLoss, _) => TraceKind::RebuildLse,
+                (EdgeTag::Service, StateClass::Up) => TraceKind::RepairComplete { disk },
+                (EdgeTag::Service, StateClass::HumanErrorDown) => TraceKind::WrongReplacementUndone,
+                (EdgeTag::Service, StateClass::DataLossDown) => TraceKind::BackupRestoreComplete,
+            },
+        );
+        if from != to {
+            match to {
+                StateClass::Up => {}
+                StateClass::HumanErrorDown => self.record(t, TraceKind::DataUnavailable),
+                StateClass::DataLossDown => self.record(t, TraceKind::DataLoss),
+            }
+        }
+    }
+}
+
+/// One event-queue mission in flight: the chain state, the clocks armed
+/// for its exits, and the per-slot failure clocks.
+///
+/// Exits that lose their race are **cancelled in place** the moment the
+/// winner fires (the indexed queue makes that O(log n) with no
+/// tombstones), so the loop never pays a pop for a dead event; the epoch
+/// guard stays as a defensive invariant.
+struct EqMission<'a, T> {
+    table: &'a ExitTable,
+    failures: &'a FailureModel,
+    horizon: f64,
+    stop_at_down: bool,
+    rng: &'a mut SimRng,
+    queue: &'a mut IndexedEventQueue<Ev>,
+    slot_gen: &'a mut [u32],
+    log: &'a mut DowntimeLog,
+    trace: &'a mut T,
+    tally: Tally,
+    state: usize,
+    epoch: u32,
+    /// The slot whose clock fired last: the disk a repair renews.
+    failed: usize,
+    /// The armed exit clocks of the current state, by exit index.
+    armed: [Option<IndexedEventHandle>; MAX_EXITS],
+    ttf_draws: u64,
+    lse_hits: u64,
+}
+
+impl<T: Tracer> EqMission<'_, T> {
+    /// Queues `ev` at `t`. An event due after the horizon can never pop,
+    /// so it never enters the queue: its delay is still drawn (the RNG
+    /// stream is part of the engine's contract), but the queue only holds
+    /// events that can fire.
+    fn schedule(&mut self, t: f64, ev: Ev) -> Option<IndexedEventHandle> {
+        if t <= self.horizon {
+            self.queue.schedule_at(t, ev).ok()
+        } else {
+            self.queue.note_expired();
+            None
+        }
+    }
+
+    /// Starts a fresh lifetime clock for `slot` at `t`.
+    fn renew(&mut self, slot: usize, t: f64) {
+        self.slot_gen[slot] += 1;
+        let gen = self.slot_gen[slot];
+        let ttf = self.failures.sample_ttf(self.rng);
+        self.ttf_draws += 1;
+        self.schedule(
+            t + ttf,
+            Ev::Fail {
+                slot: slot as u16,
+                gen,
+            },
+        );
+    }
+
+    /// Arms one clock at `t` for every non-failure exit of the current
+    /// state, in declared order; a disabled exit draws nothing.
+    fn arm(&mut self, t: f64) {
+        let s = self.state;
+        for k in 0..self.table.exits(s) {
+            if self.table.tag(s, k) == EdgeTag::Failure {
+                continue;
+            }
+            if let Some(dt) = self.rng.sample_exp_inv(self.table.inv_rate(s, k)) {
+                self.tally.exp_draws += 1;
+                let epoch = self.epoch;
+                self.armed[k] = self.schedule(
+                    t + dt,
+                    Ev::Exit {
+                        exit: k as u8,
+                        epoch,
+                    },
+                );
+            }
+        }
+    }
+
+    /// The clock of `slot` fires at `t`: the slot stops ticking, and the
+    /// state's failure exit is taken. Down states have none, so the slot
+    /// stays quiesced until a return to the start state renews it.
+    fn fail(&mut self, slot: usize, t: f64) -> Option<DownEntry> {
+        self.slot_gen[slot] += 1;
+        let k = self.table.failure_exit(self.state)?;
+        self.failed = slot;
+        self.take(k, t)
+    }
+
+    /// Takes exit `k` of the current state at `t`. Returns the entry into
+    /// a down state when the mission stops there.
+    fn take(&mut self, k: usize, t: f64) -> Option<DownEntry> {
+        for h in self.armed.iter_mut().filter_map(Option::take) {
+            self.queue.cancel(h);
+        }
+        self.epoch += 1;
+        let (from, tag) = (self.state, self.table.tag(self.state, k));
+        self.state = self.tally.step_from(self.table, from, k, t, self.log);
+        let (was, now) = (self.table.class(from), self.table.class(self.state));
+        self.trace.exit(t, tag, was, now, self.failed);
+        if tag == EdgeTag::RebuildLoss {
+            self.lse_hits += 1;
+        }
+        if self.stop_at_down && !now.is_up() {
+            return Some(DownEntry {
+                t,
+                state: self.state,
+            });
+        }
+        if self.state == 0 {
+            // A repair renews the failed disk; leaving an outage renews
+            // every disk.
+            if was.is_up() {
+                self.renew(self.failed, t);
+            } else {
+                for slot in 0..self.slot_gen.len() {
+                    self.renew(slot, t);
+                }
+            }
+        }
+        self.arm(t);
+        None
     }
 }
 
@@ -162,9 +282,10 @@ fn fig2_edge_counter(from: &str, to: &str) -> Option<Counter> {
     })
 }
 
-/// Compiles the Fig. 2 chain the jump chain replays, at the exponential
-/// failure model's rate (the table goes unused for other lifetimes).
-fn jump_table(
+/// Compiles the Fig. 2 chain both engines run on, at the exponential
+/// failure model's rate. Under other lifetimes only the event-queue engine
+/// runs, and its disk clocks stand in for the failure-tagged rates.
+fn exit_table(
     params: &ModelParams,
     failures: &FailureModel,
     timing: WrongReplacementTiming,
@@ -181,7 +302,6 @@ fn jump_table(
 pub struct ConventionalMc {
     params: ModelParams,
     failures: FailureModel,
-    timing: WrongReplacementTiming,
     engine: McEngine,
     table: ExitTable,
 }
@@ -217,12 +337,10 @@ impl ConventionalMc {
                 params.geometry.total_disks()
             )));
         }
-        let timing = WrongReplacementTiming::default();
         Ok(ConventionalMc {
-            table: jump_table(&params, &failures, timing),
+            table: exit_table(&params, &failures, WrongReplacementTiming::default()),
             params,
             failures,
-            timing,
             engine: McEngine::Auto,
         })
     }
@@ -230,8 +348,7 @@ impl ConventionalMc {
     /// Selects the wrong-replacement timing reading (must match the Markov
     /// model being validated against).
     pub fn with_timing(mut self, timing: WrongReplacementTiming) -> Self {
-        self.timing = timing;
-        self.table = jump_table(&self.params, &self.failures, timing);
+        self.table = exit_table(&self.params, &self.failures, timing);
         self
     }
 
@@ -522,24 +639,15 @@ impl ConventionalMc {
     /// The event-queue engine core, restartable from a splitting checkpoint
     /// and stoppable at the first entry into a down state.
     ///
-    /// With [`EqStart::Fresh`] and `stop_at_down = false` this is exactly
-    /// the historical mission loop — same RNG consumption, same live-event
-    /// pop order, same bits. The other start points reconstruct the full
-    /// engine state at a checkpoint (pending failure clocks via
-    /// absolute-time scheduling, fresh service draws at the entry epoch) so
-    /// a splitting continuation is distribution-identical to a mission that
-    /// reached that state on its own.
+    /// A splitting restart reconstructs the full engine state at its
+    /// checkpoint (pending failure clocks via absolute-time scheduling,
+    /// fresh exit draws at the entry instant), so a continuation is
+    /// distribution-identical to a mission that reached that state on its
+    /// own.
     ///
-    /// Service events that lose their race are **cancelled in place** the
-    /// moment the winner fires (the indexed queue makes that O(log n) with
-    /// no tombstones), so the loop never pays a pop for a dead event; the
-    /// epoch guard stays as a defensive invariant. The tracer is a
-    /// monomorphized sink ([`NoTrace`] for the hot path), so untraced
-    /// missions carry no per-event trace branches.
-    ///
-    /// `FleetMc` replays these exact per-array semantics with
-    /// array-indexed state; a semantic change here must be mirrored in
-    /// `fleet.rs` (the fleet oracle suite cross-checks the two).
+    /// `FleetMc` transcribes the same Fig. 2 semantics by hand, with
+    /// array-indexed state; the fleet oracle suite holds it to the exact
+    /// chain and to this engine.
     fn run_event_queue<T: Tracer>(
         &self,
         horizon: f64,
@@ -549,358 +657,86 @@ impl ConventionalMc {
         start: EqStart<'_>,
         stop_at_down: bool,
     ) -> (IterationOutcome, Option<DownEntry>) {
-        let n = self.params.disks() as usize;
-        let p = &self.params;
-        let hep = p.hep.value();
-        // Reciprocal service rates, cached once per mission so the armed
-        // draws multiply instead of divide (a disabled rate becomes ∞,
-        // which `sample_exp_inv` treats as "draw nothing", exactly like
-        // `sample_exp(0)`).
-        let repair_inv = ((1.0 - hep) * p.disk_repair_rate).recip();
-        let wrong_inv = self.timing.wrong_replacement_rate(p).recip();
-        let recover_inv = ((1.0 - hep) * p.human_recovery_rate).recip();
-        let crash_inv = p.removed_crash_rate.recip();
-        let restore_inv = p.ddf_recovery_rate.recip();
-        // Per-rebuild LSE-hit probability. Strictly zero (and drawing no
-        // randomness) when no scrubbing model is attached, so LSE-free
-        // missions consume the identical RNG stream as before the feature
-        // existed.
-        let p_lse = p.rebuild_lse_probability();
-
-        ws.conventional.reset(n);
+        ws.conventional.reset(self.params.disks() as usize);
         ws.log.clear();
         let ConvScratch { queue, slot_gen } = &mut ws.conventional;
-        let log = &mut ws.log;
-        let tele = &mut ws.telemetry;
-        // Draw tallies, accumulated locally and flushed once per run (the
-        // queue's own traffic counters live inside `IndexedEventQueue`).
-        let (mut exp_draws, mut ttf_draws, mut uniform_draws) = (0u64, 0u64, 0u64);
-        let mut mode = Mode::Op;
-        let mut epoch: u32 = 0;
-        let mut failed_slot: Option<usize> = None;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let mut lse_hits = 0u64;
-        let mut first_loss = f64::INFINITY;
-        let mut down_entry: Option<DownEntry> = None;
-        // Pending service events of the current state, by race lane
-        // (0 = the recovery-flavoured exit, 1 = the failure-flavoured one);
-        // whichever fires first invalidates the sibling via `cancel`.
-        let mut svc: [Option<availsim_sim::indexed_queue::IndexedEventHandle>; 2] = [None, None];
-
-        macro_rules! arm_service {
-            ($lane:expr, $kind:expr, $inv_rate:expr) => {
-                svc[$lane] = match rng.sample_exp_inv($inv_rate) {
-                    Some(dt) => {
-                        exp_draws += 1;
-                        enqueue_due!(queue, queue.now() + dt, Ev::Service { kind: $kind, epoch })
-                    }
-                    None => None,
-                };
-            };
-        }
-        macro_rules! cancel_service {
-            ($lane:expr) => {
-                if let Some(h) = svc[$lane].take() {
-                    queue.cancel(h);
-                }
-            };
-        }
-
-        // An event due after the horizon can never pop (`pop_due` filters
-        // it), so it never enters the queue at all — the sampled delay is
-        // still drawn (the RNG stream is part of the engine's contract),
-        // but the queue only ever holds the handful of events that can
-        // actually fire. Bit-identical to enqueueing everything.
-        macro_rules! enqueue_due {
-            ($queue:expr, $time:expr, $ev:expr) => {{
-                let t = $time;
-                if t <= horizon {
-                    $queue.schedule_at(t, $ev).ok()
-                } else {
-                    $queue.note_expired();
-                    None
-                }
-            }};
-        }
-
-        match start {
+        let mut m = EqMission {
+            table: &self.table,
+            failures: &self.failures,
+            horizon,
+            stop_at_down,
+            rng,
+            queue,
+            slot_gen,
+            log: &mut ws.log,
+            trace,
+            tally: Tally::new(),
+            state: 0,
+            epoch: 0,
+            failed: 0,
+            armed: [None; MAX_EXITS],
+            ttf_draws: 0,
+            lse_hits: 0,
+        };
+        let mut down = match start {
             EqStart::Fresh => {
-                // Seed all disk clocks.
-                for slot in 0..n {
-                    let t = self.failures.sample_ttf(rng);
-                    ttf_draws += 1;
-                    let _ = enqueue_due!(
-                        queue,
+                for slot in 0..m.slot_gen.len() {
+                    m.renew(slot, 0.0);
+                }
+                None
+            }
+            EqStart::Exp(entry) => {
+                for &(slot, t) in &entry.pending {
+                    m.schedule(
                         t,
                         Ev::Fail {
                             slot: slot as u16,
                             gen: 0,
-                        }
+                        },
                     );
                 }
-            }
-            EqStart::Exp(entry) => {
-                // Degraded-state entry: one slot just failed at `entry.t`,
-                // the survivors keep their pending absolute failure times,
-                // and the service race is armed at the entry instant.
-                mode = Mode::Exp;
-                epoch = 1;
-                failed_slot = Some(entry.failed_slot);
-                slot_gen[entry.failed_slot] = 1; // its clock has fired
-                for &(slot, time) in &entry.pending {
-                    let _ = enqueue_due!(
-                        queue,
-                        time,
-                        Ev::Fail {
-                            slot: slot as u16,
-                            gen: 0,
-                        }
-                    );
-                }
-                for (lane, kind, inv) in [
-                    (0, Service::RepairOk, repair_inv),
-                    (1, Service::WrongPull, wrong_inv),
-                ] {
-                    svc[lane] = match rng.sample_exp_inv(inv) {
-                        Some(dt) => {
-                            exp_draws += 1;
-                            enqueue_due!(queue, entry.t + dt, Ev::Service { kind, epoch })
-                        }
-                        None => None,
-                    };
-                }
+                // The checkpoint is the failed slot's clock firing.
+                m.fail(entry.failed_slot, entry.t)
             }
             EqStart::Down(entry) => {
-                // Down-state entry: every failure clock is quiesced (all
-                // slots are renewed on the way back to OP), so the state is
-                // just the mode, the entry time, and the armed recovery
-                // race.
-                epoch = 1;
-                let services: &[(usize, Service, f64)] = if entry.data_loss {
-                    mode = Mode::Dl;
-                    first_loss = first_loss.min(entry.t);
-                    log.begin(entry.t, OutageCause::DataLoss);
-                    &[(0, Service::Restore, restore_inv)]
+                m.state = entry.state;
+                let cause = if m.table.class(entry.state).is_data_loss() {
+                    OutageCause::DataLoss
                 } else {
-                    mode = Mode::Du;
-                    log.begin(entry.t, OutageCause::HumanError);
-                    &[
-                        (0, Service::RecoveryOk, recover_inv),
-                        (1, Service::RemovedCrash, crash_inv),
-                    ]
+                    OutageCause::HumanError
                 };
-                for &(lane, kind, inv) in services {
-                    svc[lane] = match rng.sample_exp_inv(inv) {
-                        Some(dt) => {
-                            exp_draws += 1;
-                            enqueue_due!(queue, entry.t + dt, Ev::Service { kind, epoch })
-                        }
-                        None => None,
-                    };
-                }
+                m.log.begin(entry.t, cause);
+                m.arm(entry.t);
+                None
             }
+        };
+        while down.is_none() {
+            let Some((t, ev)) = m.queue.pop_due(horizon) else {
+                break;
+            };
+            down = match ev {
+                Ev::Fail { slot, gen } if gen == m.slot_gen[usize::from(slot)] => {
+                    m.fail(usize::from(slot), t)
+                }
+                Ev::Exit { exit, epoch } if epoch == m.epoch => {
+                    let k = usize::from(exit);
+                    m.armed[k] = None;
+                    m.take(k, t)
+                }
+                _ => None, // a stale clock (defensive for exits)
+            };
         }
 
-        while let Some((t, ev)) = queue.pop_due(horizon) {
-            match ev {
-                Ev::Fail { slot, gen } => {
-                    let slot = slot as usize;
-                    if gen != slot_gen[slot] {
-                        continue; // stale clock
-                    }
-                    slot_gen[slot] += 1; // the slot is no longer ticking
-                    match mode {
-                        Mode::Op => {
-                            mode = Mode::Exp;
-                            failed_slot = Some(slot);
-                            epoch += 1;
-                            trace.record(t, TraceKind::DiskFailure { disk: slot as u32 });
-                            arm_service!(0, Service::RepairOk, repair_inv);
-                            arm_service!(1, Service::WrongPull, wrong_inv);
-                        }
-                        Mode::Exp => {
-                            // Second failure: data loss. The pending
-                            // service race is void.
-                            mode = Mode::Dl;
-                            dl_events += 1;
-                            first_loss = first_loss.min(t);
-                            epoch += 1;
-                            cancel_service!(0);
-                            cancel_service!(1);
-                            log.begin(t, OutageCause::DataLoss);
-                            trace.record(t, TraceKind::DiskFailure { disk: slot as u32 });
-                            trace.record(t, TraceKind::DataLoss);
-                            if stop_at_down {
-                                down_entry = Some(DownEntry { t, data_loss: true });
-                                break;
-                            }
-                            arm_service!(0, Service::Restore, restore_inv);
-                        }
-                        // Quiesced while down; the slot is resampled on
-                        // the next return to OP.
-                        Mode::Du | Mode::Dl => {}
-                    }
-                }
-                Ev::Service {
-                    kind,
-                    epoch: ev_epoch,
-                } => {
-                    if ev_epoch != epoch {
-                        continue; // stale service event (defensive)
-                    }
-                    match (mode, kind) {
-                        (Mode::Exp, Service::RepairOk) => {
-                            epoch += 1;
-                            svc[0] = None;
-                            cancel_service!(1);
-                            // With an LSE model attached, one Bernoulli
-                            // decides whether the rebuild's reads of the
-                            // surviving disks hit a latent error (data
-                            // loss) or the array returns to OP. No model →
-                            // no draw.
-                            let lse_hit = p_lse > 0.0 && {
-                                uniform_draws += 1;
-                                rng.next_f64() < p_lse
-                            };
-                            if lse_hit {
-                                mode = Mode::Dl;
-                                dl_events += 1;
-                                lse_hits += 1;
-                                first_loss = first_loss.min(t);
-                                log.begin(t, OutageCause::DataLoss);
-                                trace.record(t, TraceKind::RebuildLse);
-                                trace.record(t, TraceKind::DataLoss);
-                                if stop_at_down {
-                                    down_entry = Some(DownEntry { t, data_loss: true });
-                                    break;
-                                }
-                                // `failed_slot` stays set; the restore
-                                // handler renews every slot on the way
-                                // back to OP.
-                                arm_service!(0, Service::Restore, restore_inv);
-                            } else {
-                                // Replacement + rebuild done: back to OP.
-                                mode = Mode::Op;
-                                let slot = failed_slot.take().expect("exp implies a failed slot");
-                                slot_gen[slot] += 1;
-                                let tt = self.failures.sample_ttf(rng);
-                                ttf_draws += 1;
-                                let _ = enqueue_due!(
-                                    queue,
-                                    queue.now() + tt,
-                                    Ev::Fail {
-                                        slot: slot as u16,
-                                        gen: slot_gen[slot],
-                                    }
-                                );
-                                trace.record(t, TraceKind::RepairComplete { disk: slot as u32 });
-                            }
-                        }
-                        (Mode::Exp, Service::WrongPull) => {
-                            mode = Mode::Du;
-                            du_events += 1;
-                            epoch += 1;
-                            svc[1] = None;
-                            cancel_service!(0);
-                            log.begin(t, OutageCause::HumanError);
-                            trace.record(t, TraceKind::WrongReplacement { removed_disk: 0 });
-                            trace.record(t, TraceKind::DataUnavailable);
-                            if stop_at_down {
-                                down_entry = Some(DownEntry {
-                                    t,
-                                    data_loss: false,
-                                });
-                                break;
-                            }
-                            arm_service!(0, Service::RecoveryOk, recover_inv);
-                            arm_service!(1, Service::RemovedCrash, crash_inv);
-                        }
-                        (Mode::Du, Service::RecoveryOk) => {
-                            // Error undone and repair completed (Fig. 2's
-                            // DU → OP edge): full return to OP.
-                            mode = Mode::Op;
-                            epoch += 1;
-                            svc[0] = None;
-                            cancel_service!(1);
-                            failed_slot = None;
-                            log.end(t);
-                            trace.record(t, TraceKind::WrongReplacementUndone);
-                            for (slot, gen) in slot_gen.iter_mut().enumerate() {
-                                *gen += 1;
-                                let tt = self.failures.sample_ttf(rng);
-                                ttf_draws += 1;
-                                let _ = enqueue_due!(
-                                    queue,
-                                    queue.now() + tt,
-                                    Ev::Fail {
-                                        slot: slot as u16,
-                                        gen: *gen,
-                                    }
-                                );
-                            }
-                        }
-                        (Mode::Du, Service::RemovedCrash) => {
-                            mode = Mode::Dl;
-                            dl_events += 1;
-                            first_loss = first_loss.min(t);
-                            epoch += 1;
-                            svc[1] = None;
-                            cancel_service!(0);
-                            // Re-attribute the remaining outage to data loss.
-                            log.end(t);
-                            log.begin(t, OutageCause::DataLoss);
-                            trace.record(t, TraceKind::RemovedDiskCrashed);
-                            trace.record(t, TraceKind::DataLoss);
-                            arm_service!(0, Service::Restore, restore_inv);
-                        }
-                        (Mode::Dl, Service::Restore) => {
-                            mode = Mode::Op;
-                            epoch += 1;
-                            svc[0] = None;
-                            failed_slot = None;
-                            log.end(t);
-                            trace.record(t, TraceKind::BackupRestoreComplete);
-                            for (slot, gen) in slot_gen.iter_mut().enumerate() {
-                                *gen += 1;
-                                let tt = self.failures.sample_ttf(rng);
-                                ttf_draws += 1;
-                                let _ = enqueue_due!(
-                                    queue,
-                                    queue.now() + tt,
-                                    Ev::Fail {
-                                        slot: slot as u16,
-                                        gen: *gen,
-                                    }
-                                );
-                            }
-                        }
-                        // Any other combination is a stale/impossible pair.
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        log.finalize(horizon);
+        m.log.finalize(horizon);
+        let out = m.tally.outcome(m.log, 1.0);
+        let tele = &mut ws.telemetry;
         if tele.enabled() {
-            tele.add(Counter::RngExpDraws, exp_draws);
-            tele.add(Counter::RngLifetimeDraws, ttf_draws);
-            tele.add(Counter::RngUniformDraws, uniform_draws);
-            tele.add(Counter::RebuildLseHits, lse_hits);
-            tele.add(Counter::DataLossEvents, dl_events);
+            tele.add(Counter::RngExpDraws, m.tally.exp_draws);
+            tele.add(Counter::RngLifetimeDraws, m.ttf_draws);
+            tele.add(Counter::RebuildLseHits, m.lse_hits);
+            tele.add(Counter::DataLossEvents, out.dl_events);
         }
-        (
-            IterationOutcome {
-                downtime_hours: log.total_downtime(),
-                du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-                dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-                du_events,
-                dl_events,
-                first_loss_hours: first_loss,
-                weight: 1.0,
-            },
-            down_entry,
-        )
+        (out, down)
     }
 
     /// Stage-1 splitting trial: sample every slot's lifetime and take the
@@ -1203,6 +1039,46 @@ mod tests {
     }
 
     #[test]
+    fn disk_clocks_drive_exactly_the_failure_exits() {
+        // OP and EXP each take one failure exit when a disk clock fires;
+        // the down states have none, so their disk clocks stay quiesced.
+        let t = ConventionalMc::new(params(1e-4, 0.01)).unwrap().table;
+        let targets: Vec<_> = (0..4)
+            .map(|s| t.failure_exit(s).map(|k| t.class(t.exit(s, k).1)))
+            .collect();
+        assert_eq!(
+            targets,
+            [
+                Some(StateClass::Up),
+                Some(StateClass::DataLossDown),
+                None,
+                None
+            ]
+        );
+    }
+
+    #[test]
+    fn trace_records_rebuild_losses() {
+        // Every rebuild-loss exit writes the LSE record and the data-loss
+        // outage it opens, at the same instant.
+        let scrub = availsim_storage::ScrubbingModel::new(1e-2, 1_000.0).unwrap();
+        let mc = ConventionalMc::new(params(2e-3, 0.0).with_scrubbing(scrub)).unwrap();
+        let mut trace = EventTrace::new();
+        let out = mc.simulate_once(50_000.0, &mut SimRng::seed_from(5), Some(&mut trace));
+        let events = trace.events();
+        let hits: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].kind == TraceKind::RebuildLse)
+            .collect();
+        assert!(!hits.is_empty());
+        for i in hits {
+            assert_eq!(events[i + 1].kind, TraceKind::DataLoss);
+            assert_eq!(events[i + 1].time.to_bits(), events[i].time.to_bits());
+        }
+        let losses = trace.count_where(|k| *k == TraceKind::DataLoss);
+        assert_eq!(losses as u64, out.dl_events);
+    }
+
+    #[test]
     fn precision_run_tightens_the_interval() {
         let mc = ConventionalMc::new(params(1e-3, 0.01)).unwrap();
         let cfg = McConfig {
@@ -1264,13 +1140,12 @@ mod tests {
             let mc = ConventionalMc::new(p).unwrap().with_engine(engine);
             let mut reused = SimWorkspace::new();
             // Dirty the workspace: several missions with unrelated seeds,
-            // then poison the log/trace with an open outage mid-state.
+            // then poison the log with an open outage mid-state.
             for s in 1000..1004 {
                 let mut rng = SimRng::seed_from(s);
                 let _ = mc.simulate_once_with(30_000.0, &mut rng, &mut reused);
             }
             reused.log.begin(1.0, OutageCause::HumanError);
-            reused.trace.record(2.0, TraceKind::DataLoss);
 
             let mut fresh = SimWorkspace::new();
             let mut rng_a = SimRng::seed_from(42);
@@ -1562,12 +1437,10 @@ mod tests {
     fn workspace_reset_scrubs_poisoned_state() {
         let mut ws = SimWorkspace::new();
         ws.log.begin(5.0, OutageCause::DataLoss);
-        ws.trace.record(1.0, TraceKind::DataLoss);
         ws.conventional.slot_gen.resize(8, 3);
         ws.reset();
         assert!(!ws.log.is_down());
         assert!(ws.log.outages().is_empty());
-        assert!(ws.trace().is_empty());
         assert!(ws.conventional.slot_gen.is_empty());
     }
 }

@@ -65,7 +65,6 @@
 use super::failover::failback_race_inv;
 use super::{McConfig, McVariance, SimWorkspace, TelemetrySource, BLOCK_ITERATIONS, MAX_BLOCKS};
 use crate::error::{CoreError, Result};
-use crate::markov::WrongReplacementTiming;
 use crate::params::ModelParams;
 use availsim_hra::{escalated, DependenceLevel};
 use availsim_sim::indexed_queue::{IndexedEventHandle, IndexedEventQueue, QueueStats};
@@ -436,7 +435,6 @@ pub struct FleetMc {
     spec: FleetSpec,
     params: ModelParams,
     failures: FailureModel,
-    timing: WrongReplacementTiming,
     coupling: FleetCoupling,
 }
 
@@ -475,15 +473,8 @@ impl FleetMc {
             spec,
             params,
             failures,
-            timing: WrongReplacementTiming::default(),
             coupling: FleetCoupling::default(),
         })
-    }
-
-    /// Selects the wrong-replacement timing reading.
-    pub fn with_timing(mut self, timing: WrongReplacementTiming) -> Self {
-        self.timing = timing;
-        self
     }
 
     /// Enables correlated-failure couplings (operator dependence and/or
@@ -792,13 +783,13 @@ impl FleetMc {
     /// fully resets the fleet scratch it uses, so workspaces can be shared
     /// across missions and models.
     ///
-    /// The per-array transition semantics deliberately mirror
-    /// `ConventionalMc::run_event_queue` (Fig. 2: per-disk clocks,
-    /// gen/epoch staleness guards, service races with loser cancellation,
-    /// full renewal on every return to OP) with array-indexed state — a
-    /// semantic change there must be mirrored here, and
-    /// `crates/core/tests/fleet.rs` holds the two engines to each other
-    /// (A = 1 vs the Fig. 2 chain, per-array CI overlap at A = 16).
+    /// The per-array transition semantics are the Fig. 2 chain written out
+    /// by hand (per-disk clocks, gen/epoch staleness guards, service races
+    /// with loser cancellation, full renewal on every return to OP) with
+    /// array-indexed state. They stay apart from the chain definition on
+    /// purpose: this independent transcription is what
+    /// `crates/core/tests/fleet.rs` holds to the exact chain (A = 1) and
+    /// to the single-array engines (per-array CI overlap at A = 16).
     pub fn simulate_once_with(
         &self,
         horizon: f64,
@@ -809,14 +800,10 @@ impl FleetMc {
         let n = self.spec.geometry().total_disks() as usize;
         let p = &self.params;
         let hep = p.hep.value();
-        let wrong_base = match self.timing {
-            WrongReplacementTiming::ChangeAction => p.disk_change_rate,
-            WrongReplacementTiming::RepairCompletion => p.disk_repair_rate,
-        };
         // Reciprocal service rates: the armed draws multiply by a cached
         // 1/rate (∞ = disabled, drawing nothing, like `sample_exp(0)`).
         let repair_ok_inv = ((1.0 - hep) * p.disk_repair_rate).recip();
-        let wrong_inv = (hep * wrong_base).recip();
+        let wrong_inv = (hep * p.disk_change_rate).recip();
         let recover_inv = ((1.0 - hep) * p.human_recovery_rate).recip();
         let crash_inv = p.removed_crash_rate.recip();
         let restore_inv = p.ddf_recovery_rate.recip();
@@ -1037,7 +1024,7 @@ impl FleetMc {
                     let h = escalated(p.hep, level, others).value();
                     (
                         ((1.0 - h) * p.disk_repair_rate).recip(),
-                        (h * wrong_base).recip(),
+                        (h * p.disk_change_rate).recip(),
                         ((1.0 - h) * p.human_recovery_rate).recip(),
                     )
                 }

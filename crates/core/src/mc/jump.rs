@@ -6,6 +6,9 @@
 //! total exit rate and, in states with more than one declared exit, one
 //! uniform to pick the winner; no event queue, no per-disk clocks. The
 //! exits keep their declared order, which fixes the RNG stream.
+//!
+//! Both event-queue engines run on the same table: they arm one clock per
+//! exit from its reciprocal rates and take the winner through [`Tally`].
 
 use crate::markov::{ChainDef, EdgeTag, StateClass};
 use availsim_sim::rng::SimRng;
@@ -17,7 +20,7 @@ use super::{IterationOutcome, SimWorkspace};
 /// Most states a compiled chain may have (Fig. 3 has twelve).
 const MAX_STATES: usize = 12;
 /// Most exits a state may have.
-const MAX_EXITS: usize = 4;
+pub(crate) const MAX_EXITS: usize = 4;
 
 /// What taking an exit does to the downtime log, fixed by the classes of
 /// its two ends: a class change closes the open outage (if the source is
@@ -47,15 +50,16 @@ struct Row {
     counters: [[Option<Counter>; 2]; MAX_EXITS],
 }
 
-/// A chain definition compiled for sampling: per state, the exits in
-/// declared order with their rates, prefix sums, targets and tags, plus the
-/// total exit rate; and the reciprocal rates the event-queue engine arms
-/// its clocks from.
+/// A chain definition compiled for sampling: per state, its class and the
+/// exits in declared order with their rates, prefix sums, targets and tags,
+/// plus the total exit rate; and the reciprocal rates the event-queue
+/// engines arm their clocks from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExitTable {
     rows: [Row; MAX_STATES],
     /// Reciprocal rates (`∞` for a disabled exit).
     inv: [[f64; MAX_EXITS]; MAX_STATES],
+    class: [StateClass; MAX_STATES],
 }
 
 impl ExitTable {
@@ -88,7 +92,11 @@ impl ExitTable {
                 total: 0.0,
             }; MAX_STATES],
             inv: [[f64::INFINITY; MAX_EXITS]; MAX_STATES],
+            class: [StateClass::Up; MAX_STATES],
         };
+        for (class, state) in t.class.iter_mut().zip(states) {
+            *class = state.class;
+        }
         for e in def.edges() {
             let (from, to) = (usize::from(e.from), usize::from(e.to));
             let row = &mut t.rows[from];
@@ -131,6 +139,24 @@ impl ExitTable {
     /// Reciprocal rate of exit `k` of state `s` (`∞` when disabled).
     pub(crate) fn inv_rate(&self, s: usize, k: usize) -> f64 {
         self.inv[s][k]
+    }
+
+    /// Tag of exit `k` of state `s`.
+    pub(crate) fn tag(&self, s: usize, k: usize) -> EdgeTag {
+        self.rows[s].tag[k]
+    }
+
+    /// Class of state `s`.
+    pub(crate) fn class(&self, s: usize) -> StateClass {
+        self.class[s]
+    }
+
+    /// The first exit of state `s` tagged [`EdgeTag::Failure`], if any.
+    pub(crate) fn failure_exit(&self, s: usize) -> Option<usize> {
+        let row = &self.rows[s];
+        row.tag[..row.len]
+            .iter()
+            .position(|&t| t == EdgeTag::Failure)
     }
 
     /// One mission from the start state over `[0, horizon]`.

@@ -7,11 +7,12 @@
 //!   the model behind the paper's Fig. 1, Fig. 4, and Fig. 5.
 //! * [`FailOverMc`] — automatic fail-over; a replay of the Fig. 3 chain.
 //!
-//! With exponential lifetimes both replay the chain definition the exact
-//! solver builds from ([`crate::markov::ChainDef`]) on one shared jump
-//! chain, so Monte-Carlo and Markov read the same object; the Fig. 2
-//! per-disk event-queue engine and [`FleetMc`] keep their own state
-//! machines as the independent cross-check.
+//! Both run on the chain definition the exact solver builds from
+//! ([`crate::markov::ChainDef`]), so Monte-Carlo and Markov read the same
+//! object: the shared jump chain replays it, and the event-queue engines
+//! (the only option for Weibull lifetimes) arm their exit clocks from the
+//! same compiled table. [`FleetMc`] keeps its own hand-written Fig. 2
+//! state machine as the independent cross-check.
 //! * [`FleetMc`] — a whole fleet of conventional arrays per mission on
 //!   one shared event queue, reporting fleet-level availability and the
 //!   distribution of simultaneously degraded arrays (the paper's
@@ -43,7 +44,7 @@ use availsim_sim::indexed_queue::QueueStats;
 use availsim_sim::parallel::{ordered_parallel_map_cancellable, CancelToken};
 use availsim_sim::stats::{t_interval, wilson_interval, ConfidenceInterval, RunningStats};
 use availsim_sim::telemetry::{Counter, CounterSnapshot, Telemetry};
-use availsim_storage::{DowntimeLog, EventTrace};
+use availsim_storage::DowntimeLog;
 
 /// Which per-mission engine a Monte-Carlo model runs.
 ///
@@ -76,7 +77,8 @@ pub enum McEngine {
     Auto,
     /// Always run the general discrete-event engine, even when the model is
     /// fully exponential — the cross-validation reference for the fast
-    /// path, and the only engine that can record an [`EventTrace`].
+    /// path, and the only engine that can record an
+    /// [`EventTrace`](availsim_storage::EventTrace).
     EventQueue,
     /// Require the jump-chain fast path. Running a model whose failure
     /// distribution is not exponential fails with
@@ -282,8 +284,6 @@ pub struct SimWorkspace {
     pub(crate) fleet: fleet::FleetScratch,
     /// Downtime accounting, shared by every engine.
     pub(crate) log: DowntimeLog,
-    /// Reusable Fig. 1-style trace buffer (see [`Self::trace_mut`]).
-    pub(crate) trace: EventTrace,
     /// Mask-gated telemetry registry every engine hook reports into
     /// (disabled — branch-free no-ops — unless built via
     /// [`Self::with_telemetry`]).
@@ -342,22 +342,8 @@ impl SimWorkspace {
         self.failover.reset();
         self.fleet.reset(0, 0);
         self.log.clear();
-        self.trace.clear();
         let _ = self.telemetry.take();
         self.queue_baseline = self.queue_stats_total();
-    }
-
-    /// The reusable trace buffer, for callers that record per-mission
-    /// event timelines without reallocating:
-    /// `mc.simulate_once(h, &mut rng, Some(ws.trace_mut()))` after a
-    /// [`availsim_storage::EventTrace::clear`].
-    pub fn trace_mut(&mut self) -> &mut EventTrace {
-        &mut self.trace
-    }
-
-    /// Read access to the trace buffer filled via [`Self::trace_mut`].
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
     }
 }
 

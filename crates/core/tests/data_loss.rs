@@ -107,8 +107,9 @@ fn p_data_loss_ci_covers_the_absorbing_chain_on_the_oracle_grid() {
 #[test]
 fn event_queue_engine_matches_the_absorbing_chain_too() {
     // The per-disk event-queue engine estimates the same first-passage
-    // probability through a completely different mechanism (per-rebuild
-    // Bernoulli instead of a split exit rate).
+    // probability through a different mechanism: per-disk lifetime clocks,
+    // with the definition's split rebuild exits racing as exponential
+    // clocks instead of being picked by rate.
     let horizon = 20_000.0;
     let scrub = ScrubbingModel::new(1e-4, 336.0).unwrap();
     for &lambda in &[1e-4, 5e-4] {

@@ -403,9 +403,9 @@ fn fig2_event_queue_streams_are_pinned() {
             ("r5-3 event-queue no-lse mu_ch", 0x06f5_8a82_baef_bda7),
             ("r5-3 event-queue no-lse mu_df", 0xbbad_43d5_5209_9f5d),
             ("r5-3 splitting no-lse", 0x8c0e_6898_58b9_d559),
-            ("r5-3 event-queue lse mu_ch", 0xc902_2138_78be_ec56),
-            ("r5-3 event-queue lse mu_df", 0xd77a_cfea_e634_a8b1),
-            ("r5-3 splitting lse", 0x81ef_6e70_9745_7098),
+            ("r5-3 event-queue lse mu_ch", 0x3e85_ee22_092a_9537),
+            ("r5-3 event-queue lse mu_df", 0x2148_9254_f191_d6ae),
+            ("r5-3 splitting lse", 0x47fc_af12_703c_95f0),
             ("r5-3 weibull naive", 0xd33d_10c1_a4a3_fef0),
         ],
     );

@@ -39,8 +39,6 @@ pub enum TraceKind {
     DataUnavailable,
     /// Restore from backup completed.
     BackupRestoreComplete,
-    /// Rebuild into a hot spare completed (automatic fail-over).
-    SpareRebuildComplete,
 }
 
 impl fmt::Display for TraceKind {
@@ -57,7 +55,6 @@ impl fmt::Display for TraceKind {
             TraceKind::RebuildLse => f.write_str("rebuild hit a latent sector error"),
             TraceKind::DataUnavailable => f.write_str("DATA UNAVAILABLE (human error)"),
             TraceKind::BackupRestoreComplete => f.write_str("backup restore complete"),
-            TraceKind::SpareRebuildComplete => f.write_str("spare rebuild complete"),
         }
     }
 }
