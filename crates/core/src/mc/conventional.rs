@@ -1361,10 +1361,11 @@ mod tests {
 
     #[test]
     fn lse_exposure_produces_rebuild_losses_on_both_engines() {
-        // A deliberately hostile scrub policy: ~39% of rebuilds hit an LSE.
+        // A deliberately hostile scrub policy: ~78% of rebuilds, each
+        // reading the three surviving disks, hit an LSE.
         let scrub = availsim_storage::ScrubbingModel::new(1e-3, 1_000.0).unwrap();
+        assert!(scrub.rebuild_failure_probability(3) > 0.3);
         let p = params(1e-3, 0.0).with_scrubbing(scrub);
-        assert!(p.rebuild_lse_probability() > 0.3);
         let mut cfg = quick_config(400);
         cfg.telemetry = true;
         for engine in [McEngine::JumpChain, McEngine::EventQueue] {
