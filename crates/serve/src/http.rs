@@ -4,14 +4,23 @@
 //! hard cap on header and body bytes, and no chunked encoding — clients
 //! send `Content-Length` or nothing. The reader never trusts the peer:
 //! oversized heads and bodies fail with a typed error the server maps to
-//! `431` / `413`, and a half-open socket runs into the stream's read
-//! timeout instead of wedging a worker.
+//! `431` / `413`, and a whole request must arrive within
+//! [`REQUEST_BUDGET`]: a half-open socket or a peer that trickles its bytes
+//! runs out of budget instead of holding a connection handler.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// The time one request may take to arrive, head and body together.
+pub const REQUEST_BUDGET: Duration = Duration::from_secs(10);
+
+/// Bytes asked of the socket per read while looking for the end of the
+/// head; whatever arrives past the head is the start of the body.
+const HEAD_CHUNK: usize = 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -43,30 +52,77 @@ impl From<io::Error> for ReadError {
     }
 }
 
-/// Reads one request off the stream.
+/// A reader over a socket that fails once its deadline has passed,
+/// however the peer spaces its bytes: each read waits at most for what is
+/// left of the budget.
+pub(crate) struct Budgeted<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> Budgeted<'a> {
+    /// Reads off `stream` for at most `budget` from now.
+    pub(crate) fn new(stream: &'a mut TcpStream, budget: Duration) -> Budgeted<'a> {
+        Budgeted {
+            stream,
+            deadline: Instant::now() + budget,
+        }
+    }
+}
+
+impl Read for Budgeted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request budget spent",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads one request off the stream within [`REQUEST_BUDGET`].
 ///
 /// # Errors
 /// See [`ReadError`]; the caller maps each variant to a status code.
 pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request, ReadError> {
-    // Read byte-by-byte until the blank line: slow-path simple, and the
-    // head cap keeps the worst case tiny. Buffering would over-read into
-    // the body.
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(ReadError::HeadTooLarge);
-        }
-        let n = stream.read(&mut byte)?;
+    read_request_within(stream, max_body_bytes, REQUEST_BUDGET)
+}
+
+/// [`read_request`] with the whole request's time budget as a parameter.
+pub(crate) fn read_request_within(
+    stream: &mut TcpStream,
+    max_body_bytes: usize,
+    budget: Duration,
+) -> Result<Request, ReadError> {
+    let mut reader = Budgeted::new(stream, budget);
+    let mut buf = Vec::with_capacity(HEAD_CHUNK);
+    let mut chunk = [0u8; HEAD_CHUNK];
+    let head_len = loop {
+        // The blank line may straddle two reads.
+        let from = buf.len().saturating_sub(3);
+        let n = reader.read(&mut chunk)?;
         if n == 0 {
             return Err(ReadError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-head",
             )));
         }
-        head.push(byte[0]);
+        buf.extend_from_slice(&chunk[..n]);
+        if let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + at + 4;
+        }
+        if buf.len() >= MAX_HEAD_BYTES {
+            return Err(ReadError::HeadTooLarge);
+        }
+    };
+    if head_len > MAX_HEAD_BYTES {
+        return Err(ReadError::HeadTooLarge);
     }
-    let head = String::from_utf8(head)
+    let head = std::str::from_utf8(&buf[..head_len])
         .map_err(|_| ReadError::Malformed("request head is not UTF-8".into()))?;
 
     let mut lines = head.split("\r\n");
@@ -109,8 +165,13 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
         return Err(ReadError::BodyTooLarge);
     }
 
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    // Bytes past the declared length belong to no request of this
+    // connection (one request per connection).
+    let mut body = buf.split_off(head_len);
+    body.truncate(content_length);
+    let have = body.len();
+    body.resize(content_length, 0);
+    reader.read_exact(&mut body[have..])?;
     Ok(Request {
         method,
         target,
@@ -255,6 +316,87 @@ mod tests {
             round_trip(b"GET / SMTP/3\r\n\r\n", 10),
             Err(ReadError::Malformed(_))
         ));
+        // A head of exactly the cap parses; one byte more is 431.
+        let padded = |len: usize| {
+            let mut raw = b"GET / HTTP/1.1\r\nX: ".to_vec();
+            raw.resize(len - 4, b'a');
+            raw.extend_from_slice(b"\r\n\r\n");
+            raw
+        };
+        assert!(round_trip(&padded(MAX_HEAD_BYTES), 10).is_ok());
+        assert!(matches!(
+            round_trip(&padded(MAX_HEAD_BYTES + 1), 10),
+            Err(ReadError::HeadTooLarge)
+        ));
+    }
+
+    #[test]
+    fn a_head_split_over_many_small_writes_parses_the_same() {
+        let raw = b"POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\n{\"seed\": 7}";
+        let whole = round_trip(raw, 1024).unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            // Three bytes at a time, so the blank line straddles reads.
+            for piece in raw.chunks(3) {
+                s.write_all(piece).unwrap();
+                thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let split = read_request(&mut stream, 1024).unwrap();
+        client.join().unwrap();
+        assert_eq!(
+            (split.method, split.target, split.body),
+            (whole.method, whole.target, whole.body)
+        );
+    }
+
+    #[test]
+    fn a_head_and_body_in_one_write_keep_the_body() {
+        // Longer than one head read, so the body arrives partly with the
+        // head and partly after it.
+        let body: Vec<u8> = (0..3 * HEAD_CHUNK).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut raw = format!(
+            "POST /v1/query HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        let req = round_trip(&raw, body.len()).unwrap();
+        assert_eq!(req.body, body);
+    }
+
+    #[test]
+    fn a_stalled_peer_runs_out_of_budget() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One byte every 20 ms: no single read waits long, but the whole
+        // head never arrives.
+        let client = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            for _ in 0..100 {
+                if s.write_all(b"G").is_err() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let begun = Instant::now();
+        let got = read_request_within(&mut stream, 1024, Duration::from_millis(200));
+        let took = begun.elapsed();
+        drop(stream);
+        client.join().unwrap();
+        assert!(matches!(got, Err(ReadError::Io(_))), "{got:?}");
+        assert!(
+            took >= Duration::from_millis(200) && took < Duration::from_secs(1),
+            "the budget bounds the whole request: {took:?}"
+        );
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * **Admission control** ([`server`]) — a bounded job queue with a
 //!   worker pool. A full queue sheds with `503` + `Retry-After` before
 //!   any work starts; cheap exact-CTMC queries bypass the queue.
+//!   Connections go to a pool of handlers capped at the queue capacity
+//!   plus the workers plus a reserve for inline requests; past the cap a
+//!   connection gets the same `503` at accept, unread, and each request
+//!   must arrive within [`http::REQUEST_BUDGET`].
 //! * **Deadlines** ([`exec`]) — per-request deadlines ride a cooperative
 //!   [`CancelToken`](availsim_sim::parallel::CancelToken) into the
 //!   Monte-Carlo block scheduler; an expired job answers a fixed `408`

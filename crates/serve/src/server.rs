@@ -1,4 +1,15 @@
-//! The daemon: accept loop, admission control, worker pool, and drain.
+//! The daemon: accept loop, connection handlers, admission control,
+//! worker pool, and drain.
+//!
+//! # Connections
+//!
+//! One thread blocks in `accept` and hands each connection to a pool of
+//! connection handlers. The pool starts handlers on demand and reuses
+//! them, and it holds at most `queue_capacity` + workers +
+//! `INLINE_RESERVE` connections at once, so a full Monte-Carlo queue
+//! still leaves handlers for exact and cached queries. A handler reads one
+//! request within [`REQUEST_BUDGET`](crate::http::REQUEST_BUDGET),
+//! answers it, and closes the connection.
 //!
 //! # Overload contract
 //!
@@ -9,8 +20,9 @@
 //!   whether computed or replayed from the cache.
 //! * `408` — the request's deadline expired; a fixed body, never a
 //!   partial estimate.
-//! * `503` + `Retry-After` — shed at admission (queue full) or during
-//!   drain. The job never starts, so shedding costs O(1).
+//! * `503` + `Retry-After` — shed at accept (every handler slot is
+//!   taken; the request is never read), at admission (queue full), or
+//!   during drain. The job never starts, so shedding costs O(1).
 //! * `400` / `404` / `405` / `413` / `431` — client errors.
 //! * `500` — the engine rejected the model at run time.
 //!
@@ -20,26 +32,49 @@
 //!
 //! # Drain
 //!
-//! [`Server::run`] stops admitting when asked to stop (or on SIGTERM via
+//! [`Server::run`] stops accepting when asked to stop (or on SIGTERM via
 //! [`crate::signal`]), then drains: in-flight jobs get `drain_ms` to
 //! finish; whatever remains is cooperatively cancelled (queued jobs
 //! answer `503`, running jobs stop at the next scheduling block and
-//! answer `503`), the workers are joined, and the process can exit 0.
+//! answer `503`), the workers and then the connection handlers are
+//! joined, and the process can exit 0.
 
 use crate::cache::ResultCache;
 use crate::exec::{self, ExecError};
-use crate::http::{read_request, ReadError, Request, Response};
+use crate::http::{read_request, Budgeted, ReadError, Request, Response};
 use crate::json::Json;
 use crate::query::Query;
 use availsim_sim::parallel::{resolve_workers, CancelToken};
 use availsim_sim::telemetry::{write_counters, Counter, CounterSnapshot, PrometheusWriter};
 use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// Connection handlers beyond one per queue slot and worker: a full
+/// Monte-Carlo queue still leaves this many for exact solves, cache hits,
+/// `/health` and `/metrics`.
+const INLINE_RESERVE: usize = 16;
+
+/// How often the stop watcher looks at the stop flag (off the request
+/// path: it only decides how soon a stop wakes the accept loop).
+const STOP_POLL: Duration = Duration::from_millis(5);
+
+/// How long the stop watcher's wake-up connection may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The pause after `accept` runs out of descriptors or buffers, so the
+/// loop does not spin while handlers free some.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Request bytes a shed at accept reads off (only what has arrived).
+const SHED_READ_LIMIT: u64 = 64 * 1024;
+
+/// How long a handler reads off the rest of a request it rejected unread.
+const UNREAD_DRAIN: Duration = Duration::from_millis(200);
 
 /// Service configuration; every knob has a safe default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,10 +278,57 @@ impl JobQueue {
     }
 }
 
+/// The connection handlers' shared half. Handlers start on demand and
+/// serve one connection after another until the pool closes. Every live
+/// handler is either idle or owns one open connection, so `idle + open`
+/// handlers are alive, and admission keeps `open <= cap`.
+struct Handlers {
+    pool: Mutex<Pool>,
+    cv: Condvar,
+    cap: usize,
+}
+
+#[derive(Default)]
+struct Pool {
+    /// Admitted connections no handler has taken yet.
+    pending: VecDeque<TcpStream>,
+    /// Connections admitted and not yet answered, `pending` included.
+    open: usize,
+    /// Live handlers not owed a connection from `pending`.
+    idle: usize,
+    closed: bool,
+}
+
+impl Handlers {
+    fn new(cap: usize) -> Handlers {
+        Handlers {
+            pool: Mutex::new(Pool::default()),
+            cv: Condvar::new(),
+            cap,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Pool> {
+        self.pool.lock().expect("handler pool lock")
+    }
+
+    /// Lets the handlers exit once `pending` is empty.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
+
+    /// Connections open now, and the most the pool holds at once.
+    fn occupancy(&self) -> (usize, usize) {
+        (self.lock().open, self.cap)
+    }
+}
+
 /// Shared server state.
 struct ServerState {
     config: ServeConfig,
     queue: JobQueue,
+    handlers: Handlers,
     cache: ResultCache,
     counters: Mutex<CounterSnapshot>,
     draining: AtomicBool,
@@ -274,27 +356,33 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     workers: Vec<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds 127.0.0.1 on the configured port and starts the worker pool.
+    /// Connection handlers start later, as connections arrive.
     ///
     /// # Errors
     /// Socket errors (port in use, …).
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-        // Nonblocking accept lets the loop poll the stop flag; 5 ms of
-        // added latency is irrelevant next to a Monte-Carlo run.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let workers = resolve_workers(config.workers).max(1);
+        let queue_capacity = config.queue_capacity.max(1);
         let state = Arc::new(ServerState {
-            queue: JobQueue::new(config.queue_capacity.max(1)),
+            queue: JobQueue::new(queue_capacity),
+            handlers: Handlers::new(
+                queue_capacity
+                    .saturating_add(workers)
+                    .saturating_add(INLINE_RESERVE),
+            ),
             cache: ResultCache::new(config.cache_capacity),
             counters: Mutex::new(CounterSnapshot::default()),
             draining: AtomicBool::new(false),
             config,
         });
-        let workers = (0..resolve_workers(config.workers).max(1))
+        let workers = (0..workers)
             .map(|_| {
                 let state = Arc::clone(&state);
                 thread::spawn(move || worker_loop(&state))
@@ -305,6 +393,7 @@ impl Server {
             addr,
             state,
             workers,
+            handlers: Vec::new(),
         })
     }
 
@@ -317,29 +406,83 @@ impl Server {
     /// every in-flight job finished within the drain budget (cancelled
     /// jobs still answered deterministically either way).
     ///
+    /// The accept blocks; a watcher thread polls `stop` and wakes it by
+    /// connecting to the server's own address. Connections past the
+    /// handler cap get `503` at accept, unread.
+    ///
     /// # Errors
-    /// Fatal accept-loop errors only; per-connection errors are handled
-    /// on the connection's own thread.
-    pub fn run(self, stop: &AtomicBool) -> io::Result<bool> {
+    /// A failure of the listener itself, returned after the drain. Errors
+    /// that concern one connection are retried, and the loop backs off
+    /// briefly when it runs out of descriptors.
+    pub fn run(mut self, stop: &AtomicBool) -> io::Result<bool> {
+        let accepting = AtomicBool::new(true);
+        let addr = self.addr;
+        let accepted = thread::scope(|s| {
+            s.spawn(|| watch_stop(stop, &accepting, addr));
+            let accepted = self.accept_loop(stop);
+            accepting.store(false, Ordering::Relaxed);
+            accepted
+        });
+        let drained = self.shutdown();
+        accepted.map(|()| drained)
+    }
+
+    fn accept_loop(&mut self, stop: &AtomicBool) -> io::Result<()> {
         while !stop.load(Ordering::Relaxed) {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    thread::spawn(move || handle_connection(&state, stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
+                // The watcher's wake-up connection lands here.
+                Ok(_) if stop.load(Ordering::Relaxed) => break,
+                Ok((stream, _)) => self.admit(stream),
+                Err(e) => match accept_action(&e) {
+                    AcceptAction::Retry => {}
+                    AcceptAction::Backoff => thread::sleep(ACCEPT_BACKOFF),
+                    AcceptAction::Fatal => return Err(e),
+                },
             }
         }
-        Ok(self.shutdown())
+        Ok(())
+    }
+
+    /// Hands a connection to an idle handler, or to a new one when none is
+    /// idle, or sheds it when the pool is at its cap.
+    fn admit(&mut self, stream: TcpStream) {
+        let handlers = &self.state.handlers;
+        let mut pool = handlers.lock();
+        if pool.open >= handlers.cap {
+            drop(pool);
+            shed_unread(&self.state, stream);
+            return;
+        }
+        pool.open += 1;
+        pool.pending.push_back(stream);
+        if pool.idle > 0 {
+            pool.idle -= 1;
+            handlers.cv.notify_one();
+            return;
+        }
+        // Started under the lock, so a failed start can take its
+        // connection back out of `pending`.
+        let state = Arc::clone(&self.state);
+        match thread::Builder::new().spawn(move || handler_loop(&state)) {
+            Ok(handle) => self.handlers.push(handle),
+            Err(_) => {
+                pool.open -= 1;
+                let stream = pool.pending.pop_back().expect("pushed above");
+                drop(pool);
+                shed_unread(&self.state, stream);
+            }
+        }
     }
 
     /// Graceful drain: stop admitting, give in-flight jobs the drain
-    /// budget, cancel stragglers, join the workers. Returns whether the
-    /// budget sufficed without cancellation.
+    /// budget, cancel stragglers, join the workers, then join the
+    /// connection handlers once each has answered its connection (a
+    /// handler still reading waits out at most the request budget).
+    /// Returns whether the budget sufficed without cancellation.
     pub fn shutdown(self) -> bool {
+        // Connections from here on are refused, not left in the backlog
+        // until the handlers are joined.
+        drop(self.listener);
         self.state.draining.store(true, Ordering::Relaxed);
         self.state.queue.start_draining();
         let budget = Duration::from_millis(self.state.config.drain_ms);
@@ -367,7 +510,99 @@ impl Server {
         for handle in self.workers {
             let _ = handle.join();
         }
+        self.state.handlers.close();
+        for handle in self.handlers {
+            let _ = handle.join();
+        }
         drained
+    }
+}
+
+/// Wakes the blocking accept once `stop` is set, by connecting to the
+/// listener; it connects again each poll until the accept loop has seen
+/// the stop, in case a full backlog timed the connect out.
+fn watch_stop(stop: &AtomicBool, accepting: &AtomicBool, addr: SocketAddr) {
+    while accepting.load(Ordering::Relaxed) {
+        if stop.load(Ordering::Relaxed) {
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
+        thread::sleep(STOP_POLL);
+    }
+}
+
+/// What the accept loop does after `accept` fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptAction {
+    /// The error concerns one connection: accept the next.
+    Retry,
+    /// Out of descriptors or buffers: pause, then accept again.
+    Backoff,
+    /// The listener itself failed.
+    Fatal,
+}
+
+/// Linux errno values of `accept(2)` failures that std files under
+/// `ErrorKind::Uncategorized`.
+mod errno {
+    pub const ENFILE: i32 = 23;
+    pub const EMFILE: i32 = 24;
+    pub const ENONET: i32 = 64;
+    pub const EPROTO: i32 = 71;
+    pub const ENOPROTOOPT: i32 = 92;
+    pub const ENOBUFS: i32 = 105;
+    pub const EHOSTDOWN: i32 = 112;
+}
+
+/// Sorts an `accept` error by what failed. Linux reports a new
+/// connection's pending network error through `accept`, and accept(2) says
+/// to retry those; so is an aborted connection, or one a firewall rule
+/// refused (`PermissionDenied`). Running out of descriptors, buffers or
+/// memory backs off, since finishing handlers free them. Anything else (a
+/// bad descriptor, a socket that is not listening) is the listener failing.
+fn accept_action(e: &io::Error) -> AcceptAction {
+    use errno::*;
+    use io::ErrorKind as K;
+    let raw = e.raw_os_error().filter(|_| cfg!(target_os = "linux"));
+    match (e.kind(), raw) {
+        (K::OutOfMemory, _) | (_, Some(ENFILE | EMFILE | ENOBUFS)) => AcceptAction::Backoff,
+        (
+            K::Interrupted
+            | K::WouldBlock
+            | K::ConnectionAborted
+            | K::ConnectionReset
+            | K::PermissionDenied
+            | K::TimedOut
+            | K::NetworkDown
+            | K::NetworkUnreachable
+            | K::HostUnreachable
+            | K::Unsupported,
+            _,
+        )
+        | (_, Some(ENONET | EPROTO | ENOPROTOOPT | EHOSTDOWN)) => AcceptAction::Retry,
+        _ => AcceptAction::Fatal,
+    }
+}
+
+/// A connection handler: takes connections off `pending` until the pool
+/// closes.
+fn handler_loop(state: &ServerState) {
+    let mut pool = state.handlers.lock();
+    loop {
+        if let Some(mut stream) = pool.pending.pop_front() {
+            drop(pool);
+            handle_connection(state, &mut stream);
+            pool = state.handlers.lock();
+            pool.open -= 1;
+            pool.idle += 1;
+            // Closed only once uncounted: a client that reads its answer
+            // to EOF and connects again never finds its old connection
+            // still held against the cap.
+            drop(stream);
+        } else if pool.closed {
+            return;
+        } else {
+            pool = state.handlers.cv.wait(pool).expect("handler pool lock");
+        }
     }
 }
 
@@ -417,11 +652,23 @@ fn error_response(status: u16, message: &str) -> Response {
     Response::json(status, body)
 }
 
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    use std::io::Read as _;
-    // A stalled peer must not wedge the thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let (response, fully_read) = match read_request(&mut stream, state.config.max_body_bytes) {
+/// Answers `503` at accept without reading the request, and without
+/// blocking on the peer: the answer fits an empty send buffer.
+fn shed_unread(state: &ServerState, mut stream: TcpStream) {
+    state.bump(Counter::ServeSheds);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let _ = shed_response("connection cap").write(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    // Request bytes left unread would turn the close into a TCP RST that
+    // can junk the answer before the client reads it; read off what has
+    // arrived.
+    let _ = io::copy(&mut (&stream).take(SHED_READ_LIMIT), &mut io::sink());
+}
+
+fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
+    let (response, fully_read) = match read_request(stream, state.config.max_body_bytes) {
         Ok(request) => {
             state.bump(Counter::ServeRequests);
             (route(state, &request), true)
@@ -432,13 +679,12 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         // No parseable request to answer; the socket is gone or garbage.
         Err(ReadError::Io(_)) => return,
     };
-    let _ = response.write(&mut stream);
+    let _ = response.write(stream);
     if !fully_read {
         // Unread request bytes would turn our close into a TCP RST and
         // junk the response before the client reads it; drain briefly.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let mut sink = [0u8; 4096];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = io::copy(&mut Budgeted::new(stream, UNREAD_DRAIN), &mut io::sink());
     }
 }
 
@@ -467,6 +713,19 @@ fn metrics_response(state: &ServerState) -> Response {
         "Monte-Carlo jobs currently queued",
         "gauge",
         state.queue.depth() as u64,
+    );
+    let (open, cap) = state.handlers.occupancy();
+    w.metric_u64(
+        "availsim_serve_connections_open",
+        "Connections held by connection handlers, this one included",
+        "gauge",
+        open as u64,
+    );
+    w.metric_u64(
+        "availsim_serve_connections_cap",
+        "Connections held at most; past it, connections are shed at accept",
+        "gauge",
+        cap as u64,
     );
     w.metric_u64(
         "availsim_serve_cache_entries",
@@ -608,6 +867,26 @@ mod tests {
         assert!(queue.idle());
         queue.close();
         assert!(queue.pop().is_none());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn accept_errors_retry_back_off_or_fail_the_listener() {
+        let action = |errno| accept_action(&io::Error::from_raw_os_error(errno));
+        // EPERM, EINTR, EAGAIN, ENONET, EPROTO, ENOPROTOOPT, EOPNOTSUPP,
+        // ENETDOWN, ENETUNREACH, ECONNABORTED, ECONNRESET, ETIMEDOUT,
+        // EHOSTDOWN, EHOSTUNREACH: one connection's trouble.
+        for errno in [1, 4, 11, 64, 71, 92, 95, 100, 101, 103, 104, 110, 112, 113] {
+            assert_eq!(action(errno), AcceptAction::Retry, "errno {errno}");
+        }
+        // ENOMEM, ENFILE, EMFILE, ENOBUFS: exhaustion that handlers relieve.
+        for errno in [12, 23, 24, 105] {
+            assert_eq!(action(errno), AcceptAction::Backoff, "errno {errno}");
+        }
+        // EBADF, EFAULT, EINVAL (not listening), ENOTSOCK: the listener.
+        for errno in [9, 14, 22, 88] {
+            assert_eq!(action(errno), AcceptAction::Fatal, "errno {errno}");
+        }
     }
 
     #[test]

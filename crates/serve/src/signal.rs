@@ -1,10 +1,11 @@
-//! SIGTERM / SIGINT → a stop flag the accept loop polls.
+//! SIGTERM / SIGINT → a stop flag the server's stop watcher polls.
 //!
 //! The crate forbids unsafe code except in this one tiny, auditable
 //! module: installing a signal handler needs the libc `signal` symbol
 //! (which std already links), and the handler body does the only thing
-//! that is async-signal-safe — a relaxed atomic store. The server's
-//! accept loop polls the flag and turns it into a graceful drain.
+//! that is async-signal-safe — a relaxed atomic store. The server's stop
+//! watcher polls the flag, wakes the blocking accept, and the server turns
+//! the stop into a graceful drain.
 
 use std::sync::atomic::AtomicBool;
 

@@ -42,6 +42,11 @@ fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> Reply {
     );
     stream.write_all(head.as_bytes()).unwrap();
     stream.write_all(body.as_bytes()).unwrap();
+    read_reply(&mut stream)
+}
+
+/// Reads one response to EOF and parses it.
+fn read_reply(stream: &mut TcpStream) -> Reply {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("response framing");
@@ -69,6 +74,15 @@ fn query(addr: SocketAddr, body: &str) -> Reply {
     request(addr, "POST", "/v1/query", body)
 }
 
+/// The value of one sample line of a `/metrics` body.
+fn sample(metrics: &str, name: &str) -> usize {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name}: {metrics}"))
+}
+
 /// Stops the server and joins the accept loop.
 fn stop_and_join(stop: &AtomicBool, handle: thread::JoinHandle<bool>) -> bool {
     stop.store(true, Ordering::Relaxed);
@@ -87,6 +101,13 @@ fn health_metrics_and_routing() {
     assert_eq!(metrics.status, 200);
     assert!(metrics.body.contains("availsim_serve_requests_total"));
     assert!(metrics.body.contains("availsim_serve_queue_depth"));
+    assert!(
+        metrics
+            .body
+            .contains("\navailsim_serve_connections_open 1\n"),
+        "only this request holds a handler: {}",
+        metrics.body
+    );
     assert!(metrics
         .body
         .contains("# TYPE availsim_serve_sheds_total counter"));
@@ -317,6 +338,74 @@ fn synthetic_flood_sheds_deterministically_and_never_hangs() {
         "{}",
         metrics.body
     );
+
+    stop_and_join(&stop, handle);
+}
+
+#[test]
+fn slow_clients_fill_the_handler_cap_and_the_rest_shed_at_accept() {
+    let (addr, stop, handle) = start(ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let cap = sample(
+        &request(addr, "GET", "/metrics", "").body,
+        "availsim_serve_connections_cap",
+    );
+
+    // `cap` clients send part of a head and stall. They connect first, so
+    // the accept loop hands each one a handler before it sees the rest.
+    let stalled: Vec<TcpStream> = (0..cap)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .write_all(b"POST /v1/query HTTP/1.1\r\nContent-Le")
+                .unwrap();
+            stream
+        })
+        .collect();
+
+    // Whole requests past the cap, each in one write: the accept loop
+    // answers them unread, and a second write could meet the close.
+    let exact = r#"{"raid": "r5-7", "lambda": 1e-5, "hep": 0.01}"#;
+    let whole = format!(
+        "POST /v1/query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{exact}",
+        exact.len()
+    );
+    for i in 0..16 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(whole.as_bytes()).unwrap();
+        let reply = read_reply(&mut stream);
+        assert_eq!(reply.status, 503, "client {i}: {}", reply.body);
+        assert_eq!(
+            reply.headers.get("retry-after").map(String::as_str),
+            Some("1")
+        );
+        assert_eq!(reply.body, "{\"error\":\"connection cap\"}");
+    }
+
+    // Closing the stalled clients frees their handlers; requests that
+    // race the frees are shed too, and counted with the rest.
+    drop(stalled);
+    let mut raced = 0;
+    let metrics = loop {
+        let reply = request(addr, "GET", "/metrics", "");
+        if reply.status == 200 {
+            break reply;
+        }
+        raced += 1;
+        assert!(raced < 1_000, "the stalled clients' handlers never freed");
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        sample(&metrics.body, "availsim_serve_sheds_total"),
+        16 + raced
+    );
+    assert_eq!(query(addr, exact).status, 200);
 
     stop_and_join(&stop, handle);
 }
