@@ -356,7 +356,7 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     workers: Vec<JoinHandle<()>>,
-    handlers: Vec<JoinHandle<()>>,
+    handler_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -393,7 +393,7 @@ impl Server {
             addr,
             state,
             workers,
-            handlers: Vec::new(),
+            handler_threads: Vec::new(),
         })
     }
 
@@ -464,7 +464,7 @@ impl Server {
         // connection back out of `pending`.
         let state = Arc::clone(&self.state);
         match thread::Builder::new().spawn(move || handler_loop(&state)) {
-            Ok(handle) => self.handlers.push(handle),
+            Ok(handle) => self.handler_threads.push(handle),
             Err(_) => {
                 pool.open -= 1;
                 let stream = pool.pending.pop_back().expect("pushed above");
@@ -511,7 +511,7 @@ impl Server {
             let _ = handle.join();
         }
         self.state.handlers.close();
-        for handle in self.handlers {
+        for handle in self.handler_threads {
             let _ = handle.join();
         }
         drained
