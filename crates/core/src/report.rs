@@ -1,102 +1,85 @@
-//! Plain-text reporting: aligned tables and `(x, y)` series used by the
-//! benchmark harness to print the paper's figures as data.
+//! Plain-text reporting: aligned tables and `(x, y)` series, used to
+//! print the paper's figures as data and the campaign summary.
+//!
+//! A [`Table`] keeps every cell, headers included, in one text buffer with
+//! an end offset per cell. [`Table::cell`] writes a value straight into
+//! that buffer through `Display`, so a row costs no allocation of its own,
+//! and [`Table::render`] writes each line straight into its output.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// A simple column-aligned table.
-#[derive(Debug, Clone, Default)]
+/// A column-aligned table. Cells fill it row by row, one [`Table::cell`]
+/// call each: a row is complete after as many cells as there are headers.
+#[derive(Debug, Clone)]
 pub struct Table {
     title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    columns: usize,
+    /// Every cell's text back to back: the headers, then the rows.
+    text: String,
+    /// Where each cell ends in `text` (`u32`: half the memory of `usize`
+    /// on a 36,000-row campaign summary).
+    ends: Vec<u32>,
 }
 
 impl Table {
     /// Creates a table with a title and column headers.
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Table {
+        let mut table = Table {
             title: title.into(),
-            headers: headers.iter().map(ToString::to_string).collect(),
-            rows: Vec::new(),
+            columns: headers.len(),
+            text: String::new(),
+            ends: Vec::new(),
+        };
+        for header in headers {
+            table.cell(header);
         }
+        table
     }
 
-    /// Appends a row (stringified cells).
-    pub fn push_row(&mut self, cells: &[String]) -> &mut Self {
-        self.rows.push(cells.to_vec());
+    /// Appends the next cell, written straight into the table's buffer.
+    pub fn cell(&mut self, value: impl fmt::Display) -> &mut Self {
+        let _ = write!(self.text, "{value}");
+        let end = u32::try_from(self.text.len()).expect("table text fits in 4 GiB");
+        self.ends.push(end);
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    /// The text of cell `i`, counting the headers as the first row.
+    fn cell_text(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
     }
 
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders with aligned columns, suitable for terminal output.
+    /// Renders with aligned columns, suitable for terminal output. A
+    /// column is as wide as its longest cell in bytes, and cells are
+    /// padded to that width in chars, as `{:<width$}` pads.
     pub fn render(&self) -> String {
-        let cols = self
-            .headers
-            .len()
-            .max(self.rows.iter().map(Vec::len).max().unwrap_or(0));
-        let mut widths = vec![0usize; cols];
-        for (i, h) in self.headers.iter().enumerate() {
-            widths[i] = widths[i].max(h.len());
+        let columns = self.columns.max(1);
+        let mut widths = vec![0usize; columns];
+        for i in 0..self.ends.len() {
+            let width = &mut widths[i % columns];
+            *width = (*width).max(self.cell_text(i).len());
         }
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
+        let line_width = widths.iter().sum::<usize>() + 2 * columns;
+        let rows = self.ends.len().div_ceil(columns);
+        let mut out = String::with_capacity(self.title.len() + (rows + 2) * (line_width + 1));
         if !self.title.is_empty() {
             let _ = writeln!(out, "## {}", self.title);
         }
-        let line = |cells: &[String], widths: &[usize]| {
-            let mut s = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                let _ = write!(s, "{:<width$}  ", c, width = widths[i]);
+        for row in 0..rows {
+            let start = out.len();
+            for i in row * columns..self.ends.len().min((row + 1) * columns) {
+                let cell = self.cell_text(i);
+                out.push_str(cell);
+                let pad = widths[i % columns] - cell.chars().count() + 2;
+                out.extend(std::iter::repeat_n(' ', pad));
             }
-            s.trim_end().to_string()
-        };
-        let _ = writeln!(out, "{}", line(&self.headers, &widths));
-        let rule: usize = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
-        let _ = writeln!(out, "{}", "-".repeat(rule));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row, &widths));
-        }
-        out
-    }
-
-    /// Renders as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
+            out.truncate(start + out[start..].trim_end().len());
+            out.push('\n');
+            if row == 0 {
+                out.extend(std::iter::repeat_n('-', line_width - 2));
+                out.push('\n');
             }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
         }
         out
     }
@@ -143,23 +126,33 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("Demo", &["lambda", "nines"]);
-        t.push_row(&["1e-6".into(), "8.40".into()]);
-        t.push_row(&["5.5e-6".into(), "6.91".into()]);
-        let s = t.render();
-        assert!(s.contains("## Demo"));
-        assert!(s.contains("lambda"));
-        assert!(s.lines().count() >= 5);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        t.cell("1e-6").cell(8.40);
+        t.cell(format_args!("{:.1e}", 5.5e-6)).cell("6.91");
+        assert_eq!(
+            t.render(),
+            "## Demo\nlambda  nines\n-------------\n1e-6    8.4\n5.5e-6  6.91\n"
+        );
     }
 
     #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.push_row(&["x,y".into(), "plain".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.starts_with("a,b"));
+    fn table_pads_by_chars_so_a_non_ascii_column_stays_aligned() {
+        // "λ=1e-6" is six chars in seven bytes: the column is seven wide
+        // (bytes) and every cell in it is padded to seven chars, so the
+        // next column starts at the same char on every line.
+        let mut t = Table::new("", &["hep", "point", "nines"]);
+        t.cell("0.01").cell("λ=1e-6").cell("5.1");
+        t.cell("0").cell("plain").cell("6.3");
+        let text = t.render();
+        assert_eq!(
+            text,
+            "hep   point    nines\n--------------------\n0.01  λ=1e-6   5.1\n0     plain    6.3\n"
+        );
+        let starts: Vec<usize> = text
+            .lines()
+            .filter(|l| !l.starts_with('-'))
+            .map(|l| l.chars().count() - l.rsplit(' ').next().unwrap().chars().count())
+            .collect();
+        assert!(starts.windows(2).all(|w| w[0] == w[1]), "{text}");
     }
 
     #[test]

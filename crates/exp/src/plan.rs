@@ -113,8 +113,9 @@ impl Plan {
     /// Human-readable plan description, used by `availsim batch --dry-run`.
     ///
     /// The output is byte-stable for a fixed scenario: axis values are
-    /// printed with round-trip float formatting and seeds as fixed-width
-    /// hex.
+    /// printed in shortest round-trip form (`{:?}`) and seeds as
+    /// fixed-width hex. Each cell line is written straight into the
+    /// output.
     pub fn describe(&self) -> String {
         let s = &self.scenario;
         let mut out = String::new();
@@ -144,7 +145,7 @@ impl Plan {
                 let _ = write!(line, ", {} dependence", fleet.dependence);
             }
             if let (Some(domain), Some(rate)) = (fleet.domain_arrays, fleet.domain_rate) {
-                let _ = write!(line, ", domains of {domain} at {}/h", format_float(rate));
+                let _ = write!(line, ", domains of {domain} at {rate:?}/h");
             }
             if let Some(capacity) = fleet.failover_capacity {
                 match capacity {
@@ -156,7 +157,7 @@ impl Plan {
                     }
                 }
                 if let Some(rate) = fleet.failback_rate {
-                    let _ = write!(line, ", fail-back {}/h", format_float(rate));
+                    let _ = write!(line, ", fail-back {rate:?}/h");
                 }
             }
             let _ = writeln!(out, "  fleet     : {line}");
@@ -167,9 +168,9 @@ impl Plan {
         if let Some(lse) = s.lse {
             let _ = writeln!(
                 out,
-                "  lse       : rate {}/disk-h, scrub every {} h{}",
-                format_float(lse.lse_rate),
-                format_float(lse.scrub_interval_hours),
+                "  lse       : rate {:?}/disk-h, scrub every {:?} h{}",
+                lse.lse_rate,
+                lse.scrub_interval_hours,
                 if lse.is_live() {
                     ""
                 } else {
@@ -204,25 +205,28 @@ impl Plan {
             "  {:>5} {:>18} {:<12} {:<12} {:>12} {:>10}",
             "cell", "seed", "raid", "policy", "lambda", "hep"
         );
-        for c in &self.cells {
+        // The label buffer is refilled per cell so `{:<12}` can pad it.
+        let mut raid = String::new();
+        let start = out.len();
+        for (i, c) in self.cells.iter().enumerate() {
+            if i == 1 {
+                crate::report::reserve_rows(&mut out, start, self.cells.len());
+            }
+            raid.clear();
+            let _ = write!(raid, "{}", c.raid);
             let _ = writeln!(
                 out,
-                "  {:>5} {:>#18x} {:<12} {:<12} {:>12} {:>10}",
+                "  {:>5} {:>#18x} {:<12} {:<12} {:>12?} {:>10?}",
                 c.index,
                 c.seed,
-                c.raid.label(),
+                raid,
                 c.policy.as_str(),
-                format_float(c.lambda),
-                format_float(c.hep)
+                c.lambda,
+                c.hep
             );
         }
         out
     }
-}
-
-/// Shortest round-trip decimal form of a float (`1e-5`, `0.001`, `0.0`).
-pub(crate) fn format_float(v: f64) -> String {
-    format!("{v:?}")
 }
 
 #[cfg(test)]

@@ -2,16 +2,20 @@
 //!
 //! The CSV and JSON writers are **deterministic**: they contain only
 //! seed-derived metrics (no timings), floats are printed in shortest
-//! round-trip form, and key/column order is fixed — so two runs of the same
-//! campaign seed produce byte-identical files regardless of worker count.
-//! Wall-clock timings appear only in [`summary`], which doubles as a perf
-//! probe for the cell solvers.
+//! round-trip form (`{:?}`), and key/column order is fixed — so two runs of
+//! the same campaign seed produce byte-identical files regardless of worker
+//! count. Wall-clock timings appear only in [`summary`], which doubles as a
+//! perf probe for the cell solvers.
+//!
+//! Each renderer makes one pass over the cells and writes every field
+//! straight into one output buffer (the summary into its [`Table`]'s), so
+//! a row allocates nothing of its own.
 
-use crate::plan::format_float;
-use crate::run::CampaignResult;
+use crate::run::{CampaignResult, CellResult};
 use crate::spec::{Metric, ModelKind};
 use availsim_core::report::Table;
 use availsim_sim::json;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// The metric columns a campaign reports: the spec's `metrics` list, or
@@ -49,23 +53,31 @@ fn metric_columns(m: Metric) -> &'static [&'static str] {
     }
 }
 
-fn metric_values(result: &CampaignResult, i: usize, m: Metric) -> Vec<String> {
-    let c = &result.cells[i];
-    let opt = |v: Option<f64>| v.map(format_float).unwrap_or_default();
+/// Appends a comma and then `v`, or just the comma when `v` is `None`.
+fn push_opt(out: &mut String, v: Option<f64>) {
+    out.push(',');
+    if let Some(v) = v {
+        let _ = write!(out, "{v:?}");
+    }
+}
+
+/// Appends metric `m`'s fields of cell `c`, each after a comma.
+fn push_metric(out: &mut String, c: &CellResult, m: Metric) {
     match m {
-        Metric::Unavailability => vec![format_float(c.unavailability)],
-        Metric::Nines => vec![format_float(c.nines)],
-        Metric::Downtime => vec![format_float(c.downtime_min_per_year)],
-        Metric::Mttdl => vec![opt(c.mttdl_hours)],
-        Metric::CiHalfWidth => vec![opt(c.ci_half_width)],
+        Metric::Unavailability => push_opt(out, Some(c.unavailability)),
+        Metric::Nines => push_opt(out, Some(c.nines)),
+        Metric::Downtime => push_opt(out, Some(c.downtime_min_per_year)),
+        Metric::Mttdl => push_opt(out, c.mttdl_hours),
+        Metric::CiHalfWidth => push_opt(out, c.ci_half_width),
         Metric::Volume => match c.volume {
-            Some(v) => vec![
-                v.arrays.to_string(),
-                v.total_disks.to_string(),
-                format_float(v.unavailability),
-                format_float(v.nines),
-            ],
-            None => vec![String::new(); 4],
+            Some(v) => {
+                let _ = write!(
+                    out,
+                    ",{},{},{:?},{:?}",
+                    v.arrays, v.total_disks, v.unavailability, v.nines
+                );
+            }
+            None => out.push_str(",,,,"),
         },
     }
 }
@@ -88,13 +100,22 @@ fn has_loss_columns(result: &CampaignResult) -> bool {
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote, or newline
-/// (error strings are the only fields that can).
-fn csv_field(s: &str) -> String {
+/// (error strings are the only fields that can); any other field passes
+/// through unallocated.
+fn csv_field(s: &str) -> Cow<'_, str> {
     if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
     } else {
-        s.to_string()
+        Cow::Borrowed(s)
     }
+}
+
+/// Called once the first row, which began at `start`, is written:
+/// reserves twice its length for each of `rows` rows. A large report then
+/// grows in one allocation instead of doublings that each copy it, and
+/// capacity it never touches costs no memory.
+pub(crate) fn reserve_rows(out: &mut String, start: usize, rows: usize) {
+    out.reserve(2 * (out.len() - start) * rows);
 }
 
 /// Renders the campaign as CSV (deterministic; no timings). Keep-going
@@ -102,53 +123,63 @@ fn csv_field(s: &str) -> String {
 /// columns but leave every metric field empty.
 pub fn to_csv(result: &CampaignResult) -> String {
     let metrics = effective_metrics(result);
-    let mut header = vec!["cell", "seed", "raid", "policy", "lambda", "hep"];
+    let dr_credit = has_dr_credit(result);
+    let loss = has_loss_columns(result);
+    let mut out = String::from("cell,seed,raid,policy,lambda,hep");
     for &m in &metrics {
-        header.extend_from_slice(metric_columns(m));
+        for column in metric_columns(m) {
+            out.push(',');
+            out.push_str(column);
+        }
     }
-    if has_dr_credit(result) {
-        header.push("credited_unavailability");
+    if dr_credit {
+        out.push_str(",credited_unavailability");
     }
-    if has_loss_columns(result) {
-        header.extend_from_slice(&["p_data_loss", "nomdl_per_tb"]);
+    if loss {
+        out.push_str(",p_data_loss,nomdl_per_tb");
     }
     if result.keep_going {
-        header.extend_from_slice(&["status", "error"]);
+        out.push_str(",status,error");
     }
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", header.join(","));
+    out.push('\n');
+    let first_row = out.len();
     for (i, c) in result.cells.iter().enumerate() {
-        let mut row = vec![
-            c.cell.index.to_string(),
-            c.cell.seed.to_string(),
-            c.cell.raid.label(),
-            c.cell.policy.as_str().to_string(),
-            format_float(c.cell.lambda),
-            format_float(c.cell.hep),
-        ];
+        if i == 1 {
+            reserve_rows(&mut out, first_row, result.cells.len());
+        }
+        let _ = write!(
+            out,
+            "{},{},{},{},{:?},{:?}",
+            c.cell.index,
+            c.cell.seed,
+            c.cell.raid,
+            c.cell.policy.as_str(),
+            c.cell.lambda,
+            c.cell.hep
+        );
         for &m in &metrics {
             if c.is_failed() {
-                row.extend(vec![String::new(); metric_columns(m).len()]);
+                out.extend(metric_columns(m).iter().map(|_| ','));
             } else {
-                row.extend(metric_values(result, i, m));
+                push_metric(&mut out, c, m);
             }
         }
-        if has_dr_credit(result) {
-            row.push(
-                c.credited_unavailability
-                    .map(format_float)
-                    .unwrap_or_default(),
-            );
+        if dr_credit {
+            push_opt(&mut out, c.credited_unavailability);
         }
-        if has_loss_columns(result) {
-            row.push(c.p_data_loss.map(format_float).unwrap_or_default());
-            row.push(c.nomdl_per_tb.map(format_float).unwrap_or_default());
+        if loss {
+            push_opt(&mut out, c.p_data_loss);
+            push_opt(&mut out, c.nomdl_per_tb);
         }
         if result.keep_going {
-            row.push(if c.is_failed() { "error" } else { "ok" }.to_string());
-            row.push(csv_field(c.error.as_deref().unwrap_or_default()));
+            let _ = write!(
+                out,
+                ",{},{}",
+                if c.is_failed() { "error" } else { "ok" },
+                csv_field(c.error.as_deref().unwrap_or_default())
+            );
         }
-        let _ = writeln!(out, "{}", row.join(","));
+        out.push('\n');
     }
     out
 }
@@ -163,6 +194,8 @@ fn json_opt(v: Option<f64>) -> impl std::fmt::Display {
 /// the build environment has no serde.
 pub fn to_json(result: &CampaignResult) -> String {
     let s = &result.scenario;
+    let dr_credit = has_dr_credit(result);
+    let loss = has_loss_columns(result);
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"campaign\": {},", json::string(&s.name));
@@ -177,14 +210,22 @@ pub fn to_json(result: &CampaignResult) -> String {
     );
     let _ = writeln!(out, "  \"cells\": [");
     let last = result.cells.len().saturating_sub(1);
+    // One label buffer, refilled per row, for the escaped `raid` string.
+    let mut raid = String::new();
+    let first_row = out.len();
     for (i, c) in result.cells.iter().enumerate() {
+        if i == 1 {
+            reserve_rows(&mut out, first_row, result.cells.len());
+        }
+        raid.clear();
+        let _ = write!(raid, "{}", c.cell.raid);
         out.push_str("    {");
         let _ = write!(
             out,
             "\"cell\": {}, \"seed\": \"{}\", \"raid\": {}, \"policy\": {}, \"lambda\": {}, \"hep\": {}, ",
             c.cell.index,
             c.cell.seed,
-            json::string(&c.cell.raid.label()),
+            json::string(&raid),
             json::string(c.cell.policy.as_str()),
             json::number(c.cell.lambda),
             json::number(c.cell.hep),
@@ -198,14 +239,14 @@ pub fn to_json(result: &CampaignResult) -> String {
             json_opt(c.mttdl_hours),
             json_opt(c.ci_half_width),
         );
-        if has_dr_credit(result) {
+        if dr_credit {
             let _ = write!(
                 out,
                 ", \"credited_unavailability\": {}",
                 json_opt(c.credited_unavailability)
             );
         }
-        if has_loss_columns(result) {
+        if loss {
             let _ = write!(
                 out,
                 ", \"p_data_loss\": {}, \"nomdl_per_tb\": {}",
@@ -280,32 +321,26 @@ pub fn summary(result: &CampaignResult) -> String {
         &headers,
     );
     for c in &result.cells {
-        let mut row = vec![
-            c.cell.index.to_string(),
-            c.cell.raid.label(),
-            c.cell.policy.as_str().to_string(),
-            format!("{:.3e}", c.cell.lambda),
-            format_float(c.cell.hep),
-            if c.is_failed() {
-                "failed".into()
-            } else {
-                format!("{:.4e}", c.unavailability)
-            },
-            if c.is_failed() {
-                String::new()
-            } else {
-                format!("{:.4}", c.nines)
-            },
-        ];
-        if volume {
-            row.push(
-                c.volume
-                    .map(|v| format!("{:.4}", v.nines))
-                    .unwrap_or_default(),
-            );
+        table
+            .cell(c.cell.index)
+            .cell(c.cell.raid)
+            .cell(c.cell.policy.as_str())
+            .cell(format_args!("{:.3e}", c.cell.lambda))
+            .cell(format_args!("{:?}", c.cell.hep));
+        if c.is_failed() {
+            table.cell("failed").cell("");
+        } else {
+            table
+                .cell(format_args!("{:.4e}", c.unavailability))
+                .cell(format_args!("{:.4}", c.nines));
         }
-        row.push(c.elapsed_micros.to_string());
-        table.push_row(&row);
+        if volume {
+            match c.volume {
+                Some(v) => table.cell(format_args!("{:.4}", v.nines)),
+                None => table.cell(""),
+            };
+        }
+        table.cell(c.elapsed_micros);
     }
     let t = &result.timing_stats;
     let mut out = table.render();
@@ -331,9 +366,156 @@ pub fn summary(result: &CampaignResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::expand;
-    use crate::run::{run, RunConfig};
-    use crate::spec::Scenario;
+    use crate::plan::{cell_seed, expand, Cell};
+    use crate::run::{run, CellResult, RunConfig, VolumeMetrics};
+    use crate::spec::{FleetSettings, LseSettings, Policy, Scenario};
+    use availsim_sim::stats::RunningStats;
+    use availsim_sim::telemetry::CounterSnapshot;
+    use availsim_storage::RaidGeometry;
+
+    /// A hand-built keep-going campaign with every optional column on:
+    /// all six metrics (volume included), the DR credit and both loss
+    /// columns. Row 0 is finite, row 1 has an infinite `nines` and a
+    /// `None` MTTDL, row 2 failed with an error holding a comma and a
+    /// quote. Timings are fixed, so even the summary is byte-stable.
+    fn golden_result() -> CampaignResult {
+        let scenario = Scenario {
+            name: "golden".into(),
+            seed: 7,
+            model: ModelKind::Mc,
+            capacity: Some(21),
+            metrics: vec![
+                Metric::Unavailability,
+                Metric::Nines,
+                Metric::Downtime,
+                Metric::Mttdl,
+                Metric::CiHalfWidth,
+                Metric::Volume,
+            ],
+            fleet: Some(FleetSettings {
+                arrays: 4,
+                failover_capacity: Some(Some(2)),
+                ..FleetSettings::default()
+            }),
+            lse: Some(LseSettings {
+                lse_rate: 1e-4,
+                scrub_interval_hours: 336.0,
+            }),
+            ..Scenario::default()
+        };
+        let cell = |index: u64, raid, policy, lambda, hep| Cell {
+            index,
+            seed: cell_seed(7, index),
+            raid,
+            policy,
+            lambda,
+            hep,
+        };
+        let cells = vec![
+            CellResult {
+                cell: cell(
+                    0,
+                    RaidGeometry::raid1_pair(),
+                    Policy::Conventional,
+                    1e-5,
+                    0.0,
+                ),
+                unavailability: 2.5e-7,
+                nines: 6.602059991327962,
+                downtime_min_per_year: 0.1314,
+                mttdl_hours: Some(2255081.6),
+                ci_half_width: Some(1.25e-8),
+                credited_unavailability: Some(1e-7),
+                p_data_loss: Some(0.0125),
+                nomdl_per_tb: Some(0.0035),
+                volume: Some(VolumeMetrics {
+                    arrays: 21,
+                    total_disks: 42,
+                    unavailability: 5.25e-6,
+                    nines: 5.279840696594043,
+                }),
+                counters: CounterSnapshot::default(),
+                elapsed_micros: 120,
+                error: None,
+            },
+            CellResult {
+                cell: cell(
+                    1,
+                    RaidGeometry::raid5(3).unwrap(),
+                    Policy::Failover,
+                    3.1622776601683796e-6,
+                    0.001,
+                ),
+                unavailability: 0.0,
+                nines: f64::INFINITY,
+                downtime_min_per_year: 0.0,
+                mttdl_hours: None,
+                ci_half_width: Some(0.0),
+                credited_unavailability: Some(0.0),
+                p_data_loss: Some(0.0),
+                nomdl_per_tb: Some(0.0),
+                volume: Some(VolumeMetrics {
+                    arrays: 7,
+                    total_disks: 28,
+                    unavailability: 0.0,
+                    nines: f64::INFINITY,
+                }),
+                counters: CounterSnapshot::default(),
+                elapsed_micros: 80,
+                error: None,
+            },
+            CellResult {
+                cell: cell(
+                    2,
+                    RaidGeometry::raid5(7).unwrap(),
+                    Policy::Conventional,
+                    1e-4,
+                    0.01,
+                ),
+                unavailability: f64::NAN,
+                nines: f64::NAN,
+                downtime_min_per_year: f64::NAN,
+                mttdl_hours: None,
+                ci_half_width: None,
+                credited_unavailability: None,
+                p_data_loss: None,
+                nomdl_per_tb: None,
+                volume: None,
+                counters: CounterSnapshot::default(),
+                elapsed_micros: 5,
+                error: Some("cell 2: \"RAID5(7+1)\" rejected, fault tolerance 1".into()),
+            },
+        ];
+        let mut unavailability_stats = RunningStats::new();
+        let mut timing_stats = RunningStats::new();
+        for c in cells.iter().filter(|c| !c.is_failed()) {
+            unavailability_stats.push(c.unavailability);
+            timing_stats.push(c.elapsed_micros as f64);
+        }
+        CampaignResult {
+            scenario,
+            cells,
+            unavailability_stats,
+            timing_stats,
+            counters: CounterSnapshot::default(),
+            workers: 2,
+            keep_going: true,
+            failed_cells: 1,
+            wall_micros: 250,
+        }
+    }
+
+    #[test]
+    fn reports_match_the_golden_bytes() {
+        let mut r = golden_result();
+        assert_eq!(to_csv(&r), GOLDEN_CSV);
+        assert_eq!(to_json(&r), GOLDEN_JSON);
+        assert_eq!(summary(&r), GOLDEN_SUMMARY);
+        // An empty metric list is the model's default set: for MC that
+        // drops the MTTDL column and keeps every other field's bytes.
+        r.scenario.metrics.clear();
+        assert_eq!(to_csv(&r), GOLDEN_CSV_DEFAULT_METRICS);
+    }
 
     fn result() -> CampaignResult {
         let s = Scenario::parse(
@@ -633,4 +815,42 @@ mod tests {
         assert!(!to_csv(&r).contains("credited"));
         assert!(!to_json(&r).contains("credited"));
     }
+
+    const GOLDEN_CSV: &str = r#"cell,seed,raid,policy,lambda,hep,unavailability,nines,downtime_min_per_year,mttdl_hours,ci_half_width,arrays,total_disks,volume_unavailability,volume_nines,credited_unavailability,p_data_loss,nomdl_per_tb,status,error
+0,17332331373651132471,RAID1(1+1),conventional,1e-5,0.0,2.5e-7,6.602059991327962,0.1314,2255081.6,1.25e-8,21,42,5.25e-6,5.279840696594043,1e-7,0.0125,0.0035,ok,
+1,15238825286151933266,RAID5(3+1),failover,3.1622776601683796e-6,0.001,0.0,inf,0.0,,0.0,7,28,0.0,inf,0.0,0.0,0.0,ok,
+2,14206966700823381322,RAID5(7+1),conventional,0.0001,0.01,,,,,,,,,,,,,error,"cell 2: ""RAID5(7+1)"" rejected, fault tolerance 1"
+"#;
+
+    const GOLDEN_CSV_DEFAULT_METRICS: &str = r#"cell,seed,raid,policy,lambda,hep,unavailability,nines,downtime_min_per_year,ci_half_width,arrays,total_disks,volume_unavailability,volume_nines,credited_unavailability,p_data_loss,nomdl_per_tb,status,error
+0,17332331373651132471,RAID1(1+1),conventional,1e-5,0.0,2.5e-7,6.602059991327962,0.1314,1.25e-8,21,42,5.25e-6,5.279840696594043,1e-7,0.0125,0.0035,ok,
+1,15238825286151933266,RAID5(3+1),failover,3.1622776601683796e-6,0.001,0.0,inf,0.0,0.0,7,28,0.0,inf,0.0,0.0,0.0,ok,
+2,14206966700823381322,RAID5(7+1),conventional,0.0001,0.01,,,,,,,,,,,,error,"cell 2: ""RAID5(7+1)"" rejected, fault tolerance 1"
+"#;
+
+    const GOLDEN_JSON: &str = r#"{
+  "campaign": "golden",
+  "seed": "7",
+  "model": "mc",
+  "capacity": 21,
+  "cells": [
+    {"cell": 0, "seed": "17332331373651132471", "raid": "RAID1(1+1)", "policy": "conventional", "lambda": 1e-5, "hep": 0.0, "unavailability": 2.5e-7, "nines": 6.602059991327962, "downtime_min_per_year": 0.1314, "mttdl_hours": 2255081.6, "ci_half_width": 1.25e-8, "credited_unavailability": 1e-7, "p_data_loss": 0.0125, "nomdl_per_tb": 0.0035, "status": "ok", "error": null, "volume": {"arrays": 21, "total_disks": 42, "unavailability": 5.25e-6, "nines": 5.279840696594043}},
+    {"cell": 1, "seed": "15238825286151933266", "raid": "RAID5(3+1)", "policy": "failover", "lambda": 3.1622776601683796e-6, "hep": 0.001, "unavailability": 0.0, "nines": null, "downtime_min_per_year": 0.0, "mttdl_hours": null, "ci_half_width": 0.0, "credited_unavailability": 0.0, "p_data_loss": 0.0, "nomdl_per_tb": 0.0, "status": "ok", "error": null, "volume": {"arrays": 7, "total_disks": 28, "unavailability": 0.0, "nines": null}},
+    {"cell": 2, "seed": "14206966700823381322", "raid": "RAID5(7+1)", "policy": "conventional", "lambda": 0.0001, "hep": 0.01, "unavailability": null, "nines": null, "downtime_min_per_year": null, "mttdl_hours": null, "ci_half_width": null, "credited_unavailability": null, "p_data_loss": null, "nomdl_per_tb": null, "status": "error", "error": "cell 2: \"RAID5(7+1)\" rejected, fault tolerance 1"}
+  ],
+  "failed_cells": 1,
+  "unavailability_summary": {"count": 2, "mean": 1.25e-7, "min": 0.0, "max": 2.5e-7}
+}
+"#;
+
+    const GOLDEN_SUMMARY: &str = "\
+## campaign golden (mc, 3 cells, 2 workers)
+cell  raid        policy        lambda    hep    unavail    nines   vol-nines  time-us
+--------------------------------------------------------------------------------------
+0     RAID1(1+1)  conventional  1.000e-5  0.0    2.5000e-7  6.6021  5.2798     120
+1     RAID5(3+1)  failover      3.162e-6  0.001  0.0000e0   inf     inf        80
+2     RAID5(7+1)  conventional  1.000e-4  0.01   failed                        5
+cell time us: mean 100  min 80  max 120  |  wall 250 us  |  worker util 41%
+1 cell(s) failed; see the status/error report columns
+";
 }

@@ -240,12 +240,9 @@ pub fn run_cancellable(
                     Ok(c) => {
                         let ci = c
                             .ci_half_width
-                            .map(|h| format!(", ±{}", crate::plan::format_float(h)))
+                            .map(|h| format!(", ±{h:?}"))
                             .unwrap_or_default();
-                        sink(&format!(
-                            "cell {k}/{n} done (U={}{ci})",
-                            crate::plan::format_float(c.unavailability)
-                        ));
+                        sink(&format!("cell {k}/{n} done (U={:?}{ci})", c.unavailability));
                     }
                     Err(e) if config.keep_going => {
                         sink(&format!("cell {k}/{n} FAILED ({e})"));

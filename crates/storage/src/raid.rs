@@ -185,18 +185,19 @@ impl RaidGeometry {
         Ok(usable / per)
     }
 
-    /// Human-readable label such as `RAID5(3+1)`.
+    /// Human-readable label such as `RAID5(3+1)`: the `Display` text.
     pub fn label(&self) -> String {
-        format!(
-            "{}({}+{})",
-            self.level, self.data_disks, self.redundancy_disks
-        )
+        self.to_string()
     }
 }
 
 impl fmt::Display for RaidGeometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        write!(
+            f,
+            "{}({}+{})",
+            self.level, self.data_disks, self.redundancy_disks
+        )
     }
 }
 

@@ -160,7 +160,7 @@ fn fig5_table(mc_iters: u64) -> Table {
         &["rate", "beta", "hep=0", "hep=0.001", "hep=0.01"],
     );
     for &(rate, beta) in &SCHROEDER_GIBSON_FITS {
-        let mut cells = vec![format!("{rate:.2e}"), format!("{beta}")];
+        table.cell(format_args!("{rate:.2e}")).cell(beta);
         for &hep in &[0.0, 0.001, 0.01] {
             let params = raid5_params(rate, hep);
             let failures = FailureModel::weibull(rate, beta).expect("valid fit");
@@ -179,12 +179,14 @@ fn fig5_table(mc_iters: u64) -> Table {
                 // run (one mean-length restore over the simulated time)
                 // rather than a meaningless "infinite nines".
                 let resolution = (1.0 / 0.03) / (config.horizon_hours * config.iterations as f64);
-                cells.push(format!(">{:.1}", nines_from_unavailability(resolution)));
+                table.cell(format_args!(
+                    ">{:.1}",
+                    nines_from_unavailability(resolution)
+                ));
             } else {
-                cells.push(format!("{:.3}", est.nines()));
+                table.cell(format_args!("{:.3}", est.nines()));
             }
         }
-        table.push_row(&cells);
     }
     table
 }
@@ -207,12 +209,11 @@ fn fig6_table(lambda: f64) -> Table {
     let base =
         compare_equal_capacity(FIG6_USABLE_CAPACITY, lambda, Hep::ZERO).expect("valid comparison");
     for (idx, row0) in base.iter().enumerate() {
-        let mut cells = vec![
-            row0.label.clone(),
-            row0.arrays.to_string(),
-            row0.total_disks.to_string(),
-            format!("{:.2}", row0.erf),
-        ];
+        table
+            .cell(&row0.label)
+            .cell(row0.arrays)
+            .cell(row0.total_disks)
+            .cell(format_args!("{:.2}", row0.erf));
         for &hep in &heps {
             let rows = compare_equal_capacity(
                 FIG6_USABLE_CAPACITY,
@@ -220,9 +221,8 @@ fn fig6_table(lambda: f64) -> Table {
                 Hep::new(hep).expect("valid hep"),
             )
             .expect("valid comparison");
-            cells.push(format!("{:.3}", rows[idx].nines()));
+            table.cell(format_args!("{:.3}", rows[idx].nines()));
         }
-        table.push_row(&cells);
     }
     table
 }
@@ -241,12 +241,11 @@ fn fig7_table() -> (Table, Vec<PolicyComparison>) {
         ],
     );
     for r in &rows {
-        table.push_row(&[
-            format!("{}", r.hep),
-            format!("{:.3}", r.conventional_nines()),
-            format!("{:.3}", r.failover_nines()),
-            format!("{:.1}", r.improvement()),
-        ]);
+        table
+            .cell(r.hep)
+            .cell(format_args!("{:.3}", r.conventional_nines()))
+            .cell(format_args!("{:.3}", r.failover_nines()))
+            .cell(format_args!("{:.1}", r.improvement()));
     }
     (table, rows)
 }
@@ -275,13 +274,12 @@ fn underestimation_table() -> (Table, f64) {
             .expect("solvable")
             .unavailability()
             / r.without_hep;
-        table.push_row(&[
-            format!("{:.2e}", r.disk_failure_rate),
-            format!("{:.3e}", r.with_hep),
-            format!("{:.3e}", r.without_hep),
-            format!("{:.1}", r.factor()),
-            format!("{labeled:.1}"),
-        ]);
+        table
+            .cell(format_args!("{:.2e}", r.disk_failure_rate))
+            .cell(format_args!("{:.3e}", r.with_hep))
+            .cell(format_args!("{:.3e}", r.without_hep))
+            .cell(format_args!("{:.1}", r.factor()))
+            .cell(format_args!("{labeled:.1}"));
     }
     (table, max)
 }

@@ -30,8 +30,10 @@ use availsim::sim::telemetry::{
 };
 use std::collections::HashMap;
 use std::error::Error;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
+use std::thread;
 use std::time::Instant;
 
 /// Flags that take no value; their presence means `true`.
@@ -598,6 +600,37 @@ fn write_metrics(tele: &TelemetrySettings, r: &MetricsReport<'_>) -> Result<(), 
     Ok(())
 }
 
+/// `batch`'s standard output. A closed pipe (`availsim batch ... | head`)
+/// ends stdout, not the command: later output is dropped, and the report
+/// files and metrics are still written.
+#[derive(Default)]
+struct Stdout {
+    closed: bool,
+}
+
+impl Stdout {
+    fn print(&mut self, text: &str) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let mut out = io::stdout().lock();
+        match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            written => written,
+        }
+    }
+}
+
+/// Joins a report thread, re-raising its panic on this thread.
+fn join<T>(handle: thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let spec_path = parsed
         .positionals
@@ -630,8 +663,9 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let plan = plan::expand(&scenario)?;
     phases.record("plan", plan_started.elapsed().as_micros() as u64);
 
+    let mut stdout = Stdout::default();
     if dry_run {
-        print!("{}", plan.describe());
+        stdout.print(&plan.describe())?;
         return Ok(());
     }
 
@@ -653,25 +687,42 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         progress,
     )?;
     phases.record("run", run_started.elapsed().as_micros() as u64);
+    // Free the plan before the reports allocate: they read only `result`.
+    drop(plan);
 
+    // The three reports render at the same time: CSV and JSON on scoped
+    // threads, which with --out-dir also write their own files, and the
+    // summary on this one, which prints it first so stdout keeps its order.
     let report_started = Instant::now();
-    print!("{}", report::summary(&result));
-    let csv = report::to_csv(&result);
-    let json = report::to_json(&result);
     if out_dir.is_empty() {
-        println!("\n--- csv ---");
-        print!("{csv}");
-        println!("--- json ---");
-        print!("{json}");
+        let (csv, json) = thread::scope(|scope| {
+            let csv = scope.spawn(|| report::to_csv(&result));
+            let json = scope.spawn(|| report::to_json(&result));
+            stdout.print(&report::summary(&result))?;
+            Ok::<_, io::Error>((join(csv), join(json)))
+        })?;
+        for text in ["\n--- csv ---\n", &csv, "--- json ---\n", &json] {
+            stdout.print(text)?;
+        }
     } else {
         let dir = Path::new(&out_dir);
         std::fs::create_dir_all(dir)?;
         let csv_path = dir.join(format!("{}.csv", scenario.name));
         let json_path = dir.join(format!("{}.json", scenario.name));
-        std::fs::write(&csv_path, csv)?;
-        std::fs::write(&json_path, json)?;
-        println!("\nwrote {}", csv_path.display());
-        println!("wrote {}", json_path.display());
+        let (printed, csv, json) = thread::scope(|scope| {
+            let csv = scope.spawn(|| std::fs::write(&csv_path, report::to_csv(&result)));
+            let json = scope.spawn(|| std::fs::write(&json_path, report::to_json(&result)));
+            let printed = stdout.print(&report::summary(&result));
+            (printed, join(csv), join(json))
+        });
+        csv?;
+        json?;
+        printed?;
+        stdout.print(&format!(
+            "\nwrote {}\nwrote {}\n",
+            csv_path.display(),
+            json_path.display()
+        ))?;
     }
     phases.record("report", report_started.elapsed().as_micros() as u64);
 
@@ -709,8 +760,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     availsim::serve::signal::install_handlers();
     let server = availsim::serve::Server::bind(config)?;
     println!("listening on http://{}", server.addr());
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
+    io::stdout().flush()?;
     let drained_clean = server.run(availsim::serve::signal::stop_flag())?;
     eprintln!(
         "drained {}",

@@ -785,6 +785,63 @@ fn batch_runs_a_campaign_end_to_end_on_stdout() {
     assert_eq!(stdout.matches("\"cell\":").count(), 12, "{stdout}");
 }
 
+/// Runs `availsim batch <args>` and closes its stdout after the first
+/// line, as `| head -1` does. Returns that line, whether the process
+/// exited 0, and its stderr.
+fn run_closing_stdout_after_one_line(args: &[&str]) -> (String, bool, String) {
+    use std::io::BufRead as _;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_availsim"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (line, out.status.success(), stderr)
+}
+
+#[test]
+fn batch_finishes_its_reports_when_stdout_closes_early() {
+    // 3 x 2 x 20 x 18 = 2,160 exact cells: the summary and the dry-run
+    // plan are each far more than a pipe buffer (64 KiB), so the write
+    // that follows the closed pipe is certain to fail.
+    let lambdas: Vec<String> = (1..=20).map(|i| format!("{i}e-6")).collect();
+    let heps: Vec<String> = (0..18).map(|i| format!("{i}e-3")).collect();
+    let spec = write_spec(
+        "closed-stdout.campaign",
+        &format!(
+            "[campaign]\nname = closed-stdout\nmodel = markov-conventional\n[axes]\n\
+             raid = [r1, r5-3, r5-7]\npolicy = [conventional, failover]\n\
+             lambda = [{}]\nhep = [{}]\n",
+            lambdas.join(", "),
+            heps.join(", ")
+        ),
+    );
+    let spec = spec.to_str().unwrap();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("closed-stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (line, ok, stderr) =
+        run_closing_stdout_after_one_line(&["batch", spec, "--out-dir", dir.to_str().unwrap()]);
+    assert!(line.starts_with("## campaign closed-stdout"), "{line}");
+    assert!(ok, "a closed stdout must not fail the campaign: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for file in ["closed-stdout.csv", "closed-stdout.json"] {
+        let report = std::fs::read_to_string(dir.join(file)).unwrap();
+        assert!(report.contains("RAID5(7+1)"), "{file} is incomplete");
+    }
+
+    let (line, ok, stderr) = run_closing_stdout_after_one_line(&["batch", spec, "--dry-run"]);
+    assert_eq!(line, "campaign closed-stdout\n");
+    assert!(ok, "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn batch_metric_files_are_identical_for_1_and_3_workers() {
     let spec = write_spec("workers.campaign", SURFACE_SPEC);
