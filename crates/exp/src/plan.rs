@@ -207,11 +207,7 @@ impl Plan {
         );
         // The label buffer is refilled per cell so `{:<12}` can pad it.
         let mut raid = String::new();
-        let start = out.len();
-        for (i, c) in self.cells.iter().enumerate() {
-            if i == 1 {
-                crate::report::reserve_rows(&mut out, start, self.cells.len());
-            }
+        for c in &self.cells {
             raid.clear();
             let _ = write!(raid, "{}", c.raid);
             let _ = writeln!(

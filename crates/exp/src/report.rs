@@ -114,7 +114,7 @@ fn csv_field(s: &str) -> Cow<'_, str> {
 /// reserves twice its length for each of `rows` rows. A large report then
 /// grows in one allocation instead of doublings that each copy it, and
 /// capacity it never touches costs no memory.
-pub(crate) fn reserve_rows(out: &mut String, start: usize, rows: usize) {
+fn reserve_rows(out: &mut String, start: usize, rows: usize) {
     out.reserve(2 * (out.len() - start) * rows);
 }
 
