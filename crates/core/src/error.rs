@@ -13,7 +13,7 @@ pub enum CoreError {
     /// A model parameter was invalid.
     InvalidParameter(String),
     /// The underlying Markov engine failed.
-    Ctmc(CtmcError),
+    Markov(CtmcError),
     /// The underlying simulator failed.
     Sim(SimError),
     /// The storage substrate rejected an operation.
@@ -36,7 +36,7 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            CoreError::Ctmc(e) => write!(f, "markov engine: {e}"),
+            CoreError::Markov(e) => write!(f, "markov engine: {e}"),
             CoreError::Sim(e) => write!(f, "simulator: {e}"),
             CoreError::Storage(e) => write!(f, "storage model: {e}"),
             CoreError::Hra(e) => write!(f, "hra model: {e}"),
@@ -55,7 +55,7 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::InvalidParameter(_) | CoreError::DeadlineExpired { .. } => None,
-            CoreError::Ctmc(e) => Some(e),
+            CoreError::Markov(e) => Some(e),
             CoreError::Sim(e) => Some(e),
             CoreError::Storage(e) => Some(e),
             CoreError::Hra(e) => Some(e),
@@ -65,7 +65,7 @@ impl Error for CoreError {
 
 impl From<CtmcError> for CoreError {
     fn from(e: CtmcError) -> Self {
-        CoreError::Ctmc(e)
+        CoreError::Markov(e)
     }
 }
 

@@ -12,7 +12,7 @@
 
 use super::SolvedChain;
 use crate::error::Result;
-use availsim_ctmc::{mean_first_passage_gth, steady_state_gth_rates, Ctmc, CtmcBuilder};
+use availsim_ctmc::{mean_first_passage_gth, steady_state_gth_rates};
 use std::borrow::Cow;
 
 /// Whether a state serves I/O, and if not, why.
@@ -124,27 +124,6 @@ impl ChainDef {
     /// The edges, in declared order.
     pub fn edges(&self) -> &[ChainEdge] {
         &self.edges
-    }
-
-    /// Builds the chain as a [`Ctmc`]. States keep their declared order;
-    /// the builder drops zero-rate edges and merges parallel ones in
-    /// declared order, so its steady state is bit-identical to
-    /// [`Self::solve`]'s.
-    ///
-    /// # Errors
-    /// Propagates chain-construction errors (none occur for validated
-    /// parameters).
-    pub fn build(&self) -> Result<Ctmc> {
-        let mut b = CtmcBuilder::new();
-        let ids = self
-            .states
-            .iter()
-            .map(|s| b.state(s.label.as_ref()))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        for e in &self.edges {
-            b.transition(ids[usize::from(e.from)], ids[usize::from(e.to)], e.rate)?;
-        }
-        Ok(b.build()?)
     }
 
     /// The dense rate matrix: every edge added in declared order.

@@ -27,7 +27,6 @@ use super::chain::{edge, ChainDef, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
-use availsim_ctmc::Ctmc;
 
 static FIG3_STATES: [ChainState; 12] = [
     ChainState::new("OP", StateClass::Up),
@@ -193,15 +192,6 @@ impl Raid5FailOver {
         fig3_chain(&self.params)
     }
 
-    /// Builds the twelve-state chain.
-    ///
-    /// # Errors
-    /// Propagates chain-construction errors (none occur for validated
-    /// parameters).
-    pub fn build_chain(&self) -> Result<Ctmc> {
-        self.chain().build()
-    }
-
     /// Solves for the stationary distribution with the `DU*`/`DL*` states
     /// down.
     ///
@@ -235,8 +225,7 @@ mod tests {
     #[test]
     fn chain_has_twelve_states() {
         let m = model(1e-6, 0.01);
-        let chain = m.build_chain().unwrap();
-        assert_eq!(chain.num_states(), 12);
+        assert_eq!(m.chain().states().len(), 12);
         let down = m
             .chain()
             .states()
@@ -341,16 +330,14 @@ mod tests {
     #[test]
     fn balance_equations_hold() {
         let m = model(2e-6, 0.005);
-        let chain = m.build_chain().unwrap();
-        let pi = chain.steady_state().unwrap();
+        let solved = m.solve().unwrap();
+        let pi = solved.probabilities();
         // (πQ)_j: inflow into j minus outflow out of j.
-        let mut residual: Vec<f64> = chain
-            .states()
-            .iter()
-            .map(|(id, _)| -pi[id.index()] * chain.exit_rate(id))
-            .collect();
-        for (from, to, rate) in chain.transitions() {
-            residual[to.index()] += pi[from.index()] * rate;
+        let mut residual = vec![0.0; pi.len()];
+        for e in m.chain().edges() {
+            let (from, to) = (usize::from(e.from), usize::from(e.to));
+            residual[to] += pi[from] * e.rate;
+            residual[from] -= pi[from] * e.rate;
         }
         let max: f64 = residual.iter().fold(0.0f64, |a, b| a.max(b.abs()));
         assert!(max < 1e-12, "residual {max}");

@@ -27,7 +27,6 @@ use super::chain::{edge, ChainDef, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
-use availsim_ctmc::Ctmc;
 
 /// Generic `k+m` availability model with human errors.
 #[derive(Debug, Clone, Copy)]
@@ -179,15 +178,6 @@ impl GenericKofN {
         }
         edges.push(edge(dl, 0, p.ddf_recovery_rate, Service));
         ChainDef::new(states, edges)
-    }
-
-    /// Builds the chain as a [`Ctmc`].
-    ///
-    /// # Errors
-    /// Propagates chain-construction errors (none occur for validated
-    /// parameters).
-    pub fn build_chain(&self) -> Result<Ctmc> {
-        self.chain().build()
     }
 
     /// Solves the chain; down states are `DL` and every `(f, w)` with

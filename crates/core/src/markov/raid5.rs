@@ -40,7 +40,6 @@ use super::chain::{edge, ChainDef, ChainState, EdgeTag, StateClass};
 use super::SolvedChain;
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
-use availsim_ctmc::Ctmc;
 
 /// Which service rate the wrong replacement scales with.
 ///
@@ -208,15 +207,6 @@ impl Raid5Conventional {
         fig2_chain(&self.params, self.timing)
     }
 
-    /// Builds the four-state chain.
-    ///
-    /// # Errors
-    /// Propagates chain-construction errors (none occur for validated
-    /// parameters).
-    pub fn build_chain(&self) -> Result<Ctmc> {
-        self.chain().build()
-    }
-
     /// Solves for the stationary distribution; `DU` and `DL` are the down
     /// states.
     ///
@@ -246,14 +236,36 @@ mod tests {
         Raid5Conventional::new(params).unwrap()
     }
 
+    /// The summed rate of the definition's `from -> to` edges.
+    fn rate(def: &ChainDef, from: &str, to: &str) -> f64 {
+        let id = |label| def.states().iter().position(|s| s.label == label);
+        let (from, to) = (id(from).unwrap(), id(to).unwrap());
+        def.edges()
+            .iter()
+            .filter(|e| usize::from(e.from) == from && usize::from(e.to) == to)
+            .map(|e| e.rate)
+            .sum()
+    }
+
+    /// The number of distinct transitions with a positive rate.
+    fn transitions(def: &ChainDef) -> usize {
+        let mut pairs: Vec<_> = def
+            .edges()
+            .iter()
+            .filter(|e| e.rate > 0.0)
+            .map(|e| (e.from, e.to))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs.len()
+    }
+
     #[test]
     fn chain_shape_matches_fig2() {
-        let chain = model(1e-6, 0.01).build_chain().unwrap();
-        assert_eq!(chain.num_states(), 4);
-        assert_eq!(chain.num_transitions(), 7);
-        let op = chain.find_state("OP").unwrap();
-        let exp = chain.find_state("EXP").unwrap();
-        assert!((chain.rate(op, exp) - 4e-6).abs() < 1e-18);
+        let def = model(1e-6, 0.01).chain();
+        assert_eq!(def.states().len(), 4);
+        assert_eq!(transitions(&def), 7);
+        assert!((rate(&def, "OP", "EXP") - 4e-6).abs() < 1e-18);
     }
 
     #[test]
@@ -333,11 +345,8 @@ mod tests {
             ModelParams::paper_defaults(RaidGeometry::raid1_pair(), 1e-5, Hep::new(0.001).unwrap())
                 .unwrap();
         let m = Raid5Conventional::new(params).unwrap();
-        let chain = m.build_chain().unwrap();
-        let op = chain.find_state("OP").unwrap();
-        let exp = chain.find_state("EXP").unwrap();
         // n = 2: OP -> EXP at 2λ.
-        assert!((chain.rate(op, exp) - 2e-5).abs() < 1e-18);
+        assert!((rate(&m.chain(), "OP", "EXP") - 2e-5).abs() < 1e-18);
         assert!(m.solve().unwrap().availability() > 0.99);
     }
 
@@ -368,7 +377,8 @@ mod tests {
         // Fig. 2 accepts, keeps the four-state shape, and routes the lost
         // rebuild mass to DL: unavailability rises, MTTDL shrinks.
         let lossy = Raid5Conventional::new(live).unwrap();
-        assert_eq!(lossy.build_chain().unwrap().num_transitions(), 7);
+        assert_eq!(lossy.chain().states().len(), 4);
+        assert_eq!(transitions(&lossy.chain()), 7);
         let base = Raid5Conventional::new(
             ModelParams::raid5_3plus1(1e-6, Hep::new(0.01).unwrap()).unwrap(),
         )

@@ -1,13 +1,13 @@
 //! Data-loss oracle suite: the MC `p_data_loss` interval must cover the
 //! exact first-passage probability of the matching DL-absorbing chain
-//! (the `ctmc` transient/absorbing machinery) on every cell of a
-//! λ × scrub-interval × geometry grid, and the `lse_rate = 0` runs must
-//! stay bit-identical to the LSE-free engines at any thread count. Run in
-//! CI as a named step.
+//! (the transient mass of its absorbing DL state, by `ctmc::transient`)
+//! on every cell of a λ × scrub-interval × geometry grid, and the
+//! `lse_rate = 0` runs must stay bit-identical to the LSE-free engines at
+//! any thread count. Run in CI as a named step.
 
 use availsim_core::mc::{ConventionalMc, FleetMc, McConfig, McEngine};
 use availsim_core::ModelParams;
-use availsim_ctmc::CtmcBuilder;
+use availsim_ctmc::transient;
 use availsim_hra::Hep;
 use availsim_storage::{FleetSpec, RaidGeometry, ScrubbingModel};
 
@@ -32,35 +32,25 @@ fn config(iterations: u64, horizon: f64, seed: u64) -> McConfig {
 /// the horizon is the first-passage probability the per-mission loss
 /// indicator estimates).
 fn exact_p_loss(p: &ModelParams, horizon: f64) -> f64 {
+    const OP: usize = 0;
+    const EXP: usize = 1;
+    const DU: usize = 2;
+    const DL: usize = 3;
     let n = f64::from(p.disks());
     let hep = p.hep.value();
     let ue = p.rebuild_lse_probability();
     let lam = p.disk_failure_rate;
-    let mut b = CtmcBuilder::new();
-    let op = b.state("OP").unwrap();
-    let exp = b.state("EXP").unwrap();
-    let du = b.state("DU").unwrap();
-    let dl = b.state("DL").unwrap();
-    b.transition(op, exp, n * lam).unwrap();
+    let mut a = vec![vec![0.0; 4]; 4];
+    a[OP][EXP] = n * lam;
     // Second failure during service, or a rebuild completion that read an
     // unreadable sector: both lose data.
-    b.transition(
-        exp,
-        dl,
-        (n - 1.0) * lam + (1.0 - hep) * ue * p.disk_repair_rate,
-    )
-    .unwrap();
-    b.transition(exp, op, (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate)
-        .unwrap();
+    a[EXP][DL] = (n - 1.0) * lam + (1.0 - hep) * ue * p.disk_repair_rate;
+    a[EXP][OP] = (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate;
     // Default wrong-replacement timing: the change-action rate μ_ch.
-    b.transition(exp, du, hep * p.disk_change_rate).unwrap();
-    b.transition(du, op, (1.0 - hep) * p.human_recovery_rate)
-        .unwrap();
-    b.transition(du, dl, p.removed_crash_rate).unwrap();
-    let chain = b.build().unwrap();
-    let mut p0 = vec![0.0; chain.num_states()];
-    p0[op.index()] = 1.0;
-    chain.transient(&p0, horizon, 1e-12).unwrap()[dl.index()]
+    a[EXP][DU] = hep * p.disk_change_rate;
+    a[DU][OP] = (1.0 - hep) * p.human_recovery_rate;
+    a[DU][DL] = p.removed_crash_rate;
+    transient(&a, &[1.0, 0.0, 0.0, 0.0], horizon, 1e-12).unwrap()[DL]
 }
 
 #[test]

@@ -8,7 +8,7 @@ use availsim_core::mc::{
     McVariance, SimWorkspace, DEGRADED_BINS,
 };
 use availsim_core::ModelParams;
-use availsim_ctmc::CtmcBuilder;
+use availsim_ctmc::steady_state_gth_rates;
 use availsim_hra::{DependenceLevel, Hep};
 use availsim_sim::rng::SimRng;
 use availsim_storage::{FailoverPolicy, FailureModel, FleetFailover, FleetSpec, RaidGeometry};
@@ -729,21 +729,19 @@ impl DrChain {
         out
     }
 
-    /// Stationary distribution of the chain, built with `availsim_ctmc`
-    /// and solved by GTH.
+    /// Stationary distribution of the chain: its dense rate matrix,
+    /// solved by GTH.
     fn stationary(&self) -> (Vec<(u32, u32, u32)>, Vec<f64>) {
         let states = self.states();
-        let mut b = CtmcBuilder::new();
-        let ids: std::collections::HashMap<_, _> = states
-            .iter()
-            .map(|&st| (st, b.state(format!("{st:?}")).unwrap()))
-            .collect();
-        for &st in &states {
+        let index: std::collections::HashMap<_, _> =
+            states.iter().enumerate().map(|(i, &st)| (st, i)).collect();
+        let mut rates = vec![vec![0.0; states.len()]; states.len()];
+        for (row, &st) in rates.iter_mut().zip(&states) {
             for (target, rate) in self.transitions(st) {
-                b.transition(ids[&st], ids[&target], rate).unwrap();
+                row[index[&target]] += rate;
             }
         }
-        let pi = b.build().unwrap().steady_state().unwrap();
+        let pi = steady_state_gth_rates(&mut rates).unwrap();
         (states, pi)
     }
 

@@ -17,31 +17,16 @@
 //! 1985.
 
 use crate::error::{CtmcError, Result};
-use crate::Ctmc;
 
-/// Computes the stationary distribution of an irreducible CTMC by GTH
-/// elimination on the transition-rate matrix.
-///
-/// # Errors
-/// Returns [`CtmcError::NotIrreducible`] if elimination discovers a state with
-/// no remaining outgoing rate (the chain is reducible or has an absorbing
-/// state).
-pub fn steady_state_gth(chain: &Ctmc) -> Result<Vec<f64>> {
-    let n = chain.num_states();
-    // Dense copy of off-diagonal rates: a[i][j] = rate(i -> j).
-    let mut a = vec![vec![0.0f64; n]; n];
-    for (from, to, rate) in chain.transitions() {
-        a[from.index()][to.index()] += rate;
-    }
-    steady_state_gth_rates(&mut a)
-}
-
-/// GTH elimination over a dense rate matrix (off-diagonal entries only; the
+/// The stationary distribution of an irreducible chain, by GTH elimination
+/// over its rate matrix `a` (`a[i][j]` is the rate of `i -> j`; the
 /// diagonal is ignored). The matrix is consumed as scratch space.
 ///
 /// # Errors
-/// Returns [`CtmcError::NotIrreducible`] when a pivot row has zero total rate
-/// to the not-yet-eliminated states.
+/// Returns [`CtmcError::EmptyChain`] for an empty matrix and
+/// [`CtmcError::NotIrreducible`] when a pivot row has zero total rate to
+/// the not-yet-eliminated states (the chain is reducible or has an
+/// absorbing state).
 pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
     let n = a.len();
     if n == 0 {
@@ -148,38 +133,44 @@ pub fn mean_first_passage_gth(a: &[Vec<f64>], start: usize, target: &[bool]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CtmcBuilder;
+
+    /// Rates of `edges` over `n` states as a dense matrix.
+    fn rates(n: usize, edges: &[(usize, usize, f64)]) -> Vec<Vec<f64>> {
+        let mut a = vec![vec![0.0; n]; n];
+        for &(i, j, r) in edges {
+            a[i][j] += r;
+        }
+        a
+    }
 
     #[test]
     fn two_state_birth_death() {
-        let mut b = CtmcBuilder::new();
-        let up = b.state("up").unwrap();
-        let down = b.state("down").unwrap();
-        b.transition(up, down, 2.0).unwrap();
-        b.transition(down, up, 3.0).unwrap();
-        let chain = b.build().unwrap();
-        let pi = steady_state_gth(&chain).unwrap();
+        let pi = steady_state_gth_rates(&mut rates(2, &[(0, 1, 2.0), (1, 0, 3.0)])).unwrap();
         assert!((pi[0] - 0.6).abs() < 1e-15);
         assert!((pi[1] - 0.4).abs() < 1e-15);
     }
 
     #[test]
     fn single_state_is_certain() {
-        let mut b = CtmcBuilder::new();
-        b.state("only").unwrap();
-        let chain = b.build().unwrap();
-        assert_eq!(steady_state_gth(&chain).unwrap(), vec![1.0]);
+        assert_eq!(
+            steady_state_gth_rates(&mut rates(1, &[])).unwrap(),
+            vec![1.0]
+        );
+    }
+
+    #[test]
+    fn empty_chain_rejected() {
+        assert_eq!(
+            steady_state_gth_rates(&mut []).unwrap_err(),
+            CtmcError::EmptyChain
+        );
     }
 
     #[test]
     fn absorbing_state_detected_as_reducible() {
-        let mut b = CtmcBuilder::new();
-        let a = b.state("a").unwrap();
-        let trap = b.state("trap").unwrap();
-        b.transition(a, trap, 1.0).unwrap();
-        let chain = b.build().unwrap();
+        let mut a = rates(2, &[(0, 1, 1.0)]);
         assert!(matches!(
-            steady_state_gth(&chain).unwrap_err(),
+            steady_state_gth_rates(&mut a).unwrap_err(),
             CtmcError::NotIrreducible { .. }
         ));
     }
@@ -188,15 +179,8 @@ mod tests {
     fn three_state_cycle_matches_flow_balance() {
         // a -> b -> c -> a with distinct rates; stationary probability is
         // inversely proportional to the exit rate.
-        let mut b = CtmcBuilder::new();
-        let s0 = b.state("a").unwrap();
-        let s1 = b.state("b").unwrap();
-        let s2 = b.state("c").unwrap();
-        b.transition(s0, s1, 1.0).unwrap();
-        b.transition(s1, s2, 2.0).unwrap();
-        b.transition(s2, s0, 4.0).unwrap();
-        let chain = b.build().unwrap();
-        let pi = steady_state_gth(&chain).unwrap();
+        let mut a = rates(3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 4.0)]);
+        let pi = steady_state_gth_rates(&mut a).unwrap();
         // weights ∝ (1/1, 1/2, 1/4) -> (4/7, 2/7, 1/7)
         assert!((pi[0] - 4.0 / 7.0).abs() < 1e-14);
         assert!((pi[1] - 2.0 / 7.0).abs() < 1e-14);
@@ -206,25 +190,11 @@ mod tests {
     #[test]
     fn extreme_rate_separation_keeps_relative_accuracy() {
         // up -> down at 1e-12, down -> up at 1.0: pi(down) = 1e-12/(1+1e-12).
-        let mut b = CtmcBuilder::new();
-        let up = b.state("up").unwrap();
-        let down = b.state("down").unwrap();
-        b.transition(up, down, 1e-12).unwrap();
-        b.transition(down, up, 1.0).unwrap();
-        let chain = b.build().unwrap();
-        let pi = steady_state_gth(&chain).unwrap();
+        let mut a = rates(2, &[(0, 1, 1e-12), (1, 0, 1.0)]);
+        let pi = steady_state_gth_rates(&mut a).unwrap();
         let expected = 1e-12 / (1.0 + 1e-12);
         let rel = (pi[1] - expected).abs() / expected;
         assert!(rel < 1e-12, "relative error {rel}");
-    }
-
-    /// Rates of `edges` over `n` states as a dense matrix.
-    fn rates(n: usize, edges: &[(usize, usize, f64)]) -> Vec<Vec<f64>> {
-        let mut a = vec![vec![0.0; n]; n];
-        for &(i, j, r) in edges {
-            a[i][j] += r;
-        }
-        a
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! scheme).
 
 use crate::error::Result;
-use crate::{validate_distribution, Ctmc};
+use crate::validate_distribution;
 
 /// Poisson(mean) probabilities for `k` in `[left, left+weights.len())`,
 /// normalized to sum to one over the retained window.
@@ -70,27 +70,72 @@ pub(crate) fn poisson_window(mean: f64, tol: f64) -> PoissonWindow {
     PoissonWindow { left, weights }
 }
 
-pub(crate) fn transient(chain: &Ctmc, p0: &[f64], t: f64, tol: f64) -> Result<Vec<f64>> {
-    let n = chain.num_states();
-    validate_distribution(p0, n)?;
+/// The uniformized matrix `P = I + Q/Λ` of the rates `a` and the
+/// uniformization rate `Λ = 1.02 · max_i exit_rate(i)`, whose margin makes
+/// the uniformized DTMC aperiodic.
+fn uniformized(a: &[Vec<f64>]) -> (Vec<Vec<f64>>, f64) {
+    let mut p = a.to_vec();
+    let mut exit = Vec::with_capacity(p.len());
+    for (i, row) in p.iter_mut().enumerate() {
+        row[i] = 0.0;
+        exit.push(row.iter().sum::<f64>());
+    }
+    let max = exit.iter().fold(0.0f64, |m, &r| m.max(r));
+    let lambda = if max == 0.0 { 1.0 } else { max * 1.02 };
+    for (i, (row, out)) in p.iter_mut().zip(exit).enumerate() {
+        for r in row.iter_mut() {
+            *r /= lambda;
+        }
+        row[i] = 1.0 - out / lambda;
+    }
+    (p, lambda)
+}
+
+/// One step of the uniformized chain: the row-vector product `v·P`.
+fn step(p: &[Vec<f64>], v: &[f64]) -> Vec<f64> {
+    let mut next = vec![0.0; v.len()];
+    for (&vi, row) in v.iter().zip(p) {
+        if vi == 0.0 {
+            continue;
+        }
+        for (n, &pij) in next.iter_mut().zip(row) {
+            *n += vi * pij;
+        }
+    }
+    next
+}
+
+/// The state distribution at time `t` of the chain with rates `a`
+/// (`a[i][j]` is the rate of `i -> j`; the diagonal is ignored), started
+/// from `p0`, by uniformization with truncation error below `tol`.
+///
+/// A row of zeros is an absorbing state: its mass at `t` is the
+/// probability of having entered it by `t`, so making the data-loss
+/// states absorbing turns their mass into P(first loss ≤ t).
+///
+/// # Errors
+/// Returns [`CtmcError::InvalidDistribution`](crate::CtmcError::InvalidDistribution)
+/// if `p0` is not a probability vector over the chain's states.
+pub fn transient(a: &[Vec<f64>], p0: &[f64], t: f64, tol: f64) -> Result<Vec<f64>> {
+    validate_distribution(p0, a.len())?;
     if t <= 0.0 {
         return Ok(p0.to_vec());
     }
-    let (p, lambda) = chain.uniformized();
+    let (p, lambda) = uniformized(a);
     let window = poisson_window(lambda * t, tol.max(1e-15));
 
     let mut v = p0.to_vec();
-    let mut out = vec![0.0; n];
+    let mut out = vec![0.0; a.len()];
     // Propagate to the left edge of the window without accumulating.
     for _ in 0..window.left {
-        v = p.vec_mul(&v)?;
+        v = step(&p, &v);
     }
     for (i, &w) in window.weights.iter().enumerate() {
         for (o, &vi) in out.iter_mut().zip(&v) {
             *o += w * vi;
         }
         if i + 1 < window.weights.len() {
-            v = p.vec_mul(&v)?;
+            v = step(&p, &v);
         }
     }
     Ok(out)
@@ -99,15 +144,10 @@ pub(crate) fn transient(chain: &Ctmc, p0: &[f64], t: f64, tol: f64) -> Result<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CtmcBuilder;
+    use crate::steady_state_gth_rates;
 
-    fn two_state(lambda: f64, mu: f64) -> Ctmc {
-        let mut b = CtmcBuilder::new();
-        let up = b.state("up").unwrap();
-        let down = b.state("down").unwrap();
-        b.transition(up, down, lambda).unwrap();
-        b.transition(down, up, mu).unwrap();
-        b.build().unwrap()
+    fn two_state(lambda: f64, mu: f64) -> Vec<Vec<f64>> {
+        vec![vec![0.0, lambda], vec![mu, 0.0]]
     }
 
     /// Closed form for the two-state chain:
@@ -144,11 +184,32 @@ mod tests {
     }
 
     #[test]
+    fn uniformized_rows_are_stochastic() {
+        // A repairable pair, a chain with an absorbing row, and one whose
+        // diagonal carries junk that the kernel must ignore.
+        let chains = [
+            two_state(0.25, 1.0),
+            vec![vec![0.0, 0.5, 0.1], vec![2.0, 0.0, 0.3], vec![0.0; 3]],
+            vec![vec![-7.0, 0.25], vec![1.0, 3.0]],
+        ];
+        for a in &chains {
+            let (p, lambda) = uniformized(a);
+            assert!(lambda >= 1.0);
+            for (i, row) in p.iter().enumerate() {
+                let sum: f64 = row.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-12, "row {i} sums to {sum}");
+                assert!(row.iter().all(|&v| v >= 0.0), "row {i}: {row:?}");
+            }
+        }
+        assert_eq!(uniformized(&chains[2]), uniformized(&chains[0]));
+    }
+
+    #[test]
     fn transient_matches_closed_form() {
         let (lambda, mu) = (0.3, 1.7);
         let chain = two_state(lambda, mu);
         for &t in &[0.0, 0.01, 0.5, 2.0, 10.0, 100.0] {
-            let p = chain.transient(&[1.0, 0.0], t, 1e-12).unwrap();
+            let p = transient(&chain, &[1.0, 0.0], t, 1e-12).unwrap();
             let expect = analytic_up(lambda, mu, 1.0, t);
             assert!(
                 (p[0] - expect).abs() < 1e-9,
@@ -160,10 +221,28 @@ mod tests {
     }
 
     #[test]
+    fn absorbing_row_gives_the_first_passage_probability() {
+        // The pure-death chain 0 -> 1 at rate λ: state 1 absorbs, so its
+        // mass at t is P(T ≤ t) = 1 − e^{−λt} for T ~ Exp(λ).
+        let lambda = 0.4;
+        let chain = vec![vec![0.0, lambda], vec![0.0, 0.0]];
+        for &t in &[1e-3, 0.1, 1.0, 2.5, 10.0, 60.0] {
+            let p = transient(&chain, &[1.0, 0.0], t, 1e-12).unwrap();
+            let expect = -(-lambda * t).exp_m1();
+            assert!(
+                (p[1] - expect).abs() < 1e-12,
+                "t={t}: got {} expected {expect}",
+                p[1]
+            );
+            assert!((p[0] + p[1] - 1.0).abs() < 1e-12, "t={t}: mass {p:?}");
+        }
+    }
+
+    #[test]
     fn transient_converges_to_steady_state() {
         let chain = two_state(0.2, 0.8);
-        let pi = chain.steady_state().unwrap();
-        let p = chain.transient(&[0.0, 1.0], 1e3, 1e-12).unwrap();
+        let pi = steady_state_gth_rates(&mut chain.clone()).unwrap();
+        let p = transient(&chain, &[0.0, 1.0], 1e3, 1e-12).unwrap();
         for (a, b) in p.iter().zip(&pi) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -172,7 +251,7 @@ mod tests {
     #[test]
     fn transient_rejects_bad_distribution() {
         let chain = two_state(1.0, 1.0);
-        assert!(chain.transient(&[0.7, 0.7], 1.0, 1e-10).is_err());
-        assert!(chain.transient(&[1.0], 1.0, 1e-10).is_err());
+        assert!(transient(&chain, &[0.7, 0.7], 1.0, 1e-10).is_err());
+        assert!(transient(&chain, &[1.0], 1.0, 1e-10).is_err());
     }
 }

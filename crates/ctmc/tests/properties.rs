@@ -1,36 +1,34 @@
-//! Property-based tests for the CTMC engine.
+//! Property-based tests for the CTMC kernel.
 //!
-//! Chains are generated as a ring (guaranteeing irreducibility) plus random
-//! chords, with rates spanning several orders of magnitude — the regime
-//! availability models live in. GTH, the engine's one exact method, is
-//! checked against the independent reference solvers of [`reference`].
+//! Chains are generated as dense rate matrices (`a[i][j]` is the rate of
+//! `i -> j`): a ring (guaranteeing irreducibility) plus random chords, with
+//! rates spanning several orders of magnitude — the regime availability
+//! models live in. GTH, the kernel's one exact method, is checked against
+//! the independent reference solvers of [`reference`].
 
-use availsim_ctmc::{mean_first_passage_gth, Ctmc, CtmcBuilder, StateId};
+use availsim_ctmc::{mean_first_passage_gth, steady_state_gth_rates, transient};
 use proptest::prelude::*;
 
 /// Reference solvers GTH is checked against: a dense LU factorization with
 /// partial pivoting, the steady state and the mean time to absorption it
 /// solves, and power iteration on the uniformized chain. No program path
-/// runs them, so they live with the tests.
+/// runs them, so they live with the tests. Each reads the same dense rate
+/// matrix as the kernel.
 mod reference {
-    use availsim_ctmc::Ctmc;
-
-    /// The generator `Q` of `chain` as a dense matrix.
-    pub fn generator(chain: &Ctmc) -> Vec<Vec<f64>> {
-        let n = chain.num_states();
-        let mut q = vec![vec![0.0; n]; n];
-        for (from, to, rate) in chain.transitions() {
-            q[from.index()][to.index()] += rate;
-        }
-        for (id, _) in chain.states().iter() {
-            q[id.index()][id.index()] = -chain.exit_rate(id);
+    /// The generator `Q` of the rates `a`: the off-diagonal rates, with
+    /// minus each row's exit rate on the diagonal.
+    pub fn generator(a: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut q = a.to_vec();
+        for (i, row) in q.iter_mut().enumerate() {
+            row[i] = 0.0;
+            row[i] = -row.iter().sum::<f64>();
         }
         q
     }
 
     /// The balance residual `πQ`.
-    pub fn balance_residual(chain: &Ctmc, pi: &[f64]) -> Vec<f64> {
-        let q = generator(chain);
+    pub fn balance_residual(a: &[Vec<f64>], pi: &[f64]) -> Vec<f64> {
+        let q = generator(a);
         (0..q.len())
             .map(|j| pi.iter().zip(&q).map(|(p, row)| p * row[j]).sum())
             .collect()
@@ -69,8 +67,8 @@ mod reference {
 
     /// The stationary distribution by LU: `Qᵀπ = 0` with its last equation
     /// replaced by `Σπ = 1`.
-    pub fn steady_state_lu(chain: &Ctmc) -> Option<Vec<f64>> {
-        let q = generator(chain);
+    pub fn steady_state_lu(a: &[Vec<f64>]) -> Option<Vec<f64>> {
+        let q = generator(a);
         let n = q.len();
         let mut a: Vec<Vec<f64>> = (0..n).map(|i| (0..n).map(|j| q[j][i]).collect()).collect();
         a[n - 1] = vec![1.0; n];
@@ -82,8 +80,12 @@ mod reference {
     /// Mean time to reach a `target` state from `start`, by LU on the
     /// generator's non-target block `B`: the absorption times solve
     /// `B t = −1`.
-    pub fn mean_time_to_absorption_lu(chain: &Ctmc, start: usize, target: &[bool]) -> Option<f64> {
-        let q = generator(chain);
+    pub fn mean_time_to_absorption_lu(
+        a: &[Vec<f64>],
+        start: usize,
+        target: &[bool],
+    ) -> Option<f64> {
+        let q = generator(a);
         let kept: Vec<usize> = (0..q.len()).filter(|&i| !target[i]).collect();
         let b = kept
             .iter()
@@ -93,18 +95,25 @@ mod reference {
         Some(t[kept.iter().position(|&i| i == start)?])
     }
 
-    /// Power iteration `π ← πP` on the uniformized chain, until the L1
-    /// change of one step drops below `tolerance`.
+    /// Power iteration `π ← πP` on the uniformized chain `P = I + Q/Λ`
+    /// (Λ a little above the largest exit rate), until the L1 change of one
+    /// step drops below `tolerance`.
     pub fn steady_state_power(
-        chain: &Ctmc,
+        a: &[Vec<f64>],
         max_iterations: usize,
         tolerance: f64,
     ) -> Option<Vec<f64>> {
-        let (p, _) = chain.uniformized();
-        let n = chain.num_states();
+        let q = generator(a);
+        let n = q.len();
+        let lambda = 1.02 * (0..n).fold(0.0f64, |m, i| m.max(-q[i][i]));
         let mut pi = vec![1.0 / n as f64; n];
         for _ in 0..max_iterations {
-            let next = p.vec_mul(&pi).expect("dimensions match");
+            let next: Vec<f64> = (0..n)
+                .map(|j| {
+                    let flow: f64 = pi.iter().zip(&q).map(|(p, row)| p * row[j]).sum();
+                    pi[j] + flow / lambda
+                })
+                .collect();
             let change: f64 = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
             pi = next;
             if change < tolerance {
@@ -117,7 +126,7 @@ mod reference {
 
     mod tests {
         use super::*;
-        use availsim_ctmc::CtmcBuilder;
+        use availsim_ctmc::steady_state_gth_rates;
 
         fn residual(a: &[Vec<f64>], x: &[f64], b: &[f64]) -> f64 {
             a.iter().zip(b).fold(0.0f64, |m, (row, bi)| {
@@ -168,22 +177,19 @@ mod reference {
             assert!(residual(&a, &x, &b) / scale < 1e-12);
         }
 
-        fn three_state() -> Ctmc {
-            let mut b = CtmcBuilder::new();
-            let s0 = b.state("op").unwrap();
-            let s1 = b.state("exp").unwrap();
-            let s2 = b.state("dl").unwrap();
-            b.transition(s0, s1, 4e-3).unwrap();
-            b.transition(s1, s0, 0.1).unwrap();
-            b.transition(s1, s2, 3e-3).unwrap();
-            b.transition(s2, s0, 0.03).unwrap();
-            b.build().unwrap()
+        /// op -> exp -> dl with repair and restore back to op.
+        fn three_state() -> Vec<Vec<f64>> {
+            vec![
+                vec![0.0, 4e-3, 0.0],
+                vec![0.1, 0.0, 3e-3],
+                vec![0.03, 0.0, 0.0],
+            ]
         }
 
         #[test]
         fn all_methods_agree_on_dominant_components() {
             let chain = three_state();
-            let gth = chain.steady_state().unwrap();
+            let gth = steady_state_gth_rates(&mut chain.clone()).unwrap();
             let lu = steady_state_lu(&chain).unwrap();
             let pow = steady_state_power(&chain, 2_000_000, 1e-14).unwrap();
             for i in 0..3 {
@@ -207,8 +213,9 @@ mod reference {
     }
 }
 
-/// Strategy: an irreducible CTMC with `n` states and extra random edges.
-fn arb_chain(max_states: usize) -> impl Strategy<Value = Ctmc> {
+/// Strategy: the rates of an irreducible CTMC with `n` states and extra
+/// random edges.
+fn arb_chain(max_states: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     (2usize..=max_states)
         .prop_flat_map(|n| {
             // Ring rates are kept >= 0.1 so every generated chain mixes fast;
@@ -220,18 +227,22 @@ fn arb_chain(max_states: usize) -> impl Strategy<Value = Ctmc> {
             (Just(n), ring_rates, chords)
         })
         .prop_map(|(n, ring, chords)| {
-            let mut b = CtmcBuilder::new();
-            let ids: Vec<StateId> = (0..n).map(|i| b.state(format!("s{i}")).unwrap()).collect();
+            let mut a = vec![vec![0.0; n]; n];
             for (i, &r) in ring.iter().enumerate() {
-                b.transition(ids[i], ids[(i + 1) % n], r).unwrap();
+                a[i][(i + 1) % n] += r;
             }
             for (i, j, r) in chords {
                 if i != j {
-                    b.transition(ids[i], ids[j], r).unwrap();
+                    a[i][j] += r;
                 }
             }
-            b.build().unwrap()
+            a
         })
+}
+
+/// The GTH steady state of the rates `a`.
+fn steady_state(a: &[Vec<f64>]) -> Vec<f64> {
+    steady_state_gth_rates(&mut a.to_vec()).unwrap()
 }
 
 fn l1(v: &[f64]) -> f64 {
@@ -243,7 +254,7 @@ proptest! {
 
     #[test]
     fn steady_state_is_a_distribution(chain in arb_chain(12)) {
-        let pi = chain.steady_state().unwrap();
+        let pi = steady_state(&chain);
         prop_assert!(pi.iter().all(|&p| p >= 0.0 && p.is_finite()));
         let total: f64 = pi.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-12);
@@ -251,19 +262,18 @@ proptest! {
 
     #[test]
     fn steady_state_satisfies_balance_equations(chain in arb_chain(10)) {
-        let pi = chain.steady_state().unwrap();
+        let pi = steady_state(&chain);
         let residual = reference::balance_residual(&chain, &pi);
         // Scale-aware residual check.
         let scale = chain
-            .states()
             .iter()
-            .fold(1.0f64, |m, (id, _)| m.max(chain.exit_rate(id)));
+            .fold(1.0f64, |m, row| m.max(row.iter().sum()));
         prop_assert!(l1(&residual) / scale < 1e-10, "residual {}", l1(&residual));
     }
 
     #[test]
     fn gth_and_lu_agree(chain in arb_chain(10)) {
-        let gth = chain.steady_state().unwrap();
+        let gth = steady_state(&chain);
         let lu = reference::steady_state_lu(&chain).unwrap();
         for (a, b) in gth.iter().zip(&lu) {
             prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
@@ -272,23 +282,23 @@ proptest! {
 
     #[test]
     fn transient_preserves_probability(chain in arb_chain(8), t in 0.0f64..50.0) {
-        let n = chain.num_states();
+        let n = chain.len();
         let mut p0 = vec![0.0; n];
         p0[0] = 1.0;
-        let p = chain.transient(&p0, t, 1e-12).unwrap();
+        let p = transient(&chain, &p0, t, 1e-12).unwrap();
         prop_assert!(p.iter().all(|&x| x >= -1e-12));
         prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn transient_at_large_time_reaches_steady_state(chain in arb_chain(6)) {
-        let n = chain.num_states();
+        let n = chain.len();
         let mut p0 = vec![0.0; n];
         p0[n - 1] = 1.0;
         // The ring keeps every state connected at rates >= 0.1, so the chain
         // mixes well within a horizon of 1e3.
-        let p = chain.transient(&p0, 1e3, 1e-12).unwrap();
-        let pi = chain.steady_state().unwrap();
+        let p = transient(&chain, &p0, 1e3, 1e-12).unwrap();
+        let pi = steady_state(&chain);
         for (a, b) in p.iter().zip(&pi) {
             prop_assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -301,28 +311,13 @@ proptest! {
     ) {
         // From the first state into one other state: the renewal answer on
         // GTH against the linear solve of the absorbing chain.
-        let n = chain.num_states();
+        let n = chain.len();
         let mut target = vec![false; n];
         target[1 + pick % (n - 1)] = true;
-        let mut rates = vec![vec![0.0; n]; n];
-        for (from, to, rate) in chain.transitions() {
-            rates[from.index()][to.index()] += rate;
-        }
-        let renewal = mean_first_passage_gth(&rates, 0, &target).unwrap();
+        let renewal = mean_first_passage_gth(&chain, 0, &target).unwrap();
         let lu = reference::mean_time_to_absorption_lu(&chain, 0, &target).unwrap();
         prop_assert!(renewal.is_finite() && renewal > 0.0);
         prop_assert!((renewal - lu).abs() <= 1e-8 * lu, "renewal {renewal} vs LU {lu}");
-    }
-
-    #[test]
-    fn uniformized_matrix_is_stochastic(chain in arb_chain(12)) {
-        let (p, lambda) = chain.uniformized();
-        prop_assert!(lambda > 0.0);
-        for r in 0..p.rows() {
-            let sum: f64 = p.row(r).map(|(_, v)| v).sum();
-            prop_assert!((sum - 1.0).abs() < 1e-12);
-            prop_assert!(p.row(r).all(|(_, v)| v >= 0.0));
-        }
     }
 
 }
@@ -343,7 +338,7 @@ proptest! {
 
     #[test]
     fn gth_and_lu_sums_both_normalize(chain in arb_chain(12)) {
-        let gth: f64 = chain.steady_state().unwrap().iter().sum();
+        let gth: f64 = steady_state(&chain).iter().sum();
         let lu: f64 = reference::steady_state_lu(&chain).unwrap().iter().sum();
         prop_assert!((gth - 1.0).abs() < 1e-12, "GTH sum {gth}");
         prop_assert!((lu - 1.0).abs() < 1e-10, "LU sum {lu}");
@@ -352,7 +347,7 @@ proptest! {
 
     #[test]
     fn power_iteration_agrees_with_gth(chain in arb_chain(8)) {
-        let gth = chain.steady_state().unwrap();
+        let gth = steady_state(&chain);
         let pow = reference::steady_state_power(&chain, 2_000_000, 1e-14).unwrap();
         let total: f64 = pow.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-10, "power sum {total}");

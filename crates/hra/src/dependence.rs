@@ -17,7 +17,6 @@
 //! `EXPns2 → DUns2` edge is a *second* error during recovery from a first
 //! one — THERP says its probability should exceed the base hep.
 
-use crate::error::Result;
 use crate::hep::Hep;
 
 /// THERP dependence level between two consecutive actions.
@@ -115,25 +114,6 @@ pub fn escalated(base: Hep, level: DependenceLevel, concurrent: u32) -> Hep {
     Hep::new(p.clamp(0.0, 1.0)).expect("escalated hep stays in [0,1]")
 }
 
-/// Probability that a sequence of `n` same-operator attempts *all* err,
-/// with the given dependence between consecutive attempts — the quantity
-/// that decides how long a DU outage persists under repeated recovery
-/// attempts.
-///
-/// # Errors
-/// Never fails for valid `Hep` inputs; result is a valid probability.
-pub fn all_attempts_fail(base: Hep, level: DependenceLevel, attempts: u32) -> Result<Hep> {
-    if attempts == 0 {
-        return Hep::new(0.0);
-    }
-    let mut p = base.value();
-    let cond = level.conditional_hep(base).value();
-    for _ in 1..attempts {
-        p *= cond;
-    }
-    Hep::new(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,35 +147,6 @@ mod tests {
         assert!((ld - 0.0595).abs() < 1e-4);
         assert!((md - 0.1514).abs() < 1e-3);
         assert!((hd - 0.505).abs() < 1e-3);
-    }
-
-    #[test]
-    fn dependence_inflates_repeated_failure() {
-        let base = Hep::new(0.01).unwrap();
-        let independent = all_attempts_fail(base, DependenceLevel::Zero, 3).unwrap();
-        let coupled = all_attempts_fail(base, DependenceLevel::High, 3).unwrap();
-        // Independent: 1e-6; high dependence: 0.01 · 0.505² ≈ 2.6e-3.
-        assert!((independent.value() - 1e-6).abs() < 1e-12);
-        assert!(coupled.value() > 1e-3);
-        assert!(coupled.value() / independent.value() > 1_000.0);
-    }
-
-    #[test]
-    fn zero_attempts_cannot_fail() {
-        let base = Hep::new(0.5).unwrap();
-        assert_eq!(
-            all_attempts_fail(base, DependenceLevel::Complete, 0)
-                .unwrap()
-                .value(),
-            0.0
-        );
-    }
-
-    #[test]
-    fn complete_dependence_repeats_forever() {
-        let base = Hep::new(0.25).unwrap();
-        let p = all_attempts_fail(base, DependenceLevel::Complete, 10).unwrap();
-        assert_eq!(p.value(), 0.25);
     }
 
     #[test]

@@ -8,8 +8,6 @@ use std::fmt;
 pub enum HraError {
     /// A probability was outside `[0, 1]`.
     InvalidProbability(f64),
-    /// A model was given no data to work with.
-    EmptyModel(&'static str),
 }
 
 impl fmt::Display for HraError {
@@ -18,7 +16,6 @@ impl fmt::Display for HraError {
             HraError::InvalidProbability(p) => {
                 write!(f, "probability {p} outside the interval [0, 1]")
             }
-            HraError::EmptyModel(what) => write!(f, "empty model: {what}"),
         }
     }
 }
@@ -35,7 +32,5 @@ mod tests {
     #[test]
     fn messages() {
         assert!(HraError::InvalidProbability(2.0).to_string().contains("2"));
-        let e = HraError::EmptyModel("no opportunities observed");
-        assert!(e.to_string().contains("no opportunities"));
     }
 }

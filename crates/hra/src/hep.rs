@@ -20,8 +20,8 @@ use std::fmt;
 ///
 /// # fn main() -> Result<(), availsim_hra::HraError> {
 /// let hep = Hep::new(0.001)?;
-/// assert!(hep.is_within_enterprise_band());
-/// assert_eq!(hep.complement(), 0.999);
+/// assert_eq!(hep.value(), 0.001);
+/// assert!(Hep::new(1.5).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -43,51 +43,9 @@ impl Hep {
         Ok(Hep(p))
     }
 
-    /// Estimates hep from observed counts: errors over opportunities.
-    ///
-    /// # Errors
-    /// Returns [`HraError::EmptyModel`] for zero opportunities.
-    pub fn from_observations(errors: u64, opportunities: u64) -> Result<Self> {
-        if opportunities == 0 {
-            return Err(HraError::EmptyModel("no opportunities observed"));
-        }
-        if errors > opportunities {
-            return Err(HraError::InvalidProbability(
-                errors as f64 / opportunities as f64,
-            ));
-        }
-        Ok(Hep(errors as f64 / opportunities as f64))
-    }
-
     /// The probability value.
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    /// `1 − hep`, the per-action success probability.
-    pub fn complement(self) -> f64 {
-        1.0 - self.0
-    }
-
-    /// Whether the value lies in the general human-error band reported by
-    /// the HRA literature the paper surveys (0.001 to 0.1).
-    pub fn is_within_literature_band(self) -> bool {
-        (0.001..=0.1).contains(&self.0)
-    }
-
-    /// Whether the value lies in the enterprise / safety-critical band
-    /// (0.001 to 0.01).
-    pub fn is_within_enterprise_band(self) -> bool {
-        (0.001..=0.01).contains(&self.0)
-    }
-
-    /// Probability that at least one of `n` independent actions errs:
-    /// `1 − (1−hep)^n`, computed in a cancellation-free way.
-    pub fn at_least_one_error_in(self, n: u64) -> f64 {
-        if self.0 == 0.0 || n == 0 {
-            return 0.0;
-        }
-        -((n as f64) * (-self.0).ln_1p()).exp_m1()
     }
 }
 
@@ -125,41 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn observation_estimator() {
-        let h = Hep::from_observations(3, 1000).unwrap();
-        assert!((h.value() - 0.003).abs() < 1e-15);
-        assert!(Hep::from_observations(1, 0).is_err());
-        assert!(Hep::from_observations(5, 3).is_err());
-    }
-
-    #[test]
-    fn paper_bands() {
-        assert!(Hep::new(0.001).unwrap().is_within_enterprise_band());
-        assert!(Hep::new(0.01).unwrap().is_within_enterprise_band());
-        assert!(!Hep::new(0.05).unwrap().is_within_enterprise_band());
-        assert!(Hep::new(0.05).unwrap().is_within_literature_band());
-        assert!(!Hep::new(0.5).unwrap().is_within_literature_band());
-        assert!(!Hep::ZERO.is_within_literature_band());
-    }
-
-    #[test]
-    fn at_least_one_error() {
-        let h = Hep::new(0.01).unwrap();
-        // 1 - 0.99^100 ≈ 0.634
-        assert!((h.at_least_one_error_in(100) - 0.633_967_658_726_77).abs() < 1e-9);
-        assert_eq!(Hep::ZERO.at_least_one_error_in(1000), 0.0);
-        assert_eq!(h.at_least_one_error_in(0), 0.0);
-        // Tiny hep stays precise.
-        let tiny = Hep::new(1e-12).unwrap();
-        assert!((tiny.at_least_one_error_in(10) - 1e-11).abs() < 1e-16);
-    }
-
-    #[test]
     fn conversions() {
         let h: Hep = 0.02f64.try_into().unwrap();
         let back: f64 = h.into();
         assert_eq!(back, 0.02);
-        assert_eq!(h.complement(), 0.98);
         assert_eq!(h.to_string(), "hep=0.02");
     }
 }

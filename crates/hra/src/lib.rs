@@ -3,11 +3,11 @@
 //! Human Reliability Assessment (HRA) substrate: the human error
 //! probability (hep) that the availability models consume.
 //!
-//! * [`Hep`] — a validated probability newtype with the paper's literature
-//!   and enterprise bands.
+//! * [`Hep`] — a validated probability newtype; `hep = 0` is the paper's
+//!   baseline that ignores human error.
 //! * [`DependenceLevel`] — THERP dependence between consecutive actions,
-//!   which escalates the hep of concurrent or repeated operator actions
-//!   ([`escalated`], [`all_attempts_fail`]).
+//!   which escalates the hep of concurrent operator actions
+//!   ([`escalated`]).
 //!
 //! # Examples
 //!
@@ -19,7 +19,6 @@
 //!
 //! # fn main() -> Result<(), availsim_hra::HraError> {
 //! let hep = Hep::new(0.01)?;
-//! assert!(hep.is_within_enterprise_band());
 //! let second = DependenceLevel::High.conditional_hep(hep);
 //! assert!(second.value() > 0.5);
 //! # Ok(())
@@ -33,6 +32,6 @@ mod dependence;
 mod error;
 mod hep;
 
-pub use dependence::{all_attempts_fail, escalated, DependenceLevel};
+pub use dependence::{escalated, DependenceLevel};
 pub use error::{HraError, Result};
 pub use hep::Hep;

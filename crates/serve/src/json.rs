@@ -83,14 +83,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -42,11 +42,6 @@ pub trait Lifetime: fmt::Debug + Send + Sync {
     fn name(&self) -> String;
 }
 
-/// Draws `n` samples into a vector (test and harness convenience).
-pub fn sample_n(dist: &dyn Lifetime, rng: &mut SimRng, n: usize) -> Vec<f64> {
-    (0..n).map(|_| dist.sample(rng)).collect()
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
@@ -55,7 +50,7 @@ pub(crate) mod test_support {
     /// quantile function inverts the CDF.
     pub fn check_distribution(dist: &dyn Lifetime, seed: u64, n: usize, rel_tol: f64) {
         let mut rng = SimRng::seed_from(seed);
-        let samples = sample_n(dist, &mut rng, n);
+        let samples: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
         assert!(
             samples.iter().all(|&x| x >= 0.0 && x.is_finite()),
             "negative/NaN sample"
@@ -96,12 +91,5 @@ mod tests {
             assert!(x >= 0.0);
             assert!(!d.name().is_empty());
         }
-    }
-
-    #[test]
-    fn sample_n_has_requested_length() {
-        let d = Exponential::new(1.0).unwrap();
-        let mut rng = SimRng::seed_from(2);
-        assert_eq!(sample_n(&d, &mut rng, 17).len(), 17);
     }
 }

@@ -68,24 +68,6 @@ impl Weibull {
     pub fn shape(&self) -> f64 {
         self.shape
     }
-
-    /// Instantaneous hazard rate `h(t) = (β/η)(t/η)^{β−1}`.
-    ///
-    /// For `β > 1` the hazard increases with age (wear-out); `β = 1` recovers
-    /// the exponential's constant hazard.
-    pub fn hazard(&self, t: f64) -> f64 {
-        if t < 0.0 {
-            return 0.0;
-        }
-        if t == 0.0 {
-            return match self.shape.partial_cmp(&1.0) {
-                Some(std::cmp::Ordering::Less) => f64::INFINITY,
-                Some(std::cmp::Ordering::Equal) => 1.0 / self.scale,
-                _ => 0.0,
-            };
-        }
-        (self.shape / self.scale) * (t / self.scale).powf(self.shape - 1.0)
-    }
 }
 
 impl Lifetime for Weibull {
@@ -147,7 +129,6 @@ mod tests {
             let expect = 1.0 - (-x / 10.0f64).exp();
             assert!((w.cdf(x) - expect).abs() < 1e-12);
         }
-        assert!((w.hazard(3.0) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -162,22 +143,6 @@ mod tests {
         let w = Weibull::from_rate_shape(1.25e-6, 1.09).unwrap();
         assert!((w.scale() - 8e5).abs() < 1.0);
         assert!((w.shape() - 1.09).abs() < 1e-12);
-    }
-
-    #[test]
-    fn increasing_hazard_for_beta_above_one() {
-        let w = Weibull::new(1e5, 1.5).unwrap();
-        let h1 = w.hazard(1e4);
-        let h2 = w.hazard(5e4);
-        let h3 = w.hazard(2e5);
-        assert!(h1 < h2 && h2 < h3, "hazard should increase: {h1} {h2} {h3}");
-    }
-
-    #[test]
-    fn decreasing_hazard_for_beta_below_one() {
-        let w = Weibull::new(1e5, 0.7).unwrap();
-        assert!(w.hazard(1e3) > w.hazard(1e5));
-        assert!(w.hazard(0.0).is_infinite());
     }
 
     #[test]

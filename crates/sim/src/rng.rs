@@ -235,18 +235,6 @@ impl SimRng {
             self.next_f64() < p
         }
     }
-
-    /// Standard normal deviate via the polar (Marsaglia) method.
-    pub fn next_standard_normal(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.next_f64() - 1.0;
-            let v = 2.0 * self.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -412,16 +400,5 @@ mod tests {
         let hits = (0..n).filter(|_| rng.bernoulli(0.01)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.01).abs() < 0.002, "freq {freq}");
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = SimRng::seed_from(23);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.next_standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
     }
 }

@@ -36,15 +36,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, x: f64) -> bool {
         x >= self.lower() && x <= self.upper()
     }
-
-    /// Relative half-width `half_width / |mean|` (`inf` if the mean is zero).
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 impl fmt::Display for ConfidenceInterval {
@@ -113,35 +104,6 @@ pub fn wilson_interval(successes: u64, trials: u64, confidence: f64) -> Result<C
     })
 }
 
-/// How many iterations are needed for a target relative half-width, given a
-/// pilot run (the "inverse square root" law the paper cites).
-///
-/// # Errors
-/// Returns [`SimError::InsufficientData`] if the pilot has fewer than two
-/// observations, and [`SimError::InvalidConfig`] if the pilot mean is zero
-/// (relative precision undefined) or `target_rel` is not positive.
-pub fn required_iterations(pilot: &RunningStats, confidence: f64, target_rel: f64) -> Result<u64> {
-    if pilot.count() < 2 {
-        return Err(SimError::InsufficientData {
-            needed: 2,
-            available: pilot.count() as usize,
-        });
-    }
-    if target_rel <= 0.0 {
-        return Err(SimError::InvalidConfig(format!(
-            "target relative half-width must be positive, got {target_rel}"
-        )));
-    }
-    if pilot.mean() == 0.0 {
-        return Err(SimError::InvalidConfig(
-            "pilot mean is zero; relative precision undefined".into(),
-        ));
-    }
-    let t = t_critical_two_sided(confidence, (pilot.count() - 1) as f64)?;
-    let needed = (t * pilot.sample_std() / (target_rel * pilot.mean().abs())).powi(2);
-    Ok(needed.ceil().max(2.0) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +128,6 @@ mod tests {
         assert_eq!(ci.upper(), 12.0);
         assert!(ci.contains(9.0));
         assert!(!ci.contains(12.5));
-        assert!((ci.relative_half_width() - 0.2).abs() < 1e-15);
         assert!(ci.to_string().contains("95.0%"));
     }
 
@@ -218,26 +179,5 @@ mod tests {
     fn wilson_is_symmetric_for_half() {
         let ci = wilson_interval(500, 1_000, 0.95).unwrap();
         assert!((ci.mean - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn required_iterations_shrinks_with_looser_target() {
-        let mut s = RunningStats::new();
-        let mut rng = SimRng::seed_from(5);
-        for _ in 0..100 {
-            s.push(1.0 + rng.next_f64());
-        }
-        let tight = required_iterations(&s, 0.99, 0.001).unwrap();
-        let loose = required_iterations(&s, 0.99, 0.01).unwrap();
-        assert!(tight > loose);
-        // Quadratic scaling: 10x tighter -> ~100x more samples.
-        let ratio = tight as f64 / loose as f64;
-        assert!((ratio - 100.0).abs() < 15.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn required_iterations_rejects_zero_mean() {
-        let s = stats_from(&[-1.0, 1.0]);
-        assert!(required_iterations(&s, 0.95, 0.01).is_err());
     }
 }

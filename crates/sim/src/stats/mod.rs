@@ -2,8 +2,7 @@
 //!
 //! * [`RunningStats`] — one-pass mean/variance (Welford), mergeable for
 //!   parallel reductions.
-//! * [`ci`] — Student-t and Wilson confidence intervals, plus the
-//!   iteration-count planner implied by the paper's error formula.
+//! * [`ci`] — Student-t and Wilson confidence intervals.
 //! * [`gof`] — Kolmogorov–Smirnov and chi-square goodness-of-fit tests used
 //!   to validate the samplers.
 //! * [`special`] / [`student_t`] — the underlying special functions
@@ -15,6 +14,6 @@ pub mod special;
 pub mod student_t;
 pub mod welford;
 
-pub use ci::{required_iterations, t_interval, wilson_interval, ConfidenceInterval};
+pub use ci::{t_interval, wilson_interval, ConfidenceInterval};
 pub use gof::{chi_square_test, ks_test, ks_test_cdf, ChiSquareResult, KsResult};
 pub use welford::RunningStats;

@@ -52,21 +52,6 @@ impl FailureModel {
             .map_err(|e| StorageError::InvalidConfig(e.to_string()))
     }
 
-    /// The `index`-th Schroeder–Gibson field fit (see
-    /// [`SCHROEDER_GIBSON_FITS`]).
-    ///
-    /// # Errors
-    /// Returns [`StorageError::InvalidConfig`] for `index >= 4`.
-    pub fn field_fit(index: usize) -> Result<Self> {
-        let (rate, shape) = *SCHROEDER_GIBSON_FITS.get(index).ok_or_else(|| {
-            StorageError::InvalidConfig(format!(
-                "field fit index {index} out of range (0..{})",
-                SCHROEDER_GIBSON_FITS.len()
-            ))
-        })?;
-        FailureModel::weibull(rate, shape)
-    }
-
     /// Samples a time to failure (hours).
     pub fn sample_ttf(&self, rng: &mut SimRng) -> f64 {
         match self {
@@ -82,23 +67,6 @@ impl FailureModel {
             FailureModel::Weibull(d) => d.mean(),
         }
     }
-
-    /// A nominal per-hour failure rate: the true rate for exponential, and
-    /// `1/η` (the paper's quoted "failure rate") for Weibull.
-    pub fn nominal_rate(&self) -> f64 {
-        match self {
-            FailureModel::Exponential(d) => d.rate(),
-            FailureModel::Weibull(d) => 1.0 / d.scale(),
-        }
-    }
-
-    /// The underlying lifetime distribution.
-    pub fn as_lifetime(&self) -> &dyn Lifetime {
-        match self {
-            FailureModel::Exponential(d) => d,
-            FailureModel::Weibull(d) => d,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,25 +76,26 @@ mod tests {
     #[test]
     fn exponential_model_roundtrip() {
         let m = FailureModel::exponential(1e-6).unwrap();
-        assert!((m.nominal_rate() - 1e-6).abs() < 1e-18);
         assert!((m.mttf_hours() - 1e6).abs() < 1e-3);
     }
 
     #[test]
     fn weibull_model_uses_reciprocal_scale() {
         let m = FailureModel::weibull(2e-5, 1.48).unwrap();
-        assert!((m.nominal_rate() - 2e-5).abs() < 1e-12);
+        let FailureModel::Weibull(w) = &m else {
+            panic!("a Weibull model: {m:?}");
+        };
+        assert!((w.scale() - 5e4).abs() < 1e-6);
         // For β > 1 the mean is below the characteristic life.
         assert!(m.mttf_hours() < 5e4);
     }
 
     #[test]
     fn all_field_fits_construct() {
-        for i in 0..SCHROEDER_GIBSON_FITS.len() {
-            let m = FailureModel::field_fit(i).unwrap();
+        for (rate, shape) in SCHROEDER_GIBSON_FITS {
+            let m = FailureModel::weibull(rate, shape).unwrap();
             assert!(m.mttf_hours() > 0.0);
         }
-        assert!(FailureModel::field_fit(4).is_err());
     }
 
     #[test]
@@ -138,16 +107,11 @@ mod tests {
 
     #[test]
     fn samples_are_positive() {
-        let m = FailureModel::field_fit(0).unwrap();
+        let (rate, shape) = SCHROEDER_GIBSON_FITS[0];
+        let m = FailureModel::weibull(rate, shape).unwrap();
         let mut rng = SimRng::seed_from(5);
         for _ in 0..100 {
             assert!(m.sample_ttf(&mut rng) > 0.0);
         }
-    }
-
-    #[test]
-    fn lifetime_view_matches_model() {
-        let m = FailureModel::exponential(0.01).unwrap();
-        assert!((m.as_lifetime().mean() - 100.0).abs() < 1e-9);
     }
 }

@@ -79,23 +79,6 @@ impl RaidGeometry {
         }
     }
 
-    /// An `n`-way mirror of a single logical disk (`1+(n−1)` copies).
-    ///
-    /// # Errors
-    /// Returns [`StorageError::InvalidGeometry`] for fewer than two copies.
-    pub fn raid1_mirror(copies: u32) -> Result<Self> {
-        if copies < 2 {
-            return Err(StorageError::InvalidGeometry(
-                "raid1 needs at least two copies".into(),
-            ));
-        }
-        Ok(RaidGeometry {
-            level: RaidLevel::Raid1,
-            data_disks: 1,
-            redundancy_disks: copies - 1,
-        })
-    }
-
     /// RAID5 with `k` data disks and one parity disk (`k+1`).
     ///
     /// # Errors
@@ -295,7 +278,6 @@ mod tests {
     #[test]
     fn invalid_geometries_rejected() {
         assert!(RaidGeometry::raid0(0).is_err());
-        assert!(RaidGeometry::raid1_mirror(1).is_err());
         assert!(RaidGeometry::raid5(1).is_err());
         assert!(RaidGeometry::raid6(0).is_err());
     }
@@ -335,13 +317,11 @@ mod tests {
     #[test]
     fn erf_is_consistent_across_constructors() {
         // ERF must always equal total/data no matter which constructor
-        // built the geometry — including the fixed raid1_pair vs the
-        // general mirror, and raid0's degenerate 1.0.
+        // built the geometry — including the mirror pair and raid0's
+        // degenerate 1.0.
         let geoms = [
             RaidGeometry::raid0(5).unwrap(),
             RaidGeometry::raid1_pair(),
-            RaidGeometry::raid1_mirror(2).unwrap(),
-            RaidGeometry::raid1_mirror(4).unwrap(),
             RaidGeometry::raid5(2).unwrap(),
             RaidGeometry::raid5(7).unwrap(),
             RaidGeometry::raid6(2).unwrap(),
@@ -353,18 +333,5 @@ mod tests {
             assert_eq!(g.usable_capacity(), g.data_disks(), "{g}");
             assert_eq!(g.total_disks() - g.fault_tolerance(), g.data_disks(), "{g}");
         }
-        // The two ways of building a plain mirror pair agree exactly.
-        assert_eq!(
-            RaidGeometry::raid1_pair(),
-            RaidGeometry::raid1_mirror(2).unwrap()
-        );
-    }
-
-    #[test]
-    fn three_way_mirror() {
-        let m = RaidGeometry::raid1_mirror(3).unwrap();
-        assert_eq!(m.total_disks(), 3);
-        assert_eq!(m.fault_tolerance(), 2);
-        assert!((m.effective_replication_factor() - 3.0).abs() < 1e-12);
     }
 }

@@ -30,6 +30,7 @@ use availsim::sim::telemetry::{
 };
 use std::collections::HashMap;
 use std::error::Error;
+use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
@@ -207,27 +208,33 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     else {
         unreachable!("solve runs an exact model");
     };
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "{} λ={:.3e} hep={} policy={}",
         cell.raid.label(),
         cell.lambda,
         cell.hep,
         cell.policy
-    );
-    println!("  unavailability : {u:.6e}");
-    println!(
+    )?;
+    writeln!(out, "  unavailability : {u:.6e}")?;
+    writeln!(
+        out,
         "  availability   : {:.4} nines",
         nines::nines_from_unavailability(u)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  downtime       : {:.4} min/yr",
         nines::downtime_minutes_per_year(u)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  MTTDL          : {:.0} h ({:.1} yr)",
         mttdl,
         mttdl / 8766.0
-    );
+    )?;
+    Stdout::default().print(&out)?;
     Ok(())
 }
 
@@ -239,43 +246,51 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     if !(from > 0.0 && to > from && points >= 2) {
         return Err("need 0 < from < to and points >= 2".into());
     }
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "{:>12} {:>12} {:>10} {:>10}",
         "lambda", "U(hep)", "nines", "vs hep=0"
-    );
+    )?;
     let step = (to - from) / (points - 1) as f64;
     for i in 0..points {
         let lam = from + i as f64 * step;
         let row = underestimation(ModelParams::raid5_3plus1(lam, hep)?)?;
-        println!(
+        writeln!(
+            out,
             "{:>12.4e} {:>12.4e} {:>10.3} {:>9.1}x",
             lam,
             row.with_hep,
             nines::nines_from_unavailability(row.with_hep),
             row.factor()
-        );
+        )?;
     }
+    Stdout::default().print(&out)?;
     Ok(())
 }
 
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let lambda: f64 = flag(flags, "lambda", 1e-5)?;
     let capacity: u64 = flag(flags, "capacity", 21)?;
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "{:<12} {:>7} {:>6} {:>9} {:>11} {:>10}",
         "config", "arrays", "disks", "hep=0", "hep=0.001", "hep=0.01"
-    );
+    )?;
     let base = compare_equal_capacity(capacity, lambda, Hep::ZERO)?;
     for (i, row) in base.iter().enumerate() {
         let mut cells = vec![row.nines()];
         for h in [0.001, 0.01] {
             cells.push(compare_equal_capacity(capacity, lambda, Hep::new(h)?)?[i].nines());
         }
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>7} {:>6} {:>9.3} {:>11.3} {:>10.3}",
             row.label, row.arrays, row.total_disks, cells[0], cells[1], cells[2]
-        );
+        )?;
     }
+    Stdout::default().print(&out)?;
     Ok(())
 }
 
@@ -303,33 +318,38 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         unreachable!("validate runs the single-array engine");
     };
     phases.record("run", started.elapsed().as_micros() as u64);
-    println!("markov availability : {markov_availability:.9}");
-    println!("mc availability     : {}", est.availability);
+    let mut out = String::new();
+    writeln!(out, "markov availability : {markov_availability:.9}")?;
+    writeln!(out, "mc availability     : {}", est.availability)?;
     if s.mc.variance != McVariance::Naive {
-        println!(
+        writeln!(
+            out,
             "rare-event mode     : {} (ESS {:.0} of {}, max weight {:.3e})",
             s.mc.variance, est.effective_sample_size, est.iterations, est.max_weight
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "verdict             : {}",
         if est.is_consistent_with(markov_availability) {
             "consistent (Markov inside the 99% CI)"
         } else {
             "INCONSISTENT — investigate"
         }
-    );
+    )?;
     if s.lse.is_some() {
-        println!("p(data loss)        : {}", est.p_data_loss);
-        println!(
+        writeln!(out, "p(data loss)        : {}", est.p_data_loss)?;
+        writeln!(
+            out,
             "nomdl               : {:.4e} events/TB-mission",
             est.nomdl_per_tb
-        );
+        )?;
         match est.mean_time_to_first_loss_hours {
-            Some(t) => println!("mean 1st loss       : {t:.0} h"),
-            None => println!("mean 1st loss       : none observed"),
+            Some(t) => writeln!(out, "mean 1st loss       : {t:.0} h")?,
+            None => writeln!(out, "mean 1st loss       : none observed")?,
         }
     }
+    Stdout::default().print(&out)?;
     write_metrics(
         &s.telemetry,
         &MetricsReport {
@@ -362,8 +382,10 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     phases.record("run", started.elapsed().as_micros() as u64);
     let coupling = s.fleet.unwrap_or_default().coupling();
     let dc = spec.datacenter(cell.lambda, cell.hep)?;
+    let mut out = String::new();
 
-    println!(
+    writeln!(
+        out,
         "fleet {} x {} ({} disks) λ={:.3e} hep={} — {} missions of {} h",
         spec.arrays(),
         cell.raid.label(),
@@ -372,93 +394,117 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         cell.hep,
         s.mc.iterations,
         s.mc.horizon_hours
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  disk failures          : {:.3}/day (fleet MTBF {:.1} h)",
         dc.expected_failures_per_day(),
         dc.mean_time_between_failures_hours()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  human errors           : {:.3}/year (given hep per service action)",
         dc.expected_human_errors_per_year()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  repair crews           : {}",
         match spec.repairmen() {
             Some(c) => c.to_string(),
             None => "unlimited".to_string(),
         }
-    );
+    )?;
     if coupling.dependence != DependenceLevel::Zero {
-        println!("  operator dependence    : {} (THERP)", coupling.dependence);
+        writeln!(
+            out,
+            "  operator dependence    : {} (THERP)",
+            coupling.dependence
+        )?;
     }
     if let Some(d) = coupling.domains {
-        println!(
+        writeln!(
+            out,
             "  failure domains        : shelves of {} struck at {:.3e}/h",
             d.domain_arrays, d.rate
-        );
+        )?;
     }
     if let Some(l) = s.lse {
-        println!(
+        writeln!(
+            out,
             "  lse scrubbing          : rate {:.3e}/disk-h, scrub every {} h",
             l.lse_rate, l.scrub_interval_hours
-        );
+        )?;
     }
     if let Some(f) = spec.failover() {
         match f.capacity {
-            None => println!("  DR failover            : unlimited slots (ideal site)"),
-            Some(k) => println!(
+            None => writeln!(
+                out,
+                "  DR failover            : unlimited slots (ideal site)"
+            )?,
+            Some(k) => writeln!(
+                out,
                 "  DR failover            : {k} slots ({} policy), fail-back {:.3e}/h",
                 f.policy, f.failback_rate
-            ),
+            )?,
         }
     }
-    println!("  per-array availability : {}", est.availability);
-    println!(
+    writeln!(out, "  per-array availability : {}", est.availability)?;
+    writeln!(
+        out,
         "  per-array downtime     : {:.4} h/yr ({:.4} nines)",
         est.annual_array_downtime_hours,
         nines::nines_from_unavailability(est.array_unavailability())
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  any-array-down         : {:.4} h/yr (fleet availability {:.9})",
         est.annual_any_down_hours, est.fleet_availability
-    );
+    )?;
     if spec.failover().is_some() {
-        println!("  DR-credited avail      : {}", est.credited_availability);
-        println!(
+        writeln!(
+            out,
+            "  DR-credited avail      : {}",
+            est.credited_availability
+        )?;
+        writeln!(
+            out,
             "  DR-credited fleet      : {:.9} (uncovered unavailability {:.4e})",
             est.credited_fleet_availability,
             est.credited_array_unavailability()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  DR site                : mean occupancy {:.4}, queue wait {:.4} array-h/mission",
             est.mean_dr_occupancy(),
             est.mean_dr_queue_wait_hours()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  DR events              : {} failovers, {} failbacks, {} queue waits, {} rejections",
             est.failovers, est.failbacks, est.dr_queue_waits, est.dr_rejections
-        );
+        )?;
     }
     if s.lse.is_some() {
-        println!("  p(data loss)           : {}", est.p_data_loss);
-        println!(
+        writeln!(out, "  p(data loss)           : {}", est.p_data_loss)?;
+        writeln!(
+            out,
             "  nomdl                  : {:.4e} events/TB-mission",
             est.nomdl_per_tb
-        );
+        )?;
         match est.mean_time_to_first_loss_hours {
-            Some(t) => println!("  mean time to 1st loss  : {t:.0} h"),
-            None => println!("  mean time to 1st loss  : none observed"),
+            Some(t) => writeln!(out, "  mean time to 1st loss  : {t:.0} h")?,
+            None => writeln!(out, "  mean time to 1st loss  : none observed")?,
         }
     }
-    println!(
+    writeln!(
+        out,
         "  simultaneous degraded  : mean {:.4}, peak {}",
         est.mean_degraded(),
         est.max_degraded
-    );
+    )?;
     // The head of the degraded distribution: every bin until the shares
     // become negligible (always at least the 0/1 bins).
-    print!("  degraded time share    :");
+    write!(out, "  degraded time share    :")?;
     let mut printed = 0;
     for (k, &share) in est.degraded_time_share.iter().enumerate() {
         if k > 1 && share < 1e-6 {
@@ -469,16 +515,17 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         } else {
             k.to_string()
         };
-        print!(" {label}:{:.4}%", share * 100.0);
+        write!(out, " {label}:{:.4}%", share * 100.0)?;
         printed = k + 1;
     }
     // The last bin absorbs every k >= 32; surface it even when the
     // interior bins are empty (e.g. shelf-wide domain outages).
     let tail = est.degraded_time_share[DEGRADED_BINS - 1];
     if printed < DEGRADED_BINS && tail >= 1e-6 {
-        print!(" .. {}+:{:.4}%", DEGRADED_BINS - 1, tail * 100.0);
+        write!(out, " .. {}+:{:.4}%", DEGRADED_BINS - 1, tail * 100.0)?;
     }
-    println!();
+    writeln!(out)?;
+    Stdout::default().print(&out)?;
     write_metrics(
         &s.telemetry,
         &MetricsReport {
@@ -600,9 +647,10 @@ fn write_metrics(tele: &TelemetrySettings, r: &MetricsReport<'_>) -> Result<(), 
     Ok(())
 }
 
-/// `batch`'s standard output. A closed pipe (`availsim batch ... | head`)
-/// ends stdout, not the command: later output is dropped, and the report
-/// files and metrics are still written.
+/// The CLI's standard output. Every command prints through it, so a
+/// closed pipe (`availsim ... | head`) ends stdout, not the command: later
+/// output is dropped, and report files and metrics are still written. Each
+/// print is flushed at once.
 #[derive(Default)]
 struct Stdout {
     closed: bool,
@@ -759,8 +807,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     // still drains instead of killing the process mid-accept.
     availsim::serve::signal::install_handlers();
     let server = availsim::serve::Server::bind(config)?;
-    println!("listening on http://{}", server.addr());
-    io::stdout().flush()?;
+    // Printed (and flushed) at once: scripts wait for this line.
+    Stdout::default().print(&format!("listening on http://{}\n", server.addr()))?;
     let drained_clean = server.run(availsim::serve::signal::stop_flag())?;
     eprintln!(
         "drained {}",
@@ -888,14 +936,10 @@ fn main() -> ExitCode {
         )
         .map_err(Into::into)
         .and_then(cmd_serve),
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            Ok(())
-        }
-        "version" | "--version" | "-V" => {
-            println!("availsim {}", env!("CARGO_PKG_VERSION"));
-            Ok(())
-        }
+        "help" | "--help" | "-h" => Stdout::default().print(usage()).map_err(Into::into),
+        "version" | "--version" | "-V" => Stdout::default()
+            .print(&format!("availsim {}\n", env!("CARGO_PKG_VERSION")))
+            .map_err(Into::into),
         other => Err(format!("unknown command `{other}`").into()),
     };
     match result {

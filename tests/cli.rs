@@ -843,6 +843,52 @@ fn batch_finishes_its_reports_when_stdout_closes_early() {
 }
 
 #[test]
+fn every_one_shot_command_finishes_when_stdout_closes() {
+    // Each command gets a pipe whose reader is gone before it starts, so
+    // its first write fails: the command must still exit 0, without a
+    // panic, and `validate --metrics` must still write its file.
+    let metrics = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("closed-stdout-validate.json");
+    let _ = std::fs::remove_file(&metrics);
+    let commands: [&[&str]; 7] = [
+        &["solve"],
+        &["sweep", "--points", "3"],
+        &["compare"],
+        &[
+            "validate",
+            "--iterations",
+            "500",
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ],
+        &[
+            "fleet",
+            "--arrays",
+            "4",
+            "--iterations",
+            "20",
+            "--horizon",
+            "1000",
+        ],
+        &["--help"],
+        &["--version"],
+    ];
+    for args in commands {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_availsim"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let written = std::fs::read_to_string(&metrics).expect("validate wrote its metrics");
+    assert!(written.contains("\"command\": \"validate\""), "{written}");
+}
+
+#[test]
 fn batch_metric_files_are_identical_for_1_and_3_workers() {
     let spec = write_spec("workers.campaign", SURFACE_SPEC);
     let spec = spec.to_str().unwrap();

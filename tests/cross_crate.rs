@@ -4,7 +4,7 @@
 
 use availsim::core::markov::{EdgeTag, GenericKofN, Raid5Conventional, StateClass};
 use availsim::core::{nines, ModelParams};
-use availsim::ctmc::CtmcBuilder;
+use availsim::ctmc::steady_state_gth_rates;
 use availsim::hra::Hep;
 use availsim::sim::distributions::{Exponential, Lifetime, Weibull};
 use availsim::sim::rng::SimRng;
@@ -22,16 +22,13 @@ fn service_rates_match_model_params() {
     assert_eq!(params.removed_crash_rate, rates.removed_disk_crash);
 }
 
-/// A user-built CTMC and the packaged model agree on a two-state system.
+/// A user-built rate matrix and the packaged model agree on a two-state
+/// system.
 #[test]
 fn custom_ctmc_through_facade() {
-    let mut b = CtmcBuilder::new();
-    let up = b.state("up").unwrap();
-    let down = b.state("down").unwrap();
-    b.transition(up, down, 1e-4).unwrap();
-    b.transition(down, up, 0.1).unwrap();
-    let chain = b.build().unwrap();
-    let gth = chain.steady_state().unwrap();
+    // up -> down at 1e-4, down -> up at 0.1.
+    let mut rates = vec![vec![0.0, 1e-4], vec![0.1, 0.0]];
+    let gth = steady_state_gth_rates(&mut rates).unwrap();
     assert!((gth[1] - 1e-4 / (0.1 + 1e-4)).abs() < 1e-15);
     assert!((nines::nines_from_unavailability(gth[1]) - 3.0).abs() < 0.01);
 }
