@@ -11,7 +11,9 @@ use availsim_core::ModelParams;
 use availsim_ctmc::steady_state_gth_rates;
 use availsim_hra::{DependenceLevel, Hep};
 use availsim_sim::rng::SimRng;
-use availsim_storage::{FailoverPolicy, FailureModel, FleetFailover, FleetSpec, RaidGeometry};
+use availsim_storage::{
+    FailoverPolicy, FailureModel, FleetFailover, FleetSpec, RaidGeometry, ScrubbingModel,
+};
 
 fn spec(arrays: u32) -> FleetSpec {
     FleetSpec::new(arrays, RaidGeometry::raid5(3).unwrap()).unwrap()
@@ -929,4 +931,129 @@ fn dr_contention_orders_credited_unavailability_by_capacity() {
     // one-slot site can never report more than one busy slot.
     assert!(k1.mean_dr_queue_wait_hours() > 0.0);
     assert!(k1.mean_dr_occupancy() <= 1.0 + 1e-9);
+}
+
+/// FNV-1a over every public field of a fleet estimate, as raw words. The
+/// destructuring is exhaustive, so a new field fails to compile here
+/// until it is pinned too.
+fn every_field(est: &FleetEstimate) -> u64 {
+    let FleetEstimate {
+        availability,
+        overall_array_availability,
+        fleet_availability,
+        mean_array_downtime_hours,
+        annual_array_downtime_hours,
+        annual_any_down_hours,
+        du_downtime_share,
+        du_events,
+        dl_events,
+        p_data_loss,
+        nomdl_per_tb,
+        mean_time_to_first_loss_hours,
+        loss_missions,
+        degraded_time_share,
+        max_degraded,
+        credited_availability,
+        overall_credited_array_availability,
+        credited_fleet_availability,
+        dr_occupancy_share,
+        dr_queue_wait_hours,
+        failovers,
+        failbacks,
+        dr_queue_waits,
+        dr_rejections,
+        iterations,
+        horizon_hours,
+        arrays,
+        counters,
+    } = est;
+    let mut words = Vec::new();
+    for ci in [availability, p_data_loss, credited_availability] {
+        words.extend([ci.mean, ci.half_width, ci.confidence].map(f64::to_bits));
+    }
+    words.extend(
+        [
+            *overall_array_availability,
+            *fleet_availability,
+            *mean_array_downtime_hours,
+            *annual_array_downtime_hours,
+            *annual_any_down_hours,
+            *du_downtime_share,
+            *nomdl_per_tb,
+            mean_time_to_first_loss_hours.unwrap_or(-1.0),
+            *overall_credited_array_availability,
+            *credited_fleet_availability,
+            *dr_queue_wait_hours,
+            *horizon_hours,
+        ]
+        .map(f64::to_bits),
+    );
+    words.extend(degraded_time_share.iter().map(|s| s.to_bits()));
+    words.extend(dr_occupancy_share.iter().map(|s| s.to_bits()));
+    words.extend([
+        *du_events,
+        *dl_events,
+        *loss_missions,
+        *failovers,
+        *failbacks,
+        *dr_queue_waits,
+        *dr_rejections,
+        *iterations,
+        u64::from(*max_degraded),
+        u64::from(*arrays),
+    ]);
+    words.extend(counters.iter().map(|(_, v)| v));
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn every_fleet_estimate_field_is_pinned() {
+    // Every public field of `FleetEstimate` (counters on) for the plain
+    // fleet, the crew + dependence + domain couplings, a bounded DR site,
+    // and a live LSE rate.
+    let p = params(1e-3, 0.02);
+    let cfg = McConfig {
+        telemetry: true,
+        ..pin_config(1)
+    };
+    let coupled = FleetMc::new(spec(12).with_repairmen(2).unwrap(), p)
+        .unwrap()
+        .with_coupling(FleetCoupling {
+            dependence: DependenceLevel::Moderate,
+            domains: Some(DomainFailures {
+                domain_arrays: 4,
+                rate: 1e-4,
+            }),
+        })
+        .unwrap();
+    let bounded_dr = spec(12)
+        .with_failover(failover(Some(2), FailoverPolicy::Queue, 0.02))
+        .unwrap();
+    let lse = p.with_scrubbing(ScrubbingModel::new(1e-4, 336.0).unwrap());
+    let runs = [
+        ("plain", FleetMc::new(spec(8), p).unwrap().run(&cfg)),
+        ("crews + dependence + domains", coupled.run(&cfg)),
+        ("bounded DR", FleetMc::new(bounded_dr, p).unwrap().run(&cfg)),
+        ("lse", FleetMc::new(spec(8), lse).unwrap().run(&cfg)),
+    ];
+    let pinned: [(&str, u64); 4] = [
+        ("plain", 0x8411_935d_0c28_f5be),
+        ("crews + dependence + domains", 0xdc96_3eb7_3a26_edf7),
+        ("bounded DR", 0xb5e9_72f0_5b9a_4d54),
+        ("lse", 0x1760_7c04_4ed1_677a),
+    ];
+    let mismatches: Vec<String> = runs
+        .iter()
+        .zip(&pinned)
+        .filter_map(|((case, est), (_, pin))| {
+            let got = every_field(est.as_ref().unwrap());
+            (got != *pin).then(|| format!("(\"{case}\", {got:#018x}), // pinned {pin:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -282,12 +282,149 @@ fn digest(est: &AvailabilityEstimate, skip: &[Counter]) -> u64 {
             .filter(|(c, _)| !skip.contains(c))
             .map(|(_, v)| v),
     );
+    fnv(&words)
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: &[u64]) -> u64 {
     words
         .iter()
         .flat_map(|w| w.to_le_bytes())
         .fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         })
+}
+
+/// FNV-1a over every public field of an estimate except `nomdl_per_tb`,
+/// which [`every_field_pins`] holds bit for bit on its own. The
+/// destructuring is exhaustive, so a new field fails to compile here
+/// until it is pinned too.
+fn every_field(est: &AvailabilityEstimate) -> u64 {
+    let AvailabilityEstimate {
+        availability,
+        overall_availability,
+        mean_downtime_hours,
+        du_downtime_share,
+        du_events,
+        dl_events,
+        p_data_loss,
+        nomdl_per_tb: _,
+        mean_time_to_first_loss_hours,
+        loss_missions,
+        iterations,
+        horizon_hours,
+        effective_sample_size,
+        max_weight,
+        counters,
+    } = est;
+    let mut words = Vec::new();
+    for ci in [availability, p_data_loss] {
+        words.extend([ci.mean, ci.half_width, ci.confidence].map(f64::to_bits));
+    }
+    words.extend(
+        [
+            *overall_availability,
+            *mean_downtime_hours,
+            *du_downtime_share,
+            mean_time_to_first_loss_hours.unwrap_or(-1.0),
+            *horizon_hours,
+            *effective_sample_size,
+            *max_weight,
+        ]
+        .map(f64::to_bits),
+    );
+    words.extend([*du_events, *dl_events, *loss_missions, *iterations]);
+    words.extend(counters.iter().map(|(_, v)| v));
+    fnv(&words)
+}
+
+/// The full-field pin of one estimate: the digest of every other field,
+/// and the NOMDL column as raw bits.
+fn every_field_pins(est: &AvailabilityEstimate) -> (u64, u64) {
+    (every_field(est), est.nomdl_per_tb.to_bits())
+}
+
+#[test]
+fn every_estimate_field_is_pinned_on_every_array_engine() {
+    // Every public field of `AvailabilityEstimate`, on the jump chain
+    // (naive and failure-biased), the per-disk event queue, splitting,
+    // a live LSE rate, and the Fig. 3 jump chain (naive and biased).
+    let base = params(2e-4, 0.01);
+    let lse = base.with_scrubbing(ScrubbingModel::new(1e-4, 336.0).unwrap());
+    let splitting = McVariance::Splitting {
+        levels: 2,
+        effort: 8,
+    };
+    let conv = |p| ConventionalMc::new(p).unwrap();
+    let runs = [
+        (
+            "fig2 jump naive",
+            conv(base).run(&pin_config(McVariance::Naive)),
+        ),
+        (
+            "fig2 jump biased",
+            conv(base).run(&pin_config(McVariance::failure_biasing())),
+        ),
+        (
+            "fig2 event queue",
+            conv(base)
+                .with_engine(McEngine::EventQueue)
+                .run(&pin_config(McVariance::Naive)),
+        ),
+        ("fig2 splitting", conv(base).run(&pin_config(splitting))),
+        ("fig2 lse", conv(lse).run(&pin_config(McVariance::Naive))),
+        (
+            "fig3 naive",
+            FailOverMc::new(base)
+                .unwrap()
+                .run(&pin_config(McVariance::Naive)),
+        ),
+        (
+            "fig3 biased",
+            FailOverMc::new(base)
+                .unwrap()
+                .run(&pin_config(McVariance::failure_biasing())),
+        ),
+    ];
+    let pinned: [(&str, u64, u64); 7] = [
+        (
+            "fig2 jump naive",
+            0xd7f3_36ae_7517_e52f,
+            0x3f9f_6715_29a4_85cd,
+        ),
+        (
+            "fig2 jump biased",
+            0x2436_3c19_721f_9b5c,
+            0x3fa3_c238_ee0e_7998,
+        ),
+        (
+            "fig2 event queue",
+            0x94c7_e5ad_d9d2_8dfb,
+            0x3fa1_1111_1111_1111,
+        ),
+        (
+            "fig2 splitting",
+            0x23b7_d351_46d3_6678,
+            0x3fd4_773d_3662_c255,
+        ),
+        ("fig2 lse", 0x18c6_e10e_e888_f2b3, 0x3fd0_98ea_d65b_7a33),
+        ("fig3 naive", 0x61bc_fea3_ab57_1eeb, 0x3fb4_fdf3_b645_a1cb),
+        ("fig3 biased", 0x5b5e_1d0e_bee7_b198, 0x3ef0_9773_84a9_5a58),
+    ];
+    let mismatches: Vec<String> = runs
+        .iter()
+        .zip(&pinned)
+        .filter_map(|((case, est), (_, fields, nomdl))| {
+            let got = every_field_pins(est.as_ref().unwrap());
+            (got != (*fields, *nomdl)).then(|| {
+                format!(
+                    "(\"{case}\", {:#018x}, {:#018x}), // pinned ({fields:#018x}, {nomdl:#018x})",
+                    got.0, got.1
+                )
+            })
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
 fn pin_config(variance: McVariance) -> McConfig {
