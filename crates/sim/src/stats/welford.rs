@@ -16,13 +16,20 @@
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for RunningStats {
+    /// The empty accumulator, as [`RunningStats::new`].
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RunningStats {
@@ -124,6 +131,15 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.standard_error(), 0.0);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        assert_eq!(RunningStats::default(), RunningStats::new());
+        let mut s = RunningStats::default();
+        s.push(5.0);
+        assert_eq!(s.min(), 5.0);
+        assert_eq!(s.max(), 5.0);
     }
 
     #[test]
