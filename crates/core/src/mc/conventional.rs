@@ -15,7 +15,9 @@
 //! simulations).
 
 use super::jump::{ExitTable, Tally, MAX_EXITS};
-use super::{AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace};
+use super::{
+    ArrayBook, AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace,
+};
 use crate::error::{CoreError, Result};
 use crate::markov::{fig2_chain, EdgeTag, StateClass, WrongReplacementTiming};
 use crate::params::ModelParams;
@@ -372,26 +374,8 @@ impl ConventionalMc {
     }
 
     /// Resolves the configured engine to "use the fast path?".
-    ///
-    /// # Errors
-    /// [`CoreError::InvalidParameter`] when [`McEngine::JumpChain`] is
-    /// forced on a non-exponential failure model.
-    fn resolve_fast_path(&self) -> Result<bool> {
-        match self.engine {
-            McEngine::Auto => Ok(self.jump_chain_applicable()),
-            McEngine::EventQueue => Ok(false),
-            McEngine::JumpChain => {
-                if self.jump_chain_applicable() {
-                    Ok(true)
-                } else {
-                    Err(CoreError::InvalidParameter(
-                        "the jump-chain engine requires exponential failures; \
-                         use McEngine::Auto or McEngine::EventQueue for Weibull models"
-                            .into(),
-                    ))
-                }
-            }
-        }
+    fn resolve_fast_path(&self) -> bool {
+        self.engine == McEngine::Auto && self.jump_chain_applicable()
     }
 
     /// Resolves the configured engine and variance scheme to a concrete
@@ -401,9 +385,8 @@ impl ConventionalMc {
     ///   so it rejects Weibull models and a forced [`McEngine::EventQueue`];
     ///   `bias = 0` degenerates exactly to the naive run.
     /// * `Splitting` is defined on the general event-queue engine (it is
-    ///   the rare-event scheme for models with *no* tractable density), so
-    ///   it rejects a forced [`McEngine::JumpChain`]; a single level
-    ///   degenerates exactly to the naive event-queue run.
+    ///   the rare-event scheme for models with *no* tractable density); a
+    ///   single level degenerates exactly to the naive event-queue run.
     ///
     /// # Errors
     /// [`CoreError::InvalidParameter`] for the incompatible combinations
@@ -412,7 +395,7 @@ impl ConventionalMc {
         variance.validate()?;
         match variance {
             McVariance::Naive => Ok(RunMode::Naive {
-                fast: self.resolve_fast_path()?,
+                fast: self.resolve_fast_path(),
             }),
             McVariance::FailureBiasing { bias } => {
                 if matches!(self.engine, McEngine::EventQueue) {
@@ -438,13 +421,6 @@ impl ConventionalMc {
                 }
             }
             McVariance::Splitting { levels, effort } => {
-                if matches!(self.engine, McEngine::JumpChain) {
-                    return Err(CoreError::InvalidParameter(
-                        "splitting runs on the general event-queue engine; \
-                         do not force McEngine::JumpChain with it"
-                            .into(),
-                    ));
-                }
                 if levels <= 1 {
                     // One level = no intermediate threshold: a plain
                     // event-queue run, bit-for-bit.
@@ -466,10 +442,8 @@ impl ConventionalMc {
     /// checkpoint lists; they are not the nanosecond path).
     ///
     /// # Errors
-    /// Propagates configuration errors, rejects a forced
-    /// [`McEngine::JumpChain`] on non-exponential failures, and rejects
-    /// engine/variance combinations that cannot work (see
-    /// [`McVariance`]).
+    /// Propagates configuration errors and rejects engine/variance
+    /// combinations that cannot work (see [`McVariance`]).
     pub fn run(&self, config: &McConfig) -> Result<AvailabilityEstimate> {
         self.run_with_cancel(config, None)
     }
@@ -488,17 +462,13 @@ impl ConventionalMc {
         cancel: Option<&availsim_sim::parallel::CancelToken>,
     ) -> Result<AvailabilityEstimate> {
         let mode = self.resolve_run_mode(config.variance)?;
-        let mut est = super::run_iterations_cancellable(
+        super::run_blocks(
             config,
+            f64::from(self.params.geometry.usable_capacity()),
             cancel,
-            || SimWorkspace::with_telemetry(config.telemetry),
-            |ws, i| {
-                let mut rng = SimRng::substream(config.seed, i);
-                self.dispatch(config.horizon_hours, &mut rng, ws, mode)
-            },
-        )?;
-        est.normalize_nomdl(f64::from(self.params.geometry.usable_capacity()));
-        Ok(est)
+            ArrayBook::new(config.horizon_hours),
+            |ws, i| self.mission(config, mode, ws, i),
+        )
     }
 
     /// Runs batches of missions, growing the sample until the availability
@@ -515,27 +485,25 @@ impl ConventionalMc {
         max_iterations: u64,
     ) -> Result<AvailabilityEstimate> {
         let mode = self.resolve_run_mode(config.variance)?;
-        let mut est = super::run_to_precision_with(
+        super::run_to_precision(
             config,
             target_half_width,
             max_iterations,
-            || SimWorkspace::with_telemetry(config.telemetry),
-            |ws, i| {
-                let mut rng = SimRng::substream(config.seed, i);
-                self.dispatch(config.horizon_hours, &mut rng, ws, mode)
-            },
-        )?;
-        est.normalize_nomdl(f64::from(self.params.geometry.usable_capacity()));
-        Ok(est)
+            f64::from(self.params.geometry.usable_capacity()),
+            |ws, i| self.mission(config, mode, ws, i),
+        )
     }
 
-    fn dispatch(
+    /// Mission `i` of a run in `mode`, drawn from seed substream `i`.
+    fn mission(
         &self,
-        horizon: f64,
-        rng: &mut SimRng,
-        ws: &mut SimWorkspace,
+        config: &McConfig,
         mode: RunMode,
+        ws: &mut SimWorkspace,
+        i: u64,
     ) -> IterationOutcome {
+        let horizon = config.horizon_hours;
+        let rng = &mut SimRng::substream(config.seed, i);
         match mode {
             RunMode::Naive { fast: true } => self.table.mission(horizon, None, rng, ws),
             RunMode::Naive { fast: false } => self.simulate_event_queue(horizon, rng, ws, None),
@@ -559,7 +527,7 @@ impl ConventionalMc {
         trace: Option<&mut EventTrace>,
     ) -> IterationOutcome {
         let mut ws = SimWorkspace::new();
-        if trace.is_none() && self.resolve_fast_path().unwrap_or(false) {
+        if trace.is_none() && self.resolve_fast_path() {
             self.table.mission(horizon, None, rng, &mut ws)
         } else {
             self.simulate_event_queue(horizon, rng, &mut ws, trace)
@@ -572,16 +540,14 @@ impl ConventionalMc {
     /// The mission fully resets the workspace state it reads, so the same
     /// workspace can be reused across missions (and models) without
     /// leaking state between iterations. Engine selection follows
-    /// [`Self::with_engine`]; a forced-but-inapplicable
-    /// [`McEngine::JumpChain`] falls back to the general engine here (the
-    /// batch entry points reject it instead).
+    /// [`Self::with_engine`].
     pub fn simulate_once_with(
         &self,
         horizon: f64,
         rng: &mut SimRng,
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
-        if self.resolve_fast_path().unwrap_or(false) {
+        if self.resolve_fast_path() {
             self.table.mission(horizon, None, rng, ws)
         } else {
             self.simulate_event_queue(horizon, rng, ws, None)
@@ -910,7 +876,7 @@ mod tests {
     #[test]
     fn no_failures_means_full_availability() {
         // Absurdly small λ: no events within the horizon — on both engines.
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = ConventionalMc::new(params(1e-15, 0.01))
                 .unwrap()
                 .with_engine(engine);
@@ -922,7 +888,7 @@ mod tests {
 
     #[test]
     fn hep_zero_produces_no_du_events() {
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = ConventionalMc::new(params(1e-3, 0.0))
                 .unwrap()
                 .with_engine(engine);
@@ -940,7 +906,7 @@ mod tests {
         // race (zero-rate exits are fenced off explicitly).
         let mut p = params(1e-3, 0.05);
         p.removed_crash_rate = 0.0;
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = ConventionalMc::new(p).unwrap().with_engine(engine);
             let est = mc.run(&quick_config(300)).unwrap();
             assert!(est.du_events > 0, "{engine:?}");
@@ -973,7 +939,7 @@ mod tests {
         use crate::markov::Raid5Conventional;
         let p = params(1e-3, 0.01);
         let markov = Raid5Conventional::new(p).unwrap().solve().unwrap();
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = ConventionalMc::new(p).unwrap().with_engine(engine);
             let est = mc.run(&quick_config(600)).unwrap();
             assert!(
@@ -988,32 +954,35 @@ mod tests {
     #[test]
     fn auto_resolves_to_jump_chain_for_exponential_models() {
         let mc = ConventionalMc::new(params(1e-3, 0.01)).unwrap();
-        assert!(mc.resolve_fast_path().unwrap());
+        assert!(mc.resolve_fast_path());
         let cfg = quick_config(100);
         let auto = mc.run(&cfg).unwrap();
-        let forced = ConventionalMc::new(params(1e-3, 0.01))
-            .unwrap()
-            .with_engine(McEngine::JumpChain)
-            .run(&cfg)
+        // Zero-bias failure biasing runs the naive jump chain by definition.
+        let jump = mc
+            .run(&McConfig {
+                variance: McVariance::FailureBiasing { bias: 0.0 },
+                ..cfg
+            })
             .unwrap();
         assert_eq!(
             auto.overall_availability.to_bits(),
-            forced.overall_availability.to_bits()
+            jump.overall_availability.to_bits()
         );
     }
 
     #[test]
     fn jump_chain_rejects_weibull_models() {
+        // Auto on a Weibull model resolves to the general engine, and
+        // failure biasing, which needs the jump chain, is refused.
         let p = params(1e-4, 0.01);
         let weibull = FailureModel::weibull(1e-3, 1.48).unwrap();
-        let mc = ConventionalMc::with_failure_model(p, weibull)
-            .unwrap()
-            .with_engine(McEngine::JumpChain);
-        assert!(mc.run(&quick_config(10)).is_err());
-        // Auto on a Weibull model resolves to the general engine instead.
-        let weibull = FailureModel::weibull(1e-3, 1.48).unwrap();
         let mc = ConventionalMc::with_failure_model(p, weibull).unwrap();
-        assert!(!mc.resolve_fast_path().unwrap());
+        assert!(!mc.resolve_fast_path());
+        let biased = McConfig {
+            variance: McVariance::failure_biasing(),
+            ..quick_config(10)
+        };
+        assert!(mc.run(&biased).is_err());
     }
 
     #[test]
@@ -1109,7 +1078,7 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         // Both engines must be bit-identical at any thread count.
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let p = params(1e-3, 0.01);
             let mc = ConventionalMc::new(p).unwrap().with_engine(engine);
             let mut cfg = quick_config(100);
@@ -1136,7 +1105,7 @@ mod tests {
         // deliberately poisoned one) must produce the same bits as a fresh
         // workspace for the same seed, on both engines.
         let p = params(2e-3, 0.05);
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = ConventionalMc::new(p).unwrap().with_engine(engine);
             let mut reused = SimWorkspace::new();
             // Dirty the workspace: several missions with unrelated seeds,
@@ -1271,18 +1240,6 @@ mod tests {
     }
 
     #[test]
-    fn splitting_rejects_a_forced_jump_chain() {
-        let mc = ConventionalMc::new(params(1e-4, 0.01))
-            .unwrap()
-            .with_engine(McEngine::JumpChain);
-        let cfg = McConfig {
-            variance: McVariance::splitting(),
-            ..quick_config(10)
-        };
-        assert!(mc.run(&cfg).is_err());
-    }
-
-    #[test]
     fn splitting_estimates_track_the_naive_estimate_at_moderate_rates() {
         // Where naive MC converges fine, splitting must land in the same
         // place (CIs overlap) — exponential model so the chain's general
@@ -1320,7 +1277,7 @@ mod tests {
         let base = params(1e-3, 0.02);
         let with_zero =
             base.with_scrubbing(availsim_storage::ScrubbingModel::new(0.0, 336.0).unwrap());
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let a = ConventionalMc::new(base)
                 .unwrap()
                 .with_engine(engine)
@@ -1368,7 +1325,7 @@ mod tests {
         let p = params(1e-3, 0.0).with_scrubbing(scrub);
         let mut cfg = quick_config(400);
         cfg.telemetry = true;
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let est = ConventionalMc::new(p)
                 .unwrap()
                 .with_engine(engine)
@@ -1432,16 +1389,5 @@ mod tests {
             }
         }
         assert!(found, "no mission lost data despite heavy LSE exposure");
-    }
-
-    #[test]
-    fn workspace_reset_scrubs_poisoned_state() {
-        let mut ws = SimWorkspace::new();
-        ws.log.begin(5.0, OutageCause::DataLoss);
-        ws.conventional.slot_gen.resize(8, 3);
-        ws.reset();
-        assert!(!ws.log.is_down());
-        assert!(ws.log.outages().is_empty());
-        assert!(ws.conventional.slot_gen.is_empty());
     }
 }

@@ -7,7 +7,9 @@
 //! exponential clock per enabled exit and lets the queue race them.
 
 use super::jump::{ExitTable, Tally};
-use super::{AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace};
+use super::{
+    ArrayBook, AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance, SimWorkspace,
+};
 use crate::error::{CoreError, Result};
 use crate::markov::fig3_chain;
 use crate::params::ModelParams;
@@ -90,9 +92,8 @@ impl FailOverMc {
     }
 
     /// Selects the per-mission engine. Every Fig. 3 transition is
-    /// exponential, so [`McEngine::Auto`] (and [`McEngine::JumpChain`])
-    /// resolve to the jump-chain fast path; [`McEngine::EventQueue`] forces
-    /// the general engine.
+    /// exponential, so [`McEngine::Auto`] resolves to the jump-chain fast
+    /// path; [`McEngine::EventQueue`] forces the general engine.
     pub fn with_engine(mut self, engine: McEngine) -> Self {
         self.engine = engine;
         self
@@ -105,7 +106,7 @@ impl FailOverMc {
 
     /// Whether the configured engine resolves to the fast path.
     fn fast_path(&self) -> bool {
-        !matches!(self.engine, McEngine::EventQueue)
+        self.engine == McEngine::Auto
     }
 
     /// Resolves the variance scheme against the configured engine: every
@@ -171,10 +172,11 @@ impl FailOverMc {
     ) -> Result<AvailabilityEstimate> {
         let fast = self.fast_path();
         let bias = self.resolve_bias(config.variance)?;
-        super::run_iterations_cancellable(
+        super::run_blocks(
             config,
+            f64::from(self.params.geometry.usable_capacity()),
             cancel,
-            || SimWorkspace::with_telemetry(config.telemetry),
+            ArrayBook::new(config.horizon_hours),
             |ws, i| {
                 let mut rng = SimRng::substream(config.seed, i);
                 if fast || bias.is_some() {
@@ -396,7 +398,7 @@ mod tests {
 
     #[test]
     fn no_downtime_without_events() {
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = FailOverMc::new(params(1e-15, 0.01))
                 .unwrap()
                 .with_engine(engine);
@@ -409,7 +411,7 @@ mod tests {
     fn agrees_with_markov_at_high_rates() {
         let p = params(1e-3, 0.01);
         let markov = Raid5FailOver::new(p).unwrap().solve().unwrap();
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = FailOverMc::new(p).unwrap().with_engine(engine);
             let est = mc.run(&quick_config(600)).unwrap();
             assert!(
@@ -438,7 +440,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let p = params(1e-3, 0.01);
             let mc = FailOverMc::new(p).unwrap().with_engine(engine);
             let mut cfg = quick_config(64);
@@ -466,7 +468,7 @@ mod tests {
 
     #[test]
     fn hep_zero_never_enters_du() {
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = FailOverMc::new(params(2e-3, 0.0))
                 .unwrap()
                 .with_engine(engine);
@@ -539,7 +541,7 @@ mod tests {
     #[test]
     fn workspace_reuse_matches_fresh_workspaces_bitwise() {
         let p = params(2e-3, 0.05);
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = FailOverMc::new(p).unwrap().with_engine(engine);
             let mut reused = SimWorkspace::new();
             for s in 500..504 {

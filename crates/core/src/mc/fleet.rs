@@ -22,7 +22,9 @@
 //!
 //! The engine is the general event-queue engine throughout — a fleet
 //! mission is exactly the workload the indexed queue's heap regime exists
-//! for (thousands of concurrent disk clocks).
+//! for (thousands of concurrent disk clocks). Missions run through the
+//! same block runner as the single-array engines; the fleet supplies only
+//! its accumulator, and NOMDL is per unit of the fleet's usable capacity.
 //!
 //! # Shared resources and correlated human error
 //!
@@ -63,12 +65,11 @@
 //!   nothing from the RNG — bit-identical to the no-failover engine.
 
 use super::failover::failback_race_inv;
-use super::{McConfig, McVariance, SimWorkspace, TelemetrySource, BLOCK_ITERATIONS, MAX_BLOCKS};
+use super::{Accumulator, McConfig, McVariance, SimWorkspace};
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
 use availsim_hra::{escalated, DependenceLevel};
 use availsim_sim::indexed_queue::{IndexedEventHandle, IndexedEventQueue, QueueStats};
-use availsim_sim::parallel::ordered_parallel_map_cancellable;
 use availsim_sim::rng::SimRng;
 use availsim_sim::stats::{t_interval, wilson_interval, ConfidenceInterval, RunningStats};
 use availsim_sim::telemetry::{Counter, CounterSnapshot};
@@ -429,6 +430,171 @@ impl FleetEstimate {
     }
 }
 
+/// Running hour sums of a [`DEGRADED_BINS`]-wide time-share histogram.
+#[derive(Debug, Clone, Copy)]
+struct Bins([f64; DEGRADED_BINS]);
+
+impl Default for Bins {
+    fn default() -> Self {
+        Bins([0.0; DEGRADED_BINS])
+    }
+}
+
+impl Bins {
+    fn add(&mut self, hours: &[f64; DEGRADED_BINS]) {
+        for (acc, h) in self.0.iter_mut().zip(hours) {
+            *acc += h;
+        }
+    }
+}
+
+/// The sums behind a [`FleetEstimate`]: the fleet engine's accumulator.
+#[derive(Debug, Clone, Copy, Default)]
+struct FleetBook {
+    /// Member arrays and mission time, hours (context, not summed).
+    arrays: u32,
+    horizon: f64,
+    /// Per-mission per-array availability, plain and with DR credit.
+    stats: RunningStats,
+    credited_stats: RunningStats,
+    du_dt: f64,
+    dl_dt: f64,
+    any_down: f64,
+    uncovered: f64,
+    uncovered_any: f64,
+    dr_queue_wait: f64,
+    du_events: u64,
+    dl_events: u64,
+    loss_missions: u64,
+    first_loss_sum: f64,
+    failovers: u64,
+    failbacks: u64,
+    dr_queue_waits: u64,
+    dr_rejections: u64,
+    max_degraded: u32,
+    hist: Bins,
+    dr_hist: Bins,
+}
+
+impl Accumulator for FleetBook {
+    type Outcome = FleetOutcome;
+    type Estimate = FleetEstimate;
+
+    fn push(&mut self, out: &FleetOutcome) {
+        let array_time = f64::from(self.arrays) * self.horizon;
+        self.stats
+            .push(1.0 - out.array_downtime_hours() / array_time);
+        // Uncovered downtime is accrued directly, so the ideal-DR limit
+        // (everything covered) pushes an exact 1.0 here every mission.
+        self.credited_stats
+            .push(1.0 - out.credited_array_downtime_hours() / array_time);
+        self.du_dt += out.du_downtime_hours;
+        self.dl_dt += out.dl_downtime_hours;
+        self.any_down += out.any_down_hours;
+        self.uncovered += out.uncovered_down_hours;
+        self.uncovered_any += out.uncovered_any_down_hours;
+        self.dr_queue_wait += out.dr_queue_wait_hours;
+        self.du_events += out.du_events;
+        self.dl_events += out.dl_events;
+        if out.first_loss_hours.is_finite() {
+            self.loss_missions += 1;
+            self.first_loss_sum += out.first_loss_hours;
+        }
+        self.failovers += out.failovers;
+        self.failbacks += out.failbacks;
+        self.dr_queue_waits += out.dr_queue_waits;
+        self.dr_rejections += out.dr_rejections;
+        self.max_degraded = self.max_degraded.max(out.max_degraded);
+        self.hist.add(&out.degraded_hours);
+        self.dr_hist.add(&out.dr_occupancy_hours);
+    }
+
+    fn merge(&mut self, b: &Self) {
+        self.stats.merge(&b.stats);
+        self.credited_stats.merge(&b.credited_stats);
+        self.du_dt += b.du_dt;
+        self.dl_dt += b.dl_dt;
+        self.any_down += b.any_down;
+        self.uncovered += b.uncovered;
+        self.uncovered_any += b.uncovered_any;
+        self.dr_queue_wait += b.dr_queue_wait;
+        self.du_events += b.du_events;
+        self.dl_events += b.dl_events;
+        self.loss_missions += b.loss_missions;
+        self.first_loss_sum += b.first_loss_sum;
+        self.failovers += b.failovers;
+        self.failbacks += b.failbacks;
+        self.dr_queue_waits += b.dr_queue_waits;
+        self.dr_rejections += b.dr_rejections;
+        self.max_degraded = self.max_degraded.max(b.max_degraded);
+        self.hist.add(&b.hist.0);
+        self.dr_hist.add(&b.dr_hist.0);
+    }
+
+    fn loss_events(&self) -> f64 {
+        self.dl_events as f64
+    }
+
+    fn finish(
+        self,
+        config: &McConfig,
+        nomdl_per_tb: f64,
+        counters: CounterSnapshot,
+    ) -> Result<FleetEstimate> {
+        let iterations = config.iterations;
+        let arrays = f64::from(self.arrays);
+        let availability = t_interval(&self.stats, config.confidence).map_err(CoreError::from)?;
+        let credited_availability =
+            t_interval(&self.credited_stats, config.confidence).map_err(CoreError::from)?;
+        let p_data_loss = wilson_interval(self.loss_missions, iterations, config.confidence)
+            .map_err(CoreError::from)?;
+        let total_time = self.horizon * iterations as f64;
+        let downtime = self.du_dt + self.dl_dt;
+        let array_u = downtime / (arrays * total_time);
+        let credited_u = self.uncovered / (arrays * total_time);
+        let any_down_u = self.any_down / total_time;
+        let uncovered_any_u = self.uncovered_any / total_time;
+        Ok(FleetEstimate {
+            availability,
+            overall_array_availability: 1.0 - array_u,
+            fleet_availability: 1.0 - any_down_u,
+            mean_array_downtime_hours: downtime / (arrays * iterations as f64),
+            annual_array_downtime_hours: array_u * HOURS_PER_YEAR,
+            annual_any_down_hours: any_down_u * HOURS_PER_YEAR,
+            du_downtime_share: if downtime > 0.0 {
+                self.du_dt / downtime
+            } else {
+                0.0
+            },
+            du_events: self.du_events,
+            dl_events: self.dl_events,
+            p_data_loss,
+            nomdl_per_tb,
+            mean_time_to_first_loss_hours: if self.loss_missions > 0 {
+                Some(self.first_loss_sum / self.loss_missions as f64)
+            } else {
+                None
+            },
+            loss_missions: self.loss_missions,
+            degraded_time_share: self.hist.0.map(|h| h / total_time),
+            max_degraded: self.max_degraded,
+            credited_availability,
+            overall_credited_array_availability: 1.0 - credited_u,
+            credited_fleet_availability: 1.0 - uncovered_any_u,
+            dr_occupancy_share: self.dr_hist.0.map(|h| h / total_time),
+            dr_queue_wait_hours: self.dr_queue_wait,
+            failovers: self.failovers,
+            failbacks: self.failbacks,
+            dr_queue_waits: self.dr_queue_waits,
+            dr_rejections: self.dr_rejections,
+            iterations,
+            horizon_hours: self.horizon,
+            arrays: self.arrays,
+            counters,
+        })
+    }
+}
+
 /// The fleet-scale Monte-Carlo engine (see the module docs).
 #[derive(Debug)]
 pub struct FleetMc {
@@ -526,11 +692,11 @@ impl FleetMc {
 
     /// Runs the full fleet Monte-Carlo estimation.
     ///
-    /// Iterations are scheduled in the same fixed blocks as the
-    /// single-array models, and per-block partials (including the degraded
-    /// histogram) are merged in block order, so the
-    /// [`McConfig::threads`] determinism contract holds: `threads = 1` and
-    /// `threads = N` produce byte-identical estimates.
+    /// Missions run through the same block runner as the single-array
+    /// models, and the per-block sums (the degraded and DR histograms
+    /// included) merge in block order, so the [`McConfig::threads`]
+    /// determinism contract holds: `threads = 1` and `threads = N` produce
+    /// byte-identical estimates.
     ///
     /// # Errors
     /// Propagates configuration errors. Rare-event schemes are rejected:
@@ -563,219 +729,21 @@ impl FleetMc {
                 config.variance
             )));
         }
-        let iterations = config.iterations;
-        let block_size = BLOCK_ITERATIONS.max(iterations.div_ceil(MAX_BLOCKS));
-        let blocks = iterations.div_ceil(block_size);
-        let threads = availsim_sim::parallel::resolve_workers(config.threads);
-        let arrays = f64::from(self.spec.arrays());
-        let horizon = config.horizon_hours;
-
-        #[derive(Clone, Copy)]
-        struct Partial {
-            stats: RunningStats,
-            credited_stats: RunningStats,
-            du_dt: f64,
-            dl_dt: f64,
-            any_down: f64,
-            uncovered: f64,
-            uncovered_any: f64,
-            dr_queue_wait: f64,
-            du_events: u64,
-            dl_events: u64,
-            loss_missions: u64,
-            first_loss_sum: f64,
-            failovers: u64,
-            failbacks: u64,
-            dr_queue_waits: u64,
-            dr_rejections: u64,
-            max_degraded: u32,
-            hist: [f64; DEGRADED_BINS],
-            dr_hist: [f64; DEGRADED_BINS],
-            counters: CounterSnapshot,
-        }
-
-        let partials = ordered_parallel_map_cancellable(
-            blocks,
-            threads,
-            || SimWorkspace::with_telemetry(config.telemetry),
-            |ws, block| {
-                let lo = block * block_size;
-                let hi = (lo + block_size).min(iterations);
-                let mut p = Partial {
-                    stats: RunningStats::new(),
-                    credited_stats: RunningStats::new(),
-                    du_dt: 0.0,
-                    dl_dt: 0.0,
-                    any_down: 0.0,
-                    uncovered: 0.0,
-                    uncovered_any: 0.0,
-                    dr_queue_wait: 0.0,
-                    du_events: 0,
-                    dl_events: 0,
-                    loss_missions: 0,
-                    first_loss_sum: 0.0,
-                    failovers: 0,
-                    failbacks: 0,
-                    dr_queue_waits: 0,
-                    dr_rejections: 0,
-                    max_degraded: 0,
-                    hist: [0.0; DEGRADED_BINS],
-                    dr_hist: [0.0; DEGRADED_BINS],
-                    counters: CounterSnapshot::default(),
-                };
-                for i in lo..hi {
-                    let mut rng = SimRng::substream(config.seed, i);
-                    let out = self.simulate_once_with(horizon, &mut rng, ws);
-                    p.stats
-                        .push(1.0 - out.array_downtime_hours() / (arrays * horizon));
-                    // Uncovered downtime is accrued directly, so the
-                    // ideal-DR limit (everything covered) pushes an
-                    // exact 1.0 here every mission.
-                    p.credited_stats
-                        .push(1.0 - out.credited_array_downtime_hours() / (arrays * horizon));
-                    p.du_dt += out.du_downtime_hours;
-                    p.dl_dt += out.dl_downtime_hours;
-                    p.any_down += out.any_down_hours;
-                    p.uncovered += out.uncovered_down_hours;
-                    p.uncovered_any += out.uncovered_any_down_hours;
-                    p.dr_queue_wait += out.dr_queue_wait_hours;
-                    p.du_events += out.du_events;
-                    p.dl_events += out.dl_events;
-                    if out.first_loss_hours.is_finite() {
-                        p.loss_missions += 1;
-                        p.first_loss_sum += out.first_loss_hours;
-                    }
-                    p.failovers += out.failovers;
-                    p.failbacks += out.failbacks;
-                    p.dr_queue_waits += out.dr_queue_waits;
-                    p.dr_rejections += out.dr_rejections;
-                    p.max_degraded = p.max_degraded.max(out.max_degraded);
-                    for (acc, h) in p.hist.iter_mut().zip(&out.degraded_hours) {
-                        *acc += h;
-                    }
-                    for (acc, h) in p.dr_hist.iter_mut().zip(&out.dr_occupancy_hours) {
-                        *acc += h;
-                    }
-                }
-                p.counters = ws.drain_counters();
-                if config.telemetry {
-                    p.counters.add(Counter::Missions, hi - lo);
-                }
-                p
-            },
-            |_| false,
-            cancel,
-        );
-
-        if (partials.len() as u64) < blocks {
-            // Claims are sequential, so the claimed set is exactly blocks
-            // 0..len; the partial aggregate is discarded (see the doc).
-            let completed = partials
-                .iter()
-                .map(|(b, _)| (b * block_size + block_size).min(iterations) - b * block_size)
-                .sum();
-            return Err(CoreError::DeadlineExpired {
-                completed,
-                requested: iterations,
-            });
-        }
-
-        let mut stats = RunningStats::new();
-        let mut credited_stats = RunningStats::new();
-        let (mut du_dt, mut dl_dt, mut any_down) = (0.0, 0.0, 0.0);
-        let (mut uncovered, mut uncovered_any, mut dr_queue_wait) = (0.0, 0.0, 0.0);
-        let (mut du_ev, mut dl_ev) = (0u64, 0u64);
-        let (mut loss_missions, mut first_loss_sum) = (0u64, 0.0f64);
-        let (mut failovers, mut failbacks) = (0u64, 0u64);
-        let (mut dr_queue_waits, mut dr_rejections) = (0u64, 0u64);
-        let mut max_degraded = 0u32;
-        let mut hist = [0.0; DEGRADED_BINS];
-        let mut dr_hist = [0.0; DEGRADED_BINS];
-        let mut counters = CounterSnapshot::default();
-        for (_, p) in partials {
-            stats.merge(&p.stats);
-            credited_stats.merge(&p.credited_stats);
-            du_dt += p.du_dt;
-            dl_dt += p.dl_dt;
-            any_down += p.any_down;
-            uncovered += p.uncovered;
-            uncovered_any += p.uncovered_any;
-            dr_queue_wait += p.dr_queue_wait;
-            du_ev += p.du_events;
-            dl_ev += p.dl_events;
-            loss_missions += p.loss_missions;
-            first_loss_sum += p.first_loss_sum;
-            failovers += p.failovers;
-            failbacks += p.failbacks;
-            dr_queue_waits += p.dr_queue_waits;
-            dr_rejections += p.dr_rejections;
-            max_degraded = max_degraded.max(p.max_degraded);
-            for (acc, h) in hist.iter_mut().zip(&p.hist) {
-                *acc += h;
-            }
-            for (acc, h) in dr_hist.iter_mut().zip(&p.dr_hist) {
-                *acc += h;
-            }
-            counters.merge(&p.counters);
-        }
-
-        let availability = t_interval(&stats, config.confidence).map_err(CoreError::from)?;
-        let credited_availability =
-            t_interval(&credited_stats, config.confidence).map_err(CoreError::from)?;
-        let p_data_loss = wilson_interval(loss_missions, iterations, config.confidence)
-            .map_err(CoreError::from)?;
-        let total_time = horizon * iterations as f64;
-        let downtime = du_dt + dl_dt;
-        let array_u = downtime / (arrays * total_time);
-        let credited_u = uncovered / (arrays * total_time);
-        let any_down_u = any_down / total_time;
-        let uncovered_any_u = uncovered_any / total_time;
-        let mut degraded_time_share = hist;
-        for share in &mut degraded_time_share {
-            *share /= total_time;
-        }
-        let mut dr_occupancy_share = dr_hist;
-        for share in &mut dr_occupancy_share {
-            *share /= total_time;
-        }
-        Ok(FleetEstimate {
-            availability,
-            overall_array_availability: 1.0 - array_u,
-            fleet_availability: 1.0 - any_down_u,
-            mean_array_downtime_hours: downtime / (arrays * iterations as f64),
-            annual_array_downtime_hours: array_u * HOURS_PER_YEAR,
-            annual_any_down_hours: any_down_u * HOURS_PER_YEAR,
-            du_downtime_share: if downtime > 0.0 {
-                du_dt / downtime
-            } else {
-                0.0
-            },
-            du_events: du_ev,
-            dl_events: dl_ev,
-            p_data_loss,
-            nomdl_per_tb: dl_ev as f64 / iterations as f64 / self.spec.usable_capacity() as f64,
-            mean_time_to_first_loss_hours: if loss_missions > 0 {
-                Some(first_loss_sum / loss_missions as f64)
-            } else {
-                None
-            },
-            loss_missions,
-            degraded_time_share,
-            max_degraded,
-            credited_availability,
-            overall_credited_array_availability: 1.0 - credited_u,
-            credited_fleet_availability: 1.0 - uncovered_any_u,
-            dr_occupancy_share,
-            dr_queue_wait_hours: dr_queue_wait,
-            failovers,
-            failbacks,
-            dr_queue_waits,
-            dr_rejections,
-            iterations,
-            horizon_hours: horizon,
+        let empty = FleetBook {
             arrays: self.spec.arrays(),
-            counters,
-        })
+            horizon: config.horizon_hours,
+            ..FleetBook::default()
+        };
+        super::run_blocks(
+            config,
+            self.spec.usable_capacity() as f64,
+            cancel,
+            empty,
+            |ws, i| {
+                let mut rng = SimRng::substream(config.seed, i);
+                self.simulate_once_with(config.horizon_hours, &mut rng, ws)
+            },
+        )
     }
 
     /// Simulates one fleet mission on a reusable [`SimWorkspace`] —

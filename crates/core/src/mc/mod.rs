@@ -26,6 +26,16 @@
 //! availabilities ("the error of MC simulations is inversely proportional to
 //! the root square of the number of iterations and the t-student coefficient
 //! for a target confidence level").
+//!
+//! Every engine — and [`ConventionalMc::run_to_precision`] — runs its
+//! missions through one block runner: it cuts the missions into fixed
+//! blocks, gives each worker thread one [`SimWorkspace`], drains the
+//! telemetry counters per block, honours a cancel token between blocks,
+//! and merges the blocks in block order, so no thread count changes a bit.
+//! Each estimate supplies one accumulator (its per-mission push, its block
+//! merge and its finish step); the runner divides the NOMDL numerator by
+//! the engine's usable capacity, so `nomdl_per_tb` is per TB on every
+//! engine.
 
 mod conventional;
 mod failover;
@@ -80,10 +90,6 @@ pub enum McEngine {
     /// path, and the only engine that can record an
     /// [`EventTrace`](availsim_storage::EventTrace).
     EventQueue,
-    /// Require the jump-chain fast path. Running a model whose failure
-    /// distribution is not exponential fails with
-    /// [`CoreError::InvalidParameter`].
-    JumpChain,
 }
 
 /// Variance-reduction scheme of a Monte-Carlo run — how the missions are
@@ -241,14 +247,14 @@ impl std::fmt::Display for McVariance {
 /// allocated once and recycled, so the per-mission loop performs **zero
 /// heap allocations after warm-up**.
 ///
-/// [`ConventionalMc::run`] and [`FailOverMc::run`] build one workspace per
-/// worker thread (via
-/// [`ordered_parallel_map_with`](availsim_sim::parallel::ordered_parallel_map_with))
-/// and reuse it for every mission that worker claims. Each mission fully
-/// resets the parts of the workspace it reads before touching them, so
-/// results never depend on what a previous mission left behind — the
-/// bit-identity-across-thread-counts contract of [`McConfig::threads`]
-/// holds even though workspaces are shared across missions.
+/// [`ConventionalMc::run`], [`FailOverMc::run`] and [`FleetMc::run`] run
+/// their missions through one block runner, which builds one workspace per
+/// worker thread and reuses it for every mission that worker claims. Each
+/// mission fully resets the parts of the workspace it reads before
+/// touching them, so results never depend on what a previous mission left
+/// behind — the bit-identity-across-thread-counts contract of
+/// [`McConfig::threads`] holds even though workspaces are shared across
+/// missions.
 ///
 /// For single-mission use, pair a workspace with
 /// [`ConventionalMc::simulate_once_with`] /
@@ -289,7 +295,7 @@ pub struct SimWorkspace {
     /// [`Self::with_telemetry`]).
     pub(crate) telemetry: Telemetry,
     /// Queue-traffic totals already drained into a snapshot; the next
-    /// [`TelemetrySource::drain_counters`] reports deltas against this.
+    /// drain reports deltas against this.
     queue_baseline: QueueStats,
 }
 
@@ -330,39 +336,9 @@ impl SimWorkspace {
         total
     }
 
-    /// Resets every buffer to its just-constructed state while retaining
-    /// allocated capacity.
-    ///
-    /// Calling this between missions is *not* required — each simulation
-    /// entry point resets the buffers it uses — but it is the cheap way to
-    /// scrub a workspace whose previous mission panicked or that is being
-    /// handed to a different model.
-    pub fn reset(&mut self) {
-        self.conventional.reset(0);
-        self.failover.reset();
-        self.fleet.reset(0, 0);
-        self.log.clear();
-        let _ = self.telemetry.take();
-        self.queue_baseline = self.queue_stats_total();
-    }
-}
-
-/// Per-block counter drain, implemented by every workspace type the
-/// iteration runner accepts. The runner drains once per scheduling block
-/// and merges snapshots in block order, so the aggregate is deterministic
-/// at any worker count.
-pub(crate) trait TelemetrySource {
-    /// Takes everything recorded since the previous drain.
-    fn drain_counters(&mut self) -> CounterSnapshot;
-}
-
-impl TelemetrySource for () {
-    fn drain_counters(&mut self) -> CounterSnapshot {
-        CounterSnapshot::default()
-    }
-}
-
-impl TelemetrySource for SimWorkspace {
+    /// Takes every counter recorded since the previous drain. The block
+    /// runner drains once per scheduling block and merges the snapshots in
+    /// block order, so the aggregate is the same at any worker count.
     fn drain_counters(&mut self) -> CounterSnapshot {
         if !self.telemetry.enabled() {
             return CounterSnapshot::default();
@@ -588,14 +564,6 @@ impl AvailabilityEstimate {
         1.0 - self.overall_availability
     }
 
-    /// Divides the NOMDL numerator (loss events per mission) by the
-    /// geometry's usable capacity. The iteration runner is
-    /// geometry-agnostic, so the engines apply the normalization after
-    /// aggregation.
-    pub(crate) fn normalize_nomdl(&mut self, usable_capacity_tb: f64) {
-        self.nomdl_per_tb /= usable_capacity_tb;
-    }
-
     /// Availability in nines (from the overall estimator).
     pub fn nines(&self) -> f64 {
         nines::nines(self.overall_availability)
@@ -633,6 +601,227 @@ impl AvailabilityEstimate {
     }
 }
 
+/// Iterations per scheduling block (minimum). Block boundaries depend only
+/// on the iteration count, never on the thread count — the cornerstone of
+/// the [`McConfig::threads`] determinism contract.
+const BLOCK_ITERATIONS: u64 = 256;
+
+/// Cap on the number of scheduling blocks, so the per-block sums kept for
+/// the ordered merge stay a few hundred kilobytes even for billion-
+/// iteration runs (blocks grow past [`BLOCK_ITERATIONS`] instead).
+const MAX_BLOCKS: u64 = 4096;
+
+/// One estimate's running sums over a run of missions. [`run_blocks`]
+/// starts every scheduling block from a copy of the empty accumulator an
+/// engine hands it, pushes each mission's outcome, and merges the blocks
+/// in block order.
+trait Accumulator: Clone + Send + Sync {
+    /// What one mission reports.
+    type Outcome;
+    /// The finished estimate.
+    type Estimate;
+    /// Adds one mission.
+    fn push(&mut self, out: &Self::Outcome);
+    /// Adds the sums of the next block.
+    fn merge(&mut self, block: &Self);
+    /// The NOMDL numerator: data-loss events summed over the missions
+    /// (likelihood-weighted where the missions carry weights).
+    fn loss_events(&self) -> f64;
+    /// Turns the sums over `config.iterations` missions into the estimate.
+    ///
+    /// # Errors
+    /// When an interval cannot be formed at `config.confidence`.
+    fn finish(
+        self,
+        config: &McConfig,
+        nomdl_per_tb: f64,
+        counters: CounterSnapshot,
+    ) -> Result<Self::Estimate>;
+}
+
+/// Runs `config.iterations` missions of `mission` and folds them into the
+/// estimate of `empty` — the one block scheduler of every Monte-Carlo
+/// engine.
+///
+/// `mission(ws, i)` must be deterministic given the index `i` alone (it
+/// draws from seed substream `i` and fully resets whatever workspace state
+/// it reads). Each worker thread builds one [`SimWorkspace`] and reuses it
+/// for every mission it claims, so the mission loop is allocation-free.
+/// Threads claim fixed-size blocks from a shared cursor; each block starts
+/// from a copy of `empty` and ends by draining the workspace's counters,
+/// and the blocks merge in block order, so the estimate is bit-identical at
+/// any thread count. NOMDL is the accumulator's loss events per mission
+/// over `usable_capacity` (capacity units ≙ TB).
+///
+/// `cancel`, when present, is polled once per claimed block, so
+/// cancellation latency is one block's runtime and the per-mission path is
+/// untouched. When it trips before every block completes, the partial work
+/// is **discarded** and [`CoreError::DeadlineExpired`] is returned: a
+/// partial aggregate would depend on wall-clock timing, and the same config
+/// and seed must give the same bytes, which callers may cache.
+fn run_blocks<A: Accumulator>(
+    config: &McConfig,
+    usable_capacity: f64,
+    cancel: Option<&CancelToken>,
+    empty: A,
+    mission: impl Fn(&mut SimWorkspace, u64) -> A::Outcome + Sync,
+) -> Result<A::Estimate> {
+    config.validate()?;
+    let iterations = config.iterations;
+    let block_size = BLOCK_ITERATIONS.max(iterations.div_ceil(MAX_BLOCKS));
+    let blocks = iterations.div_ceil(block_size);
+    let partials = ordered_parallel_map_cancellable(
+        blocks,
+        config.effective_threads(),
+        || SimWorkspace::with_telemetry(config.telemetry),
+        |ws, block| {
+            let lo = block * block_size;
+            let hi = (lo + block_size).min(iterations);
+            let mut acc = empty.clone();
+            for i in lo..hi {
+                acc.push(&mission(ws, i));
+            }
+            let mut counters = ws.drain_counters();
+            if config.telemetry {
+                counters.add(Counter::Missions, hi - lo);
+            }
+            (acc, counters)
+        },
+        |_| false,
+        cancel,
+    );
+    if (partials.len() as u64) < blocks {
+        // Block claims are sequential, so the completed blocks are exactly
+        // 0..len, all of them full.
+        return Err(CoreError::DeadlineExpired {
+            completed: partials.len() as u64 * block_size,
+            requested: iterations,
+        });
+    }
+    let (mut total, mut counters) = (empty, CounterSnapshot::default());
+    for (_, (acc, c)) in &partials {
+        total.merge(acc);
+        counters.merge(c);
+    }
+    let nomdl_per_tb = total.loss_events() / iterations as f64 / usable_capacity;
+    total.finish(config, nomdl_per_tb, counters)
+}
+
+/// The sums behind an [`AvailabilityEstimate`]: the accumulator of the
+/// single-array engines.
+#[derive(Debug, Clone, Copy, Default)]
+struct ArrayBook {
+    /// Mission time, hours (context, not summed).
+    horizon: f64,
+    /// Per-mission availability `1 − w·downtime/horizon`.
+    stats: RunningStats,
+    downtime: f64,
+    du_downtime: f64,
+    du_events: u64,
+    dl_events: u64,
+    loss_missions: u64,
+    first_loss_sum: f64,
+    loss_magnitude: f64,
+    weight_sum: f64,
+    weight_sq_sum: f64,
+    weight_max: f64,
+}
+
+impl ArrayBook {
+    /// The empty accumulator for missions of `horizon` hours.
+    fn new(horizon: f64) -> Self {
+        ArrayBook {
+            horizon,
+            ..Self::default()
+        }
+    }
+}
+
+impl Accumulator for ArrayBook {
+    type Outcome = IterationOutcome;
+    type Estimate = AvailabilityEstimate;
+
+    fn push(&mut self, out: &IterationOutcome) {
+        // `weight` is exactly 1.0 for naive sampling, and `1.0 * x` is a
+        // bit-exact identity — the naive estimator is unchanged down to
+        // the last bit.
+        self.stats
+            .push(1.0 - out.weight * out.downtime_hours / self.horizon);
+        self.downtime += out.weight * out.downtime_hours;
+        self.du_downtime += out.weight * out.du_downtime_hours;
+        self.du_events += out.du_events;
+        self.dl_events += out.dl_events;
+        if out.first_loss_hours.is_finite() {
+            self.loss_missions += 1;
+            self.first_loss_sum += out.first_loss_hours;
+        }
+        self.loss_magnitude += out.weight * out.dl_events as f64;
+        self.weight_sum += out.weight;
+        self.weight_sq_sum += out.weight * out.weight;
+        self.weight_max = self.weight_max.max(out.weight);
+    }
+
+    fn merge(&mut self, b: &Self) {
+        self.stats.merge(&b.stats);
+        self.downtime += b.downtime;
+        self.du_downtime += b.du_downtime;
+        self.du_events += b.du_events;
+        self.dl_events += b.dl_events;
+        self.loss_missions += b.loss_missions;
+        self.first_loss_sum += b.first_loss_sum;
+        self.loss_magnitude += b.loss_magnitude;
+        self.weight_sum += b.weight_sum;
+        self.weight_sq_sum += b.weight_sq_sum;
+        self.weight_max = self.weight_max.max(b.weight_max);
+    }
+
+    fn loss_events(&self) -> f64 {
+        self.loss_magnitude
+    }
+
+    fn finish(
+        self,
+        config: &McConfig,
+        nomdl_per_tb: f64,
+        counters: CounterSnapshot,
+    ) -> Result<AvailabilityEstimate> {
+        let iterations = config.iterations;
+        let availability = t_interval(&self.stats, config.confidence).map_err(CoreError::from)?;
+        let p_data_loss = wilson_interval(self.loss_missions, iterations, config.confidence)
+            .map_err(CoreError::from)?;
+        let total_time = config.horizon_hours * iterations as f64;
+        Ok(AvailabilityEstimate {
+            availability,
+            overall_availability: 1.0 - self.downtime / total_time,
+            mean_downtime_hours: self.downtime / iterations as f64,
+            du_downtime_share: if self.downtime > 0.0 {
+                self.du_downtime / self.downtime
+            } else {
+                0.0
+            },
+            du_events: self.du_events,
+            dl_events: self.dl_events,
+            p_data_loss,
+            nomdl_per_tb,
+            mean_time_to_first_loss_hours: if self.loss_missions > 0 {
+                Some(self.first_loss_sum / self.loss_missions as f64)
+            } else {
+                None
+            },
+            loss_missions: self.loss_missions,
+            iterations,
+            horizon_hours: config.horizon_hours,
+            effective_sample_size: if self.weight_sq_sum > 0.0 {
+                self.weight_sum * self.weight_sum / self.weight_sq_sum
+            } else {
+                0.0
+            },
+            max_weight: self.weight_max,
+            counters,
+        })
+    }
+}
+
 /// Minimum pilot batch for [`run_to_precision`]. [`McConfig::validate`]
 /// accepts `iterations >= 2`, but a 2-mission pilot has a degenerate
 /// variance estimate — with two identical samples the Student-t half-width
@@ -641,10 +830,10 @@ impl AvailabilityEstimate {
 /// before the first batch.
 const MIN_PILOT_ITERATIONS: u64 = 32;
 
-/// Runs batches of missions until the availability interval's half-width
-/// falls below `target_half_width` (absolute, on availability) or
-/// `max_iterations` is reached — the sequential version of the paper's
-/// "iterations vs error" relationship.
+/// Runs batches of missions through [`run_blocks`] until the availability
+/// interval's half-width falls below `target_half_width` (absolute, on
+/// availability) or `max_iterations` is reached — the sequential version of
+/// the paper's "iterations vs error" relationship.
 ///
 /// The iteration indices (and therefore RNG substreams) continue across
 /// batches, so the sequential run is exactly a prefix-extension of a fixed
@@ -652,50 +841,13 @@ const MIN_PILOT_ITERATIONS: u64 = 32;
 /// clamped up to [`MIN_PILOT_ITERATIONS`] so the first variance estimate
 /// is non-degenerate — but never past `max_iterations`, which stays a hard
 /// budget.
-///
-/// Like [`run_iterations_cancellable`], each worker thread builds its
-/// scratch via
-/// `make_ws` once per batch and reuses it across all missions it claims.
-pub(crate) fn run_to_precision_with<W, I, F>(
+fn run_to_precision(
     config: &McConfig,
     target_half_width: f64,
     max_iterations: u64,
-    make_ws: I,
-    sim: F,
-) -> Result<AvailabilityEstimate>
-where
-    W: TelemetrySource,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, u64) -> IterationOutcome + Sync,
-{
-    run_to_precision_cancellable(
-        config,
-        target_half_width,
-        max_iterations,
-        None,
-        make_ws,
-        sim,
-    )
-}
-
-/// [`run_to_precision_with`] plus an optional cooperative [`CancelToken`],
-/// threaded into every growth batch. A tripped token surfaces as
-/// [`CoreError::DeadlineExpired`] from the in-flight batch; earlier
-/// *completed* batches are not reported (the precision loop restarts from
-/// iteration 0 each round, so there is no meaningful partial to salvage).
-pub(crate) fn run_to_precision_cancellable<W, I, F>(
-    config: &McConfig,
-    target_half_width: f64,
-    max_iterations: u64,
-    cancel: Option<&CancelToken>,
-    make_ws: I,
-    sim: F,
-) -> Result<AvailabilityEstimate>
-where
-    W: TelemetrySource,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, u64) -> IterationOutcome + Sync,
-{
+    usable_capacity: f64,
+    mission: impl Fn(&mut SimWorkspace, u64) -> IterationOutcome + Sync,
+) -> Result<AvailabilityEstimate> {
     if target_half_width.is_nan() || target_half_width <= 0.0 {
         return Err(CoreError::InvalidParameter(format!(
             "target half-width must be positive, got {target_half_width}"
@@ -713,7 +865,8 @@ where
             iterations: total,
             ..*config
         };
-        let est = run_iterations_cancellable(&cfg, cancel, &make_ws, &sim)?;
+        let empty = ArrayBook::new(cfg.horizon_hours);
+        let est = run_blocks(&cfg, usable_capacity, None, empty, &mission)?;
         // A zero-width interval is *degenerate*, not converged: every
         // sample was identical — typically a rare-event run whose batch
         // observed no failure at all. Declaring victory there would report
@@ -737,211 +890,18 @@ where
     }
 }
 
-/// Iterations per scheduling block (minimum). Block boundaries depend only
-/// on the iteration count, never on the thread count — the cornerstone of
-/// the [`McConfig::threads`] determinism contract.
-const BLOCK_ITERATIONS: u64 = 256;
-
-/// Cap on the number of scheduling blocks, so the per-block partials kept
-/// for the ordered merge stay a few hundred kilobytes even for billion-
-/// iteration runs (blocks grow past [`BLOCK_ITERATIONS`] instead).
-const MAX_BLOCKS: u64 = 4096;
-
-/// Runs `config.iterations` missions of `sim` in parallel and aggregates —
-/// the workspace-free convenience wrapper over
-/// [`run_iterations_cancellable`], kept for runner-level tests that need no
-/// scratch state.
-#[cfg(test)]
-pub(crate) fn run_iterations<F>(config: &McConfig, sim: F) -> Result<AvailabilityEstimate>
-where
-    F: Fn(u64) -> IterationOutcome + Sync,
-{
-    run_iterations_cancellable(config, None, || (), |_, i| sim(i))
-}
-
-/// Runs `config.iterations` missions of `sim` in parallel and aggregates.
-///
-/// `sim` is called with a worker-scoped scratch value and the iteration
-/// index, and must be deterministic given the index alone (each iteration
-/// derives its own RNG substream from it, and must fully reset whatever
-/// scratch state it reads). `make_ws` runs once per worker thread, so the
-/// scratch — typically a [`SimWorkspace`] — is built a handful of times per
-/// run and reused for every mission, keeping the per-mission loop
-/// allocation-free.
-///
-/// Threads claim fixed-size blocks of iterations from a shared cursor, so
-/// load balances dynamically; block partials are reassembled and merged in
-/// block order, so the aggregate is bit-identical at any thread count.
-///
-/// `cancel`, when present, is a cooperative [`CancelToken`] (deadline
-/// and/or explicit cancellation); pass `None` for the plain
-/// run-to-completion behaviour every engine had before deadlines existed.
-/// The token is polled once per claimed scheduling block (≥
-/// [`BLOCK_ITERATIONS`] missions), so cancellation latency is bounded by
-/// one block's runtime and the per-mission hot path is untouched. When the
-/// token trips before every block completes the partial work is
-/// **discarded** and [`CoreError::DeadlineExpired`] is returned: a partial
-/// aggregate would depend on wall-clock timing, and the estimator's
-/// bit-identity contract (same config + seed → same bytes) must also hold
-/// for what a caller may cache.
-pub(crate) fn run_iterations_cancellable<W, I, F>(
-    config: &McConfig,
-    cancel: Option<&CancelToken>,
-    make_ws: I,
-    sim: F,
-) -> Result<AvailabilityEstimate>
-where
-    W: TelemetrySource,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, u64) -> IterationOutcome + Sync,
-{
-    config.validate()?;
-    let iterations = config.iterations;
-    let block_size = BLOCK_ITERATIONS.max(iterations.div_ceil(MAX_BLOCKS));
-    let blocks = iterations.div_ceil(block_size);
-    let threads = config.effective_threads();
-
-    #[derive(Clone, Copy)]
-    struct Partial {
-        stats: RunningStats,
-        downtime: f64,
-        du_downtime: f64,
-        du_events: u64,
-        dl_events: u64,
-        loss_missions: u64,
-        first_loss_sum: f64,
-        loss_magnitude: f64,
-        weight_sum: f64,
-        weight_sq_sum: f64,
-        weight_max: f64,
-        counters: CounterSnapshot,
-    }
-
-    let partials = ordered_parallel_map_cancellable(
-        blocks,
-        threads,
-        make_ws,
-        |ws, block| {
-            let lo = block * block_size;
-            let hi = (lo + block_size).min(iterations);
-            let mut p = Partial {
-                stats: RunningStats::new(),
-                downtime: 0.0,
-                du_downtime: 0.0,
-                du_events: 0,
-                dl_events: 0,
-                loss_missions: 0,
-                first_loss_sum: 0.0,
-                loss_magnitude: 0.0,
-                weight_sum: 0.0,
-                weight_sq_sum: 0.0,
-                weight_max: 0.0,
-                counters: CounterSnapshot::default(),
-            };
-            for i in lo..hi {
-                let out = sim(ws, i);
-                // `weight` is exactly 1.0 for naive sampling, and `1.0 * x`
-                // is a bit-exact identity — the naive estimator is
-                // unchanged down to the last bit.
-                p.stats
-                    .push(1.0 - out.weight * out.downtime_hours / config.horizon_hours);
-                p.downtime += out.weight * out.downtime_hours;
-                p.du_downtime += out.weight * out.du_downtime_hours;
-                p.du_events += out.du_events;
-                p.dl_events += out.dl_events;
-                if out.first_loss_hours.is_finite() {
-                    p.loss_missions += 1;
-                    p.first_loss_sum += out.first_loss_hours;
-                }
-                p.loss_magnitude += out.weight * out.dl_events as f64;
-                p.weight_sum += out.weight;
-                p.weight_sq_sum += out.weight * out.weight;
-                p.weight_max = p.weight_max.max(out.weight);
-            }
-            p.counters = ws.drain_counters();
-            if config.telemetry {
-                p.counters.add(Counter::Missions, hi - lo);
-            }
-            p
-        },
-        |_| false,
-        cancel,
-    );
-
-    if (partials.len() as u64) < blocks {
-        // Cancelled runs report the completed prefix (block claims are
-        // sequential, so the claimed set is exactly blocks 0..len) and
-        // discard the partial aggregate — see the doc comment above.
-        let completed = partials
-            .iter()
-            .map(|(b, _)| (b * block_size + block_size).min(iterations) - b * block_size)
-            .sum();
-        return Err(CoreError::DeadlineExpired {
-            completed,
-            requested: iterations,
-        });
-    }
-
-    let mut stats = RunningStats::new();
-    let (mut downtime, mut du_dt, mut du_ev, mut dl_ev) = (0.0, 0.0, 0u64, 0u64);
-    let (mut loss_missions, mut first_loss_sum, mut loss_magnitude) = (0u64, 0.0, 0.0);
-    let (mut w_sum, mut w_sq, mut w_max) = (0.0, 0.0, 0.0f64);
-    let mut counters = CounterSnapshot::default();
-    for (_, p) in partials {
-        stats.merge(&p.stats);
-        downtime += p.downtime;
-        du_dt += p.du_downtime;
-        du_ev += p.du_events;
-        dl_ev += p.dl_events;
-        loss_missions += p.loss_missions;
-        first_loss_sum += p.first_loss_sum;
-        loss_magnitude += p.loss_magnitude;
-        w_sum += p.weight_sum;
-        w_sq += p.weight_sq_sum;
-        w_max = w_max.max(p.weight_max);
-        counters.merge(&p.counters);
-    }
-
-    let availability = t_interval(&stats, config.confidence).map_err(CoreError::from)?;
-    let p_data_loss =
-        wilson_interval(loss_missions, iterations, config.confidence).map_err(CoreError::from)?;
-    let total_time = config.horizon_hours * iterations as f64;
-    Ok(AvailabilityEstimate {
-        availability,
-        overall_availability: 1.0 - downtime / total_time,
-        mean_downtime_hours: downtime / iterations as f64,
-        du_downtime_share: if downtime > 0.0 {
-            du_dt / downtime
-        } else {
-            0.0
-        },
-        du_events: du_ev,
-        dl_events: dl_ev,
-        p_data_loss,
-        // Per-capacity normalization is the engine's job (the runner never
-        // sees the geometry): see `AvailabilityEstimate::normalize_nomdl`.
-        nomdl_per_tb: loss_magnitude / iterations as f64,
-        mean_time_to_first_loss_hours: if loss_missions > 0 {
-            Some(first_loss_sum / loss_missions as f64)
-        } else {
-            None
-        },
-        loss_missions,
-        iterations,
-        horizon_hours: config.horizon_hours,
-        effective_sample_size: if w_sq > 0.0 {
-            w_sum * w_sum / w_sq
-        } else {
-            0.0
-        },
-        max_weight: w_max,
-        counters,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs synthetic missions through the block runner at unit capacity.
+    fn run_iterations(
+        config: &McConfig,
+        sim: impl Fn(u64) -> IterationOutcome + Sync,
+    ) -> Result<AvailabilityEstimate> {
+        let empty = ArrayBook::new(config.horizon_hours);
+        run_blocks(config, 1.0, None, empty, |_, i| sim(i))
+    }
 
     #[test]
     fn config_validation() {
@@ -1050,13 +1010,40 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_run_reports_its_completed_prefix_and_no_estimate() {
+        let cfg = McConfig {
+            iterations: 1_000,
+            horizon_hours: 100.0,
+            threads: 2,
+            ..McConfig::default()
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        let empty = ArrayBook::new(cfg.horizon_hours);
+        let err = run_blocks(&cfg, 1.0, Some(&token), empty, |_, _| {
+            IterationOutcome::default()
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::DeadlineExpired {
+                    completed: 0,
+                    requested: 1_000
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn real_model_is_bit_identical_at_1_and_4_threads() {
         // Regression for the determinism contract on McConfig::threads: the
         // full ConventionalMc (real floating-point downtimes, not synthetic
         // integers) must produce identical bits at any thread count.
         let params =
             crate::ModelParams::raid5_3plus1(1e-3, availsim_hra::Hep::new(0.01).unwrap()).unwrap();
-        for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+        for engine in [McEngine::Auto, McEngine::EventQueue] {
             let mc = ConventionalMc::new(params).unwrap().with_engine(engine);
             let run = |threads| {
                 mc.run(&McConfig {
@@ -1145,8 +1132,7 @@ mod tests {
             threads: 1,
             ..McConfig::default()
         };
-        let est =
-            run_to_precision_with(&cfg, 1e-9, MIN_PILOT_ITERATIONS, || (), |_, i| sim(i)).unwrap();
+        let est = run_to_precision(&cfg, 1e-9, MIN_PILOT_ITERATIONS, 1.0, |_, i| sim(i)).unwrap();
         assert!(
             est.iterations >= MIN_PILOT_ITERATIONS,
             "pilot ran only {} iterations",
@@ -1156,7 +1142,7 @@ mod tests {
         assert!(est.availability.half_width > 0.0);
 
         // The floor never overrides the caller's hard budget.
-        let capped = run_to_precision_with(&cfg, 1e-9, 8, || (), |_, i| sim(i)).unwrap();
+        let capped = run_to_precision(&cfg, 1e-9, 8, 1.0, |_, i| sim(i)).unwrap();
         assert_eq!(capped.iterations, 8);
     }
 
@@ -1230,10 +1216,10 @@ mod tests {
         // 2 events × 100 missions / 400 iterations, per capacity unit.
         assert!((est.nomdl_per_tb - 0.5).abs() < 1e-12);
         assert_eq!(est.mean_time_to_first_loss_hours, Some(10.0));
-        // Engine-side capacity normalization divides the magnitude.
-        let mut e2 = est.clone();
-        e2.normalize_nomdl(4.0);
-        assert!((e2.nomdl_per_tb - 0.125).abs() < 1e-12);
+        // The runner divides the magnitude by the engine's usable capacity.
+        let empty = ArrayBook::new(cfg.horizon_hours);
+        let per_tb = run_blocks(&cfg, 4.0, None, empty, |_, i| sim(i)).unwrap();
+        assert_eq!(per_tb.nomdl_per_tb.to_bits(), (0.5f64 / 4.0).to_bits());
     }
 
     #[test]
@@ -1313,7 +1299,7 @@ mod tests {
             threads: 1,
             ..McConfig::default()
         };
-        let est = run_to_precision_with(&cfg, 1e-3, 4096, || (), |_, i| sim(i)).unwrap();
+        let est = run_to_precision(&cfg, 1e-3, 4096, 1.0, |_, i| sim(i)).unwrap();
         assert!(
             est.iterations > 500,
             "stopped at {} iterations with a degenerate CI",

@@ -32,16 +32,6 @@ pub fn nines_from_unavailability(unavailability: f64) -> f64 {
     -unavailability.log10()
 }
 
-/// Availability for a given number of nines.
-pub fn availability_from_nines(n: f64) -> f64 {
-    1.0 - 10f64.powf(-n)
-}
-
-/// Unavailability for a given number of nines.
-pub fn unavailability_from_nines(n: f64) -> f64 {
-    10f64.powf(-n)
-}
-
 /// Expected downtime in hours per year for an unavailability.
 pub fn downtime_hours_per_year(unavailability: f64) -> f64 {
     unavailability.clamp(0.0, 1.0) * HOURS_PER_YEAR
@@ -94,19 +84,16 @@ mod tests {
     #[test]
     fn roundtrips() {
         for &n in &[0.5, 1.0, 3.3, 7.0] {
-            let a = availability_from_nines(n);
-            assert!((nines(a) - n).abs() < 1e-6, "n={n}");
-            let u = unavailability_from_nines(n);
+            let u = 10f64.powf(-n);
+            assert!((nines(1.0 - u) - n).abs() < 1e-6, "n={n}");
             assert!((nines_from_unavailability(u) - n).abs() < 1e-12);
-            assert!((a + u - 1.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn downtime_conversions() {
         // Five nines ≈ 5.26 minutes per year.
-        let u = unavailability_from_nines(5.0);
-        let m = downtime_minutes_per_year(u);
+        let m = downtime_minutes_per_year(1e-5);
         assert!((m - 5.26).abs() < 0.01, "got {m}");
         // One nine = 876.6 hours per year.
         assert!((downtime_hours_per_year(0.1) - 876.6).abs() < 1e-9);

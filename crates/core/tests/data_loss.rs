@@ -5,7 +5,7 @@
 //! `lse_rate = 0` runs must stay bit-identical to the LSE-free engines at
 //! any thread count. Run in CI as a named step.
 
-use availsim_core::mc::{ConventionalMc, FleetMc, McConfig, McEngine};
+use availsim_core::mc::{ConventionalMc, FailOverMc, FleetMc, McConfig, McEngine};
 use availsim_core::ModelParams;
 use availsim_ctmc::transient;
 use availsim_hra::Hep;
@@ -125,7 +125,7 @@ fn zero_lse_rate_is_a_bitwise_noop_at_any_thread_count() {
     // nothing and changes nothing, at threads 1 and 4, on both engines.
     let zero = ScrubbingModel::new(0.0, 336.0).unwrap();
     let base = params(RaidGeometry::raid5(3).unwrap(), 1e-3, 0.01);
-    for engine in [McEngine::JumpChain, McEngine::EventQueue] {
+    for engine in [McEngine::Auto, McEngine::EventQueue] {
         for threads in [1, 4] {
             let cfg = McConfig {
                 threads,
@@ -154,6 +154,52 @@ fn zero_lse_rate_is_a_bitwise_noop_at_any_thread_count() {
                 ]
             };
             assert_eq!(digest(&plain), digest(&zeroed), "{engine:?} t={threads}");
+        }
+    }
+}
+
+#[test]
+fn nomdl_is_loss_events_per_mission_per_usable_tb_on_both_policies() {
+    // Naive missions weigh 1, so NOMDL is exactly the DL events per
+    // mission over the usable capacity, for conventional replacement and
+    // for fail-over alike — with no scrubbing model and with the inert
+    // one (`lse_rate = 0`) the front doors accept for fail-over.
+    let inert = ScrubbingModel::new(0.0, 336.0).unwrap();
+    let cfg = config(2_000, 20_000.0, 19);
+    for geometry in [
+        RaidGeometry::raid5(3).unwrap(),
+        RaidGeometry::raid5(7).unwrap(),
+    ] {
+        let tb = f64::from(geometry.usable_capacity());
+        let base = params(geometry, 5e-4, 0.01);
+        for p in [base, base.with_scrubbing(inert)] {
+            for engine in [McEngine::Auto, McEngine::EventQueue] {
+                let runs = [
+                    (
+                        "conventional",
+                        ConventionalMc::new(p)
+                            .unwrap()
+                            .with_engine(engine)
+                            .run(&cfg),
+                    ),
+                    (
+                        "failover",
+                        FailOverMc::new(p).unwrap().with_engine(engine).run(&cfg),
+                    ),
+                ];
+                for (policy, est) in runs {
+                    let est = est.unwrap();
+                    assert!(est.dl_events > 0, "{policy}/{engine:?}");
+                    let per_tb = est.dl_events as f64 / cfg.iterations as f64 / tb;
+                    assert_eq!(
+                        est.nomdl_per_tb.to_bits(),
+                        per_tb.to_bits(),
+                        "{policy}/{engine:?} on {}: {} vs {per_tb}",
+                        geometry.label(),
+                        est.nomdl_per_tb
+                    );
+                }
+            }
         }
     }
 }

@@ -29,10 +29,6 @@ pub enum ExpError {
     },
     /// An I/O failure while reading a spec or writing a report.
     Io(std::io::Error),
-    /// The campaign's cooperative cancel token tripped (deadline or
-    /// shutdown) before every cell completed. Partial results are
-    /// discarded — a cancelled run has exactly one observable outcome.
-    Cancelled,
 }
 
 impl fmt::Display for ExpError {
@@ -42,12 +38,6 @@ impl fmt::Display for ExpError {
             ExpError::InvalidSpec(msg) => write!(f, "invalid campaign: {msg}"),
             ExpError::Model { cell, source } => write!(f, "cell {cell}: {source}"),
             ExpError::Io(e) => write!(f, "io: {e}"),
-            ExpError::Cancelled => {
-                write!(
-                    f,
-                    "campaign cancelled: deadline expired or shutdown requested"
-                )
-            }
         }
     }
 }

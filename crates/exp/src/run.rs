@@ -20,7 +20,7 @@ use availsim_core::mc::{
 };
 use availsim_core::{nines, CoreError, ModelParams};
 use availsim_hra::Hep;
-use availsim_sim::parallel::{ordered_parallel_map_cancellable, CancelToken};
+use availsim_sim::parallel::{ordered_parallel_map_with, CancelToken};
 use availsim_sim::stats::RunningStats;
 use availsim_sim::telemetry::CounterSnapshot;
 use availsim_storage::{FleetSpec, Volume};
@@ -199,28 +199,6 @@ pub fn run_with_progress(
     config: &RunConfig,
     progress: Option<&ProgressSink<'_>>,
 ) -> Result<CampaignResult> {
-    run_cancellable(plan, config, progress, None)
-}
-
-/// [`run_with_progress`] plus an optional cooperative
-/// [`CancelToken`](availsim_sim::parallel::CancelToken).
-///
-/// The token is polled at two granularities: workers stop claiming new
-/// cells once it trips, and it is threaded into each Monte-Carlo cell's
-/// block scheduler so even a single long cell is cut short within one
-/// scheduling block. A cancelled campaign returns [`ExpError::Cancelled`]
-/// (or the in-flight cell's deadline error under `!keep_going`) and
-/// discards partial results — a run never reports a timing-dependent
-/// subset of its cells as if it were the campaign.
-///
-/// # Errors
-/// As [`run`], plus [`ExpError::Cancelled`] when the token trips.
-pub fn run_cancellable(
-    plan: &Plan,
-    config: &RunConfig,
-    progress: Option<&ProgressSink<'_>>,
-    cancel: Option<&CancelToken>,
-) -> Result<CampaignResult> {
     let n = plan.cells.len();
     let workers = config.effective_workers(n);
     let started = Instant::now();
@@ -228,12 +206,12 @@ pub fn run_cancellable(
 
     // Workers claim cells from a shared cursor; results carry their cell
     // index and are reassembled in index order (the determinism contract).
-    let collected = ordered_parallel_map_cancellable(
+    let collected = ordered_parallel_map_with(
         n as u64,
         workers,
         || (),
         |(), i| {
-            let r = run_cell_cancellable(&plan.scenario, &plan.cells[i as usize], cancel);
+            let r = run_cell(&plan.scenario, &plan.cells[i as usize]);
             if let Some(sink) = progress {
                 let k = completed.fetch_add(1, Ordering::Relaxed) + 1;
                 match r.as_ref() {
@@ -253,12 +231,10 @@ pub fn run_cancellable(
             r
         },
         |r| !config.keep_going && r.is_err(),
-        cancel,
     );
 
     let mut cells = Vec::with_capacity(n);
     let mut failed_cells = 0usize;
-    let collected_count = collected.len();
     for (i, r) in collected {
         match r {
             Ok(c) => cells.push(c),
@@ -268,11 +244,6 @@ pub fn run_cancellable(
             }
             Err(e) => return Err(e),
         }
-    }
-    if collected_count < n {
-        // The cancel token stopped workers from claiming every cell; the
-        // completed prefix is discarded (see the doc comment above).
-        return Err(ExpError::Cancelled);
     }
 
     let mut unavailability_stats = RunningStats::new();
@@ -765,29 +736,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_campaign_returns_cancelled_and_no_partial_result() {
-        let plan = expand(&mc_scenario()).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = run_cancellable(
-            &plan,
-            &RunConfig {
-                workers: 2,
-                ..Default::default()
-            },
-            None,
-            Some(&token),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ExpError::Cancelled), "{err}");
-        assert!(err.to_string().contains("cancelled"), "{err}");
-    }
-
-    #[test]
     fn expired_deadline_surfaces_the_cell_deadline_error() {
-        // A deadline already in the past trips inside the first claimed
-        // cell's block scheduler (cells are claimed before the outer poll
-        // can observe the token again with one worker and one cell).
+        // A deadline already in the past trips inside the cell's block
+        // scheduler before any block is claimed.
         let s = Scenario::parse(
             "[campaign]\nname = d\nseed = 5\nmodel = mc\n[axes]\nlambda = 1e-3\nhep = 0.01\n[mc]\niterations = 100000\nhorizon_hours = 10000\n",
         )
@@ -795,18 +746,8 @@ mod tests {
         let plan = expand(&s).unwrap();
         let token =
             CancelToken::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        let err = run_cancellable(
-            &plan,
-            &RunConfig {
-                workers: 1,
-                ..Default::default()
-            },
-            None,
-            Some(&token),
-        )
-        .unwrap_err();
+        let err = run_cell_cancellable(&plan.scenario, &plan.cells[0], Some(&token)).unwrap_err();
         match &err {
-            ExpError::Cancelled => {}
             ExpError::Model { source, .. } => {
                 assert!(matches!(source, CoreError::DeadlineExpired { .. }), "{err}");
             }
@@ -817,15 +758,18 @@ mod tests {
     #[test]
     fn uncancelled_token_changes_no_result_bit() {
         let plan = expand(&mc_scenario()).unwrap();
-        let cfg = RunConfig {
-            workers: 2,
-            ..Default::default()
-        };
-        let plain = run(&plan, &cfg).unwrap();
+        let plain = run(
+            &plan,
+            &RunConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let token =
             CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(600));
-        let with_token = run_cancellable(&plan, &cfg, None, Some(&token)).unwrap();
-        for (a, b) in plain.cells.iter().zip(&with_token.cells) {
+        for (a, cell) in plain.cells.iter().zip(&plan.cells) {
+            let b = run_cell_cancellable(&plan.scenario, cell, Some(&token)).unwrap();
             assert_eq!(a.unavailability.to_bits(), b.unavailability.to_bits());
         }
     }

@@ -467,14 +467,6 @@ pub fn parse_geometry_label(name: &str) -> std::result::Result<RaidGeometry, Str
     }
 }
 
-/// [`parse_geometry_label`] wrapped into the spec layer's error type.
-///
-/// # Errors
-/// Returns [`ExpError::InvalidSpec`] for unknown labels or bad disk counts.
-pub fn parse_geometry(name: &str) -> Result<RaidGeometry> {
-    parse_geometry_label(name).map_err(ExpError::InvalidSpec)
-}
-
 /// Where one scenario value came from. Every [`ScenarioBuilder`] error is
 /// prefixed with it: `spec line 7: …`, `--bias: …`, `fleet.arrays: …`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1332,12 +1324,12 @@ lambda = 1e-5
 
     #[test]
     fn geometry_labels_parse_like_the_cli() {
-        assert_eq!(parse_geometry("r1").unwrap().total_disks(), 2);
-        assert_eq!(parse_geometry("r5-3").unwrap().label(), "RAID5(3+1)");
-        assert_eq!(parse_geometry("r6-6").unwrap().label(), "RAID6(6+2)");
-        assert!(parse_geometry("r9-3").is_err());
-        assert!(parse_geometry("r5-x").is_err());
-        assert!(parse_geometry("raid5").is_err());
+        assert_eq!(parse_geometry_label("r1").unwrap().total_disks(), 2);
+        assert_eq!(parse_geometry_label("r5-3").unwrap().label(), "RAID5(3+1)");
+        assert_eq!(parse_geometry_label("r6-6").unwrap().label(), "RAID6(6+2)");
+        assert!(parse_geometry_label("r9-3").is_err());
+        assert!(parse_geometry_label("r5-x").is_err());
+        assert!(parse_geometry_label("raid5").is_err());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! seed derivation, and runner determinism under random scenarios.
 
 use availsim_exp::plan::{cell_seed, expand};
+use availsim_exp::report;
 use availsim_exp::run::{run, RunConfig};
-use availsim_exp::spec::Scenario;
-use availsim_exp::{report, spec::parse_geometry};
+use availsim_exp::spec::{parse_geometry_label, Scenario};
 use proptest::prelude::*;
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
@@ -23,7 +23,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         };
         s.raid = raid
             .into_iter()
-            .map(|g| parse_geometry(g).unwrap())
+            .map(|g| parse_geometry_label(g).unwrap())
             .collect();
         s
     })

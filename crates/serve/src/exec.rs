@@ -51,7 +51,6 @@ pub fn execute(
     let scenario = query.to_scenario();
     let result =
         run_cell_cancellable(&scenario, &Cell::point(&scenario), cancel).map_err(|e| match e {
-            ExpError::Cancelled => ExecError::Deadline,
             ExpError::Model {
                 source: CoreError::DeadlineExpired { .. },
                 ..

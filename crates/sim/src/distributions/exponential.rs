@@ -46,22 +46,6 @@ impl Exponential {
         })
     }
 
-    /// Creates the distribution from its mean (`rate = 1/mean`).
-    ///
-    /// # Errors
-    /// Returns [`SimError::InvalidParameter`] unless `mean` is positive and
-    /// finite.
-    pub fn from_mean(mean: f64) -> Result<Self> {
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(SimError::InvalidParameter {
-                name: "mean",
-                value: mean,
-                constraint: "mean must be positive and finite",
-            });
-        }
-        Exponential::new(1.0 / mean)
-    }
-
     /// The rate `λ`.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -113,13 +97,6 @@ mod tests {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::new(-1.0).is_err());
         assert!(Exponential::new(f64::NAN).is_err());
-        assert!(Exponential::from_mean(0.0).is_err());
-    }
-
-    #[test]
-    fn from_mean_inverts_rate() {
-        let d = Exponential::from_mean(20.0).unwrap();
-        assert!((d.rate() - 0.05).abs() < 1e-15);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! use availsim_sim::stats::{t_interval, RunningStats};
 //!
 //! # fn main() -> Result<(), availsim_sim::SimError> {
-//! let dist = Exponential::from_mean(10.0)?;
+//! let dist = Exponential::new(0.1)?;
 //! let mut rng = SimRng::seed_from(7);
 //! let mut stats = RunningStats::new();
 //! for _ in 0..10_000 {

@@ -69,7 +69,7 @@ impl CancelToken {
 /// Resolves a requested worker count: an explicit count is used as-is;
 /// `0` (auto) becomes the machine's [`std::thread::available_parallelism`]
 /// (1 if unknown). The single source of the auto-parallelism policy for
-/// every [`ordered_parallel_map`] caller.
+/// every [`ordered_parallel_map_with`] caller.
 pub fn resolve_workers(requested: usize) -> usize {
     if requested > 0 {
         requested
@@ -88,38 +88,22 @@ pub fn resolve_workers(requested: usize) -> usize {
 /// floating-point reduction performed over it — is independent of the
 /// worker count. `workers` is clamped to `[1, items]`.
 ///
+/// Each worker thread calls `init()` exactly once when it starts and hands
+/// the resulting **worker-scoped scratch state** mutably to `f` for every
+/// item it claims. This is the allocation-free fan-out primitive: a worker
+/// builds its scratch (event queues, accumulators, buffers) once and reuses
+/// it across all the blocks it processes, so the per-item path performs no
+/// heap allocations after warm-up. **As long as `f(state, i)` returns the
+/// same value regardless of what the scratch saw before** (i.e. `f` fully
+/// resets the parts of the scratch it reads), the output is bit-identical
+/// at any worker count. The scratch is dropped when its worker finishes;
+/// nothing is returned from it.
+///
 /// `abort_after` is consulted on each produced value; when it returns
 /// `true`, workers stop claiming *new* items (already claimed items still
 /// finish and are returned). Use it to cut a batch short on the first
 /// error. On abort the result can be shorter than `items`; without abort it
 /// is always complete.
-pub fn ordered_parallel_map<T, F, A>(
-    items: u64,
-    workers: usize,
-    f: F,
-    abort_after: A,
-) -> Vec<(u64, T)>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-    A: Fn(&T) -> bool + Sync,
-{
-    ordered_parallel_map_with(items, workers, || (), |(), i| f(i), abort_after)
-}
-
-/// [`ordered_parallel_map`] with **worker-scoped scratch state**: each
-/// worker thread calls `init()` exactly once when it starts and hands the
-/// resulting value mutably to `f` for every item it claims.
-///
-/// This is the allocation-free fan-out primitive: a worker builds its
-/// scratch (event queues, accumulators, buffers) once and reuses it across
-/// all the blocks it processes, so the per-item path performs no heap
-/// allocations after warm-up. The determinism contract is unchanged from
-/// [`ordered_parallel_map`] — results are reassembled in item-index order,
-/// so **as long as `f(state, i)` returns the same value regardless of what
-/// the scratch saw before** (i.e. `f` fully resets the parts of the scratch
-/// it reads), the output is bit-identical at any worker count. The scratch
-/// is dropped when its worker finishes; nothing is returned from it.
 pub fn ordered_parallel_map_with<S, T, I, F, A>(
     items: u64,
     workers: usize,
@@ -212,7 +196,7 @@ mod tests {
     #[test]
     fn covers_every_item_exactly_once_in_order() {
         for workers in [1, 2, 7, 64] {
-            let out = ordered_parallel_map(100, workers, |i| i * 3, |_| false);
+            let out = ordered_parallel_map_with(100, workers, || (), |(), i| i * 3, |_| false);
             assert_eq!(out.len(), 100);
             for (k, (i, v)) in out.iter().enumerate() {
                 assert_eq!(*i, k as u64);
@@ -223,14 +207,20 @@ mod tests {
 
     #[test]
     fn zero_items_returns_empty() {
-        let out = ordered_parallel_map(0, 4, |i| i, |_| false);
+        let out = ordered_parallel_map_with(0, 4, || (), |(), i| i, |_| false);
         assert!(out.is_empty());
     }
 
     #[test]
     fn result_is_worker_count_invariant_for_float_reductions() {
         let reduce = |workers| {
-            let out = ordered_parallel_map(1000, workers, |i| 1.0 / (i as f64 + 1.0), |_| false);
+            let out = ordered_parallel_map_with(
+                1000,
+                workers,
+                || (),
+                |(), i| 1.0 / (i as f64 + 1.0),
+                |_| false,
+            );
             out.iter().map(|(_, v)| *v).sum::<f64>().to_bits()
         };
         assert_eq!(reduce(1), reduce(5));
@@ -283,7 +273,7 @@ mod tests {
 
     #[test]
     fn abort_stops_claiming_new_items() {
-        let out = ordered_parallel_map(1_000_000, 2, |i| i, |&v| v == 10);
+        let out = ordered_parallel_map_with(1_000_000, 2, || (), |(), i| i, |&v| v == 10);
         // Item 10 was produced; far fewer than a million items ran.
         assert!(out.iter().any(|&(i, _)| i == 10));
         assert!(out.len() < 1_000_000);
@@ -291,7 +281,7 @@ mod tests {
 
     #[test]
     fn without_abort_partial_results_never_happen() {
-        let out = ordered_parallel_map(257, 8, |i| i % 7, |_| false);
+        let out = ordered_parallel_map_with(257, 8, || (), |(), i| i % 7, |_| false);
         assert_eq!(out.len(), 257);
     }
 

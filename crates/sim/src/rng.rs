@@ -224,17 +224,6 @@ impl SimRng {
         let dt = -(-u * p_hit).ln_1p() / rate;
         Some((dt.min(bound), p_hit))
     }
-
-    /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.next_f64() < p
-        }
-    }
 }
 
 #[cfg(test)]
@@ -382,23 +371,5 @@ mod tests {
             assert!(dt > 0.0 && dt <= 1e5);
             assert!((p_hit - 1e-10).abs() < 1e-14, "p_hit {p_hit}");
         }
-    }
-
-    #[test]
-    fn bernoulli_extremes() {
-        let mut rng = SimRng::seed_from(3);
-        assert!(!rng.bernoulli(0.0));
-        assert!(rng.bernoulli(1.0));
-        assert!(!rng.bernoulli(-0.5));
-        assert!(rng.bernoulli(1.5));
-    }
-
-    #[test]
-    fn bernoulli_frequency_tracks_p() {
-        let mut rng = SimRng::seed_from(17);
-        let n = 100_000;
-        let hits = (0..n).filter(|_| rng.bernoulli(0.01)).count();
-        let freq = hits as f64 / n as f64;
-        assert!((freq - 0.01).abs() < 0.002, "freq {freq}");
     }
 }

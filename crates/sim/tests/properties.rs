@@ -758,7 +758,7 @@ proptest! {
         let mut small = RunningStats::new();
         let mut big = RunningStats::new();
         for i in 0..4096u64 {
-            let up = if rng.bernoulli(p) { 1.0 } else { 0.0 };
+            let up = if rng.next_f64() < p { 1.0 } else { 0.0 };
             if i < 256 {
                 small.push(up);
             }

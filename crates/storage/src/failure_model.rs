@@ -59,14 +59,6 @@ impl FailureModel {
             FailureModel::Weibull(d) => d.sample(rng),
         }
     }
-
-    /// Mean time to failure (hours).
-    pub fn mttf_hours(&self) -> f64 {
-        match self {
-            FailureModel::Exponential(d) => d.mean(),
-            FailureModel::Weibull(d) => d.mean(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +68,11 @@ mod tests {
     #[test]
     fn exponential_model_roundtrip() {
         let m = FailureModel::exponential(1e-6).unwrap();
-        assert!((m.mttf_hours() - 1e6).abs() < 1e-3);
+        let FailureModel::Exponential(d) = &m else {
+            panic!("an exponential model: {m:?}");
+        };
+        assert_eq!(d.rate(), 1e-6);
+        assert!((d.mean() - 1e6).abs() < 1e-3);
     }
 
     #[test]
@@ -87,14 +83,14 @@ mod tests {
         };
         assert!((w.scale() - 5e4).abs() < 1e-6);
         // For β > 1 the mean is below the characteristic life.
-        assert!(m.mttf_hours() < 5e4);
+        assert!(w.mean() < 5e4);
     }
 
     #[test]
     fn all_field_fits_construct() {
         for (rate, shape) in SCHROEDER_GIBSON_FITS {
             let m = FailureModel::weibull(rate, shape).unwrap();
-            assert!(m.mttf_hours() > 0.0);
+            assert!(matches!(m, FailureModel::Weibull(w) if w.mean() > 0.0));
         }
     }
 

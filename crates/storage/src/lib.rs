@@ -1,7 +1,7 @@
 //! # availsim-storage
 //!
 //! Disk-subsystem substrate for availability modeling: RAID geometries,
-//! maintenance policies, field-calibrated failure models, latent-sector-error
+//! maintenance service rates, field-calibrated failure models, latent-sector-error
 //! exposure, event traces with downtime accounting, equivalent-capacity
 //! volumes, and fleet-scale arithmetic.
 //!
@@ -50,7 +50,7 @@ pub use datacenter::{DatacenterModel, FailoverPolicy, FleetFailover, FleetSpec, 
 pub use error::{Result, StorageError};
 pub use failure_model::{FailureModel, SCHROEDER_GIBSON_FITS};
 pub use lse::ScrubbingModel;
-pub use maintenance::{ReplacementPolicy, ServiceRates};
+pub use maintenance::ServiceRates;
 pub use raid::{RaidGeometry, RaidLevel};
 pub use trace::{DowntimeLog, EventTrace, Outage, OutageCause, TraceEvent, TraceKind};
 pub use volume::Volume;

@@ -1,4 +1,4 @@
-//! Maintenance policies and service processes.
+//! Service rates of the maintenance organization.
 //!
 //! The paper contrasts two disk-replacement disciplines:
 //!
@@ -11,28 +11,6 @@
 //!   error can no longer coincide with the exposed window.
 
 use crate::error::{Result, StorageError};
-use std::fmt;
-
-/// Disk replacement discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Replace immediately upon failure (paper Fig. 2 model).
-    #[default]
-    Conventional,
-    /// Rebuild into a hot spare first, replace afterwards (paper Fig. 3
-    /// model, "delayed disk replacement").
-    AutomaticFailOver,
-}
-
-impl fmt::Display for ReplacementPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ReplacementPolicy::Conventional => "conventional-disk-replacement",
-            ReplacementPolicy::AutomaticFailOver => "automatic-fail-over",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Service rates of the maintenance organization, mirroring the paper's
 /// parameters (all per hour).
@@ -85,16 +63,6 @@ impl ServiceRates {
         }
         Ok(())
     }
-
-    /// Mean time (hours) to repair a single disk failure.
-    pub fn mean_disk_repair_hours(&self) -> f64 {
-        1.0 / self.disk_repair
-    }
-
-    /// Mean time (hours) to restore from backup after data loss.
-    pub fn mean_backup_restore_hours(&self) -> f64 {
-        1.0 / self.backup_restore
-    }
 }
 
 impl Default for ServiceRates {
@@ -116,8 +84,6 @@ mod tests {
         assert_eq!(r.disk_change, 1.0);
         assert_eq!(r.removed_disk_crash, 0.01);
         assert!(r.validate().is_ok());
-        assert!((r.mean_disk_repair_hours() - 10.0).abs() < 1e-12);
-        assert!((r.mean_backup_restore_hours() - 33.333_333).abs() < 1e-3);
     }
 
     #[test]
@@ -130,17 +96,5 @@ mod tests {
         let mut r = ServiceRates::paper_defaults();
         r.disk_change = f64::NAN;
         assert!(r.validate().is_err());
-    }
-
-    #[test]
-    fn default_policy_is_conventional() {
-        assert_eq!(
-            ReplacementPolicy::default(),
-            ReplacementPolicy::Conventional
-        );
-        assert_eq!(
-            ReplacementPolicy::AutomaticFailOver.to_string(),
-            "automatic-fail-over"
-        );
     }
 }

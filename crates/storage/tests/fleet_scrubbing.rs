@@ -2,9 +2,7 @@
 //! arithmetic) and the scrubbing/maintenance models: invariants the
 //! in-module unit tests don't exercise, plus interval edge cases.
 
-use availsim_storage::{
-    DatacenterModel, ReplacementPolicy, ScrubbingModel, ServiceRates, HOURS_PER_YEAR,
-};
+use availsim_storage::{DatacenterModel, ScrubbingModel, ServiceRates, HOURS_PER_YEAR};
 use proptest::prelude::*;
 
 /// A ten-year mission, the horizon used throughout the paper's MC runs.
@@ -166,17 +164,11 @@ proptest! {
 // ----------------------------------------------------------- maintenance ----
 
 #[test]
-fn service_rates_mean_times_are_reciprocal_rates() {
-    let rates = ServiceRates::paper_defaults();
-    assert!((rates.mean_disk_repair_hours() * rates.disk_repair - 1.0).abs() < 1e-12);
-    assert!((rates.mean_backup_restore_hours() * rates.backup_restore - 1.0).abs() < 1e-12);
+fn exascale_failures_arrive_faster_than_one_repair_completes() {
     // The paper's exascale scenario: a new disk failure arrives (~1/h)
     // faster than a single repair completes (~10 h), so several repairs —
     // and several chances for human error — are always in flight.
+    let mean_repair_hours = 1.0 / ServiceRates::paper_defaults().disk_repair;
     let dc = DatacenterModel::new(1_000_000, 1e-6, 0.01).unwrap();
-    assert!(rates.mean_disk_repair_hours() > dc.mean_time_between_failures_hours());
-    assert_eq!(
-        ReplacementPolicy::default().to_string(),
-        "conventional-disk-replacement"
-    );
+    assert!(mean_repair_hours > dc.mean_time_between_failures_hours());
 }

@@ -73,7 +73,7 @@ fn simulation_kernel_through_facade() {
     let ks = ks_test(&samples, &d).unwrap();
     assert!(ks.p_value > 0.01);
 
-    let e = Exponential::from_mean(5.0).unwrap();
+    let e = Exponential::new(0.2).unwrap();
     let mut stats = RunningStats::new();
     for _ in 0..5_000 {
         stats.push(e.sample(&mut rng));
@@ -113,5 +113,8 @@ fn datacenter_and_volume_bookkeeping() {
     assert_eq!(volume.usable_capacity(), 750_000);
     // Failure stream feeds the fleet model.
     let fm = FailureModel::exponential(dc.per_disk_failure_rate()).unwrap();
-    assert!((fm.mttf_hours() - 1e6).abs() < 1.0);
+    let FailureModel::Exponential(d) = fm else {
+        panic!("an exponential model: {fm:?}");
+    };
+    assert!((d.mean() - 1e6).abs() < 1.0);
 }
