@@ -11,6 +11,7 @@ use availsim_core::ModelParams;
 use availsim_ctmc::steady_state_gth_rates;
 use availsim_hra::{DependenceLevel, Hep};
 use availsim_sim::rng::SimRng;
+use availsim_sim::telemetry::Counter;
 use availsim_storage::{
     FailoverPolicy, FailureModel, FleetFailover, FleetSpec, RaidGeometry, ScrubbingModel,
 };
@@ -1056,4 +1057,52 @@ fn every_fleet_estimate_field_is_pinned() {
         })
         .collect();
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Runs `mc` with counters on over ten-year missions, the horizon of the
+/// fleet benchmark's two cell shapes pinned below.
+fn ten_year_run(mc: &FleetMc, iterations: u64, seed: u64) -> FleetEstimate {
+    mc.run(&McConfig {
+        iterations,
+        horizon_hours: 87_600.0,
+        seed,
+        confidence: 0.95,
+        threads: 2,
+        telemetry: true,
+        ..McConfig::default()
+    })
+    .unwrap()
+}
+
+#[test]
+fn two_array_fleet_is_pinned_in_the_linear_regime() {
+    // Two RAID5(3+1) arrays at λ = 1e-4 never hold more than 32 pending
+    // events, so a whole ten-year mission stays in the linear regime.
+    let est = ten_year_run(&FleetMc::new(spec(2), params(1e-4, 0.01)).unwrap(), 48, 11);
+    assert_eq!(est.counters.get(Counter::QueueHeapCrossings), 0);
+    assert!(est.du_events > 0 && est.dl_events > 0);
+    let got = every_field(&est);
+    assert_eq!(got, 0x9234_58e1_59a1_33a7, "got {got:#018x}");
+}
+
+#[test]
+fn thousand_array_fleet_is_pinned_in_the_heap_regime() {
+    // 1000 arrays, 8 crews and a 4-slot queueing DR site at λ = 3e-6:
+    // about a thousand sub-horizon disk clocks keep every mission deep in
+    // the heap regime, with the service and fail-back races on top. The
+    // fail-back rate defaults to μ_ch, as at the spec door.
+    let p = params(3e-6, 0.01);
+    let fleet = spec(1000)
+        .with_repairmen(8)
+        .unwrap()
+        .with_failover(failover(Some(4), FailoverPolicy::Queue, p.disk_change_rate))
+        .unwrap();
+    let est = ten_year_run(&FleetMc::new(fleet, p).unwrap(), 48, 12);
+    assert_eq!(
+        est.counters.get(Counter::QueueHeapCrossings),
+        est.iterations
+    );
+    assert!(est.failovers > 0 && est.failbacks > 0);
+    let got = every_field(&est);
+    assert_eq!(got, 0xd87a_4e76_2445_e383, "got {got:#018x}");
 }
