@@ -38,7 +38,7 @@ pub struct Request {
 pub enum ReadError {
     /// Malformed request line or header framing → `400`.
     Malformed(String),
-    /// Head exceeded [`MAX_HEAD_BYTES`] → `431`.
+    /// Head (request line and headers) exceeded 16 KiB → `431`.
     HeadTooLarge,
     /// Body exceeded the server's byte cap → `413`.
     BodyTooLarge,

@@ -540,8 +540,10 @@ proptest! {
     fn indexed_queue_is_observably_identical_to_the_reference_queue(
         // Operation stream: each step is (op selector, time selector).
         // Times are drawn from a tiny grid so FIFO tie-breaking is
-        // exercised constantly, and the op mix crosses the linear→heap
-        // threshold when the schedule share dominates.
+        // exercised constantly — across lanes too, since each schedule
+        // picks the clock or the timer lane by the selector's parity — and
+        // the op mix crosses the linear→heap threshold when the schedule
+        // share dominates.
         ops in proptest::collection::vec((0u8..100, 0u8..8), 1..400),
         seed in any::<u64>(),
     ) {
@@ -560,7 +562,12 @@ proptest! {
                 0..=54 => {
                     let delay = f64::from(t);
                     let h_ref = reference.schedule(delay, payload).unwrap();
-                    let h_idx = indexed.schedule(delay, payload).unwrap();
+                    let h_idx = if op % 2 == 0 {
+                        indexed.schedule(delay, payload)
+                    } else {
+                        indexed.schedule_timer(delay, payload)
+                    }
+                    .unwrap();
                     live.push((h_ref, h_idx));
                     payload += 1;
                 }
@@ -621,7 +628,8 @@ proptest! {
         // Same op-selector style as the equivalence test above: schedule
         // dominates so the queue crosses the linear→heap threshold, with
         // pops, live/dead cancels, bulk cancels, expired draws, and clears
-        // mixed in. After every step the traffic counters must satisfy
+        // mixed in, each schedule on the lane its selector's parity picks.
+        // After every step the traffic counters must satisfy
         // scheduled == fired + cancelled + expired + len().
         ops in proptest::collection::vec((0u8..100, 0u8..8), 1..400),
         seed in any::<u64>(),
@@ -636,7 +644,13 @@ proptest! {
         let mut dead = Vec::new();
         let mut payload = 0u64;
         for _ in 0..preload {
-            live.push(q.schedule(f64::from(payload as u8), payload).unwrap());
+            let delay = f64::from(payload as u8);
+            live.push(if payload.is_multiple_of(2) {
+                q.schedule(delay, payload)
+            } else {
+                q.schedule_timer(delay, payload)
+            }
+            .unwrap());
             payload += 1;
         }
         prop_assert_eq!(q.stats().heap_crossings > 0, preload > 32);
@@ -645,7 +659,13 @@ proptest! {
             match op {
                 // Schedule (majority share so the heap regime is reached).
                 0..=49 => {
-                    live.push(q.schedule(f64::from(t), payload).unwrap());
+                    let delay = f64::from(t);
+                    live.push(if op % 2 == 0 {
+                        q.schedule(delay, payload)
+                    } else {
+                        q.schedule_timer(delay, payload)
+                    }
+                    .unwrap());
                     payload += 1;
                 }
                 // Pop due / pop.

@@ -106,11 +106,6 @@ impl EventTrace {
         self.events.is_empty()
     }
 
-    /// Events of a particular kind predicate.
-    pub fn count_where(&self, pred: impl Fn(&TraceKind) -> bool) -> usize {
-        self.events.iter().filter(|e| pred(&e.kind)).count()
-    }
-
     /// Renders a human-readable timeline (one line per event), the textual
     /// analogue of the paper's Fig. 1.
     pub fn render(&self) -> String {
@@ -194,11 +189,6 @@ impl DowntimeLog {
         }
     }
 
-    /// Whether an outage is currently open.
-    pub fn is_down(&self) -> bool {
-        self.open.is_some()
-    }
-
     /// Closes any open outage at the simulation horizon.
     pub fn finalize(&mut self, horizon: f64) {
         self.end(horizon);
@@ -221,11 +211,6 @@ impl DowntimeLog {
             .filter(|o| o.cause == cause)
             .map(Outage::duration)
             .sum()
-    }
-
-    /// Number of outages with the given cause.
-    pub fn count_by_cause(&self, cause: OutageCause) -> usize {
-        self.outages.iter().filter(|o| o.cause == cause).count()
     }
 
     /// Availability over a horizon: `1 − downtime/horizon`.
@@ -267,12 +252,20 @@ mod tests {
     }
 
     #[test]
-    fn count_where_filters() {
+    fn events_come_back_in_record_order() {
         let mut t = EventTrace::new();
         t.record(1.0, TraceKind::DataLoss);
         t.record(2.0, TraceKind::DataUnavailable);
         t.record(3.0, TraceKind::DataLoss);
-        assert_eq!(t.count_where(|k| matches!(k, TraceKind::DataLoss)), 2);
+        let kinds: Vec<(f64, TraceKind)> = t.events().iter().map(|e| (e.time, e.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (1.0, TraceKind::DataLoss),
+                (2.0, TraceKind::DataUnavailable),
+                (3.0, TraceKind::DataLoss)
+            ]
+        );
     }
 
     #[test]
@@ -286,7 +279,7 @@ mod tests {
         assert!((log.total_downtime() - 34.0).abs() < 1e-12);
         assert!((log.downtime_by_cause(OutageCause::HumanError) - 1.0).abs() < 1e-12);
         assert!((log.downtime_by_cause(OutageCause::DataLoss) - 33.0).abs() < 1e-12);
-        assert_eq!(log.count_by_cause(OutageCause::DataLoss), 1);
+        assert_eq!(log.outages()[1].cause, OutageCause::DataLoss);
     }
 
     #[test]
@@ -304,9 +297,9 @@ mod tests {
     fn finalize_closes_open_outage() {
         let mut log = DowntimeLog::new();
         log.begin(90.0, OutageCause::DataLoss);
-        assert!(log.is_down());
+        assert!(log.outages().is_empty(), "an open outage is not yet closed");
         log.finalize(100.0);
-        assert!(!log.is_down());
+        assert_eq!(log.outages().len(), 1);
         assert!((log.total_downtime() - 10.0).abs() < 1e-12);
     }
 
@@ -334,16 +327,16 @@ mod tests {
         log.begin(1.0, OutageCause::DataLoss);
         log.end(2.0);
         log.begin(3.0, OutageCause::HumanError); // left open: poisoned state
-        assert!(log.is_down());
         log.clear();
-        assert!(!log.is_down());
+        log.end(4.0); // nothing open to close
         assert!(log.outages().is_empty());
         assert_eq!(log.total_downtime(), 0.0);
         // A fresh mission on the reused log starts from a clean slate.
         log.begin(5.0, OutageCause::DataLoss);
         log.finalize(7.0);
         assert!((log.total_downtime() - 2.0).abs() < 1e-12);
-        assert_eq!(log.count_by_cause(OutageCause::HumanError), 0);
+        assert_eq!(log.outages().len(), 1);
+        assert_eq!(log.outages()[0].cause, OutageCause::DataLoss);
     }
 
     #[test]
