@@ -23,18 +23,17 @@
 //! The engine is the general event-queue engine throughout — a fleet
 //! mission is exactly the workload the indexed queue's heap regime exists
 //! for (thousands of concurrent disk clocks). Disk and shelf clocks ride
-//! the queue's clock lane; the service races and the DR fail-back race
-//! ride its timer lane
-//! ([`schedule_timer`](availsim_sim::indexed_queue::IndexedEventQueue::schedule_timer)).
-//! A race timer lives hours and half of them are cancelled, while a disk
-//! clock pends for most of the mission, so on a large fleet the timers
-//! are most of the queue traffic; on their own lane each of their
-//! schedules, cancels and pops touches a few entries instead of sifting
-//! through every pending disk clock. The lanes share one `(time, seq)`
-//! order, so the split moves no pop, draw or queue counter. Missions run
-//! through the same block runner as the single-array engines; the fleet
-//! supplies only its accumulator, and NOMDL is per unit of the fleet's
-//! usable capacity.
+//! the queue's clock lane, and the service races and the DR fail-back
+//! race its timer lane
+//! ([`schedule_timer`](availsim_sim::indexed_queue::IndexedEventQueue::schedule_timer)):
+//! a race timer lives hours and every race's loser is cancelled, while a
+//! disk clock pends for most of the mission, so the timers are most of a
+//! large fleet's queue traffic, and on their own lane they touch a few
+//! entries instead of the whole disk-clock heap. The lanes share one
+//! `(time, seq)` order, so the split moves no pop, draw or queue counter.
+//! Missions run through the same block runner as the single-array
+//! engines; the fleet supplies only its accumulator, and NOMDL is per unit
+//! of the fleet's usable capacity.
 //!
 //! # Shared resources and correlated human error
 //!
@@ -936,12 +935,10 @@ impl FleetMc {
                 }
             }};
         }
-        // Arms one exit of a service or fail-back race on the queue's
-        // timer lane: race timers live hours against disk clocks that pend
-        // for most of a mission, and the loser of each race is cancelled,
-        // so on the clock lane of a large fleet every one of their
-        // schedules, cancels and pops would sift through the pending disk
-        // clocks. The lane changes no pop order, draw or queue counter.
+        // Arms one exit of a service or fail-back race. Race timers ride
+        // the timer lane, so that on a large fleet their schedules,
+        // cancels and pops touch a few timers instead of sifting through
+        // the pending disk clocks (see the module doc).
         macro_rules! arm {
             ($array:expr, $epoch:expr, $lane:expr, $kind:expr, $inv_rate:expr) => {
                 svc[$array as usize][$lane] = match rng.sample_exp_inv($inv_rate) {

@@ -179,21 +179,19 @@ struct Lane<E> {
 }
 
 impl<E> Lane<E> {
-    fn with_capacity(n: usize) -> Self {
+    fn new() -> Self {
         Lane {
-            entries: Vec::with_capacity(n),
+            entries: Vec::new(),
             min_pos: NO_MIN,
         }
     }
 
-    /// Position of the lane's minimum (out of range when empty).
+    /// The lane's minimum entry, if any: the root of a heap, or the
+    /// tracked minimum ([`NO_MIN`] is out of range when empty).
     #[inline]
-    fn min_index(&self, is_heap: bool) -> usize {
-        if is_heap {
-            0
-        } else {
-            self.min_pos as usize
-        }
+    fn min(&self, is_heap: bool) -> Option<&Entry<E>> {
+        self.entries
+            .get(if is_heap { 0 } else { self.min_pos as usize })
     }
 
     /// Removes the entry at `pos` unfired (a cancel), restoring the
@@ -406,16 +404,10 @@ impl<E> Default for IndexedEventQueue<E> {
 impl<E> IndexedEventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue at time zero with room for `n` pending
-    /// clock-lane events before any buffer reallocates.
-    pub fn with_capacity(n: usize) -> Self {
         IndexedEventQueue {
-            lanes: [Lane::with_capacity(n), Lane::with_capacity(0)],
-            slots: Vec::with_capacity(n),
-            free: Vec::with_capacity(n),
+            lanes: [Lane::new(), Lane::new()],
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             clear_epoch: 0,
             now: 0.0,
@@ -647,9 +639,7 @@ impl<E> IndexedEventQueue<E> {
     #[inline]
     fn next_event(&self) -> Option<(usize, f64)> {
         let [clock, timer] = &self.lanes;
-        let clock = clock.entries.get(clock.min_index(self.is_heap));
-        let timer = timer.entries.get(timer.min_index(self.is_heap));
-        match (clock, timer) {
+        match (clock.min(self.is_heap), timer.min(self.is_heap)) {
             (Some(c), Some(t)) if t.before(c) => Some((TIMER, t.time)),
             (Some(c), _) => Some((CLOCK, c.time)),
             (None, Some(t)) => Some((TIMER, t.time)),
@@ -820,7 +810,7 @@ mod tests {
 
     #[test]
     fn clear_resets_clock_events_and_invalidates_handles() {
-        let mut q = IndexedEventQueue::with_capacity(8);
+        let mut q = IndexedEventQueue::new();
         let stale = q.schedule(5.0, "a").unwrap();
         q.schedule(7.0, "b").unwrap();
         q.pop();
