@@ -257,9 +257,9 @@ mod tests {
         t.record(1.0, TraceKind::DataLoss);
         t.record(2.0, TraceKind::DataUnavailable);
         t.record(3.0, TraceKind::DataLoss);
-        let kinds: Vec<(f64, TraceKind)> = t.events().iter().map(|e| (e.time, e.kind)).collect();
+        let recorded: Vec<(f64, TraceKind)> = t.events().iter().map(|e| (e.time, e.kind)).collect();
         assert_eq!(
-            kinds,
+            recorded,
             [
                 (1.0, TraceKind::DataLoss),
                 (2.0, TraceKind::DataUnavailable),
