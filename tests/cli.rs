@@ -785,6 +785,49 @@ fn batch_runs_a_campaign_end_to_end_on_stdout() {
     assert_eq!(stdout.matches("\"cell\":").count(), 12, "{stdout}");
 }
 
+#[test]
+fn batch_reports_are_the_renderers_bytes_in_files_and_on_stdout() {
+    use availsim::exp::{plan, report, run as runner, spec::Scenario};
+    // 3 x 2 x 20 x 18 = 2,160 exact cells with the volume columns on: each
+    // report is several hundred KiB, far more than one write's worth.
+    let lambdas: Vec<String> = (1..=20).map(|i| format!("{i}e-6")).collect();
+    let heps: Vec<String> = (0..18).map(|i| format!("{i}e-3")).collect();
+    let text = format!(
+        "[campaign]\nname = report-bytes\nseed = 9\nmodel = markov-conventional\n\
+         capacity = 21\n[axes]\nraid = [r1, r5-3, r5-7]\npolicy = [conventional, failover]\n\
+         lambda = [{}]\nhep = [{}]\n",
+        lambdas.join(", "),
+        heps.join(", ")
+    );
+    let result = runner::run(
+        &plan::expand(&Scenario::parse(&text).unwrap()).unwrap(),
+        &runner::RunConfig::default(),
+    )
+    .unwrap();
+    let (csv, json) = (report::to_csv(&result), report::to_json(&result));
+    assert!(csv.len() > 256 * 1024 && json.len() > 256 * 1024);
+
+    let spec = write_spec("report-bytes.campaign", &text);
+    let spec = spec.to_str().unwrap();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("report-bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ok, _, stderr) = run(&["batch", spec, "--out-dir", dir.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(std::fs::read_to_string(dir.join("report-bytes.csv")).unwrap() == csv);
+    assert!(std::fs::read_to_string(dir.join("report-bytes.json")).unwrap() == json);
+
+    // Without --out-dir both reports follow the summary on stdout.
+    let (ok, stdout, stderr) = run(&["batch", spec, "--workers", "2"]);
+    assert!(ok, "{stderr}");
+    let (_, reports) = stdout.split_once("\n--- csv ---\n").expect("csv block");
+    let (csv_block, json_block) = reports.split_once("--- json ---\n").expect("json block");
+    assert!(csv_block == csv, "the stdout CSV block differs from to_csv");
+    assert!(
+        json_block == json,
+        "the stdout JSON block differs from to_json"
+    );
+}
+
 /// Runs `availsim batch <args>` and closes its stdout after the first
 /// line, as `| head -1` does. Returns that line, whether the process
 /// exited 0, and its stderr.
