@@ -2,7 +2,8 @@
 //! classified states and an ordered list of tagged edges.
 //!
 //! The exact solver reads a definition directly ([`ChainDef::solve`],
-//! [`ChainDef::mttdl_hours`]), and the single-array Monte-Carlo engines
+//! [`ChainDef::mttdl_hours`], or both from one rate matrix with
+//! [`ChainDef::solve_with_mttdl`]), and the single-array Monte-Carlo engines
 //! (the jump chain and both event-queue engines) compile the same
 //! definition into their exit tables, so all of them read one object. The
 //! declared order is part of the contract: the solver sums parallel edges
@@ -99,6 +100,12 @@ pub(crate) fn edge(from: u16, to: u16, rate: f64, tag: EdgeTag) -> ChainEdge {
 
 /// A declared chain. The first state is the fresh, fully working start
 /// state of every analysis and mission.
+///
+/// The exact answers read one dense rate matrix, built from the edges into
+/// a single allocation. [`solve`](Self::solve) and
+/// [`mttdl_hours`](Self::mttdl_hours) build one each; the one-pass
+/// [`solve_with_mttdl`](Self::solve_with_mttdl), which every exact
+/// campaign cell runs, builds one for both and returns the same bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainDef {
     states: Cow<'static, [ChainState]>,
@@ -126,14 +133,21 @@ impl ChainDef {
         &self.edges
     }
 
-    /// The dense rate matrix: every edge added in declared order.
-    fn rates(&self) -> Vec<Vec<f64>> {
+    /// Runs `f` on the rows of the dense rate matrix, every edge added in
+    /// declared order. The rows are slices of one allocation.
+    fn with_rates<T>(&self, f: impl FnOnce(&mut [&mut [f64]]) -> T) -> T {
         let n = self.states.len();
-        let mut a = vec![vec![0.0; n]; n];
+        let mut flat = vec![0.0; n * n];
         for e in &self.edges {
-            a[usize::from(e.from)][usize::from(e.to)] += e.rate;
+            flat[usize::from(e.from) * n + usize::from(e.to)] += e.rate;
         }
-        a
+        let mut rows: Vec<&mut [f64]> = flat.chunks_exact_mut(n.max(1)).collect();
+        f(&mut rows)
+    }
+
+    /// Which states are data-loss outages, in declared order.
+    fn loss_states(&self) -> Vec<bool> {
+        self.states.iter().map(|s| s.class.is_data_loss()).collect()
     }
 
     /// Solves the stationary distribution (GTH) with every non-up state
@@ -142,7 +156,7 @@ impl ChainDef {
     /// # Errors
     /// Propagates solver errors.
     pub fn solve(&self) -> Result<SolvedChain> {
-        let pi = steady_state_gth_rates(&mut self.rates())?;
+        let pi = self.with_rates(|a| steady_state_gth_rates(a))?;
         Ok(SolvedChain::new(pi, self.states.clone()))
     }
 
@@ -153,7 +167,24 @@ impl ChainDef {
     /// # Errors
     /// Propagates solver errors.
     pub fn mttdl_hours(&self) -> Result<f64> {
-        let loss: Vec<bool> = self.states.iter().map(|s| s.class.is_data_loss()).collect();
-        Ok(mean_first_passage_gth(&self.rates(), 0, &loss)?)
+        let loss = self.loss_states();
+        Ok(self.with_rates(|a| mean_first_passage_gth(a, 0, &loss))?)
+    }
+
+    /// The one-pass solve: [`solve`](Self::solve) and
+    /// [`mttdl_hours`](Self::mttdl_hours) from one rate matrix, which the
+    /// first-passage reduction reads before GTH consumes it. Both answers
+    /// are bit for bit those of the two calls, and so is the error when
+    /// either fails (the steady state's first).
+    ///
+    /// # Errors
+    /// Propagates solver errors.
+    pub fn solve_with_mttdl(self) -> Result<(SolvedChain, f64)> {
+        let loss = self.loss_states();
+        let (pi, mttdl) = self.with_rates(|a| {
+            let mttdl = mean_first_passage_gth(a, 0, &loss);
+            (steady_state_gth_rates(a), mttdl)
+        });
+        Ok((SolvedChain::new(pi?, self.states), mttdl?))
     }
 }

@@ -699,7 +699,7 @@ fn run_blocks<A: Accumulator>(
         });
     }
     let (mut total, mut counters) = (empty, CounterSnapshot::default());
-    for (_, (acc, c)) in &partials {
+    for (acc, c) in &partials {
         total.merge(acc);
         counters.merge(c);
     }

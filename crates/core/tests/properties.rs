@@ -2,11 +2,11 @@
 //! space the paper explores (and beyond).
 
 use availsim_core::markov::{
-    GenericKofN, Raid5Conventional, Raid5FailOver, WrongReplacementTiming,
+    ChainDef, GenericKofN, Raid5Conventional, Raid5FailOver, SolvedChain, WrongReplacementTiming,
 };
-use availsim_core::ModelParams;
+use availsim_core::{ModelParams, Result};
 use availsim_hra::Hep;
-use availsim_storage::RaidGeometry;
+use availsim_storage::{RaidGeometry, ScrubbingModel};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = ModelParams> {
@@ -97,6 +97,76 @@ fn hep_can_help_outside_the_rare_failure_regime() {
         u_hep < u0,
         "expected the shortcut artifact: hep=0.2 ({u_hep:.4e}) below hep=0 ({u0:.4e})"
     );
+}
+
+/// RAID1, RAID5 or RAID6, the geometries the exact chains cover.
+fn arb_geometry() -> impl Strategy<Value = RaidGeometry> {
+    (0u32..3, 2u32..9).prop_map(|(level, k)| match level {
+        0 => RaidGeometry::raid1_pair(),
+        1 => RaidGeometry::raid5(k).unwrap(),
+        _ => RaidGeometry::raid6(k).unwrap(),
+    })
+}
+
+/// Holds `chain`'s one-pass solve to the model's own `solve()` and
+/// `mttdl_hours()`: the same bits, or the same error.
+fn one_pass_matches(
+    chain: ChainDef,
+    solve: Result<SolvedChain>,
+    mttdl: Result<f64>,
+) -> std::result::Result<(), TestCaseError> {
+    let bits = |pi: &[f64]| pi.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    match (chain.solve_with_mttdl(), solve, mttdl) {
+        (Ok((one, one_mttdl)), Ok(two), Ok(two_mttdl)) => {
+            prop_assert_eq!(bits(one.probabilities()), bits(two.probabilities()));
+            prop_assert_eq!(one_mttdl.to_bits(), two_mttdl.to_bits());
+        }
+        (Err(one), Err(two), _) | (Err(one), Ok(_), Err(two)) => {
+            prop_assert_eq!(one.to_string(), two.to_string());
+        }
+        (one, solve, mttdl) => {
+            return Err(TestCaseError::fail(format!(
+                "one pass {:?} against solve {:?} and mttdl {:?}",
+                one.map(|(_, t)| t),
+                solve.map(|s| s.unavailability()),
+                mttdl
+            )));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `ChainDef::solve_with_mttdl`, which answers a campaign's exact cell
+    /// from one rate matrix, gives every chain the bits of the two calls it
+    /// replaces: Fig. 2 and the generic chain with and without a live LSE
+    /// rate (RAID6 included), and Fig. 3.
+    #[test]
+    fn one_pass_solve_matches_solve_and_mttdl_bit_for_bit(
+        geometry in arb_geometry(),
+        lambda in 1e-8f64..1e-3,
+        hep in 0.0f64..0.3,
+        lse_rate in 1e-7f64..1e-3,
+        scrub in 24.0f64..2000.0,
+    ) {
+        let plain = ModelParams::paper_defaults(geometry, lambda, Hep::new(hep).unwrap()).unwrap();
+        let lse = plain.with_scrubbing(ScrubbingModel::new(lse_rate, scrub).unwrap());
+        for p in [plain, lse] {
+            let m = GenericKofN::new(p).unwrap();
+            one_pass_matches(m.chain(), m.solve(), m.mttdl_hours())?;
+            if geometry.fault_tolerance() == 1 {
+                let m = Raid5Conventional::new(p).unwrap();
+                one_pass_matches(m.chain(), m.solve(), m.mttdl_hours())?;
+            }
+        }
+        if geometry.fault_tolerance() == 1 {
+            // The Fig. 3 chain has no rebuild completion to split.
+            let m = Raid5FailOver::new(plain).unwrap();
+            one_pass_matches(m.chain(), m.solve(), m.mttdl_hours())?;
+        }
+    }
 }
 
 proptest! {

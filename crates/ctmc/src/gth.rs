@@ -20,14 +20,15 @@ use crate::error::{CtmcError, Result};
 
 /// The stationary distribution of an irreducible chain, by GTH elimination
 /// over its rate matrix `a` (`a[i][j]` is the rate of `i -> j`; the
-/// diagonal is ignored). The matrix is consumed as scratch space.
+/// diagonal is ignored). The matrix is consumed as scratch space. Its rows
+/// may be owned vectors or slices of one flat allocation.
 ///
 /// # Errors
 /// Returns [`CtmcError::EmptyChain`] for an empty matrix and
 /// [`CtmcError::NotIrreducible`] when a pivot row has zero total rate to
 /// the not-yet-eliminated states (the chain is reducible or has an
 /// absorbing state).
-pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
+pub fn steady_state_gth_rates<R: AsMut<[f64]>>(a: &mut [R]) -> Result<Vec<f64>> {
     let n = a.len();
     if n == 0 {
         return Err(CtmcError::EmptyChain);
@@ -38,16 +39,17 @@ pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
 
     // Elimination sweep: fold state k into states 0..k.
     for k in (1..n).rev() {
-        let s: f64 = a[k][..k].iter().sum();
+        let (head, tail) = a.split_at_mut(k);
+        let row_k = tail[0].as_mut();
+        let s: f64 = row_k[..k].iter().sum();
         if s <= 0.0 {
             return Err(CtmcError::NotIrreducible { state: k });
         }
-        let (head, tail) = a.split_at_mut(k);
-        let row_k = &tail[0];
         for (i, row_i) in head.iter_mut().enumerate() {
+            let row_i = row_i.as_mut();
             let f = row_i[k] / s;
             if f > 0.0 {
-                for (j, (aij, &akj)) in row_i.iter_mut().zip(row_k).enumerate().take(k) {
+                for (j, (aij, &akj)) in row_i.iter_mut().zip(&*row_k).enumerate().take(k) {
                     if j != i {
                         *aij += f * akj;
                     }
@@ -60,11 +62,11 @@ pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
     let mut pi = vec![0.0f64; n];
     pi[0] = 1.0;
     for k in 1..n {
-        let s: f64 = a[k][..k].iter().sum();
+        let s: f64 = a[k].as_mut()[..k].iter().sum();
         // `s > 0` was verified during elimination.
         let mut num = 0.0;
         for i in 0..k {
-            num += pi[i] * a[i][k];
+            num += pi[i] * a[i].as_mut()[k];
         }
         pi[k] = num / s;
     }
@@ -81,7 +83,8 @@ pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
 
 /// Mean first-passage time from `start` into any `target` state, for the
 /// chain with off-diagonal rates `a` (`a[i][j]` = rate of `i -> j`; the
-/// diagonal is ignored).
+/// diagonal is ignored). The rows may be owned vectors or slices of one
+/// flat allocation; the matrix is only read.
 ///
 /// Renewal argument: drop the target states and redirect every edge into
 /// one of them to `start`. Each entry into the target set then begins a
@@ -94,7 +97,11 @@ pub fn steady_state_gth_rates(a: &mut [Vec<f64>]) -> Result<Vec<f64>> {
 /// # Errors
 /// Returns [`CtmcError::InvalidTargetSet`] for a malformed target set or
 /// when no target is reachable from `start`, and propagates GTH errors.
-pub fn mean_first_passage_gth(a: &[Vec<f64>], start: usize, target: &[bool]) -> Result<f64> {
+pub fn mean_first_passage_gth<R: AsRef<[f64]>>(
+    a: &[R],
+    start: usize,
+    target: &[bool],
+) -> Result<f64> {
     let n = a.len();
     if target.len() != n || start >= n || target[start] {
         return Err(CtmcError::InvalidTargetSet(format!(
@@ -109,12 +116,21 @@ pub fn mean_first_passage_gth(a: &[Vec<f64>], start: usize, target: &[bool]) -> 
         .collect();
     let into_target: Vec<f64> = kept
         .iter()
-        .map(|&i| (0..n).filter(|&j| target[j]).map(|j| a[i][j]).sum())
+        .map(|&i| {
+            let row = a[i].as_ref();
+            (0..n).filter(|&j| target[j]).map(|j| row[j]).sum()
+        })
         .collect();
-    let mut r: Vec<Vec<f64>> = kept
+    // The reduced matrix: the kept rows and columns, in one allocation.
+    let m = kept.len();
+    let mut flat: Vec<f64> = kept
         .iter()
-        .map(|&i| kept.iter().map(|&j| a[i][j]).collect())
+        .flat_map(|&i| {
+            let row = a[i].as_ref();
+            kept.iter().map(move |&j| row[j])
+        })
         .collect();
+    let mut r: Vec<&mut [f64]> = flat.chunks_exact_mut(m).collect();
     // The start's own target edges become self-loops, which leave π as it
     // is but still count in the flux.
     for (row, &rate) in r.iter_mut().zip(&into_target).skip(1) {
@@ -161,7 +177,7 @@ mod tests {
     #[test]
     fn empty_chain_rejected() {
         assert_eq!(
-            steady_state_gth_rates(&mut []).unwrap_err(),
+            steady_state_gth_rates::<Vec<f64>>(&mut []).unwrap_err(),
             CtmcError::EmptyChain
         );
     }

@@ -8,8 +8,13 @@
 //! perf probe for the cell solvers.
 //!
 //! Each renderer makes one pass over the cells and writes every field
-//! straight into one output buffer (the summary into its [`Table`]'s), so
-//! a row allocates nothing of its own.
+//! straight into one text buffer (the summary into its [`Table`]'s), so
+//! a row allocates nothing of its own. The CSV and JSON renderers each
+//! serve two outputs: [`to_csv`] and [`to_json`] keep the buffer as the
+//! whole report, while [`write_csv`] and [`write_json`] stream it into a
+//! writer, handing on its bytes whenever it passes 64 KiB, so a report
+//! file is written without the report ever being held in memory. Both
+//! outputs are the same bytes.
 
 use crate::run::{CampaignResult, CellResult};
 use crate::spec::{Metric, ModelKind};
@@ -17,6 +22,7 @@ use availsim_core::report::Table;
 use availsim_sim::json;
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io;
 
 /// The metric columns a campaign reports: the spec's `metrics` list, or
 /// everything applicable to the model when the list is empty.
@@ -110,45 +116,95 @@ fn csv_field(s: &str) -> Cow<'_, str> {
     }
 }
 
-/// Called once the first row, which began at `start`, is written:
-/// reserves twice its length for each of `rows` rows. A large report then
-/// grows in one allocation instead of doublings that each copy it, and
-/// capacity it never touches costs no memory.
-fn reserve_rows(out: &mut String, start: usize, rows: usize) {
-    out.reserve(2 * (out.len() - start) * rows);
+/// The bytes a streamed report gathers before handing them on.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// The text a CSV or JSON renderer writes into: the whole report, or a
+/// bounded buffer streamed into a writer.
+struct Rows<'w> {
+    text: String,
+    sink: Option<&'w mut dyn io::Write>,
+}
+
+impl<'w> Rows<'w> {
+    fn new(sink: Option<&'w mut dyn io::Write>) -> Self {
+        let text = match sink {
+            Some(_) => String::with_capacity(2 * FLUSH_BYTES),
+            None => String::new(),
+        };
+        Rows { text, sink }
+    }
+
+    /// Ends row `i` of `rows`; the first row began at byte `start`. A whole
+    /// report then reserves twice the first row's length for each row, so
+    /// it grows in one allocation instead of doublings that each copy it
+    /// (capacity it never touches costs no memory); a streamed one hands
+    /// its text on once it holds [`FLUSH_BYTES`].
+    fn end_row(&mut self, start: usize, i: usize, rows: usize) -> io::Result<()> {
+        match &mut self.sink {
+            None if i == 0 => self.text.reserve(2 * (self.text.len() - start) * rows),
+            Some(w) if self.text.len() >= FLUSH_BYTES => {
+                w.write_all(self.text.as_bytes())?;
+                self.text.clear();
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The whole report, or, once a streamed one's tail is handed on and
+    /// its writer flushed, nothing.
+    fn finish(mut self) -> io::Result<String> {
+        if let Some(w) = self.sink {
+            w.write_all(self.text.as_bytes())?;
+            w.flush()?;
+            self.text.clear();
+        }
+        Ok(self.text)
+    }
 }
 
 /// Renders the campaign as CSV (deterministic; no timings). Keep-going
 /// runs append `status`/`error` columns; failed cells keep their axis
 /// columns but leave every metric field empty.
 pub fn to_csv(result: &CampaignResult) -> String {
+    render_csv(result, Rows::new(None)).expect("a string report does no I/O")
+}
+
+/// Streams [`to_csv`]'s bytes into `out`, a bounded buffer at a time.
+///
+/// # Errors
+/// The writer's.
+pub fn write_csv(result: &CampaignResult, out: &mut impl io::Write) -> io::Result<()> {
+    render_csv(result, Rows::new(Some(out))).map(drop)
+}
+
+fn render_csv(result: &CampaignResult, mut out: Rows<'_>) -> io::Result<String> {
     let metrics = effective_metrics(result);
     let dr_credit = has_dr_credit(result);
     let loss = has_loss_columns(result);
-    let mut out = String::from("cell,seed,raid,policy,lambda,hep");
+    out.text.push_str("cell,seed,raid,policy,lambda,hep");
     for &m in &metrics {
         for column in metric_columns(m) {
-            out.push(',');
-            out.push_str(column);
+            out.text.push(',');
+            out.text.push_str(column);
         }
     }
     if dr_credit {
-        out.push_str(",credited_unavailability");
+        out.text.push_str(",credited_unavailability");
     }
     if loss {
-        out.push_str(",p_data_loss,nomdl_per_tb");
+        out.text.push_str(",p_data_loss,nomdl_per_tb");
     }
     if result.keep_going {
-        out.push_str(",status,error");
+        out.text.push_str(",status,error");
     }
-    out.push('\n');
-    let first_row = out.len();
+    out.text.push('\n');
+    let first_row = out.text.len();
     for (i, c) in result.cells.iter().enumerate() {
-        if i == 1 {
-            reserve_rows(&mut out, first_row, result.cells.len());
-        }
+        let row = &mut out.text;
         let _ = write!(
-            out,
+            row,
             "{},{},{},{},{:?},{:?}",
             c.cell.index,
             c.cell.seed,
@@ -159,29 +215,30 @@ pub fn to_csv(result: &CampaignResult) -> String {
         );
         for &m in &metrics {
             if c.is_failed() {
-                out.extend(metric_columns(m).iter().map(|_| ','));
+                row.extend(metric_columns(m).iter().map(|_| ','));
             } else {
-                push_metric(&mut out, c, m);
+                push_metric(row, c, m);
             }
         }
         if dr_credit {
-            push_opt(&mut out, c.credited_unavailability);
+            push_opt(row, c.credited_unavailability);
         }
         if loss {
-            push_opt(&mut out, c.p_data_loss);
-            push_opt(&mut out, c.nomdl_per_tb);
+            push_opt(row, c.p_data_loss);
+            push_opt(row, c.nomdl_per_tb);
         }
         if result.keep_going {
             let _ = write!(
-                out,
+                row,
                 ",{},{}",
                 if c.is_failed() { "error" } else { "ok" },
                 csv_field(c.error.as_deref().unwrap_or_default())
             );
         }
-        out.push('\n');
+        row.push('\n');
+        out.end_row(first_row, i, result.cells.len())?;
     }
-    out
+    out.finish()
 }
 
 /// An optional float as a JSON number; `None` prints `null`, as a
@@ -193,35 +250,45 @@ fn json_opt(v: Option<f64>) -> impl std::fmt::Display {
 /// Renders the campaign as JSON (deterministic; no timings). Hand-rolled —
 /// the build environment has no serde.
 pub fn to_json(result: &CampaignResult) -> String {
+    render_json(result, Rows::new(None)).expect("a string report does no I/O")
+}
+
+/// Streams [`to_json`]'s bytes into `out`, a bounded buffer at a time.
+///
+/// # Errors
+/// The writer's.
+pub fn write_json(result: &CampaignResult, out: &mut impl io::Write) -> io::Result<()> {
+    render_json(result, Rows::new(Some(out))).map(drop)
+}
+
+fn render_json(result: &CampaignResult, mut out: Rows<'_>) -> io::Result<String> {
     let s = &result.scenario;
     let dr_credit = has_dr_credit(result);
     let loss = has_loss_columns(result);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"campaign\": {},", json::string(&s.name));
+    let head = &mut out.text;
+    head.push_str("{\n");
+    let _ = writeln!(head, "  \"campaign\": {},", json::string(&s.name));
     // Seeds are full-range u64 and would lose bits past 2^53 in any
     // IEEE-double JSON consumer — emit them as decimal strings.
-    let _ = writeln!(out, "  \"seed\": \"{}\",", s.seed);
-    let _ = writeln!(out, "  \"model\": {},", json::string(s.model.as_str()));
+    let _ = writeln!(head, "  \"seed\": \"{}\",", s.seed);
+    let _ = writeln!(head, "  \"model\": {},", json::string(s.model.as_str()));
     let _ = writeln!(
-        out,
+        head,
         "  \"capacity\": {},",
         s.capacity.map_or("null".into(), |c| c.to_string())
     );
-    let _ = writeln!(out, "  \"cells\": [");
+    let _ = writeln!(head, "  \"cells\": [");
     let last = result.cells.len().saturating_sub(1);
     // One label buffer, refilled per row, for the escaped `raid` string.
     let mut raid = String::new();
-    let first_row = out.len();
+    let first_row = out.text.len();
     for (i, c) in result.cells.iter().enumerate() {
-        if i == 1 {
-            reserve_rows(&mut out, first_row, result.cells.len());
-        }
+        let row = &mut out.text;
         raid.clear();
         let _ = write!(raid, "{}", c.cell.raid);
-        out.push_str("    {");
+        row.push_str("    {");
         let _ = write!(
-            out,
+            row,
             "\"cell\": {}, \"seed\": \"{}\", \"raid\": {}, \"policy\": {}, \"lambda\": {}, \"hep\": {}, ",
             c.cell.index,
             c.cell.seed,
@@ -231,7 +298,7 @@ pub fn to_json(result: &CampaignResult) -> String {
             json::number(c.cell.hep),
         );
         let _ = write!(
-            out,
+            row,
             "\"unavailability\": {}, \"nines\": {}, \"downtime_min_per_year\": {}, \"mttdl_hours\": {}, \"ci_half_width\": {}",
             json::number(c.unavailability),
             json::number(c.nines),
@@ -241,14 +308,14 @@ pub fn to_json(result: &CampaignResult) -> String {
         );
         if dr_credit {
             let _ = write!(
-                out,
+                row,
                 ", \"credited_unavailability\": {}",
                 json_opt(c.credited_unavailability)
             );
         }
         if loss {
             let _ = write!(
-                out,
+                row,
                 ", \"p_data_loss\": {}, \"nomdl_per_tb\": {}",
                 json_opt(c.p_data_loss),
                 json_opt(c.nomdl_per_tb)
@@ -256,18 +323,18 @@ pub fn to_json(result: &CampaignResult) -> String {
         }
         if result.keep_going {
             let _ = write!(
-                out,
+                row,
                 ", \"status\": {}, \"error\": ",
                 json::string(if c.is_failed() { "error" } else { "ok" }),
             );
             let _ = match &c.error {
-                Some(e) => write!(out, "{}", json::string(e)),
-                None => write!(out, "null"),
+                Some(e) => write!(row, "{}", json::string(e)),
+                None => write!(row, "null"),
             };
         }
         if let Some(v) = c.volume {
             let _ = write!(
-                out,
+                row,
                 ", \"volume\": {{\"arrays\": {}, \"total_disks\": {}, \"unavailability\": {}, \"nines\": {}}}",
                 v.arrays,
                 v.total_disks,
@@ -275,27 +342,29 @@ pub fn to_json(result: &CampaignResult) -> String {
                 json::number(v.nines),
             );
         }
-        out.push('}');
+        row.push('}');
         if i != last {
-            out.push(',');
+            row.push(',');
         }
-        out.push('\n');
+        row.push('\n');
+        out.end_row(first_row, i, result.cells.len())?;
     }
-    out.push_str("  ],\n");
+    let tail = &mut out.text;
+    tail.push_str("  ],\n");
     if result.keep_going {
-        let _ = writeln!(out, "  \"failed_cells\": {},", result.failed_cells);
+        let _ = writeln!(tail, "  \"failed_cells\": {},", result.failed_cells);
     }
     let u = &result.unavailability_stats;
     let _ = writeln!(
-        out,
+        tail,
         "  \"unavailability_summary\": {{\"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
         u.count(),
         json::number(u.mean()),
         json::number(u.min()),
         json::number(u.max()),
     );
-    out.push_str("}\n");
-    out
+    tail.push_str("}\n");
+    out.finish()
 }
 
 /// Renders the human-readable summary table, including per-cell timings

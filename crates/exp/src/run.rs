@@ -2,19 +2,20 @@
 //!
 //! # Determinism contract
 //!
-//! Worker threads pull cells from a shared atomic cursor, so *which* thread
-//! executes a cell is racy — but every cell's result depends only on the
-//! cell itself (its own derived seed; Monte-Carlo cells default to
+//! Worker threads claim cells one at a time in index order, so *which*
+//! thread executes a cell is racy — but every cell's result depends only
+//! on the cell itself (its own derived seed; Monte-Carlo cells default to
 //! single-threaded internally, and `[mc] threads` is a pure speed knob:
-//! estimates are bit-identical at any count), and partial results are
-//! reassembled **by cell index** before any aggregation. The merged Welford accumulators and every reported
-//! metric are therefore bit-identical for 1 worker and N workers. Only the
-//! wall-clock timings differ between runs.
+//! estimates are bit-identical at any count), and each result is written
+//! into **its cell's slot** of the campaign's row vector, which every
+//! aggregation then reads in index order. The merged Welford accumulators
+//! and every reported metric are therefore bit-identical for 1 worker and
+//! N workers. Only the wall-clock timings differ between runs.
 
 use crate::error::{ExpError, Result};
 use crate::plan::{Cell, Plan};
 use crate::spec::{ModelKind, Policy, Scenario};
-use availsim_core::markov::{GenericKofN, Raid5Conventional, Raid5FailOver, SolvedChain};
+use availsim_core::markov::{ChainDef, GenericKofN, Raid5Conventional, Raid5FailOver};
 use availsim_core::mc::{
     AvailabilityEstimate, ConventionalMc, FailOverMc, FleetEstimate, FleetMc, McConfig,
 };
@@ -25,7 +26,8 @@ use availsim_sim::stats::RunningStats;
 use availsim_sim::telemetry::CounterSnapshot;
 use availsim_storage::{FleetSpec, Volume};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Progress sink for [`run_with_progress`]: called once per finished cell
 /// with a preformatted `cell k/N done (U=…, ±…)` line. Called from worker
@@ -138,7 +140,7 @@ impl CellResult {
 pub struct CampaignResult {
     /// The scenario that ran.
     pub scenario: Scenario,
-    /// Per-cell results, sorted by cell index.
+    /// Per-cell results, in cell-index order.
     pub cells: Vec<CellResult>,
     /// Welford accumulator over per-array unavailability across cells,
     /// merged in cell-index order (bit-reproducible).
@@ -204,47 +206,52 @@ pub fn run_with_progress(
     let started = Instant::now();
     let completed = AtomicUsize::new(0);
 
-    // Workers claim cells from a shared cursor; results carry their cell
-    // index and are reassembled in index order (the determinism contract).
-    let collected = ordered_parallel_map_with(
+    // Workers claim cells in index order and each row lands in its cell's
+    // slot (the determinism contract). A failed cell leaves its
+    // placeholder row; without keep-going the lowest-indexed error is kept
+    // and returned once the workers stop.
+    let first_error: Mutex<Option<(u64, ExpError)>> = Mutex::new(None);
+    let cells = ordered_parallel_map_with(
         n as u64,
         workers,
         || (),
         |(), i| {
-            let r = run_cell(&plan.scenario, &plan.cells[i as usize]);
+            let cell = &plan.cells[i as usize];
+            let row = run_cell(&plan.scenario, cell).unwrap_or_else(|e| {
+                let row = CellResult::failed(cell, e.to_string());
+                if !config.keep_going {
+                    let mut first = first_error.lock().expect("no panic while held");
+                    if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                        *first = Some((i, e));
+                    }
+                }
+                row
+            });
             if let Some(sink) = progress {
                 let k = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                match r.as_ref() {
-                    Ok(c) => {
-                        let ci = c
+                match &row.error {
+                    None => {
+                        let ci = row
                             .ci_half_width
                             .map(|h| format!(", ±{h:?}"))
                             .unwrap_or_default();
-                        sink(&format!("cell {k}/{n} done (U={:?}{ci})", c.unavailability));
+                        sink(&format!(
+                            "cell {k}/{n} done (U={:?}{ci})",
+                            row.unavailability
+                        ));
                     }
-                    Err(e) if config.keep_going => {
-                        sink(&format!("cell {k}/{n} FAILED ({e})"));
-                    }
-                    Err(_) => {}
+                    Some(e) if config.keep_going => sink(&format!("cell {k}/{n} FAILED ({e})")),
+                    Some(_) => {}
                 }
             }
-            r
+            row
         },
-        |r| !config.keep_going && r.is_err(),
+        |row| !config.keep_going && row.is_failed(),
     );
-
-    let mut cells = Vec::with_capacity(n);
-    let mut failed_cells = 0usize;
-    for (i, r) in collected {
-        match r {
-            Ok(c) => cells.push(c),
-            Err(e) if config.keep_going => {
-                failed_cells += 1;
-                cells.push(CellResult::failed(&plan.cells[i as usize], e.to_string()));
-            }
-            Err(e) => return Err(e),
-        }
+    if let Some((_, e)) = first_error.into_inner().expect("no panic while held") {
+        return Err(e);
     }
+    let failed_cells = cells.iter().filter(|c| c.is_failed()).count();
 
     let mut unavailability_stats = RunningStats::new();
     let mut timing_stats = RunningStats::new();
@@ -264,8 +271,14 @@ pub fn run_with_progress(
         workers,
         keep_going: config.keep_going,
         failed_cells,
-        wall_micros: started.elapsed().as_micros() as u64,
+        wall_micros: round_micros(started.elapsed()),
     })
+}
+
+/// `d` in microseconds, rounded to the nearest: an exact cell takes
+/// about a microsecond, and truncating would record half of them as 0.
+fn round_micros(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos().saturating_add(500) / 1000).unwrap_or(u64::MAX)
 }
 
 /// Executes one cell with the scenario's solver backend.
@@ -354,7 +367,7 @@ pub fn run_cell_cancellable(
         nomdl_per_tb: loss.map(|(_, n)| n),
         volume,
         counters,
-        elapsed_micros: started.elapsed().as_micros() as u64,
+        elapsed_micros: round_micros(started.elapsed()),
         error: None,
     })
 }
@@ -400,10 +413,12 @@ pub fn estimate(
         // no-op everywhere.
         params = params.with_scrubbing(lse.model());
     }
-    let exact = |solved: availsim_core::Result<SolvedChain>, mttdl| {
+    // One rate matrix answers both exact columns.
+    let exact = |chain: ChainDef| {
+        let (solved, mttdl_hours) = chain.solve_with_mttdl()?;
         Ok(Estimate::Exact {
-            unavailability: solved?.unavailability(),
-            mttdl_hours: mttdl?,
+            unavailability: solved.unavailability(),
+            mttdl_hours,
         })
     };
     match (scenario.model, cell.policy) {
@@ -443,22 +458,15 @@ pub fn estimate(
                 .run_with_cancel(&config, cancel)?;
             Ok(Estimate::Fleet(Box::new(est), spec))
         }
-        (_, Policy::Failover) => {
-            let m = Raid5FailOver::new(params)?;
-            exact(m.solve(), m.mttdl_hours())
-        }
+        (_, Policy::Failover) => exact(Raid5FailOver::new(params)?.chain()),
         // The Fig. 2 chain models single-fault-tolerant arrays; the
         // generic k-of-n chain takes every other conventional cell.
         (model, Policy::Conventional)
             if model != ModelKind::GenericKofN && cell.raid.fault_tolerance() == 1 =>
         {
-            let m = Raid5Conventional::new(params)?;
-            exact(m.solve(), m.mttdl_hours())
+            exact(Raid5Conventional::new(params)?.chain())
         }
-        (_, Policy::Conventional) => {
-            let m = GenericKofN::new(params)?;
-            exact(m.solve(), m.mttdl_hours())
-        }
+        (_, Policy::Conventional) => exact(GenericKofN::new(params)?.chain()),
     }
 }
 
@@ -635,6 +643,14 @@ mod tests {
         }
         let util = out.worker_utilization();
         assert!(util > 0.0 && util <= 1.0, "utilization {util}");
+    }
+
+    #[test]
+    fn cell_times_round_to_the_nearest_microsecond() {
+        let ns = Duration::from_nanos;
+        assert_eq!(round_micros(ns(400)), 0);
+        assert_eq!(round_micros(ns(1_499)), 1);
+        assert_eq!(round_micros(ns(1_500)), 2);
     }
 
     #[test]

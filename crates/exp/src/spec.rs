@@ -1070,6 +1070,16 @@ impl Scenario {
                      (the fail-over chain is fully exponential; use failure-biasing)",
                 ));
             }
+            // The loss columns print whenever the section is present, even
+            // at a zero rate.
+            if self.lse.is_some() && matches!(self.mc.variance, McVariance::Splitting { .. }) {
+                return Err(given.err(
+                    &["mc.variance", "lse."],
+                    "variance = splitting has no data-loss estimator (its partial \
+                     trials count every loss event at weight 1); drop the [lse] \
+                     section or use naive sampling",
+                ));
+            }
         }
         if let Some(fleet) = self.fleet {
             if self.model != ModelKind::Mc {

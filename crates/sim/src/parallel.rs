@@ -2,14 +2,16 @@
 //!
 //! The workspace's two parallel runners (the Monte-Carlo iteration scheduler
 //! in `availsim-core` and the campaign batch runner in `availsim-exp`) share
-//! one concurrency shape: N scoped workers claim item indices from a shared
-//! atomic cursor, and results are reassembled **in index order** before any
-//! aggregation — so which thread computed what never changes a result bit.
-//! This module is that shape, written once.
+//! one concurrency shape: N scoped workers claim items one at a time, in
+//! index order, and each value lands in **its item's slot** of one output
+//! sized up front, which the caller then reads in index order — so which
+//! thread computed what never changes a result bit, and nothing is sorted
+//! or gathered after the workers stop. This module is that shape, written
+//! once.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Cooperative cancellation / deadline budget shared between a controller
@@ -81,12 +83,14 @@ pub fn resolve_workers(requested: usize) -> usize {
 }
 
 /// Maps `f` over `0..items` on `workers` scoped threads, returning the
-/// results sorted by item index.
+/// values in item order.
 ///
-/// Work is claimed dynamically (shared cursor), so load balances across
-/// uneven items; the output order — and therefore any order-sensitive
-/// floating-point reduction performed over it — is independent of the
-/// worker count. `workers` is clamped to `[1, items]`.
+/// Work is claimed dynamically, one item at a time, so load balances
+/// across uneven items; each value is written into its own slot of one
+/// output sized up front, so the output order — and therefore any
+/// order-sensitive floating-point reduction performed over it — is
+/// independent of the worker count, with no sort. `workers` is clamped to
+/// `[1, items]`.
 ///
 /// Each worker thread calls `init()` exactly once when it starts and hands
 /// the resulting **worker-scoped scratch state** mutably to `f` for every
@@ -102,15 +106,16 @@ pub fn resolve_workers(requested: usize) -> usize {
 /// `abort_after` is consulted on each produced value; when it returns
 /// `true`, workers stop claiming *new* items (already claimed items still
 /// finish and are returned). Use it to cut a batch short on the first
-/// error. On abort the result can be shorter than `items`; without abort it
-/// is always complete.
+/// error. Items are claimed in index order and every claimed item
+/// finishes, so on abort the result is the values of items `0..k` for
+/// some `k` past the aborting item; without abort it is always complete.
 pub fn ordered_parallel_map_with<S, T, I, F, A>(
     items: u64,
     workers: usize,
     init: I,
     f: F,
     abort_after: A,
-) -> Vec<(u64, T)>
+) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
@@ -126,9 +131,12 @@ where
 /// When the token trips (explicit cancel or deadline), workers stop claiming
 /// new items exactly like `abort_after` — in-flight items finish and are
 /// returned. The caller distinguishes a cancelled run from a complete one by
-/// `result.len() < items`: every returned value is still fully computed, in
-/// index order, and bit-identical to what an uncancelled run would have
-/// produced for that index at any worker count.
+/// `result.len() < items`: the result is the completed prefix, every value
+/// fully computed, in index order, and bit-identical to what an uncancelled
+/// run would have produced for that index at any worker count.
+///
+/// # Panics
+/// If `items` exceeds the address space, or when `f` panics on a worker.
 pub fn ordered_parallel_map_cancellable<S, T, I, F, A>(
     items: u64,
     workers: usize,
@@ -136,51 +144,53 @@ pub fn ordered_parallel_map_cancellable<S, T, I, F, A>(
     f: F,
     abort_after: A,
     cancel: Option<&CancelToken>,
-) -> Vec<(u64, T)>
+) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, u64) -> T + Sync,
     A: Fn(&T) -> bool + Sync,
 {
-    let workers = workers.clamp(1, usize::try_from(items).unwrap_or(usize::MAX).max(1));
-    let cursor = AtomicU64::new(0);
+    let items = usize::try_from(items).expect("item count fits the address space");
+    let workers = workers.clamp(1, items.max(1));
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(items, || None);
+    // A claim takes the next slot: its index and the only reference to it.
+    let claims = Mutex::new(slots.iter_mut().enumerate());
     let aborted = AtomicBool::new(false);
-    let mut results: Vec<(u64, T)> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (cursor, aborted, init, f, abort_after) =
-                    (&cursor, &aborted, &init, &f, &abort_after);
+                let (claims, aborted, init, f, abort_after) =
+                    (&claims, &aborted, &init, &f, &abort_after);
                 scope.spawn(move || {
                     let mut state = init();
-                    let mut local = Vec::new();
                     loop {
                         if aborted.load(Ordering::Relaxed)
                             || cancel.is_some_and(CancelToken::is_cancelled)
                         {
                             break;
                         }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items {
+                        let claim = claims.lock().expect("claims are never poisoned").next();
+                        let Some((i, slot)) = claim else {
                             break;
-                        }
-                        let value = f(&mut state, i);
+                        };
+                        let value = f(&mut state, i as u64);
                         if abort_after(&value) {
                             aborted.store(true, Ordering::Relaxed);
                         }
-                        local.push((i, value));
+                        *slot = Some(value);
                     }
-                    local
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel map worker panicked"))
-            .collect()
+        for h in handles {
+            h.join().expect("parallel map worker panicked");
+        }
     });
-    results.sort_by_key(|(i, _)| *i);
-    results
+    // Claims run in index order and every claimed item finishes, so the
+    // filled slots are a prefix.
+    slots.into_iter().map_while(|v| v).collect()
 }
 
 #[cfg(test)]
@@ -198,8 +208,7 @@ mod tests {
         for workers in [1, 2, 7, 64] {
             let out = ordered_parallel_map_with(100, workers, || (), |(), i| i * 3, |_| false);
             assert_eq!(out.len(), 100);
-            for (k, (i, v)) in out.iter().enumerate() {
-                assert_eq!(*i, k as u64);
+            for (k, v) in out.iter().enumerate() {
                 assert_eq!(*v, k as u64 * 3);
             }
         }
@@ -221,7 +230,7 @@ mod tests {
                 |(), i| 1.0 / (i as f64 + 1.0),
                 |_| false,
             );
-            out.iter().map(|(_, v)| *v).sum::<f64>().to_bits()
+            out.iter().sum::<f64>().to_bits()
         };
         assert_eq!(reduce(1), reduce(5));
     }
@@ -248,8 +257,8 @@ mod tests {
         );
         assert!(inits.load(Ordering::Relaxed) <= workers);
         assert_eq!(out.len(), 50);
-        for (i, v) in &out {
-            assert_eq!(*v, 2 * i + 1);
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(*v, 2 * i as u64 + 1);
         }
     }
 
@@ -266,7 +275,7 @@ mod tests {
                 },
                 |_| false,
             );
-            out.iter().map(|(_, v)| *v).sum::<f64>().to_bits()
+            out.iter().sum::<f64>().to_bits()
         };
         assert_eq!(reduce(1), reduce(7));
     }
@@ -275,7 +284,7 @@ mod tests {
     fn abort_stops_claiming_new_items() {
         let out = ordered_parallel_map_with(1_000_000, 2, || (), |(), i| i, |&v| v == 10);
         // Item 10 was produced; far fewer than a million items ran.
-        assert!(out.iter().any(|&(i, _)| i == 10));
+        assert_eq!(out.get(10), Some(&10));
         assert!(out.len() < 1_000_000);
     }
 
@@ -332,11 +341,11 @@ mod tests {
         );
         // Item 5 itself completed (cancellation never truncates a claimed
         // item) and far fewer than a million items ran afterwards.
-        assert!(out.iter().any(|&(i, v)| i == 5 && v == 10));
+        assert_eq!(out.get(5), Some(&10));
         assert!(out.len() < 1_000_000);
         // Every returned value is the fully computed value for its index.
-        for (i, v) in &out {
-            assert_eq!(*v, i * 2);
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(*v, i as u64 * 2);
         }
     }
 

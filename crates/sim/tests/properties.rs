@@ -3,6 +3,9 @@
 
 use availsim_sim::distributions::{Exponential, Lifetime, Weibull};
 use availsim_sim::indexed_queue::IndexedEventQueue;
+use availsim_sim::parallel::{
+    ordered_parallel_map_cancellable, ordered_parallel_map_with, CancelToken,
+};
 use availsim_sim::rng::SimRng;
 use availsim_sim::stats::{ks_test, t_interval, RunningStats};
 use proptest::prelude::*;
@@ -812,5 +815,75 @@ proptest! {
             ci_small.contains(p) || ci_big.contains(p),
             "neither CI covers p={p}: small {ci_small}, big {ci_big}"
         );
+    }
+}
+
+/// A value distinct per item, so a hole, a duplicate or a misplaced slot
+/// in a fan-out's output shows.
+fn item_value(i: u64) -> (u64, u64) {
+    (i, i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1_e995)
+}
+
+/// Checks that `out` is `item_value(0), …, item_value(len − 1)`.
+fn is_prefix_in_order(out: &[(u64, u64)]) -> std::result::Result<(), TestCaseError> {
+    for (k, &v) in out.iter().enumerate() {
+        prop_assert_eq!(v, item_value(k as u64));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ordered fan-out returns every item's value in index order, or,
+    /// when an item aborts the run, the values of a prefix that reaches
+    /// past it: no holes and no duplicates at any worker count.
+    #[test]
+    fn parallel_map_returns_the_completed_prefix_in_order(
+        items in 0u64..=300,
+        workers in 1usize..=8,
+        aborts in any::<bool>(),
+        abort_at in 0u64..300,
+    ) {
+        let abort = Some(abort_at).filter(|&j| aborts && j < items);
+        let out = ordered_parallel_map_with(
+            items,
+            workers,
+            || (),
+            |(), i| item_value(i),
+            |&(i, _)| Some(i) == abort,
+        );
+        match abort {
+            None => prop_assert_eq!(out.len() as u64, items),
+            Some(j) => prop_assert!(out.len() as u64 > j, "{} values, abort at {j}", out.len()),
+        }
+        is_prefix_in_order(&out)?;
+    }
+
+    /// A cancel token tripped inside item `j` stops the claims the same
+    /// way: the values of a prefix past `j`, in index order.
+    #[test]
+    fn parallel_map_cancelled_inside_an_item_returns_a_prefix_past_it(
+        items in 1u64..=300,
+        workers in 1usize..=8,
+        at in 0u64..300,
+    ) {
+        let j = at % items;
+        let token = CancelToken::new();
+        let out = ordered_parallel_map_cancellable(
+            items,
+            workers,
+            || (),
+            |(), i| {
+                if i == j {
+                    token.cancel();
+                }
+                item_value(i)
+            },
+            |_| false,
+            Some(&token),
+        );
+        prop_assert!(out.len() as u64 > j, "{} values, cancelled in {j}", out.len());
+        is_prefix_in_order(&out)?;
     }
 }

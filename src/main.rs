@@ -31,6 +31,7 @@ use availsim::sim::telemetry::{
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::Write as _;
+use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
@@ -321,12 +322,15 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let mut out = String::new();
     writeln!(out, "markov availability : {markov_availability:.9}")?;
     writeln!(out, "mc availability     : {}", est.availability)?;
-    if s.mc.variance != McVariance::Naive {
-        writeln!(
+    match s.mc.variance {
+        McVariance::Naive => {}
+        // Splitting carries no likelihood weights to summarise.
+        McVariance::Splitting { .. } => writeln!(out, "rare-event mode     : {}", s.mc.variance)?,
+        McVariance::FailureBiasing { .. } => writeln!(
             out,
             "rare-event mode     : {} (ESS {:.0} of {}, max weight {:.3e})",
             s.mc.variance, est.effective_sample_size, est.iterations, est.max_weight
-        )?;
+        )?,
     }
     writeln!(
         out,
@@ -739,8 +743,9 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     drop(plan);
 
     // The three reports render at the same time: CSV and JSON on scoped
-    // threads, which with --out-dir also write their own files, and the
-    // summary on this one, which prints it first so stdout keeps its order.
+    // threads, which with --out-dir stream straight into their own files,
+    // and the summary on this one, which prints it first so stdout keeps
+    // its order.
     let report_started = Instant::now();
     if out_dir.is_empty() {
         let (csv, json) = thread::scope(|scope| {
@@ -758,8 +763,8 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         let csv_path = dir.join(format!("{}.csv", scenario.name));
         let json_path = dir.join(format!("{}.json", scenario.name));
         let (printed, csv, json) = thread::scope(|scope| {
-            let csv = scope.spawn(|| std::fs::write(&csv_path, report::to_csv(&result)));
-            let json = scope.spawn(|| std::fs::write(&json_path, report::to_json(&result)));
+            let csv = scope.spawn(|| report::write_csv(&result, &mut File::create(&csv_path)?));
+            let json = scope.spawn(|| report::write_json(&result, &mut File::create(&json_path)?));
             let printed = stdout.print(&report::summary(&result));
             (printed, join(csv), join(json))
         });

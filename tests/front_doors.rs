@@ -119,6 +119,7 @@ const ROWS: &[Row] = &[
     no("divergent: mc is single-fault", "sj", "campaign.model=mc axes.raid=r6-3", "axes.raid", "single-fault-tolerant arrays only, got RAID6(3+2)"),
     no("fleet mc is single-fault", "sjc", "campaign.model=mc fleet.arrays=4 axes.raid=r6-4", "axes.raid", "single-fault-tolerant arrays only, got RAID6(4+2)"),
     no("splitting is conventional", "sj", "campaign.model=mc mc.variance=splitting axes.policy=failover", "mc.variance", "conventional policy only"),
+    no("splitting has no loss estimator", "sjc", "campaign.model=mc mc.variance=splitting lse.lse_rate=1e-4 lse.scrub_interval=336", "mc.variance", "splitting has no data-loss estimator"),
     no("fleet needs mc", "sj", "fleet.arrays=4", "fleet.arrays", "requires `model = mc`"),
     no("fleet is conventional", "sj", "campaign.model=mc axes.policy=failover fleet.arrays=4", "axes.policy", "conventional policy only"),
     no("fleet is naive", "sj", "campaign.model=mc mc.variance=failure-biasing fleet.arrays=4", "mc.variance", "naive sampling only"),
