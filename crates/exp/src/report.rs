@@ -128,11 +128,10 @@ struct Rows<'w> {
 
 impl<'w> Rows<'w> {
     fn new(sink: Option<&'w mut dyn io::Write>) -> Self {
-        let text = match sink {
-            Some(_) => String::with_capacity(2 * FLUSH_BYTES),
-            None => String::new(),
-        };
-        Rows { text, sink }
+        Rows {
+            text: String::new(),
+            sink,
+        }
     }
 
     /// Ends row `i` of `rows`; the first row began at byte `start`. A whole
@@ -183,23 +182,24 @@ fn render_csv(result: &CampaignResult, mut out: Rows<'_>) -> io::Result<String> 
     let metrics = effective_metrics(result);
     let dr_credit = has_dr_credit(result);
     let loss = has_loss_columns(result);
-    out.text.push_str("cell,seed,raid,policy,lambda,hep");
+    let head = &mut out.text;
+    head.push_str("cell,seed,raid,policy,lambda,hep");
     for &m in &metrics {
         for column in metric_columns(m) {
-            out.text.push(',');
-            out.text.push_str(column);
+            head.push(',');
+            head.push_str(column);
         }
     }
     if dr_credit {
-        out.text.push_str(",credited_unavailability");
+        head.push_str(",credited_unavailability");
     }
     if loss {
-        out.text.push_str(",p_data_loss,nomdl_per_tb");
+        head.push_str(",p_data_loss,nomdl_per_tb");
     }
     if result.keep_going {
-        out.text.push_str(",status,error");
+        head.push_str(",status,error");
     }
-    out.text.push('\n');
+    head.push('\n');
     let first_row = out.text.len();
     for (i, c) in result.cells.iter().enumerate() {
         let row = &mut out.text;
