@@ -9,6 +9,7 @@
 //! statistically independent yet fully reproducible.
 
 use crate::error::{ExpError, Result};
+use crate::report::{label, AxisText};
 use crate::spec::{Policy, Scenario};
 use availsim_sim::rng::SimRng;
 use availsim_storage::RaidGeometry;
@@ -115,7 +116,9 @@ impl Plan {
     /// The output is byte-stable for a fixed scenario: axis values are
     /// printed in shortest round-trip form (`{:?}`) and seeds as
     /// fixed-width hex. Each cell line is written straight into the
-    /// output.
+    /// output, and each λ and hep text is formatted, padded to its
+    /// column, once per distinct value (keyed by its bits, so `-0.0`
+    /// keeps its own text).
     pub fn describe(&self) -> String {
         let s = &self.scenario;
         let mut out = String::new();
@@ -205,20 +208,23 @@ impl Plan {
             "  {:>5} {:>18} {:<12} {:<12} {:>12} {:>10}",
             "cell", "seed", "raid", "policy", "lambda", "hep"
         );
-        // The label buffer is refilled per cell so `{:<12}` can pad it.
-        let mut raid = String::new();
+        let mut raids = AxisText::new(label);
+        let mut lambdas = AxisText::new(|out, bits| {
+            let _ = write!(out, "{:>12?}", f64::from_bits(bits));
+        });
+        let mut heps = AxisText::new(|out, bits| {
+            let _ = write!(out, "{:>10?}", f64::from_bits(bits));
+        });
         for c in &self.cells {
-            raid.clear();
-            let _ = write!(raid, "{}", c.raid);
             let _ = writeln!(
                 out,
-                "  {:>5} {:>#18x} {:<12} {:<12} {:>12?} {:>10?}",
+                "  {:>5} {:>#18x} {:<12} {:<12} {} {}",
                 c.index,
                 c.seed,
-                raid,
+                raids.get(c.raid),
                 c.policy.as_str(),
-                c.lambda,
-                c.hep
+                lambdas.get(c.lambda.to_bits()),
+                heps.get(c.hep.to_bits())
             );
         }
         out

@@ -7,21 +7,29 @@
 //! count. Wall-clock timings appear only in [`summary`], which doubles as a
 //! perf probe for the cell solvers.
 //!
-//! Each renderer makes one pass over the cells and writes every field
-//! straight into one text buffer (the summary into its [`Table`]'s), so
-//! a row allocates nothing of its own. The CSV and JSON renderers each
-//! serve two outputs: [`to_csv`] and [`to_json`] keep the buffer as the
-//! whole report, while [`write_csv`] and [`write_json`] stream it into a
-//! writer, handing on its bytes whenever it passes 64 KiB, so a report
-//! file is written without the report ever being held in memory. Both
-//! outputs are the same bytes.
+//! One renderer writes both deterministic reports in one pass over the
+//! cells, straight into one text buffer per report, so a row allocates
+//! nothing of its own. Each float a row prints is formatted once, and its
+//! text is appended to the CSV, the JSON or both (the JSON prints `null`
+//! for a non-finite value). Axis values are formatted once per distinct
+//! value, keyed by their bits so that `-0.0` keeps its own text beside
+//! `0.0`; the summary and [`Plan::describe`](crate::plan::Plan::describe)
+//! format theirs the same way. [`to_csv`] and [`to_json`] run the renderer
+//! for one report and keep its buffer as the whole report, while
+//! [`write_csv`], [`write_json`] and [`write_reports`] stream theirs into
+//! writers, handing on a report's bytes whenever it passes 64 KiB, so a
+//! report file is written without the report ever being held in memory.
+//! Every output is the same bytes.
 
 use crate::run::{CampaignResult, CellResult};
 use crate::spec::{Metric, ModelKind};
 use availsim_core::report::Table;
 use availsim_sim::json;
+use availsim_storage::RaidGeometry;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::Hash;
 use std::io;
 
 /// The metric columns a campaign reports: the spec's `metrics` list, or
@@ -59,35 +67,6 @@ fn metric_columns(m: Metric) -> &'static [&'static str] {
     }
 }
 
-/// Appends a comma and then `v`, or just the comma when `v` is `None`.
-fn push_opt(out: &mut String, v: Option<f64>) {
-    out.push(',');
-    if let Some(v) = v {
-        let _ = write!(out, "{v:?}");
-    }
-}
-
-/// Appends metric `m`'s fields of cell `c`, each after a comma.
-fn push_metric(out: &mut String, c: &CellResult, m: Metric) {
-    match m {
-        Metric::Unavailability => push_opt(out, Some(c.unavailability)),
-        Metric::Nines => push_opt(out, Some(c.nines)),
-        Metric::Downtime => push_opt(out, Some(c.downtime_min_per_year)),
-        Metric::Mttdl => push_opt(out, c.mttdl_hours),
-        Metric::CiHalfWidth => push_opt(out, c.ci_half_width),
-        Metric::Volume => match c.volume {
-            Some(v) => {
-                let _ = write!(
-                    out,
-                    ",{},{},{:?},{:?}",
-                    v.arrays, v.total_disks, v.unavailability, v.nines
-                );
-            }
-            None => out.push_str(",,,,"),
-        },
-    }
-}
-
 /// Whether the campaign's fleet has a DR coupling, i.e. whether reports
 /// carry the `credited_unavailability` column.
 fn has_dr_credit(result: &CampaignResult) -> bool {
@@ -116,14 +95,156 @@ fn csv_field(s: &str) -> Cow<'_, str> {
     }
 }
 
+/// The text of axis values, each formatted once per distinct value. A
+/// float is keyed by its bits, so `-0.0` keeps its own text beside `0.0`.
+pub(crate) struct AxisText<K> {
+    format: fn(&mut String, K),
+    text: String,
+    /// Where each value's text sits in `text`.
+    spans: HashMap<K, (usize, usize)>,
+    /// The last value asked for, which an outer axis repeats for a block
+    /// of cells, and its span.
+    last: Option<(K, (usize, usize))>,
+}
+
+impl<K: Copy + Eq + Hash> AxisText<K> {
+    pub(crate) fn new(format: fn(&mut String, K)) -> Self {
+        AxisText {
+            format,
+            text: String::new(),
+            spans: HashMap::new(),
+            last: None,
+        }
+    }
+
+    /// `key`'s text, formatted on its first use.
+    pub(crate) fn get(&mut self, key: K) -> &str {
+        let (start, end) = match self.last {
+            Some((last, span)) if last == key => span,
+            _ => {
+                let (format, text) = (self.format, &mut self.text);
+                let span = *self.spans.entry(key).or_insert_with(|| {
+                    let start = text.len();
+                    format(text, key);
+                    (start, text.len())
+                });
+                self.last = Some((key, span));
+                span
+            }
+        };
+        &self.text[start..end]
+    }
+}
+
+/// Writes `v` in shortest round-trip form.
+fn debug(out: &mut String, v: f64) {
+    let _ = write!(out, "{v:?}");
+}
+
+/// Writes the float whose bits are `bits` in shortest round-trip form.
+fn debug_bits(out: &mut String, bits: u64) {
+    debug(out, f64::from_bits(bits));
+}
+
+/// Writes `raid`'s label.
+pub(crate) fn label(out: &mut String, raid: RaidGeometry) {
+    let _ = write!(out, "{raid}");
+}
+
+/// A float that a report row can print, in [`RowFloats::fill`] order.
+#[derive(Clone, Copy)]
+enum Float {
+    Unavailability,
+    Nines,
+    Downtime,
+    Mttdl,
+    CiHalfWidth,
+    Credited,
+    PDataLoss,
+    NomdlPerTb,
+    VolumeUnavailability,
+    VolumeNines,
+}
+
+/// The floats of metric `m`'s CSV columns.
+fn metric_floats(m: Metric) -> &'static [Float] {
+    match m {
+        Metric::Unavailability => &[Float::Unavailability],
+        Metric::Nines => &[Float::Nines],
+        Metric::Downtime => &[Float::Downtime],
+        Metric::Mttdl => &[Float::Mttdl],
+        Metric::CiHalfWidth => &[Float::CiHalfWidth],
+        Metric::Volume => &[Float::VolumeUnavailability, Float::VolumeNines],
+    }
+}
+
+/// One row's floats, each formatted once in shortest round-trip form and
+/// read by both reports.
+#[derive(Default)]
+struct RowFloats {
+    values: [Option<f64>; 10],
+    text: String,
+    /// Where each float's text ends in `text`; an absent one is empty.
+    ends: [usize; 10],
+}
+
+impl RowFloats {
+    fn fill(&mut self, c: &CellResult) {
+        let volume = c.volume;
+        self.values = [
+            Some(c.unavailability),
+            Some(c.nines),
+            Some(c.downtime_min_per_year),
+            c.mttdl_hours,
+            c.ci_half_width,
+            c.credited_unavailability,
+            c.p_data_loss,
+            c.nomdl_per_tb,
+            volume.map(|v| v.unavailability),
+            volume.map(|v| v.nines),
+        ];
+        self.text.clear();
+        for (v, end) in self.values.iter().zip(&mut self.ends) {
+            if let Some(v) = v {
+                debug(&mut self.text, *v);
+            }
+            *end = self.text.len();
+        }
+    }
+
+    /// `f`'s CSV field: its text, or nothing when the row has none.
+    fn csv(&self, f: Float) -> &str {
+        let i = f as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// `f`'s JSON value.
+    fn json(&self, f: Float) -> &str {
+        json_text(self.values[f as usize], self.csv(f))
+    }
+}
+
+/// The JSON value of a float whose `{:?}` text is `text`: that text, or
+/// `null` when the float is absent or not finite.
+fn json_text(v: Option<f64>, text: &str) -> &str {
+    if v.is_some_and(f64::is_finite) {
+        text
+    } else {
+        "null"
+    }
+}
+
 /// The bytes a streamed report gathers before handing them on.
 const FLUSH_BYTES: usize = 64 * 1024;
 
-/// The text a CSV or JSON renderer writes into: the whole report, or a
-/// bounded buffer streamed into a writer.
+/// The text one report is rendered into: the whole report, or a bounded
+/// buffer streamed into a writer.
 struct Rows<'w> {
     text: String,
     sink: Option<&'w mut dyn io::Write>,
+    /// Where the first row begins in `text`.
+    first_row: usize,
 }
 
 impl<'w> Rows<'w> {
@@ -131,17 +252,20 @@ impl<'w> Rows<'w> {
         Rows {
             text: String::new(),
             sink,
+            first_row: 0,
         }
     }
 
-    /// Ends row `i` of `rows`; the first row began at byte `start`. A whole
-    /// report then reserves twice the first row's length for each row, so
-    /// it grows in one allocation instead of doublings that each copy it
-    /// (capacity it never touches costs no memory); a streamed one hands
-    /// its text on once it holds [`FLUSH_BYTES`].
-    fn end_row(&mut self, start: usize, i: usize, rows: usize) -> io::Result<()> {
+    /// Ends row `i` of `rows`. A whole report then reserves twice the
+    /// first row's length for each row, so it grows in one allocation
+    /// instead of doublings that each copy it (capacity it never touches
+    /// costs no memory); a streamed one hands its text on once it holds
+    /// [`FLUSH_BYTES`].
+    fn end_row(&mut self, i: usize, rows: usize) -> io::Result<()> {
         match &mut self.sink {
-            None if i == 0 => self.text.reserve(2 * (self.text.len() - start) * rows),
+            None if i == 0 => self
+                .text
+                .reserve(2 * (self.text.len() - self.first_row) * rows),
             Some(w) if self.text.len() >= FLUSH_BYTES => {
                 w.write_all(self.text.as_bytes())?;
                 self.text.clear();
@@ -167,7 +291,15 @@ impl<'w> Rows<'w> {
 /// runs append `status`/`error` columns; failed cells keep their axis
 /// columns but leave every metric field empty.
 pub fn to_csv(result: &CampaignResult) -> String {
-    render_csv(result, Rows::new(None)).expect("a string report does no I/O")
+    let [csv, _] = render(result, Some(Rows::new(None)), None);
+    csv.expect("a string report does no I/O")
+}
+
+/// Renders the campaign as JSON (deterministic; no timings). Hand-rolled —
+/// the build environment has no serde.
+pub fn to_json(result: &CampaignResult) -> String {
+    let [_, json] = render(result, None, Some(Rows::new(None)));
+    json.expect("a string report does no I/O")
 }
 
 /// Streams [`to_csv`]'s bytes into `out`, a bounded buffer at a time.
@@ -175,82 +307,8 @@ pub fn to_csv(result: &CampaignResult) -> String {
 /// # Errors
 /// The writer's.
 pub fn write_csv(result: &CampaignResult, out: &mut impl io::Write) -> io::Result<()> {
-    render_csv(result, Rows::new(Some(out))).map(drop)
-}
-
-fn render_csv(result: &CampaignResult, mut out: Rows<'_>) -> io::Result<String> {
-    let metrics = effective_metrics(result);
-    let dr_credit = has_dr_credit(result);
-    let loss = has_loss_columns(result);
-    let head = &mut out.text;
-    head.push_str("cell,seed,raid,policy,lambda,hep");
-    for &m in &metrics {
-        for column in metric_columns(m) {
-            head.push(',');
-            head.push_str(column);
-        }
-    }
-    if dr_credit {
-        head.push_str(",credited_unavailability");
-    }
-    if loss {
-        head.push_str(",p_data_loss,nomdl_per_tb");
-    }
-    if result.keep_going {
-        head.push_str(",status,error");
-    }
-    head.push('\n');
-    let first_row = out.text.len();
-    for (i, c) in result.cells.iter().enumerate() {
-        let row = &mut out.text;
-        let _ = write!(
-            row,
-            "{},{},{},{},{:?},{:?}",
-            c.cell.index,
-            c.cell.seed,
-            c.cell.raid,
-            c.cell.policy.as_str(),
-            c.cell.lambda,
-            c.cell.hep
-        );
-        for &m in &metrics {
-            if c.is_failed() {
-                row.extend(metric_columns(m).iter().map(|_| ','));
-            } else {
-                push_metric(row, c, m);
-            }
-        }
-        if dr_credit {
-            push_opt(row, c.credited_unavailability);
-        }
-        if loss {
-            push_opt(row, c.p_data_loss);
-            push_opt(row, c.nomdl_per_tb);
-        }
-        if result.keep_going {
-            let _ = write!(
-                row,
-                ",{},{}",
-                if c.is_failed() { "error" } else { "ok" },
-                csv_field(c.error.as_deref().unwrap_or_default())
-            );
-        }
-        row.push('\n');
-        out.end_row(first_row, i, result.cells.len())?;
-    }
-    out.finish()
-}
-
-/// An optional float as a JSON number; `None` prints `null`, as a
-/// non-finite value does.
-fn json_opt(v: Option<f64>) -> impl std::fmt::Display {
-    json::number(v.unwrap_or(f64::NAN))
-}
-
-/// Renders the campaign as JSON (deterministic; no timings). Hand-rolled —
-/// the build environment has no serde.
-pub fn to_json(result: &CampaignResult) -> String {
-    render_json(result, Rows::new(None)).expect("a string report does no I/O")
+    let [csv, _] = render(result, Some(Rows::new(Some(out))), None);
+    csv.map(drop)
 }
 
 /// Streams [`to_json`]'s bytes into `out`, a bounded buffer at a time.
@@ -258,113 +316,228 @@ pub fn to_json(result: &CampaignResult) -> String {
 /// # Errors
 /// The writer's.
 pub fn write_json(result: &CampaignResult, out: &mut impl io::Write) -> io::Result<()> {
-    render_json(result, Rows::new(Some(out))).map(drop)
+    let [_, json] = render(result, None, Some(Rows::new(Some(out))));
+    json.map(drop)
 }
 
-fn render_json(result: &CampaignResult, mut out: Rows<'_>) -> io::Result<String> {
-    let s = &result.scenario;
-    let dr_credit = has_dr_credit(result);
-    let loss = has_loss_columns(result);
-    let head = &mut out.text;
-    head.push_str("{\n");
-    let _ = writeln!(head, "  \"campaign\": {},", json::string(&s.name));
-    // Seeds are full-range u64 and would lose bits past 2^53 in any
-    // IEEE-double JSON consumer — emit them as decimal strings.
-    let _ = writeln!(head, "  \"seed\": \"{}\",", s.seed);
-    let _ = writeln!(head, "  \"model\": {},", json::string(s.model.as_str()));
-    let _ = writeln!(
-        head,
-        "  \"capacity\": {},",
-        s.capacity.map_or("null".into(), |c| c.to_string())
+/// Streams [`to_csv`]'s bytes into `csv` and [`to_json`]'s into `json`,
+/// both from one pass over the cells, a bounded buffer at a time.
+///
+/// Returns each writer's outcome, the CSV's first. A writer that fails
+/// ends its own report; the other is still written in full.
+pub fn write_reports(
+    result: &CampaignResult,
+    csv: &mut impl io::Write,
+    json: &mut impl io::Write,
+) -> (io::Result<()>, io::Result<()>) {
+    let [csv, json] = render(
+        result,
+        Some(Rows::new(Some(csv))),
+        Some(Rows::new(Some(json))),
     );
-    let _ = writeln!(head, "  \"cells\": [");
-    let last = result.cells.len().saturating_sub(1);
-    // One label buffer, refilled per row, for the escaped `raid` string.
-    let mut raid = String::new();
-    let first_row = out.text.len();
-    for (i, c) in result.cells.iter().enumerate() {
-        let row = &mut out.text;
-        raid.clear();
-        let _ = write!(raid, "{}", c.cell.raid);
-        row.push_str("    {");
-        let _ = write!(
-            row,
-            "\"cell\": {}, \"seed\": \"{}\", \"raid\": {}, \"policy\": {}, \"lambda\": {}, \"hep\": {}, ",
-            c.cell.index,
-            c.cell.seed,
-            json::string(&raid),
-            json::string(c.cell.policy.as_str()),
-            json::number(c.cell.lambda),
-            json::number(c.cell.hep),
-        );
-        let _ = write!(
-            row,
-            "\"unavailability\": {}, \"nines\": {}, \"downtime_min_per_year\": {}, \"mttdl_hours\": {}, \"ci_half_width\": {}",
-            json::number(c.unavailability),
-            json::number(c.nines),
-            json::number(c.downtime_min_per_year),
-            json_opt(c.mttdl_hours),
-            json_opt(c.ci_half_width),
-        );
-        if dr_credit {
-            let _ = write!(
-                row,
-                ", \"credited_unavailability\": {}",
-                json_opt(c.credited_unavailability)
-            );
+    (csv.map(drop), json.map(drop))
+}
+
+/// Renders the reports that have an output (`None` skips one) in one pass
+/// over the cells. Returns `[csv, json]`: each report's whole text (empty
+/// once streamed, or when skipped), or the error of the writer that ended
+/// it.
+fn render(
+    result: &CampaignResult,
+    mut csv: Option<Rows<'_>>,
+    mut json: Option<Rows<'_>>,
+) -> [io::Result<String>; 2] {
+    let s = &result.scenario;
+    let metrics = effective_metrics(result);
+    // The columns both reports print after the metrics, on failed rows too.
+    let mut extra = Vec::new();
+    if has_dr_credit(result) {
+        extra.push(("credited_unavailability", Float::Credited));
+    }
+    if has_loss_columns(result) {
+        extra.extend([
+            ("p_data_loss", Float::PDataLoss),
+            ("nomdl_per_tb", Float::NomdlPerTb),
+        ]);
+    }
+    let mut floats = RowFloats::default();
+    let mut lambdas = AxisText::new(debug_bits);
+    let mut heps = AxisText::new(debug_bits);
+    let mut raids = AxisText::new(label);
+    let mut raid_strings = AxisText::new(|out, raid: RaidGeometry| {
+        let _ = write!(out, "{}", json::string(&raid.to_string()));
+    });
+    let mut policy_strings = AxisText::new(|out, policy| {
+        let _ = write!(out, "{}", json::string(policy));
+    });
+
+    if let Some(out) = &mut csv {
+        let head = &mut out.text;
+        head.push_str("cell,seed,raid,policy,lambda,hep");
+        for &m in &metrics {
+            for column in metric_columns(m) {
+                head.push(',');
+                head.push_str(column);
+            }
         }
-        if loss {
-            let _ = write!(
-                row,
-                ", \"p_data_loss\": {}, \"nomdl_per_tb\": {}",
-                json_opt(c.p_data_loss),
-                json_opt(c.nomdl_per_tb)
-            );
+        for (column, _) in &extra {
+            head.push(',');
+            head.push_str(column);
         }
         if result.keep_going {
+            head.push_str(",status,error");
+        }
+        head.push('\n');
+        out.first_row = head.len();
+    }
+    if let Some(out) = &mut json {
+        let head = &mut out.text;
+        head.push_str("{\n");
+        let _ = writeln!(head, "  \"campaign\": {},", json::string(&s.name));
+        // Seeds are full-range u64 and would lose bits past 2^53 in any
+        // IEEE-double JSON consumer — emit them as decimal strings.
+        let _ = writeln!(head, "  \"seed\": \"{}\",", s.seed);
+        let _ = writeln!(head, "  \"model\": {},", json::string(s.model.as_str()));
+        let _ = writeln!(
+            head,
+            "  \"capacity\": {},",
+            s.capacity.map_or("null".into(), |c| c.to_string())
+        );
+        let _ = writeln!(head, "  \"cells\": [");
+        out.first_row = head.len();
+    }
+
+    let mut done = [Ok(()), Ok(())];
+    let rows = result.cells.len();
+    for (i, c) in result.cells.iter().enumerate() {
+        floats.fill(c);
+        let lambda = lambdas.get(c.cell.lambda.to_bits());
+        let hep = heps.get(c.cell.hep.to_bits());
+        if let Some(out) = &mut csv {
+            let row = &mut out.text;
             let _ = write!(
                 row,
-                ", \"status\": {}, \"error\": ",
-                json::string(if c.is_failed() { "error" } else { "ok" }),
+                "{},{},{},{},{lambda},{hep}",
+                c.cell.index,
+                c.cell.seed,
+                raids.get(c.cell.raid),
+                c.cell.policy.as_str()
             );
-            let _ = match &c.error {
-                Some(e) => write!(row, "{}", json::string(e)),
-                None => write!(row, "null"),
-            };
+            for &m in &metrics {
+                if c.is_failed() {
+                    row.extend(metric_columns(m).iter().map(|_| ','));
+                    continue;
+                }
+                if m == Metric::Volume {
+                    match c.volume {
+                        Some(v) => {
+                            let _ = write!(row, ",{},{}", v.arrays, v.total_disks);
+                        }
+                        None => row.push_str(",,"),
+                    }
+                }
+                for &f in metric_floats(m) {
+                    row.push(',');
+                    row.push_str(floats.csv(f));
+                }
+            }
+            for &(_, f) in &extra {
+                row.push(',');
+                row.push_str(floats.csv(f));
+            }
+            if result.keep_going {
+                let _ = write!(
+                    row,
+                    ",{},{}",
+                    if c.is_failed() { "error" } else { "ok" },
+                    csv_field(c.error.as_deref().unwrap_or_default())
+                );
+            }
+            row.push('\n');
+            if let Err(e) = out.end_row(i, rows) {
+                done[0] = Err(e);
+                csv = None;
+            }
         }
-        if let Some(v) = c.volume {
+        if let Some(out) = &mut json {
+            let row = &mut out.text;
             let _ = write!(
                 row,
-                ", \"volume\": {{\"arrays\": {}, \"total_disks\": {}, \"unavailability\": {}, \"nines\": {}}}",
-                v.arrays,
-                v.total_disks,
-                json::number(v.unavailability),
-                json::number(v.nines),
+                "    {{\"cell\": {}, \"seed\": \"{}\", \"raid\": {}, \"policy\": {}, \"lambda\": {}, \"hep\": {}, ",
+                c.cell.index,
+                c.cell.seed,
+                raid_strings.get(c.cell.raid),
+                policy_strings.get(c.cell.policy.as_str()),
+                json_text(Some(c.cell.lambda), lambda),
+                json_text(Some(c.cell.hep), hep),
             );
+            let _ = write!(
+                row,
+                "\"unavailability\": {}, \"nines\": {}, \"downtime_min_per_year\": {}, \"mttdl_hours\": {}, \"ci_half_width\": {}",
+                floats.json(Float::Unavailability),
+                floats.json(Float::Nines),
+                floats.json(Float::Downtime),
+                floats.json(Float::Mttdl),
+                floats.json(Float::CiHalfWidth),
+            );
+            for &(key, f) in &extra {
+                let _ = write!(row, ", \"{key}\": {}", floats.json(f));
+            }
+            if result.keep_going {
+                let _ = write!(
+                    row,
+                    ", \"status\": {}, \"error\": ",
+                    json::string(if c.is_failed() { "error" } else { "ok" }),
+                );
+                let _ = match &c.error {
+                    Some(e) => write!(row, "{}", json::string(e)),
+                    None => write!(row, "null"),
+                };
+            }
+            if let Some(v) = c.volume {
+                let _ = write!(
+                    row,
+                    ", \"volume\": {{\"arrays\": {}, \"total_disks\": {}, \"unavailability\": {}, \"nines\": {}}}",
+                    v.arrays,
+                    v.total_disks,
+                    floats.json(Float::VolumeUnavailability),
+                    floats.json(Float::VolumeNines),
+                );
+            }
+            row.push('}');
+            if i + 1 != rows {
+                row.push(',');
+            }
+            row.push('\n');
+            if let Err(e) = out.end_row(i, rows) {
+                done[1] = Err(e);
+                json = None;
+            }
         }
-        row.push('}');
-        if i != last {
-            row.push(',');
+    }
+
+    if let Some(out) = &mut json {
+        let tail = &mut out.text;
+        tail.push_str("  ],\n");
+        if result.keep_going {
+            let _ = writeln!(tail, "  \"failed_cells\": {},", result.failed_cells);
         }
-        row.push('\n');
-        out.end_row(first_row, i, result.cells.len())?;
+        let u = &result.unavailability_stats;
+        let _ = writeln!(
+            tail,
+            "  \"unavailability_summary\": {{\"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
+            u.count(),
+            json::number(u.mean()),
+            json::number(u.min()),
+            json::number(u.max()),
+        );
+        tail.push_str("}\n");
     }
-    let tail = &mut out.text;
-    tail.push_str("  ],\n");
-    if result.keep_going {
-        let _ = writeln!(tail, "  \"failed_cells\": {},", result.failed_cells);
-    }
-    let u = &result.unavailability_stats;
-    let _ = writeln!(
-        tail,
-        "  \"unavailability_summary\": {{\"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
-        u.count(),
-        json::number(u.mean()),
-        json::number(u.min()),
-        json::number(u.max()),
-    );
-    tail.push_str("}\n");
-    out.finish()
+    let [csv_done, json_done] = done;
+    [
+        csv_done.and_then(|()| csv.map_or(Ok(String::new()), Rows::finish)),
+        json_done.and_then(|()| json.map_or(Ok(String::new()), Rows::finish)),
+    ]
 }
 
 /// Renders the human-readable summary table, including per-cell timings
@@ -389,13 +562,18 @@ pub fn summary(result: &CampaignResult) -> String {
         ),
         &headers,
     );
+    let mut lambdas = AxisText::new(|out, bits| {
+        let _ = write!(out, "{:.3e}", f64::from_bits(bits));
+    });
+    let mut heps = AxisText::new(debug_bits);
+    let mut raids = AxisText::new(label);
     for c in &result.cells {
         table
             .cell(c.cell.index)
-            .cell(c.cell.raid)
+            .cell(raids.get(c.cell.raid))
             .cell(c.cell.policy.as_str())
-            .cell(format_args!("{:.3e}", c.cell.lambda))
-            .cell(format_args!("{:?}", c.cell.hep));
+            .cell(lambdas.get(c.cell.lambda.to_bits()))
+            .cell(heps.get(c.cell.hep.to_bits()));
         if c.is_failed() {
             table.cell("failed").cell("");
         } else {
@@ -586,6 +764,50 @@ mod tests {
         assert_eq!(to_csv(&r), GOLDEN_CSV_DEFAULT_METRICS);
     }
 
+    /// A writer that refuses every write.
+    struct Refuses;
+
+    impl io::Write for Refuses {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("refused"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_reports_gives_the_renderers_bytes() {
+        let mut r = golden_result();
+        for metrics in [r.scenario.metrics.clone(), vec![Metric::Nines]] {
+            r.scenario.metrics = metrics;
+            let (mut csv, mut json) = (Vec::new(), Vec::new());
+            let (c, j) = write_reports(&r, &mut csv, &mut json);
+            c.unwrap();
+            j.unwrap();
+            assert_eq!(String::from_utf8(csv).unwrap(), to_csv(&r));
+            assert_eq!(String::from_utf8(json).unwrap(), to_json(&r));
+        }
+        // With `metrics = [nines]` the CSV is narrower than the JSON.
+        assert!(to_csv(&r).starts_with("cell,seed,raid,policy,lambda,hep,nines,credited"));
+
+        // A writer that fails ends its own report, not the other, here at
+        // its first hand-on, well before the last row.
+        r.cells = r.cells.iter().cycle().take(1_500).cloned().collect();
+        assert!(to_csv(&r).len() > 2 * FLUSH_BYTES);
+        let mut json = Vec::new();
+        let (c, j) = write_reports(&r, &mut Refuses, &mut json);
+        assert_eq!(c.unwrap_err().to_string(), "refused");
+        j.unwrap();
+        assert_eq!(String::from_utf8(json).unwrap(), to_json(&r));
+        let mut csv = Vec::new();
+        let (c, j) = write_reports(&r, &mut csv, &mut Refuses);
+        c.unwrap();
+        assert_eq!(j.unwrap_err().to_string(), "refused");
+        assert_eq!(String::from_utf8(csv).unwrap(), to_csv(&r));
+    }
+
     fn result() -> CampaignResult {
         let s = Scenario::parse(
             "[campaign]\nname = rpt\nseed = 2\ncapacity = 21\n[axes]\nraid = [r1, r5-3]\nhep = [0, 0.01]\nlambda = 1e-5\n",
@@ -672,9 +894,16 @@ mod tests {
 
     #[test]
     fn json_escaping_and_numbers() {
-        assert_eq!(json_opt(Some(1e-5)).to_string(), "1e-5");
-        assert_eq!(json_opt(Some(f64::NAN)).to_string(), "null");
-        assert_eq!(json_opt(None).to_string(), "null");
+        // A float's JSON text is its `{:?}` text; a non-finite or absent
+        // one prints null.
+        let mut r = result();
+        let c = &mut r.cells[0];
+        (c.mttdl_hours, c.nines, c.ci_half_width) = (Some(1e-5), f64::NAN, None);
+        let mut floats = RowFloats::default();
+        floats.fill(c);
+        assert_eq!(floats.json(Float::Mttdl), "1e-5");
+        assert_eq!(floats.json(Float::Nines), "null");
+        assert_eq!(floats.json(Float::CiHalfWidth), "null");
         // Names and cell values go through the shared writers: escaped
         // strings, and null for a non-finite number.
         let mut r = result();

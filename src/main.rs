@@ -661,12 +661,12 @@ struct Stdout {
 }
 
 impl Stdout {
-    fn print(&mut self, text: &str) -> io::Result<()> {
+    fn print(&mut self, text: &(impl AsRef<[u8]> + ?Sized)) -> io::Result<()> {
         if self.closed {
             return Ok(());
         }
         let mut out = io::stdout().lock();
-        match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        match out.write_all(text.as_ref()).and_then(|()| out.flush()) {
             Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
                 self.closed = true;
                 Ok(())
@@ -681,6 +681,22 @@ fn join<T>(handle: thread::ScopedJoinHandle<'_, T>) -> T {
     handle
         .join()
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Writes the campaign's CSV and JSON reports into their files in one
+/// pass. A report whose file cannot be created is left out, and the other
+/// is still written. Returns each file's outcome, the CSV's first.
+fn write_report_files(
+    result: &run::CampaignResult,
+    csv: &Path,
+    json: &Path,
+) -> (io::Result<()>, io::Result<()>) {
+    match (File::create(csv), File::create(json)) {
+        (Ok(mut csv), Ok(mut json)) => report::write_reports(result, &mut csv, &mut json),
+        (Ok(mut csv), Err(e)) => (report::write_csv(result, &mut csv), Err(e)),
+        (Err(e), Ok(mut json)) => (Err(e), report::write_json(result, &mut json)),
+        (Err(csv), Err(json)) => (Err(csv), Err(json)),
+    }
 }
 
 fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
@@ -742,19 +758,20 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     // Free the plan before the reports allocate: they read only `result`.
     drop(plan);
 
-    // The three reports render at the same time: CSV and JSON on scoped
-    // threads, which with --out-dir stream straight into their own files,
-    // and the summary on this one, which prints it first so stdout keeps
-    // its order.
+    // The CSV and JSON render in one pass on a scoped thread, which with
+    // --out-dir streams each into its own file, while the summary renders
+    // on this one, which prints it first so stdout keeps its order.
     let report_started = Instant::now();
     if out_dir.is_empty() {
-        let (csv, json) = thread::scope(|scope| {
-            let csv = scope.spawn(|| report::to_csv(&result));
-            let json = scope.spawn(|| report::to_json(&result));
+        let (mut csv, mut json) = (Vec::new(), Vec::new());
+        let (csv_written, json_written) = thread::scope(|scope| {
+            let reports = scope.spawn(|| report::write_reports(&result, &mut csv, &mut json));
             stdout.print(&report::summary(&result))?;
-            Ok::<_, io::Error>((join(csv), join(json)))
+            Ok::<_, io::Error>(join(reports))
         })?;
-        for text in ["\n--- csv ---\n", &csv, "--- json ---\n", &json] {
+        csv_written?;
+        json_written?;
+        for text in [&b"\n--- csv ---\n"[..], &csv, b"--- json ---\n", &json] {
             stdout.print(text)?;
         }
     } else {
@@ -762,14 +779,14 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         std::fs::create_dir_all(dir)?;
         let csv_path = dir.join(format!("{}.csv", scenario.name));
         let json_path = dir.join(format!("{}.json", scenario.name));
-        let (printed, csv, json) = thread::scope(|scope| {
-            let csv = scope.spawn(|| report::write_csv(&result, &mut File::create(&csv_path)?));
-            let json = scope.spawn(|| report::write_json(&result, &mut File::create(&json_path)?));
+        let (printed, (csv, json)) = thread::scope(|scope| {
+            let reports = scope.spawn(|| write_report_files(&result, &csv_path, &json_path));
             let printed = stdout.print(&report::summary(&result));
-            (printed, join(csv), join(json))
+            (printed, join(reports))
         });
-        csv?;
-        json?;
+        let cannot_write = |path: &Path, e| format!("cannot write `{}`: {e}", path.display());
+        csv.map_err(|e| cannot_write(&csv_path, e))?;
+        json.map_err(|e| cannot_write(&json_path, e))?;
         printed?;
         stdout.print(&format!(
             "\nwrote {}\nwrote {}\n",

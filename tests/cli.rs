@@ -828,6 +828,53 @@ fn batch_reports_are_the_renderers_bytes_in_files_and_on_stdout() {
     );
 }
 
+/// Runs `batch --out-dir` where the `ext` report's path is a directory:
+/// the command fails naming that file, and still writes the other report
+/// with the renderer's bytes.
+fn batch_names_the_report_it_cannot_write(ext: &str) {
+    use availsim::exp::{plan, report, run as runner, spec::Scenario};
+    let spec = write_spec("write-error.campaign", SURFACE_SPEC);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("write-error-{ext}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let blocked = dir.join(format!("cli-surface.{ext}"));
+    std::fs::create_dir_all(&blocked).unwrap();
+    let (ok, _, stderr) = run(&[
+        "batch",
+        spec.to_str().unwrap(),
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(!ok);
+    let named = format!("error: cannot write `{}`: ", blocked.display());
+    assert!(stderr.starts_with(&named), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+
+    let result = runner::run(
+        &plan::expand(&Scenario::parse(SURFACE_SPEC).unwrap()).unwrap(),
+        &runner::RunConfig::default(),
+    )
+    .unwrap();
+    let (other, bytes) = match ext {
+        "csv" => ("json", report::to_json(&result)),
+        _ => ("csv", report::to_csv(&result)),
+    };
+    let written = std::fs::read_to_string(dir.join(format!("cli-surface.{other}"))).unwrap();
+    assert!(
+        written == bytes,
+        "the {other} report differs from its renderer's"
+    );
+}
+
+#[test]
+fn batch_names_the_report_it_cannot_write_csv() {
+    batch_names_the_report_it_cannot_write("csv");
+}
+
+#[test]
+fn batch_names_the_report_it_cannot_write_json() {
+    batch_names_the_report_it_cannot_write("json");
+}
+
 /// Runs `availsim batch <args>` and closes its stdout after the first
 /// line, as `| head -1` does. Returns that line, whether the process
 /// exited 0, and its stderr.
