@@ -776,7 +776,7 @@ fn cmd_batch(parsed: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         }
     } else {
         let dir = Path::new(&out_dir);
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{out_dir}`: {e}"))?;
         let csv_path = dir.join(format!("{}.csv", scenario.name));
         let json_path = dir.join(format!("{}.json", scenario.name));
         let (printed, (csv, json)) = thread::scope(|scope| {

@@ -875,6 +875,20 @@ fn batch_names_the_report_it_cannot_write_json() {
     batch_names_the_report_it_cannot_write("json");
 }
 
+#[test]
+fn batch_names_the_out_dir_it_cannot_create() {
+    let spec = write_spec("out-dir-error.campaign", SURFACE_SPEC);
+    let file = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("out-dir-is-a-file");
+    std::fs::write(&file, "").unwrap();
+    let file = file.to_str().unwrap();
+    let (ok, _, stderr) = run(&["batch", spec.to_str().unwrap(), "--out-dir", file]);
+    assert!(!ok);
+    assert!(
+        stderr.starts_with(&format!("error: cannot create `{file}`: ")),
+        "{stderr}"
+    );
+}
+
 /// Runs `availsim batch <args>` and closes its stdout after the first
 /// line, as `| head -1` does. Returns that line, whether the process
 /// exited 0, and its stderr.
