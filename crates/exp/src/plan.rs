@@ -116,9 +116,9 @@ impl Plan {
     /// The output is byte-stable for a fixed scenario: axis values are
     /// printed in shortest round-trip form (`{:?}`) and seeds as
     /// fixed-width hex. Each cell line is written straight into the
-    /// output, and each λ and hep text is formatted, padded to its
-    /// column, once per distinct value (keyed by its bits, so `-0.0`
-    /// keeps its own text).
+    /// output, and each raid, λ and hep text is formatted once per
+    /// distinct value, λ and hep already padded to their columns (a
+    /// float is keyed by its bits, so `-0.0` keeps its own text).
     pub fn describe(&self) -> String {
         let s = &self.scenario;
         let mut out = String::new();

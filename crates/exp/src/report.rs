@@ -11,10 +11,11 @@
 //! cells, straight into one text buffer per report, so a row allocates
 //! nothing of its own. Each float a row prints is formatted once, and its
 //! text is appended to the CSV, the JSON or both (the JSON prints `null`
-//! for a non-finite value). Axis values are formatted once per distinct
-//! value, keyed by their bits so that `-0.0` keeps its own text beside
-//! `0.0`; the summary and [`Plan::describe`](crate::plan::Plan::describe)
-//! format theirs the same way. [`to_csv`] and [`to_json`] run the renderer
+//! for a non-finite value). Axis text (λ, hep, raid, policy) is formatted
+//! once per distinct value, a float keyed by its bits so that `-0.0`
+//! keeps its own text beside `0.0`; the summary and
+//! [`Plan::describe`](crate::plan::Plan::describe) format theirs the same
+//! way. [`to_csv`] and [`to_json`] run the renderer
 //! for one report and keep its buffer as the whole report, while
 //! [`write_csv`], [`write_json`] and [`write_reports`] stream theirs into
 //! writers, handing on a report's bytes whenever it passes 64 KiB, so a
@@ -136,14 +137,9 @@ impl<K: Copy + Eq + Hash> AxisText<K> {
     }
 }
 
-/// Writes `v` in shortest round-trip form.
-fn debug(out: &mut String, v: f64) {
-    let _ = write!(out, "{v:?}");
-}
-
 /// Writes the float whose bits are `bits` in shortest round-trip form.
 fn debug_bits(out: &mut String, bits: u64) {
-    debug(out, f64::from_bits(bits));
+    let _ = write!(out, "{:?}", f64::from_bits(bits));
 }
 
 /// Writes `raid`'s label.
@@ -206,7 +202,7 @@ impl RowFloats {
         self.text.clear();
         for (v, end) in self.values.iter().zip(&mut self.ends) {
             if let Some(v) = v {
-                debug(&mut self.text, *v);
+                let _ = write!(self.text, "{v:?}");
             }
             *end = self.text.len();
         }
