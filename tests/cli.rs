@@ -833,7 +833,7 @@ fn batch_reports_are_the_renderers_bytes_in_files_and_on_stdout() {
 /// with the renderer's bytes.
 fn batch_names_the_report_it_cannot_write(ext: &str) {
     use availsim::exp::{plan, report, run as runner, spec::Scenario};
-    let spec = write_spec("write-error.campaign", SURFACE_SPEC);
+    let spec = write_spec(&format!("write-error-{ext}.campaign"), SURFACE_SPEC);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("write-error-{ext}"));
     let _ = std::fs::remove_dir_all(&dir);
     let blocked = dir.join(format!("cli-surface.{ext}"));
