@@ -9,11 +9,12 @@
 //! statistically independent yet fully reproducible.
 
 use crate::error::{ExpError, Result};
-use crate::report::{label, AxisText};
 use crate::spec::{Policy, Scenario};
 use availsim_sim::rng::SimRng;
 use availsim_storage::RaidGeometry;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::Hash;
 
 /// One grid point: a concrete parameter assignment plus its derived seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,6 +230,52 @@ impl Plan {
         }
         out
     }
+}
+
+/// The text of axis values, each formatted once per distinct value. A
+/// float is keyed by its bits, so `-0.0` keeps its own text beside `0.0`.
+pub(crate) struct AxisText<K> {
+    format: fn(&mut String, K),
+    text: String,
+    /// Where each value's text sits in `text`.
+    spans: HashMap<K, (usize, usize)>,
+    /// The last value asked for, which an outer axis repeats for a block
+    /// of cells, and its span.
+    last: Option<(K, (usize, usize))>,
+}
+
+impl<K: Copy + Eq + Hash> AxisText<K> {
+    pub(crate) fn new(format: fn(&mut String, K)) -> Self {
+        AxisText {
+            format,
+            text: String::new(),
+            spans: HashMap::new(),
+            last: None,
+        }
+    }
+
+    /// `key`'s text, formatted on its first use.
+    pub(crate) fn get(&mut self, key: K) -> &str {
+        let (start, end) = match self.last {
+            Some((last, span)) if last == key => span,
+            _ => {
+                let (format, text) = (self.format, &mut self.text);
+                let span = *self.spans.entry(key).or_insert_with(|| {
+                    let start = text.len();
+                    format(text, key);
+                    (start, text.len())
+                });
+                self.last = Some((key, span));
+                span
+            }
+        };
+        &self.text[start..end]
+    }
+}
+
+/// Writes `raid`'s label.
+pub(crate) fn label(out: &mut String, raid: RaidGeometry) {
+    let _ = write!(out, "{raid}");
 }
 
 #[cfg(test)]

@@ -22,15 +22,14 @@
 //! report file is written without the report ever being held in memory.
 //! Every output is the same bytes.
 
+use crate::plan::{label, AxisText};
 use crate::run::{CampaignResult, CellResult};
 use crate::spec::{Metric, ModelKind};
 use availsim_core::report::Table;
 use availsim_sim::json;
 use availsim_storage::RaidGeometry;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::Hash;
 use std::io;
 
 /// The metric columns a campaign reports: the spec's `metrics` list, or
@@ -96,55 +95,9 @@ fn csv_field(s: &str) -> Cow<'_, str> {
     }
 }
 
-/// The text of axis values, each formatted once per distinct value. A
-/// float is keyed by its bits, so `-0.0` keeps its own text beside `0.0`.
-pub(crate) struct AxisText<K> {
-    format: fn(&mut String, K),
-    text: String,
-    /// Where each value's text sits in `text`.
-    spans: HashMap<K, (usize, usize)>,
-    /// The last value asked for, which an outer axis repeats for a block
-    /// of cells, and its span.
-    last: Option<(K, (usize, usize))>,
-}
-
-impl<K: Copy + Eq + Hash> AxisText<K> {
-    pub(crate) fn new(format: fn(&mut String, K)) -> Self {
-        AxisText {
-            format,
-            text: String::new(),
-            spans: HashMap::new(),
-            last: None,
-        }
-    }
-
-    /// `key`'s text, formatted on its first use.
-    pub(crate) fn get(&mut self, key: K) -> &str {
-        let (start, end) = match self.last {
-            Some((last, span)) if last == key => span,
-            _ => {
-                let (format, text) = (self.format, &mut self.text);
-                let span = *self.spans.entry(key).or_insert_with(|| {
-                    let start = text.len();
-                    format(text, key);
-                    (start, text.len())
-                });
-                self.last = Some((key, span));
-                span
-            }
-        };
-        &self.text[start..end]
-    }
-}
-
 /// Writes the float whose bits are `bits` in shortest round-trip form.
 fn debug_bits(out: &mut String, bits: u64) {
     let _ = write!(out, "{:?}", f64::from_bits(bits));
-}
-
-/// Writes `raid`'s label.
-pub(crate) fn label(out: &mut String, raid: RaidGeometry) {
-    let _ = write!(out, "{raid}");
 }
 
 /// A float that a report row can print, in [`RowFloats::fill`] order.
