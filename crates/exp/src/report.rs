@@ -15,12 +15,12 @@
 //! once per distinct value, a float keyed by its bits so that `-0.0`
 //! keeps its own text beside `0.0`; the summary and
 //! [`Plan::describe`](crate::plan::Plan::describe) format theirs the same
-//! way. [`to_csv`] and [`to_json`] run the renderer
-//! for one report and keep its buffer as the whole report, while
-//! [`write_csv`], [`write_json`] and [`write_reports`] stream theirs into
-//! writers, handing on a report's bytes whenever it passes 64 KiB, so a
-//! report file is written without the report ever being held in memory.
-//! Every output is the same bytes.
+//! way. [`to_csv`] and [`to_json`] run the renderer for one report and
+//! keep its buffer as the whole report, while [`write_csv`],
+//! [`write_json`] and [`write_reports`] stream theirs into writers,
+//! handing on a report's bytes whenever it passes 64 KiB, so a report
+//! file is written without the report ever being held in memory. Every
+//! output is the same bytes.
 
 use crate::plan::{label, AxisText};
 use crate::run::{CampaignResult, CellResult};
