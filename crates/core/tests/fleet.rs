@@ -1016,37 +1016,84 @@ fn every_field(est: &FleetEstimate) -> u64 {
 fn every_fleet_estimate_field_is_pinned() {
     // Every public field of `FleetEstimate` (counters on) for the plain
     // fleet, the crew + dependence + domain couplings, a bounded DR site,
-    // and a live LSE rate.
+    // a live LSE rate, every coupling with an Erlang-loss DR site, and
+    // Weibull lifetimes with a queueing DR site.
     let p = params(1e-3, 0.02);
     let cfg = McConfig {
         telemetry: true,
         ..pin_config(1)
     };
+    let coupling = FleetCoupling {
+        dependence: DependenceLevel::Moderate,
+        domains: Some(DomainFailures {
+            domain_arrays: 4,
+            rate: 1e-4,
+        }),
+    };
     let coupled = FleetMc::new(spec(12).with_repairmen(2).unwrap(), p)
         .unwrap()
-        .with_coupling(FleetCoupling {
-            dependence: DependenceLevel::Moderate,
-            domains: Some(DomainFailures {
-                domain_arrays: 4,
-                rate: 1e-4,
-            }),
-        })
+        .with_coupling(coupling)
         .unwrap();
     let bounded_dr = spec(12)
         .with_failover(failover(Some(2), FailoverPolicy::Queue, 0.02))
         .unwrap();
     let lse = p.with_scrubbing(ScrubbingModel::new(1e-4, 336.0).unwrap());
+    // Every coupling at once, the DR site under the Erlang-loss policy:
+    // domain strikes land on arrays that request a DR slot.
+    let loss_dr = FleetMc::new(
+        spec(12)
+            .with_repairmen(2)
+            .unwrap()
+            .with_failover(failover(Some(2), FailoverPolicy::Loss, 0.02))
+            .unwrap(),
+        lse,
+    )
+    .unwrap()
+    .with_coupling(coupling)
+    .unwrap()
+    .run(&cfg)
+    .unwrap();
+    let c = &loss_dr.counters;
+    assert_eq!(
+        (
+            loss_dr.dr_rejections,
+            loss_dr.failovers,
+            c.get(Counter::FleetDomainStrikes),
+            c.get(Counter::FleetCrewWaits),
+            c.get(Counter::RebuildLseHits),
+        ),
+        (123_633, 131_914, 1_842, 21_408, 8_795)
+    );
+    // Non-exponential lifetimes behind a queueing DR site.
+    let weibull_dr = FleetMc::with_failure_model(
+        spec(8)
+            .with_failover(failover(Some(2), FailoverPolicy::Queue, 0.02))
+            .unwrap(),
+        p,
+        FailureModel::weibull(1e-3, 1.48).unwrap(),
+    )
+    .unwrap()
+    .run(&cfg)
+    .unwrap();
+    assert_eq!(
+        (weibull_dr.dr_queue_waits, weibull_dr.failbacks),
+        (56_175, 115_849)
+    );
     let runs = [
         ("plain", FleetMc::new(spec(8), p).unwrap().run(&cfg)),
         ("crews + dependence + domains", coupled.run(&cfg)),
         ("bounded DR", FleetMc::new(bounded_dr, p).unwrap().run(&cfg)),
         ("lse", FleetMc::new(spec(8), lse).unwrap().run(&cfg)),
+        ("every coupling + loss DR + lse", Ok(loss_dr)),
+        ("weibull + queueing DR", Ok(weibull_dr)),
     ];
-    let pinned: [(&str, u64); 4] = [
+    let pinned: [(&str, u64); 6] = [
         ("plain", 0x8411_935d_0c28_f5be),
         ("crews + dependence + domains", 0xdc96_3eb7_3a26_edf7),
         ("bounded DR", 0xb5e9_72f0_5b9a_4d54),
         ("lse", 0x1760_7c04_4ed1_677a),
+        ("every coupling + loss DR + lse", 0xd378_700f_284f_b61b),
+        ("weibull + queueing DR", 0xdde7_f6ba_2dd9_53ff),
     ];
     let mismatches: Vec<String> = runs
         .iter()
