@@ -35,6 +35,16 @@
 //! engines; the fleet supplies only its accumulator, and NOMDL is per unit
 //! of the fleet's usable capacity.
 //!
+//! One mission in flight is a private `FleetMission`, which owns the
+//! scratch tables and the RNG, the fleet's occupancy counts (arrays not
+//! in OP, in DU, in DL and DR-covered; crews and DR slots busy or queued),
+//! the [`FleetOutcome`] being built and the draw tallies. Each Fig. 2
+//! decision is one method of it, written once: accrue to `t`; schedule an
+//! event or count it expired; arm or void a race; renew a disk; enter EXP,
+//! DU or DL (an array leaving OP asks the DR site for a slot, then takes
+//! a crew or joins the crew FIFO); return to OP; hand on a crew or a DR
+//! slot; settle with the DR site.
+//!
 //! # Shared resources and correlated human error
 //!
 //! Real fleets are *not* independent: one maintenance team serves many
@@ -81,7 +91,7 @@ use availsim_hra::{escalated, DependenceLevel};
 use availsim_sim::indexed_queue::{IndexedEventHandle, IndexedEventQueue, QueueStats};
 use availsim_sim::rng::SimRng;
 use availsim_sim::stats::{t_interval, wilson_interval, ConfidenceInterval, RunningStats};
-use availsim_sim::telemetry::{Counter, CounterSnapshot};
+use availsim_sim::telemetry::{Counter, CounterSnapshot, Telemetry};
 use availsim_storage::{FailoverPolicy, FailureModel, FleetSpec, HOURS_PER_YEAR};
 use std::collections::VecDeque;
 
@@ -97,6 +107,13 @@ enum Mode {
     Du,
     /// Down: data lost, restoring from backup.
     Dl,
+}
+
+impl Mode {
+    /// Whether the array is down (DU or DL).
+    fn is_down(self) -> bool {
+        matches!(self, Mode::Du | Mode::Dl)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +133,17 @@ enum Service {
     /// DR switch-back botched at hep·φ (the Fig. 3 DR-side human
     /// error): the array goes DU while still holding its slot.
     FailbackSlip,
+}
+
+impl Service {
+    /// The race lane the exit rides: 0 for the recovery-flavoured exit,
+    /// 1 for the failure-flavoured one.
+    fn lane(self) -> usize {
+        match self {
+            Service::RepairOk | Service::RecoveryOk | Service::Restore | Service::FailbackOk => 0,
+            Service::WrongPull | Service::RemovedCrash | Service::FailbackSlip => 1,
+        }
+    }
 }
 
 /// Relationship of one array to the shared DR site.
@@ -174,14 +202,14 @@ pub(crate) struct FleetScratch {
     queue: IndexedEventQueue<FleetEv>,
     arrays: Vec<ArrayState>,
     slot_gen: Vec<u32>,
-    /// Pending service handles per array, by race lane (0 = the
-    /// recovery-flavoured exit, 1 = the failure-flavoured one): when one
-    /// fires, the sibling is cancelled in place instead of surfacing
-    /// later as a stale pop in the shared heap.
+    /// Pending service handles per array, by race lane
+    /// ([`Service::lane`]): when one fires, the sibling is cancelled in
+    /// place instead of surfacing later as a stale pop in the shared heap.
     svc: Vec<[Option<IndexedEventHandle>; 2]>,
-    /// Arrays waiting for a repair crew, FIFO. An array appears at most
-    /// once per degraded episode (it can only return to OP through a
-    /// service, which requires the crew it is waiting for).
+    /// Arrays waiting for a repair crew, FIFO: exactly the arrays whose
+    /// `waiting` flag is set. An array appears at most once per degraded
+    /// episode (it can only return to OP through a service, which
+    /// requires the crew it is waiting for).
     fifo: VecDeque<u32>,
     /// Arrays waiting for a DR slot, FIFO, as `(array, token)` pairs.
     /// Unlike the crew queue an array *can* leave this line early (by
@@ -298,6 +326,26 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
+    /// A mission before its first event, and the identity of `add`.
+    const EMPTY: FleetOutcome = FleetOutcome {
+        du_downtime_hours: 0.0,
+        dl_downtime_hours: 0.0,
+        any_down_hours: 0.0,
+        du_events: 0,
+        dl_events: 0,
+        first_loss_hours: f64::INFINITY,
+        max_degraded: 0,
+        degraded_hours: [0.0; DEGRADED_BINS],
+        uncovered_down_hours: 0.0,
+        uncovered_any_down_hours: 0.0,
+        dr_occupancy_hours: [0.0; DEGRADED_BINS],
+        dr_queue_wait_hours: 0.0,
+        failovers: 0,
+        failbacks: 0,
+        dr_queue_waits: 0,
+        dr_rejections: 0,
+    };
+
     /// Total array-downtime of the mission (DU + DL, summed over arrays),
     /// hours.
     pub fn array_downtime_hours(&self) -> f64 {
@@ -308,6 +356,35 @@ impl FleetOutcome {
     /// fleet's users actually lost.
     pub fn credited_array_downtime_hours(&self) -> f64 {
         self.uncovered_down_hours
+    }
+
+    /// Adds `b`'s hours and counts, keeping the higher degraded peak and
+    /// the earlier first loss.
+    fn add(&mut self, b: &FleetOutcome) {
+        self.du_downtime_hours += b.du_downtime_hours;
+        self.dl_downtime_hours += b.dl_downtime_hours;
+        self.any_down_hours += b.any_down_hours;
+        self.du_events += b.du_events;
+        self.dl_events += b.dl_events;
+        self.first_loss_hours = self.first_loss_hours.min(b.first_loss_hours);
+        self.max_degraded = self.max_degraded.max(b.max_degraded);
+        for (acc, h) in self.degraded_hours.iter_mut().zip(&b.degraded_hours) {
+            *acc += h;
+        }
+        self.uncovered_down_hours += b.uncovered_down_hours;
+        self.uncovered_any_down_hours += b.uncovered_any_down_hours;
+        for (acc, h) in self
+            .dr_occupancy_hours
+            .iter_mut()
+            .zip(&b.dr_occupancy_hours)
+        {
+            *acc += h;
+        }
+        self.dr_queue_wait_hours += b.dr_queue_wait_hours;
+        self.failovers += b.failovers;
+        self.failbacks += b.failbacks;
+        self.dr_queue_waits += b.dr_queue_waits;
+        self.dr_rejections += b.dr_rejections;
     }
 }
 
@@ -439,26 +516,8 @@ impl FleetEstimate {
     }
 }
 
-/// Running hour sums of a [`DEGRADED_BINS`]-wide time-share histogram.
-#[derive(Debug, Clone, Copy)]
-struct Bins([f64; DEGRADED_BINS]);
-
-impl Default for Bins {
-    fn default() -> Self {
-        Bins([0.0; DEGRADED_BINS])
-    }
-}
-
-impl Bins {
-    fn add(&mut self, hours: &[f64; DEGRADED_BINS]) {
-        for (acc, h) in self.0.iter_mut().zip(hours) {
-            *acc += h;
-        }
-    }
-}
-
 /// The sums behind a [`FleetEstimate`]: the fleet engine's accumulator.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct FleetBook {
     /// Member arrays and mission time, hours (context, not summed).
     arrays: u32,
@@ -466,23 +525,11 @@ struct FleetBook {
     /// Per-mission per-array availability, plain and with DR credit.
     stats: RunningStats,
     credited_stats: RunningStats,
-    du_dt: f64,
-    dl_dt: f64,
-    any_down: f64,
-    uncovered: f64,
-    uncovered_any: f64,
-    dr_queue_wait: f64,
-    du_events: u64,
-    dl_events: u64,
+    /// The missions' outcomes, added up.
+    sums: FleetOutcome,
+    /// Missions that lost data, and their first-loss times summed.
     loss_missions: u64,
     first_loss_sum: f64,
-    failovers: u64,
-    failbacks: u64,
-    dr_queue_waits: u64,
-    dr_rejections: u64,
-    max_degraded: u32,
-    hist: Bins,
-    dr_hist: Bins,
 }
 
 impl Accumulator for FleetBook {
@@ -497,51 +544,23 @@ impl Accumulator for FleetBook {
         // (everything covered) pushes an exact 1.0 here every mission.
         self.credited_stats
             .push(1.0 - out.credited_array_downtime_hours() / array_time);
-        self.du_dt += out.du_downtime_hours;
-        self.dl_dt += out.dl_downtime_hours;
-        self.any_down += out.any_down_hours;
-        self.uncovered += out.uncovered_down_hours;
-        self.uncovered_any += out.uncovered_any_down_hours;
-        self.dr_queue_wait += out.dr_queue_wait_hours;
-        self.du_events += out.du_events;
-        self.dl_events += out.dl_events;
+        self.sums.add(out);
         if out.first_loss_hours.is_finite() {
             self.loss_missions += 1;
             self.first_loss_sum += out.first_loss_hours;
         }
-        self.failovers += out.failovers;
-        self.failbacks += out.failbacks;
-        self.dr_queue_waits += out.dr_queue_waits;
-        self.dr_rejections += out.dr_rejections;
-        self.max_degraded = self.max_degraded.max(out.max_degraded);
-        self.hist.add(&out.degraded_hours);
-        self.dr_hist.add(&out.dr_occupancy_hours);
     }
 
     fn merge(&mut self, b: &Self) {
         self.stats.merge(&b.stats);
         self.credited_stats.merge(&b.credited_stats);
-        self.du_dt += b.du_dt;
-        self.dl_dt += b.dl_dt;
-        self.any_down += b.any_down;
-        self.uncovered += b.uncovered;
-        self.uncovered_any += b.uncovered_any;
-        self.dr_queue_wait += b.dr_queue_wait;
-        self.du_events += b.du_events;
-        self.dl_events += b.dl_events;
+        self.sums.add(&b.sums);
         self.loss_missions += b.loss_missions;
         self.first_loss_sum += b.first_loss_sum;
-        self.failovers += b.failovers;
-        self.failbacks += b.failbacks;
-        self.dr_queue_waits += b.dr_queue_waits;
-        self.dr_rejections += b.dr_rejections;
-        self.max_degraded = self.max_degraded.max(b.max_degraded);
-        self.hist.add(&b.hist.0);
-        self.dr_hist.add(&b.dr_hist.0);
     }
 
     fn loss_events(&self) -> f64 {
-        self.dl_events as f64
+        self.sums.dl_events as f64
     }
 
     fn finish(
@@ -552,17 +571,18 @@ impl Accumulator for FleetBook {
     ) -> Result<FleetEstimate> {
         let iterations = config.iterations;
         let arrays = f64::from(self.arrays);
+        let s = &self.sums;
         let availability = t_interval(&self.stats, config.confidence).map_err(CoreError::from)?;
         let credited_availability =
             t_interval(&self.credited_stats, config.confidence).map_err(CoreError::from)?;
         let p_data_loss = wilson_interval(self.loss_missions, iterations, config.confidence)
             .map_err(CoreError::from)?;
         let total_time = self.horizon * iterations as f64;
-        let downtime = self.du_dt + self.dl_dt;
+        let downtime = s.du_downtime_hours + s.dl_downtime_hours;
         let array_u = downtime / (arrays * total_time);
-        let credited_u = self.uncovered / (arrays * total_time);
-        let any_down_u = self.any_down / total_time;
-        let uncovered_any_u = self.uncovered_any / total_time;
+        let credited_u = s.uncovered_down_hours / (arrays * total_time);
+        let any_down_u = s.any_down_hours / total_time;
+        let uncovered_any_u = s.uncovered_any_down_hours / total_time;
         Ok(FleetEstimate {
             availability,
             overall_array_availability: 1.0 - array_u,
@@ -571,12 +591,12 @@ impl Accumulator for FleetBook {
             annual_array_downtime_hours: array_u * HOURS_PER_YEAR,
             annual_any_down_hours: any_down_u * HOURS_PER_YEAR,
             du_downtime_share: if downtime > 0.0 {
-                self.du_dt / downtime
+                s.du_downtime_hours / downtime
             } else {
                 0.0
             },
-            du_events: self.du_events,
-            dl_events: self.dl_events,
+            du_events: s.du_events,
+            dl_events: s.dl_events,
             p_data_loss,
             nomdl_per_tb,
             mean_time_to_first_loss_hours: if self.loss_missions > 0 {
@@ -585,22 +605,613 @@ impl Accumulator for FleetBook {
                 None
             },
             loss_missions: self.loss_missions,
-            degraded_time_share: self.hist.0.map(|h| h / total_time),
-            max_degraded: self.max_degraded,
+            degraded_time_share: s.degraded_hours.map(|h| h / total_time),
+            max_degraded: s.max_degraded,
             credited_availability,
             overall_credited_array_availability: 1.0 - credited_u,
             credited_fleet_availability: 1.0 - uncovered_any_u,
-            dr_occupancy_share: self.dr_hist.0.map(|h| h / total_time),
-            dr_queue_wait_hours: self.dr_queue_wait,
-            failovers: self.failovers,
-            failbacks: self.failbacks,
-            dr_queue_waits: self.dr_queue_waits,
-            dr_rejections: self.dr_rejections,
+            dr_occupancy_share: s.dr_occupancy_hours.map(|h| h / total_time),
+            dr_queue_wait_hours: s.dr_queue_wait_hours,
+            failovers: s.failovers,
+            failbacks: s.failbacks,
+            dr_queue_waits: s.dr_queue_waits,
+            dr_rejections: s.dr_rejections,
             iterations,
             horizon_hours: self.horizon,
             arrays: self.arrays,
             counters,
         })
+    }
+}
+
+/// The reciprocal rates of a service action at operator error
+/// probability `hep`: the successful repair, the wrong pull and the
+/// successful DU recovery (`∞` disables an exit, drawing nothing).
+fn service_inv(p: &ModelParams, hep: f64) -> (f64, f64, f64) {
+    (
+        ((1.0 - hep) * p.disk_repair_rate).recip(),
+        (hep * p.disk_change_rate).recip(),
+        ((1.0 - hep) * p.human_recovery_rate).recip(),
+    )
+}
+
+/// One fleet mission in flight (see the module docs): what it runs on,
+/// what it counts, and one method per Fig. 2 decision.
+///
+/// It builds the outcome in the caller's value, and its leaf helpers
+/// (`arm`, `void_race`, `renew`, `start_service`) are always inlined, as
+/// the macros they replace were: copying the outcome out cost a 2-array
+/// mission about 5 %, and outlined helpers a 100-array one about 3 %.
+struct FleetMission<'a> {
+    params: &'a ModelParams,
+    failures: &'a FailureModel,
+    horizon: f64,
+    /// Disks per array.
+    disks: usize,
+    /// Service reciprocals at the unescalated hep ([`service_inv`]), and
+    /// the crash, restore, fail-back and shelf-strike reciprocals.
+    service_inv: (f64, f64, f64),
+    crash_inv: f64,
+    restore_inv: f64,
+    failback_ok_inv: f64,
+    failback_slip_inv: f64,
+    domain_inv: f64,
+    /// Arrays per shelf (0 without domain failures).
+    shelf: usize,
+    dependence: DependenceLevel,
+    /// Probability that a completed rebuild hits a latent sector error.
+    p_lse: f64,
+    /// Repair crews (`u32::MAX` for an unlimited pool).
+    crew_cap: u32,
+    /// The DR site: whether there is one, whether it is the ideal
+    /// unbounded limit, its slots and its policy when full.
+    dr_on: bool,
+    dr_ideal: bool,
+    dr_cap: u32,
+    dr_policy: FailoverPolicy,
+    rng: &'a mut SimRng,
+    queue: &'a mut IndexedEventQueue<FleetEv>,
+    arrays: &'a mut [ArrayState],
+    slot_gen: &'a mut [u32],
+    svc: &'a mut [[Option<IndexedEventHandle>; 2]],
+    fifo: &'a mut VecDeque<u32>,
+    dr_fifo: &'a mut VecDeque<(u32, u32)>,
+    dr_token: &'a mut [u32],
+    /// Arrays not in OP, in DU, in DL, and down but served from DR.
+    not_op: u32,
+    in_du: u32,
+    in_dl: u32,
+    covered: u32,
+    /// Crews at work; DR slots held (serving or failing back); arrays in
+    /// the DR FIFO.
+    busy: u32,
+    dr_busy: u32,
+    dr_queued: u32,
+    /// Time of the last accrual, hours.
+    t_prev: f64,
+    /// The outcome being built, from `FleetOutcome::EMPTY`.
+    out: &'a mut FleetOutcome,
+    /// Draw and coupling tallies, flushed into the telemetry once per
+    /// mission (queue traffic is counted inside the queue itself).
+    ttf_draws: u64,
+    exp_draws: u64,
+    uniform_draws: u64,
+    lse_hits: u64,
+    crew_waits: u64,
+    domain_strikes: u64,
+}
+
+impl<'a> FleetMission<'a> {
+    /// Resets `scratch` for a mission of `mc` that builds `out`, starting
+    /// at time 0 before any clock is seeded.
+    fn new(
+        mc: &'a FleetMc,
+        horizon: f64,
+        rng: &'a mut SimRng,
+        scratch: &'a mut FleetScratch,
+        out: &'a mut FleetOutcome,
+    ) -> Self {
+        let p = &mc.params;
+        let disks = mc.spec.geometry().total_disks() as usize;
+        scratch.reset(mc.spec.arrays() as usize, disks);
+        let FleetScratch {
+            queue,
+            arrays,
+            slot_gen,
+            svc,
+            fifo,
+            dr_fifo,
+            dr_token,
+        } = scratch;
+        // The ideal DR limit (`capacity: None`) admits everything and
+        // fails back at once without a switch-back race: no draws, so its
+        // stream is bit-identical to the no-DR engine's.
+        let dr = mc.spec.failover();
+        let dr_ideal = matches!(dr, Some(f) if f.capacity.is_none());
+        let (failback_ok_inv, failback_slip_inv) = match dr {
+            Some(f) if !dr_ideal => failback_race_inv(p.hep.value(), f.failback_rate),
+            _ => (f64::INFINITY, f64::INFINITY),
+        };
+        let domains = mc.coupling.domains;
+        FleetMission {
+            params: p,
+            failures: &mc.failures,
+            horizon,
+            disks,
+            service_inv: service_inv(p, p.hep.value()),
+            crash_inv: p.removed_crash_rate.recip(),
+            restore_inv: p.ddf_recovery_rate.recip(),
+            failback_ok_inv,
+            failback_slip_inv,
+            domain_inv: domains.map_or(f64::INFINITY, |d| d.rate.recip()),
+            shelf: domains.map_or(0, |d| d.domain_arrays as usize),
+            dependence: mc.coupling.dependence,
+            p_lse: p.rebuild_lse_probability(),
+            crew_cap: mc.spec.repairmen().unwrap_or(u32::MAX),
+            dr_on: dr.is_some(),
+            dr_ideal,
+            dr_cap: dr.map_or(0, |f| f.capacity.unwrap_or(u32::MAX)),
+            dr_policy: dr.map(|f| f.policy).unwrap_or_default(),
+            rng,
+            queue,
+            arrays,
+            slot_gen,
+            svc,
+            fifo,
+            dr_fifo,
+            dr_token,
+            not_op: 0,
+            in_du: 0,
+            in_dl: 0,
+            covered: 0,
+            busy: 0,
+            dr_busy: 0,
+            dr_queued: 0,
+            t_prev: 0.0,
+            out,
+            ttf_draws: 0,
+            exp_draws: 0,
+            uniform_draws: 0,
+            lse_hits: 0,
+            crew_waits: 0,
+            domain_strikes: 0,
+        }
+    }
+
+    /// Seeds every disk clock of every array, then the shelf clocks
+    /// (drawing nothing when domains are off — the independent limit's
+    /// stream contract).
+    fn seed_clocks(&mut self) {
+        for array in 0..self.arrays.len() as u32 {
+            // An array may hold 256 disks: each slot fits a `u8`, the count not.
+            for slot in 0..self.disks {
+                let t = self.failures.sample_ttf(self.rng);
+                self.ttf_draws += 1;
+                let slot = slot as u8;
+                self.schedule(
+                    t,
+                    FleetEv::Fail {
+                        array,
+                        slot,
+                        gen: 0,
+                    },
+                );
+            }
+        }
+        if self.shelf > 0 {
+            for domain in 0..self.arrays.len().div_ceil(self.shelf) as u32 {
+                self.arm_shelf(domain);
+            }
+        }
+    }
+
+    /// Books the time since the last accrual against the occupancy counts.
+    fn accrue(&mut self, t: f64) {
+        let dt = t - self.t_prev;
+        if dt > 0.0 {
+            let out = &mut self.out;
+            let (down, covered) = (self.in_du + self.in_dl, self.covered);
+            out.degraded_hours[(self.not_op as usize).min(DEGRADED_BINS - 1)] += dt;
+            if self.in_du > 0 {
+                out.du_downtime_hours += f64::from(self.in_du) * dt;
+            }
+            if self.in_dl > 0 {
+                out.dl_downtime_hours += f64::from(self.in_dl) * dt;
+            }
+            if down > 0 {
+                out.any_down_hours += dt;
+            }
+            if down > covered {
+                out.uncovered_down_hours += f64::from(down - covered) * dt;
+                out.uncovered_any_down_hours += dt;
+            }
+            if self.dr_on {
+                out.dr_occupancy_hours[(self.dr_busy as usize).min(DEGRADED_BINS - 1)] += dt;
+                if self.dr_queued > 0 {
+                    out.dr_queue_wait_hours += f64::from(self.dr_queued) * dt;
+                }
+            }
+            self.t_prev = t;
+        }
+    }
+
+    /// Files `ev` `dt` hours from now: a service or fail-back race on the
+    /// queue's timer lane, a disk or shelf clock on its clock lane. An
+    /// event due after the horizon can never pop, so it never enters the
+    /// queue: its delay is still drawn (the RNG stream is the contract),
+    /// and the queue only counts it expired.
+    fn schedule(&mut self, dt: f64, ev: FleetEv) -> Option<IndexedEventHandle> {
+        if self.queue.now() + dt <= self.horizon {
+            match ev {
+                FleetEv::Service { .. } => self.queue.schedule_timer(dt, ev),
+                _ => self.queue.schedule(dt, ev),
+            }
+            .ok()
+        } else {
+            self.queue.note_expired();
+            None
+        }
+    }
+
+    /// Arms exit `kind` of array `a`'s race on its lane, at the array's
+    /// current epoch.
+    #[inline(always)]
+    fn arm(&mut self, a: u32, kind: Service, inv_rate: f64) {
+        let epoch = self.arrays[a as usize].epoch;
+        self.svc[a as usize][kind.lane()] = match self.rng.sample_exp_inv(inv_rate) {
+            Some(dt) => {
+                self.exp_draws += 1;
+                self.schedule(
+                    dt,
+                    FleetEv::Service {
+                        array: a,
+                        kind,
+                        epoch,
+                    },
+                )
+            }
+            None => None,
+        };
+    }
+
+    /// Voids array `a`'s pending race: both lanes are cancelled in place.
+    #[inline(always)]
+    fn void_race(&mut self, a: u32) {
+        for h in self.svc[a as usize].iter_mut().filter_map(Option::take) {
+            self.queue.cancel(h);
+        }
+    }
+
+    /// Starts a fresh lifetime clock for disk `slot` of array `a`.
+    #[inline(always)]
+    fn renew(&mut self, a: u32, slot: u8) {
+        let idx = a as usize * self.disks + usize::from(slot);
+        self.slot_gen[idx] += 1;
+        let gen = self.slot_gen[idx];
+        let ttf = self.failures.sample_ttf(self.rng);
+        self.ttf_draws += 1;
+        self.schedule(
+            ttf,
+            FleetEv::Fail {
+                array: a,
+                slot,
+                gen,
+            },
+        );
+    }
+
+    /// Re-arms (or first arms) the clock of shelf `domain`.
+    fn arm_shelf(&mut self, domain: u32) {
+        if let Some(dt) = self.rng.sample_exp_inv(self.domain_inv) {
+            self.exp_draws += 1;
+            self.schedule(dt, FleetEv::Domain { domain });
+        }
+    }
+
+    /// Moves array `a` to `mode` at `t` under a new epoch, keeping the
+    /// occupancy counts and the DU/DL books. Returns the mode it left.
+    fn set_mode(&mut self, a: u32, mode: Mode, t: f64) -> Mode {
+        let st = &mut self.arrays[a as usize];
+        let from = std::mem::replace(&mut st.mode, mode);
+        st.epoch += 1;
+        // A down array holding a DR slot is served from DR.
+        if st.dr == DrState::Serving && from.is_down() != mode.is_down() {
+            if mode.is_down() {
+                self.covered += 1;
+            } else {
+                self.covered -= 1;
+            }
+        }
+        match from {
+            Mode::Op => {
+                self.not_op += 1;
+                self.out.max_degraded = self.out.max_degraded.max(self.not_op);
+            }
+            Mode::Exp => {}
+            Mode::Du => self.in_du -= 1,
+            Mode::Dl => self.in_dl -= 1,
+        }
+        match mode {
+            Mode::Op => self.not_op -= 1,
+            Mode::Exp => {}
+            Mode::Du => {
+                self.in_du += 1;
+                self.out.du_events += 1;
+            }
+            Mode::Dl => {
+                self.in_dl += 1;
+                self.out.dl_events += 1;
+                self.out.first_loss_hours = self.out.first_loss_hours.min(t);
+            }
+        }
+        from
+    }
+
+    /// The reciprocal service rates of an action that begins now. Under
+    /// THERP operator dependence the other degraded arrays escalate the
+    /// hep by as many conditional steps; zero dependence (or no
+    /// concurrency) takes the precomputed reciprocals, which the same
+    /// formulas give bit for bit.
+    fn service_now(&self) -> (f64, f64, f64) {
+        let others = self.not_op - 1;
+        if self.dependence == DependenceLevel::Zero || others == 0 {
+            self.service_inv
+        } else {
+            let hep = escalated(self.params.hep, self.dependence, others).value();
+            service_inv(self.params, hep)
+        }
+    }
+
+    /// A crew starts on array `a`: it arms the race of the array's mode.
+    #[inline(always)]
+    fn start_service(&mut self, a: u32) {
+        match self.arrays[a as usize].mode {
+            Mode::Exp => {
+                let (repair, wrong, _) = self.service_now();
+                self.arm(a, Service::RepairOk, repair);
+                self.arm(a, Service::WrongPull, wrong);
+            }
+            Mode::Dl => self.arm(a, Service::Restore, self.restore_inv),
+            // Reached at dispatch after a DR fail-back slip, and when the
+            // crew on site sees a wrong pull.
+            Mode::Du => {
+                let (_, _, recover) = self.service_now();
+                self.arm(a, Service::RecoveryOk, recover);
+                self.arm(a, Service::RemovedCrash, self.crash_inv);
+            }
+            // A crew is never dispatched to a healthy array.
+            Mode::Op => {}
+        }
+    }
+
+    /// Array `a` enters `mode` (EXP, DU or DL) at `t`, and whatever race
+    /// it had pending is void. An array leaving OP then asks for a DR
+    /// slot and a crew; a crew already on site starts the new mode's
+    /// service at once; a waiting array keeps its place in the crew FIFO.
+    fn enter(&mut self, a: u32, mode: Mode, t: f64) {
+        let from = self.set_mode(a, mode, t);
+        self.void_race(a);
+        if from == Mode::Op {
+            self.leave_op(a);
+        } else if !self.arrays[a as usize].waiting {
+            self.start_service(a);
+        }
+    }
+
+    /// Array `a` has just left OP. It asks the DR site for a slot:
+    /// admitted if one is free, else queued FIFO or rejected (loss
+    /// policy). An array struck mid fail-back still holds its slot, and
+    /// a queued array is never in OP. Then it takes a free crew, or joins
+    /// the crew FIFO with no service clocks running. Draw-free except for
+    /// the crew's race.
+    fn leave_op(&mut self, a: u32) {
+        let ai = a as usize;
+        if self.dr_on && self.arrays[ai].dr == DrState::None {
+            if self.dr_busy < self.dr_cap {
+                self.dr_busy += 1;
+                self.admit(a);
+            } else if self.dr_policy == FailoverPolicy::Queue {
+                self.arrays[ai].dr = DrState::Queued;
+                self.dr_token[ai] += 1;
+                self.dr_fifo.push_back((a, self.dr_token[ai]));
+                self.dr_queued += 1;
+                self.out.dr_queue_waits += 1;
+            } else {
+                self.out.dr_rejections += 1;
+            }
+        }
+        if self.busy < self.crew_cap {
+            self.busy += 1;
+            self.start_service(a);
+        } else {
+            self.arrays[ai].waiting = true;
+            self.fifo.push_back(a);
+            self.crew_waits += 1;
+        }
+    }
+
+    /// Array `a` takes a DR slot; if it is down, DR now serves it.
+    fn admit(&mut self, a: u32) {
+        let st = &mut self.arrays[a as usize];
+        st.dr = DrState::Serving;
+        self.out.failovers += 1;
+        if st.mode.is_down() {
+            self.covered += 1;
+        }
+    }
+
+    /// Array `a` returns to OP at `t`. A repair renews the failed disk,
+    /// and leaving an outage renews every disk; the crew moves on, and
+    /// the array settles with the DR site.
+    fn return_to_op(&mut self, a: u32, t: f64) {
+        if self.set_mode(a, Mode::Op, t) == Mode::Exp {
+            self.renew(a, self.arrays[a as usize].failed_slot);
+        } else {
+            for slot in 0..self.disks {
+                self.renew(a, slot as u8);
+            }
+        }
+        self.hand_on_crew();
+        self.settle_dr(a);
+    }
+
+    /// A crew finishes: it goes to the first array in the crew FIFO, or
+    /// back to the pool. With an unlimited pool the FIFO is always empty
+    /// and this is a bare decrement: no draws, no stream perturbation.
+    fn hand_on_crew(&mut self) {
+        match self.fifo.pop_front() {
+            Some(next) => {
+                self.arrays[next as usize].waiting = false;
+                self.start_service(next);
+            }
+            None => self.busy -= 1,
+        }
+    }
+
+    /// Array `a`, back in OP, settles with the DR site: a serving array
+    /// starts the Fig. 3 switch-back race (or, in the ideal limit, fails
+    /// back at once and draw-free), and a queued array gives up its place.
+    fn settle_dr(&mut self, a: u32) {
+        let ai = a as usize;
+        match self.arrays[ai].dr {
+            DrState::Serving if self.dr_ideal => self.fail_back(a),
+            DrState::Serving => {
+                self.arm(a, Service::FailbackOk, self.failback_ok_inv);
+                self.arm(a, Service::FailbackSlip, self.failback_slip_inv);
+            }
+            DrState::Queued => {
+                self.arrays[ai].dr = DrState::None;
+                self.dr_token[ai] += 1;
+                self.dr_queued -= 1;
+            }
+            DrState::None => {}
+        }
+    }
+
+    /// Array `a` switches back from the DR site and frees its slot.
+    fn fail_back(&mut self, a: u32) {
+        self.arrays[a as usize].dr = DrState::None;
+        self.out.failbacks += 1;
+        self.hand_on_dr_slot();
+    }
+
+    /// A DR slot frees: it goes to the first array still in the DR FIFO
+    /// (token-guarded, since arrays leave the line early by returning to
+    /// OP), or back to the site.
+    fn hand_on_dr_slot(&mut self) {
+        while let Some((next, token)) = self.dr_fifo.pop_front() {
+            if self.dr_token[next as usize] == token {
+                self.dr_queued -= 1;
+                self.admit(next);
+                return;
+            }
+        }
+        self.dr_busy -= 1;
+    }
+
+    /// Handles one popped event at `t`.
+    fn fire(&mut self, t: f64, ev: FleetEv) {
+        match ev {
+            FleetEv::Fail { array, slot, gen } => {
+                let idx = array as usize * self.disks + usize::from(slot);
+                if gen != self.slot_gen[idx] {
+                    return; // stale clock
+                }
+                self.slot_gen[idx] += 1; // no longer ticking
+                let st = &mut self.arrays[array as usize];
+                match st.mode {
+                    Mode::Op => {
+                        st.failed_slot = slot;
+                        self.accrue(t);
+                        self.enter(array, Mode::Exp, t);
+                    }
+                    // A second failure loses the data.
+                    Mode::Exp => {
+                        self.accrue(t);
+                        self.enter(array, Mode::Dl, t);
+                    }
+                    // Quiesced while down; renewed on the return to OP.
+                    Mode::Du | Mode::Dl => {}
+                }
+            }
+            FleetEv::Service { array, kind, epoch } => {
+                if epoch == self.arrays[array as usize].epoch {
+                    self.serve(array, kind, t);
+                }
+            }
+            FleetEv::Domain { domain } => self.strike(domain, t),
+        }
+    }
+
+    /// Exit `kind` of array `a`'s race fires at `t`: the loser is
+    /// cancelled, and the array takes the exit. Each exit fires only in
+    /// the mode that armed it, since every mode change bumps the epoch.
+    fn serve(&mut self, a: u32, kind: Service, t: f64) {
+        self.accrue(t);
+        self.svc[a as usize][kind.lane()] = None;
+        self.void_race(a);
+        match kind {
+            Service::RepairOk => {
+                // A completed rebuild read every surviving disk; with a
+                // scrubbing model attached it hit a latent sector error
+                // with probability `p_lse` and lost data. The uniform is
+                // drawn only when the rate is live, so the `p_lse = 0`
+                // stream is bit-identical.
+                let lse_hit = self.p_lse > 0.0 && {
+                    self.uniform_draws += 1;
+                    self.rng.next_f64() < self.p_lse
+                };
+                if lse_hit {
+                    self.lse_hits += 1;
+                    self.enter(a, Mode::Dl, t);
+                } else {
+                    self.return_to_op(a, t);
+                }
+            }
+            // A botched switch-back (Fig. 3 DR-side human error) keeps
+            // the slot: DR serves the array while a crew recovers it.
+            Service::WrongPull | Service::FailbackSlip => self.enter(a, Mode::Du, t),
+            Service::RemovedCrash => self.enter(a, Mode::Dl, t),
+            Service::RecoveryOk | Service::Restore => self.return_to_op(a, t),
+            Service::FailbackOk => {
+                self.arrays[a as usize].epoch += 1;
+                self.fail_back(a);
+            }
+        }
+    }
+
+    /// Shelf `domain`'s clock fires at `t`: every member array not
+    /// already in DL loses its data at once, and the clock re-arms.
+    fn strike(&mut self, domain: u32, t: f64) {
+        self.accrue(t);
+        self.domain_strikes += 1;
+        let lo = domain as usize * self.shelf;
+        let hi = (lo + self.shelf).min(self.arrays.len());
+        for a in lo as u32..hi as u32 {
+            if self.arrays[a as usize].mode != Mode::Dl {
+                self.enter(a, Mode::Dl, t);
+            }
+        }
+        self.arm_shelf(domain);
+    }
+
+    /// Accrues to the horizon and flushes the tallies into `tele`.
+    fn finish(mut self, tele: &mut Telemetry) {
+        self.accrue(self.horizon);
+        let out = &self.out;
+        if tele.enabled() {
+            tele.add(Counter::RngLifetimeDraws, self.ttf_draws);
+            tele.add(Counter::RngExpDraws, self.exp_draws);
+            tele.add(Counter::RngUniformDraws, self.uniform_draws);
+            tele.add(Counter::RebuildLseHits, self.lse_hits);
+            tele.add(Counter::DataLossEvents, out.dl_events);
+            tele.add(Counter::FleetCrewWaits, self.crew_waits);
+            tele.add(Counter::FleetDomainStrikes, self.domain_strikes);
+            tele.add(Counter::FleetFailovers, out.failovers);
+            tele.add(Counter::FleetDrQueueWaits, out.dr_queue_waits);
+            tele.add(Counter::FleetDrRejections, out.dr_rejections);
+            tele.add(Counter::FleetFailbacks, out.failbacks);
+        }
     }
 }
 
@@ -684,21 +1295,6 @@ impl FleetMc {
         Ok(self)
     }
 
-    /// The correlated-failure configuration.
-    pub fn coupling(&self) -> FleetCoupling {
-        self.coupling
-    }
-
-    /// The fleet specification.
-    pub fn spec(&self) -> FleetSpec {
-        self.spec
-    }
-
-    /// The per-array model parameters.
-    pub fn params(&self) -> &ModelParams {
-        &self.params
-    }
-
     /// Runs the full fleet Monte-Carlo estimation.
     ///
     /// Missions run through the same block runner as the single-array
@@ -741,7 +1337,11 @@ impl FleetMc {
         let empty = FleetBook {
             arrays: self.spec.arrays(),
             horizon: config.horizon_hours,
-            ..FleetBook::default()
+            stats: RunningStats::default(),
+            credited_stats: RunningStats::default(),
+            sums: FleetOutcome::EMPTY,
+            loss_missions: 0,
+            first_loss_sum: 0.0,
         };
         super::run_blocks(
             config,
@@ -763,8 +1363,9 @@ impl FleetMc {
     /// The per-array transition semantics are the Fig. 2 chain written out
     /// by hand (per-disk clocks, gen/epoch staleness guards, service races
     /// with loser cancellation, full renewal on every return to OP) with
-    /// array-indexed state. They stay apart from the chain definition on
-    /// purpose: this independent transcription is what
+    /// array-indexed state, as one method per decision of a mission
+    /// object (see the module docs). They stay apart from the chain
+    /// definition on purpose: this independent transcription is what
     /// `crates/core/tests/fleet.rs` holds to the exact chain (A = 1) and
     /// to the single-array engines (per-array CI overlap at A = 16).
     pub fn simulate_once_with(
@@ -773,697 +1374,13 @@ impl FleetMc {
         rng: &mut SimRng,
         ws: &mut SimWorkspace,
     ) -> FleetOutcome {
-        let a = self.spec.arrays() as usize;
-        let n = self.spec.geometry().total_disks() as usize;
-        let p = &self.params;
-        let hep = p.hep.value();
-        // Reciprocal service rates: the armed draws multiply by a cached
-        // 1/rate (∞ = disabled, drawing nothing, like `sample_exp(0)`).
-        let repair_ok_inv = ((1.0 - hep) * p.disk_repair_rate).recip();
-        let wrong_inv = (hep * p.disk_change_rate).recip();
-        let recover_inv = ((1.0 - hep) * p.human_recovery_rate).recip();
-        let crash_inv = p.removed_crash_rate.recip();
-        let restore_inv = p.ddf_recovery_rate.recip();
-        // Shared-resource couplings. An unlimited crew pool is the `busy`
-        // counter never reaching the cap: the serve-immediately branch is
-        // the exact uncoupled code path (no extra draws, FIFO untouched).
-        let crew_cap = self.spec.repairmen().unwrap_or(u32::MAX);
-        let mut busy = 0u32;
-        let level = self.coupling.dependence;
-        let domain_inv = match self.coupling.domains {
-            Some(d) => d.rate.recip(),
-            None => f64::INFINITY,
-        };
-        // Shared DR site (Fig. 3 fail-over). The ideal limit (`capacity:
-        // None`) admits everything and fails back instantly without a
-        // switch-back race — no draws, so its stream is bit-identical to
-        // the no-DR engine; only the downtime credit differs.
-        let dr = self.spec.failover();
-        let dr_on = dr.is_some();
-        let dr_ideal = matches!(dr, Some(f) if f.capacity.is_none());
-        let dr_cap = match dr {
-            Some(f) => f.capacity.unwrap_or(u32::MAX),
-            None => 0,
-        };
-        let dr_policy = dr.map(|f| f.policy).unwrap_or_default();
-        let (fb_ok_inv, fb_slip_inv) = match dr {
-            Some(f) if !dr_ideal => failback_race_inv(hep, f.failback_rate),
-            _ => (f64::INFINITY, f64::INFINITY),
-        };
-        let mut dr_busy = 0u32; // slots held (serving or failing back)
-        let mut dr_queued = 0u32; // arrays in the DR FIFO
-        let mut covered = 0u32; // down arrays served from DR
-        let (mut failovers, mut failbacks) = (0u64, 0u64);
-        let (mut dr_queue_waits, mut dr_rejections) = (0u64, 0u64);
-
-        ws.fleet.reset(a, n);
-        let tele = &mut ws.telemetry;
-        let FleetScratch {
-            queue,
-            arrays,
-            slot_gen,
-            svc,
-            fifo,
-            dr_fifo,
-            dr_token,
-        } = &mut ws.fleet;
-        // Draw and coupling tallies, accumulated locally and flushed once
-        // per mission (queue traffic is counted inside the queue itself).
-        let (mut ttf_draws, mut exp_draws) = (0u64, 0u64);
-        let (mut crew_waits, mut domain_strikes) = (0u64, 0u64);
-        // Rebuild-LSE exposure: a completed rebuild loses data with this
-        // probability. Zero keeps the mission draw-free on that branch
-        // (the Bernoulli uniform is only drawn when the rate is live).
-        let p_lse = p.rebuild_lse_probability();
-        let (mut uniform_draws, mut lse_hits) = (0u64, 0u64);
-
-        let mut out = FleetOutcome {
-            du_downtime_hours: 0.0,
-            dl_downtime_hours: 0.0,
-            any_down_hours: 0.0,
-            du_events: 0,
-            dl_events: 0,
-            first_loss_hours: f64::INFINITY,
-            max_degraded: 0,
-            degraded_hours: [0.0; DEGRADED_BINS],
-            uncovered_down_hours: 0.0,
-            uncovered_any_down_hours: 0.0,
-            dr_occupancy_hours: [0.0; DEGRADED_BINS],
-            dr_queue_wait_hours: 0.0,
-            failovers: 0,
-            failbacks: 0,
-            dr_queue_waits: 0,
-            dr_rejections: 0,
-        };
-        // Fleet-wide occupancy counters, updated on every transition; the
-        // interval between consecutive events is accrued against them.
-        let mut not_op = 0u32; // arrays degraded or down
-        let mut in_du = 0u32; // arrays in DU
-        let mut in_dl = 0u32; // arrays in DL
-        let mut t_prev = 0.0f64;
-
-        // Seed every disk clock of every array. Draws happen for all
-        // clocks (the stream is the contract); only sub-horizon events
-        // enter the queue — with realistic λ·horizon that is a small
-        // fraction, which keeps the heap shallow.
-        for array in 0..a {
-            for slot in 0..n {
-                let t = self.failures.sample_ttf(rng);
-                ttf_draws += 1;
-                if t <= horizon {
-                    let _ = queue.schedule_at(
-                        t,
-                        FleetEv::Fail {
-                            array: array as u32,
-                            slot: slot as u8,
-                            gen: 0,
-                        },
-                    );
-                } else {
-                    queue.note_expired();
-                }
-            }
+        let mut out = FleetOutcome::EMPTY;
+        let mut m = FleetMission::new(self, horizon, rng, &mut ws.fleet, &mut out);
+        m.seed_clocks();
+        while let Some((t, ev)) = m.queue.pop_due(horizon) {
+            m.fire(t, ev);
         }
-        // Seed the shelf clocks after the disk clocks (drawing nothing
-        // when domains are off — the independent limit's stream contract).
-        if let Some(d) = self.coupling.domains {
-            let shelves = a.div_ceil(d.domain_arrays as usize);
-            for domain in 0..shelves {
-                if let Some(t) = rng.sample_exp_inv(domain_inv) {
-                    exp_draws += 1;
-                    if t <= horizon {
-                        let _ = queue.schedule_at(
-                            t,
-                            FleetEv::Domain {
-                                domain: domain as u32,
-                            },
-                        );
-                    } else {
-                        queue.note_expired();
-                    }
-                }
-            }
-        }
-
-        macro_rules! accrue {
-            ($t:expr) => {{
-                let dt = $t - t_prev;
-                if dt > 0.0 {
-                    let bin = (not_op as usize).min(DEGRADED_BINS - 1);
-                    out.degraded_hours[bin] += dt;
-                    if in_du > 0 {
-                        out.du_downtime_hours += f64::from(in_du) * dt;
-                    }
-                    if in_dl > 0 {
-                        out.dl_downtime_hours += f64::from(in_dl) * dt;
-                    }
-                    if in_du + in_dl > 0 {
-                        out.any_down_hours += dt;
-                    }
-                    if in_du + in_dl > covered {
-                        out.uncovered_down_hours += f64::from(in_du + in_dl - covered) * dt;
-                        out.uncovered_any_down_hours += dt;
-                    }
-                    if dr_on {
-                        let bin = (dr_busy as usize).min(DEGRADED_BINS - 1);
-                        out.dr_occupancy_hours[bin] += dt;
-                        if dr_queued > 0 {
-                            out.dr_queue_wait_hours += f64::from(dr_queued) * dt;
-                        }
-                    }
-                    t_prev = $t;
-                }
-            }};
-        }
-        // Arms one exit of a service or fail-back race. Race timers ride
-        // the timer lane, so that on a large fleet their schedules,
-        // cancels and pops touch a few timers instead of sifting through
-        // the pending disk clocks (see the module doc).
-        macro_rules! arm {
-            ($array:expr, $epoch:expr, $lane:expr, $kind:expr, $inv_rate:expr) => {
-                svc[$array as usize][$lane] = match rng.sample_exp_inv($inv_rate) {
-                    Some(dt) => {
-                        exp_draws += 1;
-                        if queue.now() + dt <= horizon {
-                            queue
-                                .schedule_timer(
-                                    dt,
-                                    FleetEv::Service {
-                                        array: $array,
-                                        kind: $kind,
-                                        epoch: $epoch,
-                                    },
-                                )
-                                .ok()
-                        } else {
-                            queue.note_expired();
-                            None
-                        }
-                    }
-                    None => None,
-                };
-            };
-        }
-        macro_rules! cancel_svc {
-            ($array:expr, $lane:expr) => {
-                if let Some(h) = svc[$array as usize][$lane].take() {
-                    queue.cancel(h);
-                }
-            };
-        }
-        macro_rules! reseed_slot {
-            ($array:expr, $slot:expr) => {{
-                let idx = $array as usize * n + $slot as usize;
-                slot_gen[idx] += 1;
-                let tt = self.failures.sample_ttf(rng);
-                ttf_draws += 1;
-                if queue.now() + tt <= horizon {
-                    let _ = queue.schedule(
-                        tt,
-                        FleetEv::Fail {
-                            array: $array,
-                            slot: $slot,
-                            gen: slot_gen[idx],
-                        },
-                    );
-                } else {
-                    queue.note_expired();
-                }
-            }};
-        }
-        // Per-incident service rates under THERP operator dependence:
-        // `$others` concurrently degraded arrays escalate the hep by as
-        // many conditional steps. Zero dependence (or no concurrency)
-        // short-circuits to the precomputed reciprocals — the formulas
-        // below are identical, so the shortcut is bit-exact.
-        macro_rules! svc_rates {
-            ($others:expr) => {{
-                let others: u32 = $others;
-                if level == DependenceLevel::Zero || others == 0 {
-                    (repair_ok_inv, wrong_inv, recover_inv)
-                } else {
-                    let h = escalated(p.hep, level, others).value();
-                    (
-                        ((1.0 - h) * p.disk_repair_rate).recip(),
-                        (h * p.disk_change_rate).recip(),
-                        ((1.0 - h) * p.human_recovery_rate).recip(),
-                    )
-                }
-            }};
-        }
-        // Arms the crew-bound service race for `$array`'s current mode —
-        // used both when a crew is free at degradation time and when a
-        // released crew reaches a waiting array.
-        macro_rules! start_service {
-            ($array:expr, $epoch:expr, $mode:expr) => {{
-                match $mode {
-                    Mode::Exp => {
-                        let (ri, wi, _) = svc_rates!(not_op - 1);
-                        arm!($array, $epoch, 0, Service::RepairOk, ri);
-                        arm!($array, $epoch, 1, Service::WrongPull, wi);
-                    }
-                    Mode::Dl => {
-                        arm!($array, $epoch, 0, Service::Restore, restore_inv);
-                    }
-                    // Reachable only through the DR fail-back slip, which
-                    // can leave a DU array waiting for a crew.
-                    Mode::Du => {
-                        let (_, _, rec) = svc_rates!(not_op - 1);
-                        arm!($array, $epoch, 0, Service::RecoveryOk, rec);
-                        arm!($array, $epoch, 1, Service::RemovedCrash, crash_inv);
-                    }
-                    // A crew is never dispatched to a healthy array.
-                    Mode::Op => {}
-                }
-            }};
-        }
-        // Returns one crew to the pool: hand it to the first waiting
-        // array (FIFO), or free it. In the unlimited-pool limit the queue
-        // is always empty and this is a bare counter decrement — no
-        // draws, no stream perturbation.
-        macro_rules! release_crew {
-            () => {{
-                let mut handed_over = false;
-                while let Some(next) = fifo.pop_front() {
-                    let ns = &mut arrays[next as usize];
-                    if !ns.waiting {
-                        continue; // defensive: episodes enqueue once
-                    }
-                    ns.waiting = false;
-                    let (mode, epoch) = (ns.mode, ns.epoch);
-                    start_service!(next, epoch, mode);
-                    handed_over = true;
-                    break;
-                }
-                if !handed_over {
-                    busy -= 1;
-                }
-            }};
-        }
-        // An array leaving OP asks the DR site for a slot: admitted if one
-        // is free, queued FIFO or rejected (loss policy) otherwise. An
-        // array re-struck mid fail-back already holds a slot — the
-        // switch-back race is simply voided. Draw-free on every path.
-        macro_rules! dr_request {
-            ($array:expr, $st:expr) => {
-                if dr_on {
-                    match $st.dr {
-                        DrState::Serving => {
-                            cancel_svc!($array, 0);
-                            cancel_svc!($array, 1);
-                        }
-                        DrState::None => {
-                            if dr_busy < dr_cap {
-                                dr_busy += 1;
-                                $st.dr = DrState::Serving;
-                                failovers += 1;
-                            } else if dr_policy == FailoverPolicy::Queue {
-                                $st.dr = DrState::Queued;
-                                dr_token[$array as usize] += 1;
-                                dr_fifo.push_back(($array, dr_token[$array as usize]));
-                                dr_queued += 1;
-                                dr_queue_waits += 1;
-                            } else {
-                                dr_rejections += 1;
-                            }
-                        }
-                        // Queued arrays are non-OP, and every request
-                        // site fires on an array leaving OP.
-                        DrState::Queued => {}
-                    }
-                }
-            };
-        }
-        // Frees one DR slot: hand it to the first still-queued array
-        // (token-guarded — arrays leave the queue early by repairing to
-        // OP), or release it.
-        macro_rules! dr_release {
-            () => {{
-                let mut handed_over = false;
-                while let Some((next, tok)) = dr_fifo.pop_front() {
-                    let ni = next as usize;
-                    if dr_token[ni] != tok {
-                        continue; // left the queue on an earlier return to OP
-                    }
-                    let ns = &mut arrays[ni];
-                    ns.dr = DrState::Serving;
-                    dr_queued -= 1;
-                    failovers += 1;
-                    if matches!(ns.mode, Mode::Du | Mode::Dl) {
-                        covered += 1;
-                    }
-                    handed_over = true;
-                    break;
-                }
-                if !handed_over {
-                    dr_busy -= 1;
-                }
-            }};
-        }
-        // An array returning to OP settles with the DR site: a serving
-        // array starts the Fig. 3 switch-back race (or, in the ideal
-        // limit, fails back instantly and draw-free); a queued array
-        // abandons its place.
-        macro_rules! dr_return {
-            ($array:expr, $epoch:expr) => {
-                if dr_on {
-                    let ai = $array as usize;
-                    match arrays[ai].dr {
-                        DrState::Serving => {
-                            if dr_ideal {
-                                arrays[ai].dr = DrState::None;
-                                failbacks += 1;
-                                dr_busy -= 1;
-                            } else {
-                                arm!($array, $epoch, 0, Service::FailbackOk, fb_ok_inv);
-                                arm!($array, $epoch, 1, Service::FailbackSlip, fb_slip_inv);
-                            }
-                        }
-                        DrState::Queued => {
-                            arrays[ai].dr = DrState::None;
-                            dr_token[ai] += 1;
-                            dr_queued -= 1;
-                        }
-                        DrState::None => {}
-                    }
-                }
-            };
-        }
-
-        while let Some((t, ev)) = queue.pop_due(horizon) {
-            match ev {
-                FleetEv::Fail { array, slot, gen } => {
-                    let idx = array as usize * n + slot as usize;
-                    if gen != slot_gen[idx] {
-                        continue; // stale clock
-                    }
-                    slot_gen[idx] += 1; // no longer ticking
-                    let st = &mut arrays[array as usize];
-                    match st.mode {
-                        Mode::Op => {
-                            accrue!(t);
-                            st.mode = Mode::Exp;
-                            st.epoch += 1;
-                            st.failed_slot = slot;
-                            not_op += 1;
-                            out.max_degraded = out.max_degraded.max(not_op);
-                            dr_request!(array, st);
-                            let epoch = st.epoch;
-                            if busy < crew_cap {
-                                busy += 1;
-                                start_service!(array, epoch, Mode::Exp);
-                            } else {
-                                st.waiting = true;
-                                fifo.push_back(array);
-                                crew_waits += 1;
-                            }
-                        }
-                        Mode::Exp => {
-                            // Second failure: data loss.
-                            accrue!(t);
-                            st.mode = Mode::Dl;
-                            st.epoch += 1;
-                            out.dl_events += 1;
-                            out.first_loss_hours = out.first_loss_hours.min(t);
-                            in_dl += 1;
-                            if st.dr == DrState::Serving {
-                                covered += 1;
-                            }
-                            // The pending service race is void.
-                            cancel_svc!(array, 0);
-                            cancel_svc!(array, 1);
-                            if !st.waiting {
-                                // In service: the crew switches to the
-                                // restore. A waiting array keeps its FIFO
-                                // place and restores once a crew arrives.
-                                let epoch = st.epoch;
-                                arm!(array, epoch, 0, Service::Restore, restore_inv);
-                            }
-                        }
-                        // Quiesced while down; resampled on return to OP.
-                        Mode::Du | Mode::Dl => {}
-                    }
-                }
-                FleetEv::Service {
-                    array,
-                    kind,
-                    epoch: ev_epoch,
-                } => {
-                    let st = &mut arrays[array as usize];
-                    if ev_epoch != st.epoch {
-                        continue; // stale service event
-                    }
-                    match (st.mode, kind) {
-                        (Mode::Exp, Service::RepairOk) => {
-                            accrue!(t);
-                            st.epoch += 1;
-                            svc[array as usize][0] = None;
-                            cancel_svc!(array, 1);
-                            // A completed rebuild read every surviving
-                            // disk; with a scrubbing model attached it hit
-                            // a latent sector error with probability
-                            // `p_lse` and actually lost data. The uniform
-                            // is drawn only when the rate is live, so the
-                            // `p_lse = 0` stream is bit-identical.
-                            let lse_hit = p_lse > 0.0 && {
-                                uniform_draws += 1;
-                                rng.next_f64() < p_lse
-                            };
-                            if lse_hit {
-                                st.mode = Mode::Dl;
-                                out.dl_events += 1;
-                                out.first_loss_hours = out.first_loss_hours.min(t);
-                                lse_hits += 1;
-                                in_dl += 1;
-                                if st.dr == DrState::Serving {
-                                    covered += 1;
-                                }
-                                // RepairOk only fires on an in-service
-                                // array, so the crew is on site and
-                                // switches to the restore; `not_op` is
-                                // unchanged (still degraded).
-                                let epoch = st.epoch;
-                                arm!(array, epoch, 0, Service::Restore, restore_inv);
-                            } else {
-                                st.mode = Mode::Op;
-                                not_op -= 1;
-                                let slot = st.failed_slot;
-                                let epoch = st.epoch;
-                                reseed_slot!(array, slot);
-                                release_crew!();
-                                dr_return!(array, epoch);
-                            }
-                        }
-                        (Mode::Exp, Service::WrongPull) => {
-                            accrue!(t);
-                            st.mode = Mode::Du;
-                            st.epoch += 1;
-                            out.du_events += 1;
-                            in_du += 1;
-                            if st.dr == DrState::Serving {
-                                covered += 1;
-                            }
-                            svc[array as usize][1] = None;
-                            cancel_svc!(array, 0);
-                            let epoch = st.epoch;
-                            // The crew stays on the array; its recovery
-                            // attempt runs at the escalated-hep rate.
-                            let (_, _, rec) = svc_rates!(not_op - 1);
-                            arm!(array, epoch, 0, Service::RecoveryOk, rec);
-                            arm!(array, epoch, 1, Service::RemovedCrash, crash_inv);
-                        }
-                        (Mode::Du, Service::RecoveryOk) => {
-                            accrue!(t);
-                            st.mode = Mode::Op;
-                            st.epoch += 1;
-                            in_du -= 1;
-                            not_op -= 1;
-                            if st.dr == DrState::Serving {
-                                covered -= 1;
-                            }
-                            svc[array as usize][0] = None;
-                            cancel_svc!(array, 1);
-                            let epoch = st.epoch;
-                            for slot in 0..n {
-                                reseed_slot!(array, slot as u8);
-                            }
-                            release_crew!();
-                            dr_return!(array, epoch);
-                        }
-                        (Mode::Du, Service::RemovedCrash) => {
-                            accrue!(t);
-                            st.mode = Mode::Dl;
-                            st.epoch += 1;
-                            out.dl_events += 1;
-                            out.first_loss_hours = out.first_loss_hours.min(t);
-                            in_du -= 1;
-                            in_dl += 1;
-                            svc[array as usize][1] = None;
-                            cancel_svc!(array, 0);
-                            let epoch = st.epoch;
-                            arm!(array, epoch, 0, Service::Restore, restore_inv);
-                        }
-                        (Mode::Dl, Service::Restore) => {
-                            accrue!(t);
-                            st.mode = Mode::Op;
-                            st.epoch += 1;
-                            in_dl -= 1;
-                            not_op -= 1;
-                            if st.dr == DrState::Serving {
-                                covered -= 1;
-                            }
-                            svc[array as usize][0] = None;
-                            let epoch = st.epoch;
-                            for slot in 0..n {
-                                reseed_slot!(array, slot as u8);
-                            }
-                            release_crew!();
-                            dr_return!(array, epoch);
-                        }
-                        (Mode::Op, Service::FailbackOk) => {
-                            // Clean switch-back: the array drops its DR
-                            // slot, which goes to the next queued array.
-                            accrue!(t);
-                            st.epoch += 1;
-                            st.dr = DrState::None;
-                            svc[array as usize][0] = None;
-                            cancel_svc!(array, 1);
-                            failbacks += 1;
-                            dr_release!();
-                        }
-                        (Mode::Op, Service::FailbackSlip) => {
-                            // Botched switch-back (Fig. 3 DR-side human
-                            // error): the primary goes DU; the array keeps
-                            // its slot and keeps serving from DR while a
-                            // crew recovers the primary.
-                            accrue!(t);
-                            st.mode = Mode::Du;
-                            st.epoch += 1;
-                            out.du_events += 1;
-                            in_du += 1;
-                            not_op += 1;
-                            out.max_degraded = out.max_degraded.max(not_op);
-                            covered += 1; // still Serving by construction
-                            svc[array as usize][1] = None;
-                            cancel_svc!(array, 0);
-                            let epoch = st.epoch;
-                            if busy < crew_cap {
-                                busy += 1;
-                                start_service!(array, epoch, Mode::Du);
-                            } else {
-                                st.waiting = true;
-                                fifo.push_back(array);
-                                crew_waits += 1;
-                            }
-                        }
-                        // Stale/impossible pair.
-                        _ => {}
-                    }
-                }
-                FleetEv::Domain { domain } => {
-                    let d = self
-                        .coupling
-                        .domains
-                        .expect("domain events only exist when domains are on");
-                    accrue!(t);
-                    domain_strikes += 1;
-                    let lo = domain as usize * d.domain_arrays as usize;
-                    let hi = (lo + d.domain_arrays as usize).min(a);
-                    for (hit, st) in arrays.iter_mut().enumerate().take(hi).skip(lo) {
-                        let array = hit as u32;
-                        match st.mode {
-                            // Already lost; the strike adds nothing.
-                            Mode::Dl => {}
-                            Mode::Op => {
-                                st.mode = Mode::Dl;
-                                st.epoch += 1;
-                                not_op += 1;
-                                out.max_degraded = out.max_degraded.max(not_op);
-                                in_dl += 1;
-                                out.dl_events += 1;
-                                out.first_loss_hours = out.first_loss_hours.min(t);
-                                dr_request!(array, st);
-                                if st.dr == DrState::Serving {
-                                    covered += 1;
-                                }
-                                let epoch = st.epoch;
-                                if busy < crew_cap {
-                                    busy += 1;
-                                    start_service!(array, epoch, Mode::Dl);
-                                } else {
-                                    st.waiting = true;
-                                    fifo.push_back(array);
-                                    crew_waits += 1;
-                                }
-                            }
-                            Mode::Exp => {
-                                st.mode = Mode::Dl;
-                                st.epoch += 1;
-                                in_dl += 1;
-                                out.dl_events += 1;
-                                out.first_loss_hours = out.first_loss_hours.min(t);
-                                if st.dr == DrState::Serving {
-                                    covered += 1;
-                                }
-                                cancel_svc!(array, 0);
-                                cancel_svc!(array, 1);
-                                if !st.waiting {
-                                    // The crew already on site switches
-                                    // to the restore.
-                                    let epoch = st.epoch;
-                                    arm!(array, epoch, 0, Service::Restore, restore_inv);
-                                }
-                            }
-                            Mode::Du => {
-                                st.mode = Mode::Dl;
-                                st.epoch += 1;
-                                in_du -= 1;
-                                in_dl += 1;
-                                out.dl_events += 1;
-                                out.first_loss_hours = out.first_loss_hours.min(t);
-                                cancel_svc!(array, 0);
-                                cancel_svc!(array, 1);
-                                if !st.waiting {
-                                    // In service (a fail-back slip can
-                                    // leave DU arrays waiting): the crew
-                                    // on site switches to the restore.
-                                    let epoch = st.epoch;
-                                    arm!(array, epoch, 0, Service::Restore, restore_inv);
-                                }
-                            }
-                        }
-                    }
-                    // Re-arm the shelf clock.
-                    if let Some(dt) = rng.sample_exp_inv(domain_inv) {
-                        exp_draws += 1;
-                        if queue.now() + dt <= horizon {
-                            let _ = queue.schedule(dt, FleetEv::Domain { domain });
-                        } else {
-                            queue.note_expired();
-                        }
-                    }
-                }
-            }
-        }
-        accrue!(horizon);
-        let _ = t_prev; // final accrual's cursor write is intentionally dead
-        out.failovers = failovers;
-        out.failbacks = failbacks;
-        out.dr_queue_waits = dr_queue_waits;
-        out.dr_rejections = dr_rejections;
-        if tele.enabled() {
-            tele.add(Counter::RngLifetimeDraws, ttf_draws);
-            tele.add(Counter::RngExpDraws, exp_draws);
-            tele.add(Counter::RngUniformDraws, uniform_draws);
-            tele.add(Counter::RebuildLseHits, lse_hits);
-            tele.add(Counter::DataLossEvents, out.dl_events);
-            tele.add(Counter::FleetCrewWaits, crew_waits);
-            tele.add(Counter::FleetDomainStrikes, domain_strikes);
-            tele.add(Counter::FleetFailovers, failovers);
-            tele.add(Counter::FleetDrQueueWaits, dr_queue_waits);
-            tele.add(Counter::FleetDrRejections, dr_rejections);
-            tele.add(Counter::FleetFailbacks, failbacks);
-        }
+        m.finish(&mut ws.telemetry);
         out
     }
 }

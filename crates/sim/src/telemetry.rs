@@ -216,41 +216,6 @@ impl Counter {
         }
     }
 
-    /// The engine layer the counter is reported from.
-    pub fn layer(self) -> &'static str {
-        match self {
-            Counter::Missions => "runner",
-            Counter::QueueScheduled
-            | Counter::QueueFired
-            | Counter::QueueCancelled
-            | Counter::QueueExpired
-            | Counter::QueueHeapCrossings
-            | Counter::QueueDepthHighWater => "queue",
-            Counter::RngExpDraws | Counter::RngUniformDraws | Counter::RngLifetimeDraws => "rng",
-            Counter::JumpOpToExp
-            | Counter::JumpExpToOp
-            | Counter::JumpExpToDu
-            | Counter::JumpExpToDl
-            | Counter::JumpDuToOp
-            | Counter::JumpDuToDl
-            | Counter::JumpDlToOp
-            | Counter::JumpTransitions => "jump-chain",
-            Counter::FleetCrewWaits
-            | Counter::FleetDomainStrikes
-            | Counter::FleetFailovers
-            | Counter::FleetDrQueueWaits
-            | Counter::FleetDrRejections
-            | Counter::FleetFailbacks => "fleet",
-            Counter::SplitStage1Survivors | Counter::SplitStage2Survivors => "rare-event",
-            Counter::RebuildLseHits | Counter::DataLossEvents => "data-loss",
-            Counter::ServeRequests
-            | Counter::ServeCacheHits
-            | Counter::ServeSheds
-            | Counter::ServeDeadlineExpiries
-            | Counter::ServeQueueDepthHighWater => "serve",
-        }
-    }
-
     /// One-line meaning, used as the Prometheus `# HELP` text.
     pub fn help(self) -> &'static str {
         match self {
@@ -607,7 +572,6 @@ mod tests {
         for c in Counter::ALL {
             assert!(c.name().starts_with("availsim_"));
             assert!(!c.help().is_empty());
-            assert!(!c.layer().is_empty());
         }
     }
 
@@ -681,13 +645,11 @@ mod tests {
             Counter::ServeSheds,
             Counter::ServeDeadlineExpiries,
         ] {
-            assert_eq!(c.layer(), "serve");
             assert!(
                 text.contains(&format!("# TYPE {} counter\n", c.name())),
                 "{text}"
             );
         }
-        assert_eq!(Counter::ServeQueueDepthHighWater.layer(), "serve");
         assert!(
             text.contains("# TYPE availsim_serve_queue_depth_high_water gauge\n"),
             "{text}"
