@@ -39,7 +39,7 @@ impl ResultCache {
     }
 
     /// Inserts an answer, evicting the oldest entry at capacity. Losing
-    /// a race to another worker is fine: determinism guarantees both
+    /// a race to another handler is fine: determinism guarantees both
     /// wrote the same bytes.
     pub fn insert(&self, key: &str, body: &str) {
         if self.capacity == 0 {

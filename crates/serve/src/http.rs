@@ -15,6 +15,9 @@ use std::time::{Duration, Instant};
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
+/// Upper bound on the request body the server reads.
+pub(crate) const MAX_BODY_BYTES: usize = 64 * 1024;
+
 /// The time one request may take to arrive, head and body together.
 pub const REQUEST_BUDGET: Duration = Duration::from_secs(10);
 

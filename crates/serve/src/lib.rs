@@ -11,20 +11,25 @@
 //!   estimate` is exact, not heuristic, because the engines are
 //!   bit-reproducible. Repeat queries are O(1) and byte-identical to the
 //!   first computation.
-//! * **Admission control** ([`server`]) — a bounded job queue with a
-//!   worker pool. A full queue sheds with `503` + `Retry-After` before
-//!   any work starts; cheap exact-CTMC queries bypass the queue.
-//!   Connections go to a pool of handlers capped at the queue capacity
-//!   plus the workers plus a reserve for inline requests; past the cap a
+//! * **Admission control** ([`server`]) — a Monte-Carlo query runs on
+//!   the connection handler that read it, once it holds one of `workers`
+//!   run slots; up to the queue capacity wait for a slot in arrival
+//!   order. A full line sheds with `503` + `Retry-After` before any work
+//!   starts; cheap exact-CTMC queries bypass the run slots. Connections
+//!   go to a pool of handlers capped at the queue capacity plus the
+//!   workers plus a reserve for inline requests; past the cap a
 //!   connection gets the same `503` at accept, unread, and each request
 //!   must arrive within [`http::REQUEST_BUDGET`].
 //! * **Deadlines** ([`exec`]) — per-request deadlines ride a cooperative
 //!   [`CancelToken`](availsim_sim::parallel::CancelToken) into the
-//!   Monte-Carlo block scheduler; an expired job answers a fixed `408`
-//!   body, never a timing-dependent partial estimate.
+//!   Monte-Carlo block scheduler, and bound a query's wait for a run
+//!   slot; an expired job answers a fixed `408` body, never a
+//!   timing-dependent partial estimate.
 //! * **Graceful drain** ([`server::Server::shutdown`], [`signal`]) —
 //!   SIGTERM stops admission, in-flight jobs get the drain budget, the
 //!   rest are cancelled deterministically, and the process exits 0.
+//!   Shutdown is bounded: a job that never observes cancellation is left
+//!   for process exit to end, and its client loses the connection.
 //! * **Observability** — `/health` and `/metrics` (Prometheus text) off
 //!   the shared telemetry registry's `serve` counter group.
 //!

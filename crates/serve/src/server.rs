@@ -1,15 +1,24 @@
-//! The daemon: accept loop, connection handlers, admission control,
-//! worker pool, and drain.
+//! The daemon: accept loop, connection handlers, admission control, and
+//! drain.
 //!
 //! # Connections
 //!
 //! One thread blocks in `accept` and hands each connection to a pool of
 //! connection handlers. The pool starts handlers on demand and reuses
 //! them, and it holds at most `queue_capacity` + workers +
-//! `INLINE_RESERVE` connections at once, so a full Monte-Carlo queue
+//! `INLINE_RESERVE` connections at once, so a full Monte-Carlo line
 //! still leaves handlers for exact and cached queries. A handler reads one
 //! request within [`REQUEST_BUDGET`](crate::http::REQUEST_BUDGET),
 //! answers it, and closes the connection.
+//!
+//! # Monte-Carlo jobs
+//!
+//! A Monte-Carlo query runs on the handler that read it, once it holds
+//! one of `workers` run slots. Up to `queue_capacity` more queries wait
+//! for a slot in arrival order; a query that finds every slot taken and
+//! the line full is shed. A waiting query leaves the line as soon as its
+//! token trips (its deadline passes or the drain cancels it) and answers
+//! without running.
 //!
 //! # Overload contract
 //!
@@ -26,22 +35,23 @@
 //! * `400` / `404` / `405` / `413` / `431` — client errors.
 //! * `500` — the engine rejected the model at run time.
 //!
-//! Exact CTMC queries solve in microseconds and bypass the Monte-Carlo
-//! job queue entirely — overload of the expensive path never starves the
-//! cheap one.
+//! Exact CTMC queries solve in microseconds and bypass the run slots
+//! entirely — overload of the expensive path never starves the cheap one.
 //!
 //! # Drain
 //!
 //! [`Server::run`] stops accepting when asked to stop (or on SIGTERM via
 //! [`crate::signal`]), then drains: in-flight jobs get `drain_ms` to
-//! finish; whatever remains is cooperatively cancelled (queued jobs
-//! answer `503`, running jobs stop at the next scheduling block and
-//! answer `503`), the workers and then the connection handlers are
-//! joined, and the process can exit 0.
+//! finish; whatever remains is cooperatively cancelled (waiting queries
+//! answer `503` at once, running jobs stop at the next scheduling block
+//! and answer `503`) and gets `drain_ms` again, and the connection
+//! handlers are joined. A job still running after that never observes
+//! cancellation: its handler gets one more `drain_ms`, and is then left
+//! for process exit to end, so shutdown is bounded.
 
 use crate::cache::ResultCache;
 use crate::exec::{self, ExecError};
-use crate::http::{read_request, Budgeted, ReadError, Request, Response};
+use crate::http::{read_request, Budgeted, ReadError, Request, Response, MAX_BODY_BYTES};
 use crate::json::Json;
 use crate::query::Query;
 use availsim_sim::parallel::{resolve_workers, CancelToken};
@@ -50,12 +60,12 @@ use std::collections::VecDeque;
 use std::io::{self, Read as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Connection handlers beyond one per queue slot and worker: a full
-/// Monte-Carlo queue still leaves this many for exact solves, cache hits,
+/// Connection handlers beyond one per place in line and run slot: a full
+/// Monte-Carlo line still leaves this many for exact solves, cache hits,
 /// `/health` and `/metrics`.
 const INLINE_RESERVE: usize = 16;
 
@@ -81,11 +91,13 @@ const UNREAD_DRAIN: Duration = Duration::from_millis(200);
 pub struct ServeConfig {
     /// TCP port on 127.0.0.1; `0` picks an ephemeral port.
     pub port: u16,
-    /// Monte-Carlo worker threads; `0` means **auto** (the machine's
-    /// available parallelism), the same contract as `--threads 0`.
+    /// Monte-Carlo jobs that run at once, each on the connection handler
+    /// that read it; `0` means **auto** (the machine's available
+    /// parallelism), the same contract as `--threads 0`.
     pub workers: usize,
-    /// Bounded job queue: submissions beyond this depth are shed with
-    /// `503` + `Retry-After` instead of queuing without limit.
+    /// Monte-Carlo queries that may wait for a run slot; a query that finds
+    /// the line this long is shed with `503` + `Retry-After` instead of
+    /// waiting without limit.
     pub queue_capacity: usize,
     /// Default per-request deadline in milliseconds for requests that do
     /// not set `deadline_ms`; `0` means no default deadline.
@@ -95,8 +107,6 @@ pub struct ServeConfig {
     pub drain_ms: u64,
     /// Result-cache entries to keep (FIFO eviction); `0` disables.
     pub cache_capacity: usize,
-    /// Request body cap; larger bodies answer `413`.
-    pub max_body_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -108,173 +118,159 @@ impl Default for ServeConfig {
             default_deadline_ms: 0,
             drain_ms: 2_000,
             cache_capacity: 1_024,
-            max_body_bytes: 64 * 1024,
         }
     }
 }
 
-/// How one admitted job ended.
-#[derive(Debug, Clone)]
+/// Why a Monte-Carlo job ended without an estimate: its token tripped.
+#[derive(Debug)]
 enum JobOutcome {
-    /// The rendered response body (also inserted into the cache).
-    Ok(String),
     /// The request deadline expired before the job finished.
     Deadline,
     /// The server drained before the job ran to completion.
     Draining,
-    /// The engine failed the model.
-    Engine(String),
 }
 
-/// The rendezvous between a connection thread and the worker running its
-/// job. The queue guarantees every submitted slot is eventually
-/// completed (by a worker or by the drain path), so waiting needs no
-/// timeout of its own.
-#[derive(Debug, Default)]
-struct Slot {
-    outcome: Mutex<Option<JobOutcome>>,
+/// Admission to the Monte-Carlo run slots. A query holds a slot while it
+/// runs on its own handler; when every slot is taken it waits in line, and
+/// a slot given up goes to the longest-waiting query. So no query waits
+/// while a slot is free, and a query that finds the line full has found
+/// every slot taken too.
+struct Gate {
+    line: Mutex<Line>,
     cv: Condvar,
+    slots: usize,
+    capacity: usize,
 }
 
-impl Slot {
-    fn complete(&self, outcome: JobOutcome) {
-        let mut slot = self.outcome.lock().expect("slot lock");
-        *slot = Some(outcome);
-        self.cv.notify_all();
+/// The queries admitted and not yet answered, each as its ticket and
+/// token; the tokens let the drain cancel them.
+#[derive(Default)]
+struct Line {
+    /// Queries holding a run slot.
+    running: Vec<(u64, CancelToken)>,
+    /// Queries waiting for one, oldest first.
+    waiting: VecDeque<(u64, CancelToken)>,
+    next_ticket: u64,
+    draining: bool,
+}
+
+impl Line {
+    fn holds_slot(&self, ticket: u64) -> bool {
+        self.running.iter().any(|&(t, _)| t == ticket)
     }
 
-    fn wait(&self) -> JobOutcome {
-        let mut slot = self.outcome.lock().expect("slot lock");
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self.cv.wait(slot).expect("slot lock");
+    /// Takes a query out, handing its run slot, if it held one, to the
+    /// longest-waiting query.
+    fn remove(&mut self, ticket: u64) {
+        if let Some(at) = self.waiting.iter().position(|&(t, _)| t == ticket) {
+            self.waiting.remove(at);
+        } else if let Some(at) = self.running.iter().position(|&(t, _)| t == ticket) {
+            self.running.swap_remove(at);
+            self.running.extend(self.waiting.pop_front());
         }
     }
 }
 
-/// One admitted Monte-Carlo job.
-struct Job {
-    query: Query,
-    key: String,
-    cancel: CancelToken,
-    slot: Arc<Slot>,
-}
-
-/// Why a submission was rejected at admission.
-#[derive(Debug)]
-enum SubmitError {
-    /// The queue is at capacity.
-    Full,
-    /// The server is draining.
-    Draining,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    jobs: VecDeque<Job>,
-    /// Jobs currently executing on workers.
-    active: usize,
-    /// Tokens of executing jobs, so drain can cancel them. Append-only
-    /// while anything is active; cleared whenever the pool goes idle.
-    active_tokens: Vec<CancelToken>,
-    draining: bool,
-    closed: bool,
-}
-
-/// The bounded job queue (mutex + condvar; workers block on `pop`).
-struct JobQueue {
-    inner: Mutex<QueueInner>,
-    cv: Condvar,
-    capacity: usize,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> JobQueue {
-        JobQueue {
-            inner: Mutex::new(QueueInner::default()),
+impl Gate {
+    fn new(slots: usize, capacity: usize) -> Gate {
+        Gate {
+            line: Mutex::new(Line::default()),
             cv: Condvar::new(),
+            slots,
             capacity,
         }
     }
 
-    /// Admission control: rejects instead of blocking. Returns the queue
-    /// depth after the push, for the high-water counter.
-    fn submit(&self, job: Job) -> Result<usize, SubmitError> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.draining || inner.closed {
-            return Err(SubmitError::Draining);
-        }
-        if inner.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full);
-        }
-        inner.jobs.push_back(job);
-        let depth = inner.jobs.len();
-        self.cv.notify_one();
-        Ok(depth)
+    fn lock(&self) -> MutexGuard<'_, Line> {
+        self.line.lock().expect("gate lock")
     }
 
-    /// Blocks for the next job; `None` once the queue is closed and empty
-    /// (worker shutdown).
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                inner.active += 1;
-                inner.active_tokens.push(job.cancel.clone());
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.cv.wait(inner).expect("queue lock");
+    /// Admission control: a query takes a free run slot or a place in
+    /// line, or is shed with the reason its `503` gives; it never blocks.
+    /// Returns the query's ticket, and the number waiting right after it
+    /// arrived, itself included, for the high-water counter.
+    fn join(&self, cancel: &CancelToken) -> Result<(u64, usize), &'static str> {
+        let mut line = self.lock();
+        if line.draining {
+            return Err("draining");
         }
+        let ticket = line.next_ticket;
+        let depth = line.waiting.len() + 1;
+        if line.running.len() < self.slots {
+            line.running.push((ticket, cancel.clone()));
+        } else if line.waiting.len() < self.capacity {
+            line.waiting.push_back((ticket, cancel.clone()));
+        } else {
+            return Err("queue full");
+        }
+        line.next_ticket += 1;
+        Ok((ticket, depth))
     }
 
-    fn job_done(&self) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        inner.active -= 1;
-        if inner.active == 0 {
-            inner.active_tokens.clear();
+    /// Blocks until the query holds a run slot (`true`), or until its token
+    /// trips (`false`): then it leaves the line at once, handing on any
+    /// slot it was given, and must not run.
+    fn wait_turn(&self, ticket: u64, cancel: &CancelToken) -> bool {
+        let mut line = self.lock();
+        while !cancel.is_cancelled() {
+            if line.holds_slot(ticket) {
+                return true;
+            }
+            line = match cancel.deadline() {
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    self.cv.wait_timeout(line, left).expect("gate lock").0
+                }
+                None => self.cv.wait(line).expect("gate lock"),
+            };
         }
+        drop(line);
+        self.leave(ticket);
+        false
+    }
+
+    /// Gives up a query's place: its run slot goes to the longest-waiting
+    /// query.
+    fn leave(&self, ticket: u64) {
+        self.lock().remove(ticket);
         self.cv.notify_all();
     }
 
-    /// Whether nothing is queued or executing.
-    fn idle(&self) -> bool {
-        let inner = self.inner.lock().expect("queue lock");
-        inner.jobs.is_empty() && inner.active == 0
+    /// Waits up to `budget` for every admitted query to leave; returns
+    /// whether they did.
+    fn wait_idle(&self, budget: Duration) -> bool {
+        let deadline = Instant::now() + budget;
+        let mut line = self.lock();
+        while !(line.running.is_empty() && line.waiting.is_empty()) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            line = self.cv.wait_timeout(line, left).expect("gate lock").0;
+        }
+        true
     }
 
     fn start_draining(&self) {
-        self.inner.lock().expect("queue lock").draining = true;
+        self.lock().draining = true;
     }
 
-    /// The hard half of drain: every queued job answers `503` without
-    /// running, every executing job's token is tripped.
+    /// The hard half of drain: trips every admitted query's token, so
+    /// waiting queries leave at once and running ones stop at their next
+    /// block. Tripped under the lock, so no waiter checks its token and
+    /// then sleeps through the wake-up.
     fn cancel_everything(&self) {
-        let (queued, tokens) = {
-            let mut inner = self.inner.lock().expect("queue lock");
-            let queued: Vec<Job> = inner.jobs.drain(..).collect();
-            let tokens = inner.active_tokens.clone();
-            (queued, tokens)
-        };
-        for job in queued {
-            job.slot.complete(JobOutcome::Draining);
-        }
-        for token in tokens {
+        let line = self.lock();
+        for (_, token) in line.running.iter().chain(&line.waiting) {
             token.cancel();
         }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
         self.cv.notify_all();
     }
 
+    /// Queries waiting for a run slot.
     fn depth(&self) -> usize {
-        self.inner.lock().expect("queue lock").jobs.len()
+        self.lock().waiting.len()
     }
 }
 
@@ -308,7 +304,7 @@ impl Handlers {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Pool> {
+    fn lock(&self) -> MutexGuard<'_, Pool> {
         self.pool.lock().expect("handler pool lock")
     }
 
@@ -327,7 +323,7 @@ impl Handlers {
 /// Shared server state.
 struct ServerState {
     config: ServeConfig,
-    queue: JobQueue,
+    gate: Gate,
     handlers: Handlers,
     cache: ResultCache,
     counters: Mutex<CounterSnapshot>,
@@ -348,20 +344,19 @@ impl ServerState {
     }
 }
 
-/// The availability service. [`bind`](Server::bind) spawns the worker
-/// pool; [`run`](Server::run) blocks on the accept loop until asked to
-/// stop, then drains.
+/// The availability service. [`bind`](Server::bind) binds the port;
+/// [`run`](Server::run) blocks on the accept loop until asked to stop,
+/// then drains.
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     state: Arc<ServerState>,
-    workers: Vec<JoinHandle<()>>,
     handler_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds 127.0.0.1 on the configured port and starts the worker pool.
-    /// Connection handlers start later, as connections arrive.
+    /// Binds 127.0.0.1 on the configured port. It starts no thread:
+    /// connection handlers start as connections arrive.
     ///
     /// # Errors
     /// Socket errors (port in use, …).
@@ -371,7 +366,7 @@ impl Server {
         let workers = resolve_workers(config.workers).max(1);
         let queue_capacity = config.queue_capacity.max(1);
         let state = Arc::new(ServerState {
-            queue: JobQueue::new(queue_capacity),
+            gate: Gate::new(workers, queue_capacity),
             handlers: Handlers::new(
                 queue_capacity
                     .saturating_add(workers)
@@ -382,17 +377,10 @@ impl Server {
             draining: AtomicBool::new(false),
             config,
         });
-        let workers = (0..workers)
-            .map(|_| {
-                let state = Arc::clone(&state);
-                thread::spawn(move || worker_loop(&state))
-            })
-            .collect();
         Ok(Server {
             listener,
             addr,
             state,
-            workers,
             handler_threads: Vec::new(),
         })
     }
@@ -475,43 +463,38 @@ impl Server {
     }
 
     /// Graceful drain: stop admitting, give in-flight jobs the drain
-    /// budget, cancel stragglers, join the workers, then join the
-    /// connection handlers once each has answered its connection (a
-    /// handler still reading waits out at most the request budget).
-    /// Returns whether the budget sufficed without cancellation.
+    /// budget, cancel stragglers, then join the connection handlers once
+    /// each has answered its connection (a handler still reading waits out
+    /// at most the request budget). Returns whether the budget sufficed
+    /// without cancellation.
+    ///
+    /// Cancellation is cooperative at block granularity, so cancelled
+    /// jobs get the same budget again to observe it. A second overrun
+    /// means a wedged engine, which joining would turn into a hang: the
+    /// handlers then get one more budget, those that finished are joined,
+    /// and the rest are left for process exit to end.
     pub fn shutdown(self) -> bool {
         // Connections from here on are refused, not left in the backlog
         // until the handlers are joined.
         drop(self.listener);
         self.state.draining.store(true, Ordering::Relaxed);
-        self.state.queue.start_draining();
+        self.state.gate.start_draining();
         let budget = Duration::from_millis(self.state.config.drain_ms);
-        let deadline = Instant::now() + budget;
-        let mut drained = true;
-        while !self.state.queue.idle() {
-            if Instant::now() >= deadline {
-                drained = false;
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
-        if !drained {
-            self.state.queue.cancel_everything();
-            // Cancellation is cooperative at block granularity, so give
-            // the workers the same budget again to observe it; a second
-            // overrun means a wedged engine, which joining would turn
-            // into a hang — proceed to close regardless.
+        let drained = self.state.gate.wait_idle(budget);
+        let stopped = drained || {
+            self.state.gate.cancel_everything();
+            self.state.gate.wait_idle(budget)
+        };
+        self.state.handlers.close();
+        let mut handles = self.handler_threads;
+        if !stopped {
             let hard = Instant::now() + budget;
-            while !self.state.queue.idle() && Instant::now() < hard {
+            while handles.iter().any(|h| !h.is_finished()) && Instant::now() < hard {
                 thread::sleep(Duration::from_millis(2));
             }
+            handles.retain(JoinHandle::is_finished);
         }
-        self.state.queue.close();
-        for handle in self.workers {
-            let _ = handle.join();
-        }
-        self.state.handlers.close();
-        for handle in self.handler_threads {
+        for handle in handles {
             let _ = handle.join();
         }
         drained
@@ -606,31 +589,6 @@ fn handler_loop(state: &ServerState) {
     }
 }
 
-fn worker_loop(state: &ServerState) {
-    while let Some(job) = state.queue.pop() {
-        let outcome = if job.cancel.is_cancelled() {
-            // Expired (or drain-cancelled) while still queued: answer
-            // without burning any engine time.
-            cancelled_outcome(&job.cancel)
-        } else {
-            match exec::execute(&job.query, Some(&job.cancel)) {
-                Ok((body, counters)) => {
-                    state.cache.insert(&job.key, &body);
-                    state.merge_counters(&counters);
-                    JobOutcome::Ok(body)
-                }
-                Err(ExecError::Deadline) => cancelled_outcome(&job.cancel),
-                Err(ExecError::Engine(msg)) => JobOutcome::Engine(msg),
-            }
-        };
-        if matches!(outcome, JobOutcome::Deadline) {
-            state.bump(Counter::ServeDeadlineExpiries);
-        }
-        job.slot.complete(outcome);
-        state.queue.job_done();
-    }
-}
-
 /// Distinguishes the two ways a token trips: a passed deadline is the
 /// request's own timeout (`408`); a bare cancel is the server draining
 /// (`503`).
@@ -668,7 +626,7 @@ fn shed_unread(state: &ServerState, mut stream: TcpStream) {
 }
 
 fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
-    let (response, fully_read) = match read_request(stream, state.config.max_body_bytes) {
+    let (response, fully_read) = match read_request(stream, MAX_BODY_BYTES) {
         Ok(request) => {
             state.bump(Counter::ServeRequests);
             (route(state, &request), true)
@@ -712,7 +670,7 @@ fn metrics_response(state: &ServerState) -> Response {
         "availsim_serve_queue_depth",
         "Monte-Carlo jobs currently queued",
         "gauge",
-        state.queue.depth() as u64,
+        state.gate.depth() as u64,
     );
     let (open, cap) = state.handlers.occupancy();
     w.metric_u64(
@@ -750,9 +708,6 @@ fn handle_query(state: &ServerState, body: &[u8]) -> Response {
         Ok(query) => query,
         Err(msg) => return error_response(400, &msg),
     };
-    if let Err(msg) = exec::validate(&query) {
-        return error_response(400, &msg);
-    }
 
     let key = query.canonical_key();
     if let Some(body) = state.cache.get(&key) {
@@ -761,17 +716,9 @@ fn handle_query(state: &ServerState, body: &[u8]) -> Response {
     }
 
     // Exact CTMC queries solve in microseconds: answer inline, never
-    // competing with Monte-Carlo jobs for queue slots or workers.
+    // competing with Monte-Carlo jobs for run slots.
     if query.is_exact() {
-        return match exec::execute(&query, None) {
-            Ok((body, counters)) => {
-                state.cache.insert(&key, &body);
-                state.merge_counters(&counters);
-                Response::json(200, body).with_header("X-Availsim-Cache", "miss")
-            }
-            Err(ExecError::Engine(msg)) => error_response(500, &msg),
-            Err(ExecError::Deadline) => unreachable!("exact queries run uncancelled"),
-        };
+        return compute(state, &query, &key, None).expect("exact queries run uncancelled");
     }
 
     let deadline_ms = query
@@ -781,92 +728,135 @@ fn handle_query(state: &ServerState, body: &[u8]) -> Response {
         Some(ms) => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
         None => CancelToken::new(),
     };
-    let slot = Arc::new(Slot::default());
-    let job = Job {
-        query,
-        key,
-        cancel,
-        slot: Arc::clone(&slot),
-    };
-    match state.queue.submit(job) {
-        Ok(depth) => {
+    let ticket = match state.gate.join(&cancel) {
+        Ok((ticket, depth)) => {
             state.record_max(Counter::ServeQueueDepthHighWater, depth as u64);
+            ticket
         }
-        Err(SubmitError::Full) => {
+        Err(reason) => {
             state.bump(Counter::ServeSheds);
-            return shed_response("queue full");
+            return shed_response(reason);
         }
-        Err(SubmitError::Draining) => {
-            state.bump(Counter::ServeSheds);
-            return shed_response("draining");
+    };
+    if state.gate.wait_turn(ticket, &cancel) {
+        let answer = compute(state, &query, &key, Some(&cancel));
+        state.gate.leave(ticket);
+        if let Some(response) = answer {
+            return response;
         }
     }
-    match slot.wait() {
-        JobOutcome::Ok(body) => Response::json(200, body).with_header("X-Availsim-Cache", "miss"),
+    match cancelled_outcome(&cancel) {
         // A fixed body: deterministic bytes, never a partial estimate.
-        JobOutcome::Deadline => error_response(408, "deadline expired"),
+        JobOutcome::Deadline => {
+            state.bump(Counter::ServeDeadlineExpiries);
+            error_response(408, "deadline expired")
+        }
         JobOutcome::Draining => shed_response("draining"),
-        JobOutcome::Engine(msg) => error_response(500, &msg),
+    }
+}
+
+/// Runs a query and caches its answer: `200` with the estimate, `500`
+/// when the engine fails the model, or `None` when the token tripped.
+fn compute(
+    state: &ServerState,
+    query: &Query,
+    key: &str,
+    cancel: Option<&CancelToken>,
+) -> Option<Response> {
+    match exec::execute(query, cancel) {
+        Ok((body, counters)) => {
+            state.cache.insert(key, &body);
+            state.merge_counters(&counters);
+            Some(Response::json(200, body).with_header("X-Availsim-Cache", "miss"))
+        }
+        Err(ExecError::Engine(msg)) => Some(error_response(500, &msg)),
+        Err(ExecError::Deadline) => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
-    fn mc_job(seed: u64, iterations: u64, cancel: CancelToken) -> (Job, Arc<Slot>) {
-        let doc = format!(
-            "{{\"model\": \"mc\", \"raid\": \"r5-3\", \"lambda\": 1e-3, \"hep\": 0.01, \
-             \"iterations\": {iterations}, \"horizon_hours\": 10000, \"seed\": {seed}}}"
+    #[test]
+    fn gate_sheds_past_a_full_line_and_refuses_while_draining() {
+        let gate = Gate::new(1, 2);
+        let token = CancelToken::new();
+        // Ticket and waiting count: the first takes the slot, so the
+        // count is its own arrival; the next two wait.
+        assert_eq!(gate.join(&token), Ok((0, 1)));
+        assert_eq!(gate.join(&token), Ok((1, 1)));
+        assert_eq!(gate.join(&token), Ok((2, 2)));
+        assert_eq!(gate.join(&token), Err("queue full"));
+        assert_eq!(gate.depth(), 2);
+        gate.leave(0);
+        assert_eq!(gate.depth(), 1, "the slot went to the line's head");
+        assert_eq!(gate.join(&token), Ok((3, 2)));
+
+        gate.start_draining();
+        assert_eq!(gate.join(&token), Err("draining"));
+    }
+
+    #[test]
+    fn freed_slots_go_to_waiters_in_arrival_order() {
+        let gate = Gate::new(1, 4);
+        let token = CancelToken::new();
+        let (first, _) = gate.join(&token).unwrap();
+        let (second, _) = gate.join(&token).unwrap();
+        let (third, _) = gate.join(&token).unwrap();
+        // A waiter never woken trips this deadline instead of hanging.
+        let backstop = CancelToken::with_deadline(Instant::now() + Duration::from_secs(30));
+        thread::scope(|s| {
+            let waiter = s.spawn(|| gate.wait_turn(third, &backstop));
+            gate.leave(first);
+            let line = gate.lock();
+            assert!(line.holds_slot(second) && !line.holds_slot(third));
+            drop(line);
+            gate.leave(second);
+            assert!(waiter.join().unwrap(), "the third runs next");
+        });
+    }
+
+    #[test]
+    fn drain_answers_a_waiting_query_503_without_running_it() {
+        let gate = Gate::new(1, 4);
+        let (running, _) = gate.join(&CancelToken::new()).unwrap();
+        let token = CancelToken::new();
+        let (waiting, _) = gate.join(&token).unwrap();
+        thread::scope(|s| {
+            let waiter = s.spawn(|| gate.wait_turn(waiting, &token));
+            gate.start_draining();
+            gate.cancel_everything();
+            assert!(!waiter.join().unwrap(), "a cancelled query never runs");
+        });
+        assert!(matches!(cancelled_outcome(&token), JobOutcome::Draining));
+        assert_eq!(gate.depth(), 0, "it left the line");
+        gate.leave(running);
+        assert!(gate.wait_idle(Duration::ZERO));
+    }
+
+    #[test]
+    fn shutdown_leaves_a_wedged_job_to_process_exit() {
+        let drain_ms = 100;
+        let mut server = Server::bind(ServeConfig {
+            workers: 1,
+            drain_ms,
+            ..ServeConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        // A job that never observes cancellation: it holds the only run
+        // slot and never gives it up, and its handler never returns.
+        server.state.gate.join(&CancelToken::new()).unwrap();
+        server.handler_threads.push(thread::spawn(|| loop {
+            thread::park();
+        }));
+        let begun = Instant::now();
+        assert!(!server.shutdown());
+        let took = begun.elapsed();
+        assert!(
+            took < Duration::from_millis(2 * drain_ms + 1_000),
+            "shutdown took {took:?}"
         );
-        let query = Query::from_json(&Json::parse(&doc).unwrap()).unwrap();
-        let key = query.canonical_key();
-        let slot = Arc::new(Slot::default());
-        (
-            Job {
-                query,
-                key,
-                cancel,
-                slot: Arc::clone(&slot),
-            },
-            slot,
-        )
-    }
-
-    #[test]
-    fn queue_sheds_at_capacity_and_drain_answers_queued_jobs() {
-        let queue = JobQueue::new(2);
-        let (a, _sa) = mc_job(1, 100, CancelToken::new());
-        let (b, sb) = mc_job(2, 100, CancelToken::new());
-        let (c, _sc) = mc_job(3, 100, CancelToken::new());
-        assert!(queue.submit(a).is_ok());
-        assert!(queue.submit(b).is_ok());
-        assert!(matches!(queue.submit(c), Err(SubmitError::Full)));
-
-        queue.start_draining();
-        let (d, _sd) = mc_job(4, 100, CancelToken::new());
-        assert!(matches!(queue.submit(d), Err(SubmitError::Draining)));
-
-        // No worker ever ran: the drain path must still complete every
-        // queued slot so no client hangs.
-        queue.cancel_everything();
-        assert!(matches!(sb.wait(), JobOutcome::Draining));
-        assert!(queue.depth() == 0);
-    }
-
-    #[test]
-    fn pop_returns_none_only_after_close() {
-        let queue = JobQueue::new(4);
-        let (a, sa) = mc_job(1, 50, CancelToken::new());
-        queue.submit(a).unwrap();
-        let job = queue.pop().unwrap();
-        job.slot.complete(JobOutcome::Ok("x".into()));
-        queue.job_done();
-        assert!(matches!(sa.wait(), JobOutcome::Ok(_)));
-        assert!(queue.idle());
-        queue.close();
-        assert!(queue.pop().is_none());
     }
 
     #[cfg(target_os = "linux")]

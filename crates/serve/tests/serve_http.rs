@@ -121,10 +121,7 @@ fn health_metrics_and_routing() {
 
 #[test]
 fn exact_queries_answer_inline_with_every_error_mapped() {
-    let (addr, stop, handle) = start(ServeConfig {
-        max_body_bytes: 512,
-        ..ServeConfig::default()
-    });
+    let (addr, stop, handle) = start(ServeConfig::default());
 
     // A good exact query.
     let ok = query(addr, r#"{"raid": "r5-7", "lambda": 1e-5, "hep": 0.01}"#);
@@ -191,8 +188,8 @@ fn exact_queries_answer_inline_with_every_error_mapped() {
         );
     }
 
-    // 413: body over the configured cap.
-    let huge = format!("{{\"raid\": \"r5-3\", \"hep\": 0.0{}}}", " ".repeat(600));
+    // 413: a body one byte over the 64 KiB cap.
+    let huge = " ".repeat(64 * 1024 + 1);
     assert_eq!(query(addr, &huge).status, 413);
 
     // 500: the model rejects the combination at run time (the Fig. 3
@@ -278,6 +275,45 @@ fn expired_deadlines_answer_a_fixed_408_body() {
     );
 
     stop_and_join(&stop, handle);
+}
+
+#[test]
+fn a_queued_query_answers_408_at_its_deadline_behind_a_running_job() {
+    let (addr, stop, handle) = start(ServeConfig {
+        workers: 1,
+        drain_ms: 300,
+        ..ServeConfig::default()
+    });
+
+    // No deadline: this job holds the only run slot for seconds.
+    let slow = r#"{"model": "mc", "raid": "r5-3", "lambda": 1e-3, "hep": 0.01,
+                   "iterations": 50000000, "horizon_hours": 100000, "seed": 1}"#;
+    let first = thread::spawn(move || query(addr, slow));
+    // The high-water mark reads 1 once the first query holds the slot.
+    while !request(addr, "GET", "/metrics", "")
+        .body
+        .contains("\navailsim_serve_queue_depth_high_water 1\n")
+    {
+        assert!(!first.is_finished(), "the first query ended early");
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    let begun = Instant::now();
+    let queued = query(
+        addr,
+        r#"{"model": "mc", "raid": "r5-3", "lambda": 1e-3, "hep": 0.01,
+            "iterations": 1000, "horizon_hours": 10000, "seed": 2,
+            "deadline_ms": 200}"#,
+    );
+    let waited = begun.elapsed();
+    assert_eq!(queued.status, 408, "{}", queued.body);
+    assert_eq!(queued.body, "{\"error\":\"deadline expired\"}");
+    assert!(waited < Duration::from_secs(2), "the 408 took {waited:?}");
+    assert!(!first.is_finished(), "the first still runs");
+
+    stop_and_join(&stop, handle);
+    let reply = first.join().unwrap();
+    assert!(matches!(reply.status, 200 | 503), "{}", reply.body);
 }
 
 #[test]

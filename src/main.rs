@@ -820,7 +820,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         default_deadline_ms: flag(flags, "default-deadline-ms", 0u64)?,
         drain_ms: flag(flags, "drain-ms", 2_000u64)?,
         cache_capacity: flag(flags, "cache-capacity", 1_024usize)?,
-        ..availsim::serve::ServeConfig::default()
     };
     if config.queue_capacity == 0 {
         return Err("--queue-capacity must be at least 1".into());
